@@ -2,13 +2,13 @@
 on the interior of the truncated space."""
 
 from ladderforge import (FockCutoff, build_generators, commutator,
-                         interior_projector)
+                         interior_indices, interior_residual)
 
 cutoff = FockCutoff(10, 10)
 g = build_generators(cutoff)
 print(f"basis dimension: {cutoff.dim}")
 
-proj = interior_projector(cutoff, 2)
+keep = interior_indices(cutoff, 2)
 
 relations = {
     "[a1, a1'] - I": commutator(g.a1, g.a1_dag) - g.identity,
@@ -22,9 +22,9 @@ relations = {
     "[J+, a1']": commutator(g.j_plus, g.a1_dag),
 }
 
-print("\ninterior residuals (degree-2 projector):")
+print("\ninterior residuals (degree-2 interior):")
 for name, op in relations.items():
-    print(f"  {name:<18} {(proj @ op @ proj).norm():.2e}")
+    print(f"  {name:<18} {interior_residual(op, keep):.2e}")
 
 # hard truncation is visible only at the boundary
 full = commutator(g.a1, g.a1_dag) - g.identity

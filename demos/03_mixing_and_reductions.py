@@ -7,20 +7,20 @@ from ladderforge import (FockCutoff, HamiltonianParams, UnitarySpec,
                          build_generators, similarity, build_unitary,
                          reduce_by_similarity, solve_ladder,
                          verify_disentangled_T)
-from ladderforge.fock import interior_projector
+from ladderforge.fock import interior_indices, interior_residual
 from ladderforge.transforms import rotation_safe_degree
 
 cutoff = FockCutoff(14, 14)
 g = build_generators(cutoff)
 deg = rotation_safe_degree(cutoff)
-proj = interior_projector(cutoff, deg)
+keep = interior_indices(cutoff, deg)
 
 # the quarter-turn case: a1 -> (a1 - a2)/sqrt(2)
 t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.0,
                                         "theta": 0.0}), g)
 rotated = similarity(t, g.a1)
 target = (g.a1 - g.a2) / np.sqrt(2)
-print(f"rotated a1 vs (a1 - a2)/sqrt2:  {(proj @ (rotated - target) @ proj).norm():.2e}")
+print(f"rotated a1 vs (a1 - a2)/sqrt2:  {interior_residual(rotated - target, keep):.2e}")
 print(f"unitarity defect:               {(t.dag() @ t - g.identity).norm():.2e}")
 print(f"disentangled product form:      "
       f"{verify_disentangled_T(1, 1.0, 0.0, 0.0, cutoff, g):.2e}")

@@ -14,8 +14,8 @@ from .eigenstates import (EigenstateRequest, basic21_states,
 from .errors import CutoffMismatch, DomainError, LadderForgeError
 from .fock import (DEFAULT_TOL, FockCutoff, GeneratorSet, Operator,
                    ToleranceConfig, TwoModeState, apply, build_generators,
-                   commutator, interior_projector, normalize, basis_state,
-                   vacuum_state)
+                   commutator, interior_indices, interior_residual,
+                   normalize, basis_state, vacuum_state)
 from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      SolveReport, build_hamiltonian, build_ladder, classify,
                      compute_a0, solve_alpha_block, solve_ladder,

@@ -65,9 +65,8 @@ def build_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
 
 def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
     """Special lowering operator stepping the p:q spectrum down by one."""
-    ident = Operator(g.cutoff, np.eye(g.cutoff.dim))
-    a2p = _op_power(g.a2, pq.p, ident)
-    a1q = _op_power(g.a1, pq.q, ident)
+    a2p = _op_power(g.a2, pq.p, g.identity)
+    a1q = _op_power(g.a1, pq.q, g.identity)
     return (np.conj(pq.alpha_plus) * pq.q * a2p
             - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
 
@@ -75,9 +74,8 @@ def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
 def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
     """Mixed lowering operator alpha- a1'^(q-1) a2 + alpha+ a1 a2'^(p-1);
     annihilates the vacuum and commutes with the special raising operator."""
-    ident = Operator(g.cutoff, np.eye(g.cutoff.dim))
-    left = _op_power(g.a1_dag, pq.q - 1, ident) @ g.a2
-    right = g.a1 @ _op_power(g.a2_dag, pq.p - 1, ident)
+    left = _op_power(g.a1_dag, pq.q - 1, g.identity) @ g.a2
+    right = g.a1 @ _op_power(g.a2_dag, pq.p - 1, g.identity)
     return pq.alpha_minus * left + pq.alpha_plus * right
 
 

@@ -34,14 +34,14 @@ from .errors import DomainError, LadderForgeError
 from .eigenstates import EigenstateRequest, linear_coupled_states, su2_ground, \
     fractional_lambda_state, isotropic_states, basic21_states, verify_eigenstate
 from .fock import (FockCutoff, build_generators, commutator,
-                   interior_projector, state_to_csv, state_to_json,
-                   vacuum_state)
+                   interior_indices, interior_residual, state_to_csv,
+                   state_to_json, vacuum_state)
 from .params import (FamilyKind, HamiltonianParams, LadderCoeffs,
                      build_hamiltonian, build_ladder, coeffs_to_json,
-                     params_to_json, solve_ladder, su2_invariant,
-                     verify_ladder)
+                     params_from_json, params_to_json, parse_complex,
+                     solve_ladder, su2_invariant, verify_ladder)
 from .reductions import reduce_by_similarity
-from .spectra import diagonalize_oracle, raising_chain
+from .spectra import SpectrumReport, diagonalize_oracle, raising_chain
 from .transforms import unitary_spec_to_json
 
 EXIT_OK = 0
@@ -68,15 +68,6 @@ def _parse_cutoff(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ConfigError(f"bad cutoff {text!r}")
     return parts[0], parts[1]
-
-
-def _cnum(value) -> complex:
-    """Complex numbers arrive as [re, im] arrays or 're+imj' strings."""
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    return complex(value)
 
 
 def _load_config(path: str | None) -> dict:
@@ -110,16 +101,8 @@ def _resolve(args, cfg: dict) -> dict:
 
 
 def _params_from_config(cfg: dict) -> HamiltonianParams:
-    raw = cfg.get("params", {})
     try:
-        return HamiltonianParams(
-            beta0=float(raw.get("beta0", 0.0)),
-            beta_plus=_cnum(raw.get("beta_plus", 0)),
-            beta3=float(raw.get("beta3", 0.0)),
-            gamma1=_cnum(raw.get("gamma1", 0)),
-            gamma2=_cnum(raw.get("gamma2", 0)),
-            h0=float(raw.get("h0", 0.0)),
-        )
+        return params_from_json(cfg.get("params", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad Hamiltonian parameters: {exc}") from exc
 
@@ -150,36 +133,33 @@ def _run_verify_algebra(cfg: dict):
     _require_cutoff(cutoff, 6)
     tol = float(cfg["tol_algebra"])
     g = build_generators(cutoff)
-    p1 = interior_projector(cutoff, 1)
-    p2 = interior_projector(cutoff, 2)
+    k1 = interior_indices(cutoff, 1)
+    k2 = interior_indices(cutoff, 2)
     ident = g.identity
-
-    def res(op, proj):
-        return float((proj @ op @ proj).norm())
-
+    res = interior_residual
     checks = {
-        "a1_a1dag": res(commutator(g.a1, g.a1_dag) - ident, p1),
-        "a2_a2dag": res(commutator(g.a2, g.a2_dag) - ident, p1),
-        "a1_a2dag": res(commutator(g.a1, g.a2_dag), p1),
-        "a1_a2": res(commutator(g.a1, g.a2), p1),
-        "jp_jm": res(commutator(g.j_plus, g.j_minus) - 2 * g.j3, p2),
-        "j3_jp": res(commutator(g.j3, g.j_plus) - g.j_plus, p2),
-        "j3_jm": res(commutator(g.j3, g.j_minus) + g.j_minus, p2),
-        "n_j3": res(commutator(g.n_op, g.j3), p2),
-        "n_jp": res(commutator(g.n_op, g.j_plus), p2),
-        "n_a1": res(commutator(g.n_op, g.a1) + 0.5 * g.a1, p2),
-        "n_a2": res(commutator(g.n_op, g.a2) + 0.5 * g.a2, p2),
-        "n_a1dag": res(commutator(g.n_op, g.a1_dag) - 0.5 * g.a1_dag, p2),
-        "j3_a1": res(commutator(g.j3, g.a1) + 0.5 * g.a1, p2),
-        "j3_a2": res(commutator(g.j3, g.a2) - 0.5 * g.a2, p2),
-        "jp_a1": res(commutator(g.j_plus, g.a1) + g.a2, p2),
-        "jp_a2dag": res(commutator(g.j_plus, g.a2_dag) - g.a1_dag, p2),
-        "jm_a2": res(commutator(g.j_minus, g.a2) + g.a1, p2),
-        "jm_a1dag": res(commutator(g.j_minus, g.a1_dag) - g.a2_dag, p2),
-        "jp_a1dag": res(commutator(g.j_plus, g.a1_dag), p2),
-        "jp_a2": res(commutator(g.j_plus, g.a2), p2),
-        "jm_a2dag": res(commutator(g.j_minus, g.a2_dag), p2),
-        "jm_a1": res(commutator(g.j_minus, g.a1), p2),
+        "a1_a1dag": res(commutator(g.a1, g.a1_dag) - ident, k1),
+        "a2_a2dag": res(commutator(g.a2, g.a2_dag) - ident, k1),
+        "a1_a2dag": res(commutator(g.a1, g.a2_dag), k1),
+        "a1_a2": res(commutator(g.a1, g.a2), k1),
+        "jp_jm": res(commutator(g.j_plus, g.j_minus) - 2 * g.j3, k2),
+        "j3_jp": res(commutator(g.j3, g.j_plus) - g.j_plus, k2),
+        "j3_jm": res(commutator(g.j3, g.j_minus) + g.j_minus, k2),
+        "n_j3": res(commutator(g.n_op, g.j3), k2),
+        "n_jp": res(commutator(g.n_op, g.j_plus), k2),
+        "n_a1": res(commutator(g.n_op, g.a1) + 0.5 * g.a1, k2),
+        "n_a2": res(commutator(g.n_op, g.a2) + 0.5 * g.a2, k2),
+        "n_a1dag": res(commutator(g.n_op, g.a1_dag) - 0.5 * g.a1_dag, k2),
+        "j3_a1": res(commutator(g.j3, g.a1) + 0.5 * g.a1, k2),
+        "j3_a2": res(commutator(g.j3, g.a2) - 0.5 * g.a2, k2),
+        "jp_a1": res(commutator(g.j_plus, g.a1) + g.a2, k2),
+        "jp_a2dag": res(commutator(g.j_plus, g.a2_dag) - g.a1_dag, k2),
+        "jm_a2": res(commutator(g.j_minus, g.a2) + g.a1, k2),
+        "jm_a1dag": res(commutator(g.j_minus, g.a1_dag) - g.a2_dag, k2),
+        "jp_a1dag": res(commutator(g.j_plus, g.a1_dag), k2),
+        "jp_a2": res(commutator(g.j_plus, g.a2), k2),
+        "jm_a2dag": res(commutator(g.j_minus, g.a2_dag), k2),
+        "jm_a1": res(commutator(g.j_minus, g.a1), k2),
     }
     worst = max(checks.values())
     report = {"checks": checks, "worst": worst, "tolerance": tol,
@@ -226,13 +206,10 @@ def _run_spectrum(cfg: dict):
         return EXIT_REFUSED, {"tag": str(rep.tag), "reason": "no ladder"}, {}
     tag = rep.tag
     h = build_hamiltonian(p, g)
-    combined = rep.coeffs[0]
-    for extra in rep.coeffs[1:]:
-        combined = combined.plus(extra)
-    a = build_ladder(combined, g)
+    a = build_ladder(rep.combined(), g)
 
     entries = []
-    csv_lines = ["family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"]
+    csv_lines = [SpectrumReport.CSV_HEADER]
     oracle = diagonalize_oracle(h, 3)
     worst = 0.0
     for kappa in kappas:
@@ -240,8 +217,9 @@ def _run_spectrum(cfg: dict):
         if ground is None:
             continue
         chain = raising_chain(h, a, ground, n_max, degree=3, family=str(tag.kind.value))
+        chain.oracle = oracle
         for e in chain.entries:
-            nearest = float(oracle[np.argmin(np.abs(oracle - e.energy_chain))])
+            nearest = chain.nearest_oracle(e.energy_chain)
             if e.certified:
                 # only truncation-safe states count toward the verdict
                 worst = max(worst, e.residual, abs(e.energy_chain - nearest))
@@ -251,8 +229,9 @@ def _run_spectrum(cfg: dict):
                             "energy_oracle": nearest,
                             "residual": e.residual,
                             "certified": e.certified})
-            csv_lines.append(f"{tag.kind.value},{kappa},{e.n},{e.energy_formula!r},"
-                             f"{e.energy_chain!r},{nearest!r},{e.residual!r}")
+        csv_lines += chain.csv_rows(kappa)
+    if not entries:
+        return EXIT_REFUSED, {"tag": str(tag), "reason": "no chain entries"}, {}
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,
               "worst_residual": worst, "tolerance": tol, "passed": bool(worst < tol)}
     return (EXIT_OK if worst < tol else EXIT_HARD), report, {"spectrum.csv": "\n".join(csv_lines) + "\n"}
@@ -297,16 +276,14 @@ def _run_eigenstate(cfg: dict):
     raw = cfg.get("request", {})
     req = EigenstateRequest(
         tag=tag,
-        lam=_cnum(raw.get("lambda", 0)),
+        lam=parse_complex(raw.get("lambda", 0)),
         kappa=int(raw.get("kappa", 0)),
         branch=int(raw.get("branch", 1)),
-        c1=_cnum(raw["c1"]) if "c1" in raw else None,
-        c2=_cnum(raw["c2"]) if "c2" in raw else None,
-        lambda2=_cnum(raw["lambda2"]) if "lambda2" in raw else None,
+        c1=parse_complex(raw["c1"]) if "c1" in raw else None,
+        c2=parse_complex(raw["c2"]) if "c2" in raw else None,
+        lambda2=parse_complex(raw["lambda2"]) if "lambda2" in raw else None,
     )
     kind = tag.kind
-    state = None
-    a_op = None
     if kind in (FamilyKind.FRACTIONAL, FamilyKind.LINEAR_FRACTIONAL):
         idx = rep.free_parameters.index("mu1") if "mu1" in rep.free_parameters else 0
         coeff = rep.coeffs[idx]
@@ -332,27 +309,22 @@ def _run_eigenstate(cfg: dict):
         state = su2_ground(p.beta3, p.theta, req.kappa, g)
         a_op = build_ladder(rep.coeffs[0], g)
         req.lam = 0j
-    elif kind in (FamilyKind.LINEAR_ISO, FamilyKind.APPENDIX_A, FamilyKind.LINEAR_B2):
-        state = linear_coupled_states(p, req, g, nu1=_cnum(raw.get("nu1", 0.3)))
-        combined = rep.coeffs[0]
-        for extra in rep.coeffs[1:]:
-            combined = combined.plus(extra)
-        a_op = build_ladder(combined, g)
-        if kind == FamilyKind.LINEAR_B2:
-            a_op = None  # amplitude bookkeeping differs; report state only
+    elif kind in (FamilyKind.LINEAR_ISO, FamilyKind.APPENDIX_A):
+        state = linear_coupled_states(p, req, g, nu1=parse_complex(raw.get("nu1", 0.3)))
+        a_op = build_ladder(rep.combined(), g)
+    elif kind == FamilyKind.LINEAR_B2:
+        # the b = 2 states carry a different amplitude normalization than
+        # the solver's ladder, so there is no residual to check them against
+        return EXIT_REFUSED, {"tag": str(tag),
+                              "reason": "no eigenstate residual for the b = 2 family"}, {}
     else:
         return EXIT_REFUSED, {"tag": str(tag), "reason": "no constructor"}, {}
 
+    resid = float(verify_eigenstate(a_op, state, req.lam, 4))
     report = {"params": params_to_json(p), "tag": str(tag),
-              "state": state_to_json(state), "tolerance": tol}
-    extras = {"state.csv": state_to_csv(state)}
-    if a_op is not None:
-        resid = float(verify_eigenstate(a_op, state, req.lam, 4))
-        report["residual"] = resid
-        report["passed"] = bool(resid < tol)
-        return (EXIT_OK if resid < tol else EXIT_HARD), report, extras
-    report["passed"] = True
-    return EXIT_OK, report, extras
+              "state": state_to_json(state), "tolerance": tol,
+              "residual": resid, "passed": bool(resid < tol)}
+    return (EXIT_OK if resid < tol else EXIT_HARD), report, {"state.csv": state_to_csv(state)}
 
 
 def _run_chen(cfg: dict):
@@ -367,15 +339,16 @@ def _run_chen(cfg: dict):
             f"and twice the ladder degree {max(p_int, q_int)}")
     tol = float(cfg.get("tol_chen", 1e-10))
     pq = PQParams(p_int, q_int,
-                  _cnum(cfg.get("alpha_plus", 1)), _cnum(cfg.get("alpha_minus", 1)))
+                  parse_complex(cfg.get("alpha_plus", 1)),
+                  parse_complex(cfg.get("alpha_minus", 1)))
     g = build_generators(cutoff)
     h = build_H_pq(pq, g)
     cal_a = build_calA_pq(pq, g)
     a_gen = build_A_pq_generalized(pq, g)
     degree = max(p_int, q_int)
     ladder_resid = float(verify_ladder(h, cal_a, degree))
-    proj = interior_projector(cutoff, degree)
-    commute_resid = float((proj @ commutator(a_gen, cal_a.dag()) @ proj).norm())
+    commute_resid = interior_residual(commutator(a_gen, cal_a.dag()),
+                                      interior_indices(cutoff, degree))
 
     ground = chen_ground(pq, kappa, g)
     h_resid = float(np.linalg.norm(h.mat @ ground.amplitudes - kappa * ground.amplitudes))
@@ -443,10 +416,7 @@ def _run_reduce(cfg: dict):
     rep = solve_ladder(p)
     if not rep.exists:
         return EXIT_REFUSED, {"tag": str(rep.tag), "reason": "no ladder"}, {}
-    combined = rep.coeffs[0]
-    for extra in rep.coeffs[1:]:
-        combined = combined.plus(extra)
-    red = reduce_by_similarity(p, combined, g, eps=eps)
+    red = reduce_by_similarity(p, rep.combined(), g, eps=eps)
     worst = max(red.h_residual, red.a_residual)
     report = {
         "params": params_to_json(p),

@@ -70,18 +70,14 @@ def _check_kappa(g: GeneratorSet, deg1: int, deg2: int) -> None:
                           f"({g.cutoff.n1_max},{g.cutoff.n2_max})")
 
 
-def _identity(g: GeneratorSet) -> Operator:
-    return Operator(g.cutoff, np.eye(g.cutoff.dim))
-
-
-def _strip_identity(op: Operator) -> Operator:
+def _strip_identity(op: Operator, identity: Operator) -> Operator:
     """Drop the identity component of a creation polynomial; a scalar in the
     exponent only rescales the state and normalization removes it anyway."""
     idx = op.cutoff.index(0, 0)
     c00 = complex(op.mat[idx, idx])
     if c00 == 0:
         return op
-    return op - c00 * Operator(op.cutoff, np.eye(op.cutoff.dim))
+    return op - c00 * identity
 
 
 def _exp_poly_vac(g: GeneratorSet, exponent: Operator | None,
@@ -93,7 +89,7 @@ def _exp_poly_vac(g: GeneratorSet, exponent: Operator | None,
         for _ in range(power):
             v = apply(poly, v)
     if exponent is not None:
-        v = apply_creation_series(_strip_identity(exponent), v)
+        v = apply_creation_series(_strip_identity(exponent, g.identity), v)
     return normalize(v)
 
 
@@ -225,8 +221,7 @@ def su2_ground(beta3: float, theta: float, kappa: int, g: GeneratorSet) -> TwoMo
 
 def _shifted_dags(g: GeneratorSet, w1: complex, w2: complex):
     """Creation operators conjugated through D1(w1) D2(w2)."""
-    ident = _identity(g)
-    return (g.a1_dag - np.conj(w1) * ident, g.a2_dag - np.conj(w2) * ident)
+    return (g.a1_dag - np.conj(w1) * g.identity, g.a2_dag - np.conj(w2) * g.identity)
 
 
 def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,

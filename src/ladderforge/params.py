@@ -23,13 +23,15 @@ alphas zero) only when (2 - beta0)^2 = b^2, the nu block when
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import LadderForgeError
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
-                   commutator, interior_projector, shell_projector)
+                   commutator, interior_indices, interior_residual,
+                   shell_indices)
 
 __all__ = [
     "HamiltonianParams",
@@ -49,6 +51,7 @@ __all__ = [
     "verify_ladder",
     "hamiltonian_params_from_matrix",
     "ladder_coeffs_from_matrix",
+    "parse_complex",
     "params_to_json",
     "params_from_json",
     "coeffs_to_json",
@@ -179,6 +182,11 @@ class SolveReport:
     @property
     def exists(self) -> bool:
         return len(self.coeffs) > 0
+
+    def combined(self) -> LadderCoeffs:
+        """Sum of the basis elements: one lowering operator that uses every
+        direction of the solution space."""
+        return functools.reduce(LadderCoeffs.plus, self.coeffs)
 
 
 def su2_invariant(p: HamiltonianParams) -> float:
@@ -467,8 +475,7 @@ def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
 
 def verify_ladder(h: Operator, a: Operator, degree: int = 3) -> float:
     """|| P ([H, A] + A) P ||_F on the degree-`degree` interior."""
-    proj = interior_projector(h.cutoff, degree)
-    return (proj @ (commutator(h, a) + a) @ proj).norm()
+    return interior_residual(commutator(h, a) + a, interior_indices(h.cutoff, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +511,9 @@ def hamiltonian_params_from_matrix(h: Operator, g: GeneratorSet,
             raise LadderForgeError(f"extracted {name} is not real: {val}")
     p = HamiltonianParams(beta0=beta0.real, beta_plus=beta_plus, beta3=beta3.real,
                           gamma1=gamma1, gamma2=gamma2, h0=h0.real)
-    proj = (interior_projector(h.cutoff, degree) if shell_max is None
-            else shell_projector(h.cutoff, shell_max))
-    resid = (proj @ (h - build_hamiltonian(p, g)) @ proj).norm()
+    keep = (interior_indices(h.cutoff, degree) if shell_max is None
+            else shell_indices(h.cutoff, shell_max))
+    resid = interior_residual(h - build_hamiltonian(p, g), keep)
     if resid > residual_tol:
         raise LadderForgeError(f"matrix is not in the Hamiltonian span (residual {resid:.3e})")
     return p
@@ -529,9 +536,9 @@ def ladder_coeffs_from_matrix(a: Operator, g: GeneratorSet,
         alpha3=2.0 * (_me(a, (1, 0), (1, 0)) - a0),
         a0=a0,
     )
-    proj = (interior_projector(a.cutoff, degree) if shell_max is None
-            else shell_projector(a.cutoff, shell_max))
-    resid = (proj @ (a - build_ladder(c, g)) @ proj).norm()
+    keep = (interior_indices(a.cutoff, degree) if shell_max is None
+            else shell_indices(a.cutoff, shell_max))
+    resid = interior_residual(a - build_ladder(c, g), keep)
     if resid > residual_tol:
         raise LadderForgeError(f"matrix is not in the ladder span (residual {resid:.3e})")
     return c
@@ -551,14 +558,22 @@ def params_to_json(p: HamiltonianParams) -> dict:
             "gamma1": _c(p.gamma1), "gamma2": _c(p.gamma2), "h0": p.h0}
 
 
+def parse_complex(value) -> complex:
+    """A complex number written as [re, im], a plain number, or a
+    're+imj' string (spaces allowed)."""
+    if isinstance(value, (list, tuple)):
+        return complex(float(value[0]), float(value[1]))
+    if isinstance(value, str):
+        return complex(value.replace(" ", ""))
+    return complex(value)
+
+
 def params_from_json(d: dict) -> HamiltonianParams:
-    def cval(v):
-        return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
     return HamiltonianParams(beta0=float(d.get("beta0", 0.0)),
-                             beta_plus=cval(d.get("beta_plus", 0)),
+                             beta_plus=parse_complex(d.get("beta_plus", 0)),
                              beta3=float(d.get("beta3", 0.0)),
-                             gamma1=cval(d.get("gamma1", 0)),
-                             gamma2=cval(d.get("gamma2", 0)),
+                             gamma1=parse_complex(d.get("gamma1", 0)),
+                             gamma2=parse_complex(d.get("gamma2", 0)),
                              h0=float(d.get("h0", 0.0)))
 
 
@@ -569,8 +584,6 @@ def coeffs_to_json(c: LadderCoeffs) -> dict:
 
 
 def coeffs_from_json(d: dict) -> LadderCoeffs:
-    def cval(v):
-        return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-    return LadderCoeffs(**{k: cval(d.get(k, 0)) for k in
+    return LadderCoeffs(**{k: parse_complex(d.get(k, 0)) for k in
                            ("mu1", "mu2", "nu1", "nu2",
                             "alpha_plus", "alpha_minus", "alpha3", "a0")})

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import GeneratorSet, shell_projector
+from .fock import GeneratorSet, interior_residual, shell_indices
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder, hamiltonian_params_from_matrix,
                      ladder_coeffs_from_matrix)
@@ -101,8 +101,8 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     p_red = hamiltonian_params_from_matrix(h_red, g, shell_max=shell_max)
     c_red = ladder_coeffs_from_matrix(a_red, g, shell_max=shell_max)
 
-    proj = shell_projector(g.cutoff, shell_max)
-    h_resid = (proj @ (h_red - build_hamiltonian(p_red, g)) @ proj).norm()
-    a_resid = (proj @ (a_red - build_ladder(c_red, g)) @ proj).norm()
+    keep = shell_indices(g.cutoff, shell_max)
+    h_resid = interior_residual(h_red - build_hamiltonian(p_red, g), keep)
+    a_resid = interior_residual(a_red - build_ladder(c_red, g), keep)
     return Reduction(params=p_red, coeffs=c_red, chain=chain,
                      h_residual=h_resid, a_residual=a_resid, shell_max=shell_max)

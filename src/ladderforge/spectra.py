@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import LadderForgeError
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
@@ -88,7 +89,7 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
             or abs(c.nu2 - gamma1 * c.alpha_plus / 2.0) > tol):
         raise LadderForgeError("wrong ladder shape for the normal-ordered expansion")
 
-    ident = Operator(g.cutoff, np.eye(g.cutoff.dim))
+    ident = g.identity
     mu2c = np.conj(c.mu2)
     apc = np.conj(c.alpha_plus)
     a0c = np.conj(c.a0)
@@ -106,10 +107,11 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
         d2_pow.append(d2_pow[-1] @ delta2)
         x_pow.append(x_pow[-1] @ contraction)
 
-    result = Operator(g.cutoff, np.zeros((g.cutoff.dim, g.cutoff.dim)))
+    zero = Operator(g.cutoff, sp.csr_matrix((g.cutoff.dim, g.cutoff.dim)))
+    result = zero
     for nk in normal_order_coeffs(n):
         m = n - 2 * nk.k
-        ordered = Operator(g.cutoff, np.zeros((g.cutoff.dim, g.cutoff.dim)))
+        ordered = zero
         for j in range(m + 1):
             ordered = ordered + comb(m, j) * (d1_pow[j] @ d2_pow[m - j])
         result = result + nk.value * (x_pow[nk.k] @ ordered)
@@ -131,6 +133,8 @@ class ChainEntry:
 
 @dataclass
 class SpectrumReport:
+    CSV_HEADER = "family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"
+
     family: str
     e0: float
     entries: list[ChainEntry] = field(default_factory=list)
@@ -154,16 +158,23 @@ class SpectrumReport:
             payload["oracle_eigenvalues"] = [float(x) for x in self.oracle]
         return payload
 
-    def to_csv(self, kappa: int | str = "") -> str:
-        lines = ["family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"]
-        oracle = list(self.oracle) if self.oracle is not None else []
+    def nearest_oracle(self, energy: float) -> float:
+        """The oracle eigenvalue closest to `energy`."""
+        return float(self.oracle[np.argmin(np.abs(self.oracle - energy))])
+
+    def csv_rows(self, kappa: int | str = "") -> list[str]:
+        """One CSV row per entry, in CSV_HEADER's column order; the
+        energy_oracle column is empty when there is no oracle."""
+        rows = []
+        has_oracle = self.oracle is not None and self.oracle.size > 0
         for e in self.entries:
-            nearest = ""
-            if oracle:
-                nearest = repr(min(oracle, key=lambda x: abs(x - e.energy_chain)))
-            lines.append(f"{self.family},{kappa},{e.n},{e.energy_formula!r},"
-                         f"{e.energy_chain!r},{nearest},{e.residual!r}")
-        return "\n".join(lines) + "\n"
+            nearest = repr(self.nearest_oracle(e.energy_chain)) if has_oracle else ""
+            rows.append(f"{self.family},{kappa},{e.n},{e.energy_formula!r},"
+                        f"{e.energy_chain!r},{nearest},{e.residual!r}")
+        return rows
+
+    def to_csv(self, kappa: int | str = "") -> str:
+        return "\n".join([self.CSV_HEADER, *self.csv_rows(kappa)]) + "\n"
 
 
 def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,

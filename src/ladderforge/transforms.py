@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffMismatch, DomainError
-from .fock import FockCutoff, GeneratorSet, Operator, interior_projector
+from .fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
+                   interior_residual)
 
 __all__ = [
     "UnitarySpec",
@@ -193,8 +194,7 @@ def verify_disentangled_T(eps: int, b: float, beta3: float, theta: float,
     t_prod = (expm(-tau * np.exp(-1j * theta) * g.j_plus)
               @ expm(math.log(2.0 * b / hi) * g.j3)
               @ expm(tau * np.exp(1j * theta) * g.j_minus))
-    proj = interior_projector(cutoff, degree)
-    return (proj @ (t_exp - t_prod) @ proj).norm()
+    return interior_residual(t_exp - t_prod, interior_indices(cutoff, degree))
 
 
 def unitary_spec_to_json(spec: UnitarySpec) -> dict:

@@ -139,3 +139,33 @@ def test_reduce_scenario(tmp_path):
     assert kinds == ["mix_t", "displace1", "displace2"]
     assert payload["report"]["h_residual"] < 1e-8
     assert abs(payload["report"]["reduced_params"]["beta3"] - 1.0) < 1e-9
+
+
+# the catalogue's Appendix B (B6) default bindings: b^2 = 1, no chain ground
+B6_PARAMS = {"beta0": 2.5, "beta_plus": [0.4 * np.cos(0.7), 0.4 * np.sin(0.7)],
+             "beta3": 0.6, "gamma1": [0.4, 0.3], "gamma2": "0.25 - 0.15j"}
+
+
+def test_spectrum_without_chain_entries_is_refused(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": B6_PARAMS}))
+    code = run(["spectrum", "--config", str(cfg), "--cutoff", "10,10",
+                "--out", str(tmp_path)])
+    assert code == 2
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["report"]["tag"].startswith("AppendixB")
+    assert payload["report"]["reason"] == "no chain entries"
+
+
+def test_eigenstate_b2_without_residual_is_refused(tmp_path):
+    # beta0 = 0, b = 2: both the annihilation and the creation gate hold
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 0.0, "beta3": 2.0},
+                               "request": {"lambda": [0.3, 0.1]}}))
+    code = run(["eigenstate", "--config", str(cfg), "--cutoff", "10,10",
+                "--out", str(tmp_path)])
+    assert code == 2
+    payload = json.loads((tmp_path / "eigenstate.json").read_text())
+    assert payload["report"]["tag"].startswith("LinearCoupledB2")
+    assert "residual" not in payload["report"]
+    assert payload["report"]["reason"]

@@ -9,9 +9,11 @@ from ladderforge.errors import CutoffMismatch, LadderForgeError
 from ladderforge.fock import (FockCutoff, Operator, TwoModeState, apply,
                               apply_creation_series, basis_state,
                               build_generators, commutator,
-                              interior_projector, norm, normalize,
+                              interior_indices, interior_projector,
+                              interior_residual, norm, normalize,
                               operator_from_json, operator_to_json,
-                              shell_indices, state_from_json, state_to_csv,
+                              shell_indices, shell_projector,
+                              state_from_json, state_to_csv,
                               state_to_json, vacuum_state)
 
 
@@ -195,3 +197,69 @@ def test_state_json_and_csv(gen8):
     lines = csv.strip().split("\n")
     assert lines[0] == "n1,n2,re,im,probability"
     assert len(lines) == gen8.cutoff.dim + 1
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker-built generators and index sets against their elementwise
+# definitions, and interior_residual against the projector sandwich
+# ---------------------------------------------------------------------------
+
+def _elementwise_generators(cut):
+    """Dense a1, a2, J+ = a1'a2 and J- = a1 a2' from their matrix elements,
+    with the hard truncation of a_i' at the top level."""
+    a1, a2, jp, jm = (np.zeros((cut.dim, cut.dim)) for _ in range(4))
+    for n1, n2 in cut.states():
+        col = cut.index(n1, n2)
+        if n1 > 0:
+            a1[cut.index(n1 - 1, n2), col] = np.sqrt(n1)
+        if n2 > 0:
+            a2[cut.index(n1, n2 - 1), col] = np.sqrt(n2)
+        if n1 < cut.n1_max and n2 > 0:
+            jp[cut.index(n1 + 1, n2 - 1), col] = np.sqrt(n1 + 1) * np.sqrt(n2)
+        if n1 > 0 and n2 < cut.n2_max:
+            jm[cut.index(n1 - 1, n2 + 1), col] = np.sqrt(n1) * np.sqrt(n2 + 1)
+    return a1, a2, jp, jm
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(3, 5), (5, 3), (0, 2), (2, 0), (4, 4)])
+def test_generators_match_elementwise_definition(n1_max, n2_max):
+    cut = FockCutoff(n1_max, n2_max)
+    g = build_generators(cut)
+    a1, a2, jp, jm = _elementwise_generators(cut)
+    np.testing.assert_array_equal(g.a1.to_dense(), a1)
+    np.testing.assert_array_equal(g.a2.to_dense(), a2)
+    np.testing.assert_array_equal(g.a1_dag.to_dense(), a1.T)
+    np.testing.assert_array_equal(g.a2_dag.to_dense(), a2.T)
+    np.testing.assert_array_equal(g.j_plus.to_dense(), jp)
+    np.testing.assert_array_equal(g.j_minus.to_dense(), jm)
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(3, 5), (5, 3), (0, 4), (6, 6)])
+def test_index_sets_match_comprehensions(n1_max, n2_max):
+    cut = FockCutoff(n1_max, n2_max)
+    for degree in range(min(n1_max, n2_max) + 1):
+        expected = [cut.index(n1, n2)
+                    for n1 in range(n1_max - degree + 1)
+                    for n2 in range(n2_max - degree + 1)]
+        assert interior_indices(cut, degree).tolist() == expected
+    for s_max in range(-1, n1_max + n2_max + 2):
+        expected = [cut.index(n1, n2) for n1, n2 in cut.states() if n1 + n2 <= s_max]
+        assert shell_indices(cut, s_max).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1_max=st.integers(1, 8), n2_max=st.integers(1, 8),
+       density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_interior_residual_equals_projector_sandwich(n1_max, n2_max, density, seed, data):
+    cut = FockCutoff(n1_max, n2_max)
+    rng = np.random.default_rng(seed)
+    shape = (cut.dim, cut.dim)
+    m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.uniform(-6, 6, size=shape) * (rng.random(shape) < density)
+    op = Operator(cut, m)
+    degree = data.draw(st.integers(0, min(n1_max, n2_max)))
+    proj = interior_projector(cut, degree)
+    assert interior_residual(op, interior_indices(cut, degree)) == (proj @ op @ proj).norm()
+    s_max = data.draw(st.integers(-1, n1_max + n2_max))
+    sproj = shell_projector(cut, s_max)
+    assert interior_residual(op, shell_indices(cut, s_max)) == (sproj @ op @ sproj).norm()

@@ -203,6 +203,19 @@ def test_chain_report_serialization(chain_setup):
     assert len(csv.strip().split("\n")) == 5
 
 
+def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
+    g, h, a, _, _ = chain_setup
+    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
+    rep.oracle = diagonalize_oracle(h, 3)
+    rows = rep.to_csv(kappa=0).strip().split("\n")[1:]
+    assert len(rows) == 4
+    for row in rows:
+        family, kappa, n, *numbers = row.split(",")
+        assert (family, kappa) == ("2:1", "0") and int(n) >= 0
+        formula, chain, oracle, residual = (float(x) for x in numbers)
+        assert oracle == min(rep.oracle, key=lambda x: abs(x - chain))
+
+
 # ---------------------------------------------------------------------------
 # closed-form spectra and the diagonalization oracle
 # ---------------------------------------------------------------------------
