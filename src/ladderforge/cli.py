@@ -483,6 +483,9 @@ def run(argv=None) -> int:
 
     try:
         code, report, extras = _RUNNERS[args.scenario](cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except _CutoffTooSmall as exc:
         print(f"cutoff too small: {exc}", file=sys.stderr)
         return EXIT_CUTOFF

@@ -370,9 +370,8 @@ def state_from_json(payload: dict) -> TwoModeState:
 
 def state_to_csv(v: TwoModeState) -> str:
     """CSV rows (n1, n2, re, im, probability), header included."""
-    lines = ["n1,n2,re,im,probability"]
-    for n1, n2 in v.cutoff.states():
-        z = v.amplitudes[v.cutoff.index(n1, n2)]
-        lines.append(f"{n1},{n2},{z.real!r},{z.imag!r},{abs(z) ** 2!r}")
-    return "\n".join(lines) + "\n"
-
+    n1, n2 = np.divmod(np.arange(v.cutoff.dim), v.cutoff.n2_max + 1)
+    cells = zip(n1.tolist(), n2.tolist(), v.amplitudes.tolist())
+    return "\n".join(["n1,n2,re,im,probability",
+                      *(f"{a},{b},{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
+                        for a, b, z in cells)]) + "\n"

@@ -7,13 +7,13 @@ shift.  The displacement in mode i divides by the mode frequency, so the
 step fails on resonance (a vanishing frequency with a surviving linear
 term).
 
-Certification is matrix-level: the original operators are conjugated through
-the built unitary chain and compared against the rebuilt basic forms.  Hard
-truncation makes the conjugated matrices exact only away from the cutoff
-corner - the junk created there leaks inward by a few total-occupation
-shells under the displacement steps - so residuals are measured on a shell
-interior (n1 + n2 bounded by about half the cutoff), the region where the
-identity genuinely holds.
+Certification is matrix-level: the original operators are conjugated by the
+built unitaries of the chain, one step at a time, and compared against the
+rebuilt basic forms.  Hard truncation makes the conjugated matrices exact
+only away from the cutoff corner - the junk created there leaks inward by a
+few total-occupation shells under the displacement steps - so residuals are
+measured on a shell interior (n1 + n2 bounded by about half the cutoff), the
+region where the identity genuinely holds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .fock import GeneratorSet, interior_residual, shell_indices
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder, hamiltonian_params_from_matrix,
                      ladder_coeffs_from_matrix)
-from .transforms import UnitarySpec, build_chain, similarity
+from .transforms import UnitarySpec, build_unitary, similarity
 
 __all__ = ["Reduction", "rotated_gammas", "reduce_by_similarity"]
 
@@ -95,9 +95,12 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
                                           "vanishes with a residual linear coupling")
         chain.append(UnitarySpec("displace2", {"alpha": -g2 / w2}))
 
-    u = build_chain(chain, g)
-    h_red = similarity(u, build_hamiltonian(p, g))
-    a_red = similarity(u, build_ladder(c, g))
+    h_red = build_hamiltonian(p, g)
+    a_red = build_ladder(c, g)
+    for spec in chain:  # one factor at a time: each stays sparse, unlike U
+        u = build_unitary(spec, g)
+        h_red = similarity(u, h_red)
+        a_red = similarity(u, a_red)
     p_red = hamiltonian_params_from_matrix(h_red, g, shell_max=shell_max)
     c_red = ladder_coeffs_from_matrix(a_red, g, shell_max=shell_max)
 

@@ -1,8 +1,9 @@
 """Unitary toolkit: displacements, squeezes, the two-mode mixing rotation, and
 the similarity reductions that bring a general Hamiltonian to basic form.
 
-All unitaries are matrix exponentials computed with a fixed order-13 Pade
-approximant under scaling-and-squaring, so repeated runs are bit-reproducible.
+Every generator here is block-diagonal on the truncated grid (shells n1 + n2,
+sectors n1 - n2, one-mode columns or rows), and `expm` applies scipy's
+Pade-13 scaling-and-squaring expm to each block found in its sparsity graph.
 Truncation makes a built unitary exact only where the generator amplitude is
 small against the cutoff; callers are expected to keep coherent amplitudes
 below about a third of the cutoff.
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CutoffMismatch, DomainError
 from .fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
@@ -31,39 +33,22 @@ __all__ = [
     "unitary_spec_from_json",
 ]
 
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _expm_dense(m: np.ndarray) -> np.ndarray:
-    """Order-13 Pade approximant with scaling and squaring."""
-    norm = np.linalg.norm(m, 1)
-    s = 0
-    if norm > _THETA13:
-        s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
-        m = m / (2.0 ** s)
-    b = _PADE13
-    n = m.shape[0]
-    ident = np.eye(n, dtype=m.dtype)
-    m2 = m @ m
-    m4 = m2 @ m2
-    m6 = m2 @ m4
-    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
-             + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
-         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
-    f = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        f = f @ f
-    return f
-
 
 def expm(a: Operator) -> Operator:
-    return Operator(a.cutoff, _expm_dense(a.to_dense()))
+    """exp(a), one scipy Pade-13 expm per connected component of the
+    sparsity graph of a; the components are the invariant blocks."""
+    # Local imports: loading scipy.linalg at module level would add about
+    # 0.15 s to every `import ladderforge.cli`, reduce or not.
+    import scipy.linalg
+    from scipy.sparse import csgraph
+
+    n_blocks, labels = csgraph.connected_components(abs(a.mat), directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    u = sp.block_diag([scipy.linalg.expm(a.mat[i][:, i].toarray()) for i in blocks],
+                      format="csr")
+    back = np.argsort(order)  # block order back to the grid order
+    return Operator(a.cutoff, u[back][:, back])
 
 
 _KINDS = ("displace1", "displace2", "squeeze2", "squeeze_two_mode", "mix_t")
@@ -113,29 +98,33 @@ def mix_angle(eps: int, b: float, beta3: float) -> float:
     return math.atan(eps * math.sqrt(lo / hi))
 
 
-def build_unitary(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+    """Anti-Hermitian generator G of the spec's unitary exp(G)."""
     p = spec.params
     if spec.kind == "displace1":
         alpha = complex(p["alpha"])
-        gen = alpha * g.a1_dag - np.conj(alpha) * g.a1
+        return alpha * g.a1_dag - np.conj(alpha) * g.a1
     elif spec.kind == "displace2":
         alpha = complex(p["alpha"])
-        gen = alpha * g.a2_dag - np.conj(alpha) * g.a2
+        return alpha * g.a2_dag - np.conj(alpha) * g.a2
     elif spec.kind == "squeeze2":
         chi = complex(p["chi"])
-        gen = -0.5 * (chi * (g.a2_dag @ g.a2_dag) - np.conj(chi) * (g.a2 @ g.a2))
+        return -0.5 * (chi * (g.a2_dag @ g.a2_dag) - np.conj(chi) * (g.a2 @ g.a2))
     elif spec.kind == "squeeze_two_mode":
         th = float(p["theta_tilde"])
         ph = float(p["phi_tilde"])
-        gen = -0.5 * th * (np.exp(-1j * ph) * (g.a1_dag @ g.a2_dag)
-                           - np.exp(1j * ph) * (g.a1 @ g.a2))
+        return -0.5 * th * (np.exp(-1j * ph) * (g.a1_dag @ g.a2_dag)
+                             - np.exp(1j * ph) * (g.a1 @ g.a2))
     elif spec.kind == "mix_t":
         phi = mix_angle(int(p["eps"]), float(p["b"]), float(p["beta3"]))
         theta = float(p.get("theta", 0.0))
-        gen = -phi * (np.exp(-1j * theta) * g.j_plus - np.exp(1j * theta) * g.j_minus)
+        return -phi * (np.exp(-1j * theta) * g.j_plus - np.exp(1j * theta) * g.j_minus)
     else:  # pragma: no cover - guarded in UnitarySpec
         raise ValueError(spec.kind)
-    return expm(gen)
+
+
+def build_unitary(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+    return expm(unitary_generator(spec, g))
 
 
 def build_chain(chain: list[UnitarySpec], g: GeneratorSet) -> Operator:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ladderforge.cli import run
 
@@ -169,3 +170,24 @@ def test_eigenstate_b2_without_residual_is_refused(tmp_path):
     assert payload["report"]["tag"].startswith("LinearCoupledB2")
     assert "residual" not in payload["report"]
     assert payload["report"]["reason"]
+
+
+@pytest.mark.parametrize("scenario", ["reduce", "spectrum", "solve-ladder"])
+def test_bad_params_value_is_config_error(tmp_path, scenario):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"gamma1": "abc"}}))
+    code = run([scenario, "--config", str(cfg), "--cutoff", "10,10",
+                "--out", str(tmp_path)])
+    assert code == 64
+    assert not (tmp_path / f"{scenario}.json").exists()
+
+
+def test_cli_import_leaves_dense_linalg_unloaded():
+    # transforms.expm imports these lazily; at module level they would add
+    # to the start-up time of every scenario
+    probe = ("import sys, ladderforge.cli; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.csgraph') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -197,6 +197,10 @@ def test_state_json_and_csv(gen8):
     lines = csv.strip().split("\n")
     assert lines[0] == "n1,n2,re,im,probability"
     assert len(lines) == gen8.cutoff.dim + 1
+    for line in lines[1:]:
+        n1, n2, re, im, prob = line.split(",")
+        z = v.amplitudes[gen8.cutoff.index(int(n1), int(n2))]
+        assert (float(re), float(im), float(prob)) == (z.real, z.imag, abs(z) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from ladderforge.errors import DomainError
+from ladderforge.fock import (FockCutoff, build_generators, interior_residual,
+                             shell_indices)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
-                                build_hamiltonian, build_ladder, solve_ladder)
+                                build_hamiltonian, build_ladder,
+                                hamiltonian_params_from_matrix,
+                                ladder_coeffs_from_matrix, solve_ladder)
 from ladderforge.reductions import reduce_by_similarity, rotated_gammas
 from ladderforge.spectra import diagonalize_oracle
 from ladderforge.transforms import (build_chain, rotation_safe_degree,
@@ -154,3 +158,31 @@ def test_reduction_chain_maps_states(gen14):
     a = build_ladder(rep.coeffs[0], gen14)
     from ladderforge.eigenstates import verify_eigenstate
     assert verify_eigenstate(a, v, 0.0, rotation_safe_degree(gen14.cutoff)) < 1e-9
+
+
+@pytest.mark.parametrize("kinds,cutoff,p", [
+    (["mix_t"], 24, gate_params(3.0, 0.6, 1.0)),
+    (["displace1", "displace2"], 18,
+     HamiltonianParams(beta0=3.0, beta3=1.0, gamma1=0.3 + 0.2j, gamma2=0.15 - 0.1j)),
+    (["mix_t", "displace1", "displace2"], 14,
+     gate_params(2.8, -0.4, 1.0, gamma1=0.1 - 0.05j, gamma2=0.08j)),
+], ids=["rotation", "displacements", "rotation+displacements"])
+def test_stepwise_conjugation_matches_composed_chain(kinds, cutoff, p):
+    # reduce conjugates one chain factor at a time; the composed U of
+    # build_chain is the reference
+    g = build_generators(FockCutoff(cutoff, cutoff))
+    c = combined_coeffs(solve_ladder(p))
+    red = reduce_by_similarity(p, c, g)
+    assert [s.kind for s in red.chain] == kinds
+    u = build_chain(red.chain, g)
+    h_ref = similarity(u, build_hamiltonian(p, g))
+    a_ref = similarity(u, build_ladder(c, g))
+    p_ref = hamiltonian_params_from_matrix(h_ref, g, shell_max=red.shell_max)
+    c_ref = ladder_coeffs_from_matrix(a_ref, g, shell_max=red.shell_max)
+    for name in ("beta0", "beta_plus", "beta3", "gamma1", "gamma2", "h0"):
+        assert abs(getattr(red.params, name) - getattr(p_ref, name)) <= 1e-12
+    assert np.max(np.abs(red.coeffs.as_array() - c_ref.as_array())) <= 1e-12
+    keep = shell_indices(g.cutoff, red.shell_max)
+    assert interior_residual(h_ref - build_hamiltonian(p_ref, g), keep) < 1e-8
+    assert interior_residual(a_ref - build_ladder(c_ref, g), keep) < 1e-8
+    assert red.h_residual < 1e-8 and red.a_residual < 1e-8

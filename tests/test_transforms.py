@@ -5,10 +5,12 @@ import pytest
 import scipy.linalg
 
 from ladderforge.errors import DomainError
-from ladderforge.fock import apply, interior_projector, vacuum_state
+from ladderforge.fock import (FockCutoff, apply, build_generators,
+                             interior_projector, vacuum_state)
 from ladderforge.transforms import (UnitarySpec, build_chain, build_unitary,
-                                    mix_angle, rotation_safe_degree,
-                                    similarity, unitary_spec_from_json,
+                                    expm, mix_angle, rotation_safe_degree,
+                                    similarity, unitary_generator,
+                                    unitary_spec_from_json,
                                     unitary_spec_to_json, verify_disentangled_T)
 
 
@@ -16,14 +18,29 @@ def safe_proj(g):
     return interior_projector(g.cutoff, rotation_safe_degree(g.cutoff))
 
 
-def test_expm_matches_scipy(gen8, rng):
-    m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    from ladderforge.transforms import _expm_dense
-    np.testing.assert_allclose(_expm_dense(m), scipy.linalg.expm(m),
-                               atol=1e-11, rtol=1e-11)
-    big = 40.0 * m  # force several squarings
-    np.testing.assert_allclose(_expm_dense(big), scipy.linalg.expm(big),
-                               rtol=1e-9, atol=1e-6 * np.linalg.norm(scipy.linalg.expm(big)))
+_ORACLE_SPECS = [
+    UnitarySpec("displace1", {"alpha": 0.4 - 0.2j}),
+    UnitarySpec("displace2", {"alpha": -0.3j}),
+    UnitarySpec("squeeze2", {"chi": 0.3 + 0.1j}),
+    UnitarySpec("squeeze_two_mode", {"theta_tilde": 0.4, "phi_tilde": 1.2}),
+    UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.6, "theta": 0.7}),
+]
+_SU2_FACTORS = {
+    "j_plus": lambda g: -0.5 * np.exp(-0.7j) * g.j_plus,
+    "j3": lambda g: 0.3 * g.j3,
+    "j_minus": lambda g: 0.5 * np.exp(0.7j) * g.j_minus,
+}
+
+
+@pytest.mark.parametrize("cutoff", [(6, 9), (9, 6), (10, 10)], ids=["6x9", "9x6", "10x10"])
+@pytest.mark.parametrize("name", [s.kind for s in _ORACLE_SPECS] + list(_SU2_FACTORS))
+def test_block_expm_matches_dense_scipy(cutoff, name):
+    # the per-block expm against scipy's expm of the whole dense generator
+    g = build_generators(FockCutoff(*cutoff))
+    specs = {s.kind: s for s in _ORACLE_SPECS}
+    gen = unitary_generator(specs[name], g) if name in specs else _SU2_FACTORS[name](g)
+    ref = scipy.linalg.expm(gen.to_dense())
+    assert np.max(np.abs(expm(gen).to_dense() - ref)) <= 1e-13
 
 
 def test_displace_zero_is_identity(gen8):
