@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LadderForgeError
-from .params import (HamiltonianParams, LadderCoeffs, appendix_a_label,
-                     compute_a0, solve_ladder)
+from .params import (_A_TABLE_SLOTS, HamiltonianParams, LadderCoeffs,
+                     appendix_a_label, compute_a0, solve_ladder)
 
 __all__ = ["Bindings", "CatalogueRow", "appendix_a_rows", "appendix_b_rows",
            "appendix_catalogue"]
@@ -77,35 +77,9 @@ def _a_table_plus(b0, m, n, a, g1, g2):
 
 
 def _a_table_minus(b0, m, n, a, g1, g2):
-    # beta3 = -1, mirror of the plus table under mode swap and gamma swap
-    if g1 == 0 and g2 == 0:
-        return {1: (0, m, 0, 0), 3: (m, 0, 0, 0), -1: (0, 0, n, 0), -3: (0, 0, 0, n)}[b0]
-    if g2 == 0:
-        g1c = np.conj(g1)
-        return {3: (m, g1c * a, 0, 0), -1: (0, -g1c * a, n, 0), -3: (0, -g1c * a / 2, 0, n),
-                "gen": (0, 2 * g1c * a / (b0 - 1), 0, 0)}[b0 if b0 in (3, -1, -3) else "gen"]
-    if g1 == 0:
-        return {1: (0, m, g2 * a, 0), 3: (m, 0, g2 * a / 2, 0), -3: (0, 0, -g2 * a, n),
-                "gen": (0, 0, 2 * g2 * a / (1 + b0), 0)}[b0 if b0 in (1, 3, -3) else "gen"]
-    g1c = np.conj(g1)
-    return {3: (m, g1c * a, g2 * a / 2, 0), -3: (0, -g1c * a / 2, -g2 * a, n),
-            "gen": (0, 2 * g1c * a / (b0 - 1), 2 * g2 * a / (1 + b0), 0)}[
-        b0 if b0 in (3, -3) else "gen"]
-
-
-_A_SLOTS = {
-    (1, 1): (1, 3, -1, -3),
-    (1, 2): (1, 3, -3, "gen"),
-    (1, 3): (3, -1, -3, "gen"),
-    (1, 4): (3, -3, "gen"),
-    (2, 5): (1, 3, -1, -3),
-    (2, 6): (3, -1, -3, "gen"),
-    (2, 7): (1, 3, -3, "gen"),
-    (2, 8): (3, -3, "gen"),
-}
-
-_A_GAMMA_PATTERN = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True),
-                    5: (False, False), 6: (True, False), 7: (False, True), 8: (True, True)}
+    # beta3 = -1: the plus table with the modes and the gammas swapped
+    mu2, mu1, nu2, nu1 = _a_table_plus(b0, m, n, a, g2, g1)
+    return mu1, mu2, nu1, nu2
 
 
 def appendix_a_rows(bind: Bindings | None = None) -> list[CatalogueRow]:
@@ -115,11 +89,11 @@ def appendix_a_rows(bind: Bindings | None = None) -> list[CatalogueRow]:
         raise LadderForgeError("gamma bindings must be nonzero; the rows without a "
                                "coupling already set it to zero by pattern")
     rows = []
-    for (section, item), slots in _A_SLOTS.items():
+    for item, slots in _A_TABLE_SLOTS.items():
+        section = 1 if item <= 4 else 2
         beta3 = 1.0 if section == 1 else -1.0
-        use_g1, use_g2 = _A_GAMMA_PATTERN[item]
-        g1 = bind.gamma1 if use_g1 else 0j
-        g2 = bind.gamma2 if use_g2 else 0j
+        g1 = bind.gamma1 if (item - 1) & 1 else 0j
+        g2 = bind.gamma2 if (item - 1) & 2 else 0j
         for slot in slots:
             beta0 = bind.beta0_generic if slot == "gen" else float(slot)
             table = _a_table_plus if section == 1 else _a_table_minus

@@ -44,6 +44,8 @@ class PQParams:
             raise ValueError("p and q must be positive integers")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p = {self.p} and q = {self.q} must be coprime")
+        if self.alpha_plus == 0 or self.alpha_minus == 0:
+            raise ValueError("alpha_plus and alpha_minus must be nonzero")
         object.__setattr__(self, "alpha_plus", complex(self.alpha_plus))
         object.__setattr__(self, "alpha_minus", complex(self.alpha_minus))
 

@@ -9,19 +9,22 @@ optional CSV tables, and use the exit code as the machine-readable verdict:
     1   hard error (bug, bad math, unexpected exception)
     2   domain-violation refusal (non-normalizable branch, squeeze domain,
         no ladder exists, resonance)
-    64  malformed config
+    64  malformed config: a value of the wrong type or out of range
     65  cutoff too small for the scenario
 
-LADDERFORGE_THREADS caps worker parallelism for sweeps.
+Every config value is converted and checked once, whichever scenario reads
+it, before anything is computed; the runners only see checked values.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .chen import (PQParams, build_A_pq_generalized, build_calA_pq, build_H_pq,
 from .errors import DomainError, LadderForgeError
 from .eigenstates import EigenstateRequest, linear_coupled_states, su2_ground, \
     fractional_lambda_state, isotropic_states, basic21_states, verify_eigenstate
-from .fock import (FockCutoff, build_generators, commutator,
+from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator,
                    interior_indices, interior_residual, state_to_csv,
                    state_to_json, vacuum_state)
 from .params import (FamilyKind, HamiltonianParams, LadderCoeffs,
@@ -50,24 +53,13 @@ EXIT_REFUSED = 2
 EXIT_BAD_CONFIG = 64
 EXIT_CUTOFF = 65
 
-_SCENARIOS = ("verify-algebra", "solve-ladder", "spectrum", "eigenstate",
-              "chen", "catalogue-sweep", "reduce")
-
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_cutoff(text: str) -> tuple[int, int]:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad cutoff {text!r}") from exc
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise ConfigError(f"bad cutoff {text!r}")
-    return parts[0], parts[1]
+class _CutoffTooSmall(Exception):
+    pass
 
 
 def _load_config(path: str | None) -> dict:
@@ -84,27 +76,128 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args, cfg: dict) -> dict:
+    """The config with the flags laid over it and the echoed defaults."""
     merged = dict(cfg)
     if args.cutoff is not None:
-        merged["cutoff"] = list(_parse_cutoff(args.cutoff))
+        parts = _get(vars(args), "cutoff", lambda t: [int(x) for x in t.split(",")])
+        merged["cutoff"] = parts * 2 if len(parts) == 1 else parts
+    for key in ("tol_algebra", "tol_eigen", "format", "out", "p", "q", "kappa"):
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     merged.setdefault("cutoff", [14, 14])
-    if args.tol_algebra is not None:
-        merged["tol_algebra"] = args.tol_algebra
-    if args.tol_eigen is not None:
-        merged["tol_eigen"] = args.tol_eigen
-    merged.setdefault("tol_algebra", 1e-12)
-    merged.setdefault("tol_eigen", 1e-8)
-    merged.setdefault("format", args.format or "json")
-    if args.out is not None:
-        merged["out"] = args.out
+    merged.setdefault("tol_algebra", DEFAULT_TOL.algebra)
+    merged.setdefault("tol_eigen", DEFAULT_TOL.eigen)
+    merged.setdefault("format", "json")
     return merged
 
 
-def _params_from_config(cfg: dict) -> HamiltonianParams:
+# ---------------------------------------------------------------------------
+# the input boundary: each config value passes through _get exactly once
+# ---------------------------------------------------------------------------
+
+def _get(raw: dict, key: str, convert, default=None, *args, where: str = ""):
+    """convert(raw[key], *args); a value that convert rejects is a ConfigError."""
+    value = raw.get(key, default)
     try:
-        return params_from_json(cfg.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad Hamiltonian parameters: {exc}") from exc
+        return convert(value, *args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {where}{key} {value!r}: {exc}") from exc
+
+
+def _integer(value, least: int = 0) -> int:
+    """A number with an integral value >= least: 3.0 counts, 2.7, true and
+    "3" do not."""
+    if isinstance(value, (bool, str)) or value != int(value) or value < least:
+        raise ValueError(f"expected an integer >= {least}")
+    return int(value)
+
+
+def _choice(value, allowed: tuple):
+    if value not in allowed:
+        raise ValueError(f"expected one of {allowed}")
+    return value
+
+
+def _tolerance(value) -> float:
+    tol = float(value)   # a numeric string is read, as params_from_json does
+    if isinstance(value, bool) or not 0 < tol < math.inf:
+        raise ValueError("expected a positive finite number")
+    return tol
+
+
+def _complex(value) -> complex:
+    z = parse_complex(value)
+    if isinstance(value, bool) or not cmath.isfinite(z):
+        raise ValueError("expected a finite complex number")
+    return z
+
+
+def _optional_complex(value) -> complex | None:
+    return None if value is None else _complex(value)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _path(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a directory name")
+    return value
+
+
+def _cutoff(value) -> FockCutoff:
+    n1, n2 = value
+    return FockCutoff(_integer(n1), _integer(n2))
+
+
+def _kappas(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of integers")
+    return [_integer(k) for k in value]
+
+
+def _params(value) -> HamiltonianParams:
+    p = params_from_json(_object(value))
+    if not np.all(np.isfinite([p.beta0, p.beta_plus, p.beta3, p.gamma1, p.gamma2, p.h0])):
+        raise ValueError("Hamiltonian parameters must be finite")
+    return p
+
+
+def _inputs(cfg: dict) -> SimpleNamespace:
+    """Every value any scenario reads, converted and range-checked."""
+    req = _get(cfg, "request", _object, {})
+
+    def request(key, convert, default=None, *args):
+        return _get(req, key, convert, default, *args, where="request.")
+
+    p = _get(cfg, "p", _integer, 2, 1)
+    alphas = [_get(cfg, key, _complex, 1) for key in ("alpha_plus", "alpha_minus")]
+    return SimpleNamespace(
+        cutoff=_get(cfg, "cutoff", _cutoff),
+        out=_get(cfg, "out", _path),
+        format=_get(cfg, "format", _choice, None, ("json", "csv")),
+        params=_get(cfg, "params", _params, {}),
+        tol_algebra=_get(cfg, "tol_algebra", _tolerance),
+        tol_ladder=_get(cfg, "tol_ladder", _tolerance, DEFAULT_TOL.ladder),
+        tol_eigen=_get(cfg, "tol_eigen", _tolerance),
+        tol_chen=_get(cfg, "tol_chen", _tolerance, DEFAULT_TOL.ladder),
+        tol_reduce=_get(cfg, "tol_reduce", _tolerance, 1e-8),
+        n_max=_get(cfg, "n_max", _integer, 6),
+        kappas=_get(cfg, "kappas", _kappas, [0, 1, 2]),
+        eps=_get(cfg, "eps", lambda e: _choice(_integer(e, -1), (1, -1)), 1),
+        pq=_get(cfg, "q", lambda q: PQParams(p, _integer(q, 1), *alphas), 1),
+        kappa=_get(cfg, "kappa", _integer, 1),
+        request=dict(lam=request("lambda", _complex, 0),
+                     kappa=request("kappa", _integer, 0),
+                     branch=request("branch", lambda b: _choice(_integer(b), (1, 2, 3)), 1),
+                     c1=request("c1", _optional_complex),
+                     c2=request("c2", _optional_complex),
+                     lambda2=request("lambda2", _optional_complex)),
+        nu1=request("nu1", _complex, 0.3),
+    )
 
 
 def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
@@ -112,34 +205,29 @@ def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
         raise _CutoffTooSmall(f"scenario needs cutoffs of at least ({min_each},{min_each})")
 
 
-class _CutoffTooSmall(Exception):
-    pass
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("LADDERFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
-# scenarios: each returns (exit_code, report_dict, optional {name: csv_text})
+# scenarios: each takes the checked inputs and the generators and returns
+# (exit_code, report_dict, {csv_name: csv_text})
 # ---------------------------------------------------------------------------
 
-def _run_verify_algebra(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 6)
-    tol = float(cfg["tol_algebra"])
-    g = build_generators(cutoff)
-    k1 = interior_indices(cutoff, 1)
-    k2 = interior_indices(cutoff, 2)
-    ident = g.identity
+def _verdict(report: dict, worst: float, tol: float, extras: dict | None = None):
+    """Exit 0 when the worst residual is under tol, else 1; the report
+    records the tolerance and whether it passed."""
+    report.update(tolerance=tol, passed=bool(worst < tol))
+    return (EXIT_OK if report["passed"] else EXIT_HARD), report, extras or {}
+
+
+def _refuse(tag, reason: str):
+    return EXIT_REFUSED, {"tag": str(tag), "reason": reason}, {}
+
+
+def _run_verify_algebra(inp, g):
+    k1 = interior_indices(g.cutoff, 1)
+    k2 = interior_indices(g.cutoff, 2)
     res = interior_residual
     checks = {
-        "a1_a1dag": res(commutator(g.a1, g.a1_dag) - ident, k1),
-        "a2_a2dag": res(commutator(g.a2, g.a2_dag) - ident, k1),
+        "a1_a1dag": res(commutator(g.a1, g.a1_dag) - g.identity, k1),
+        "a2_a2dag": res(commutator(g.a2, g.a2_dag) - g.identity, k1),
         "a1_a2dag": res(commutator(g.a1, g.a2_dag), k1),
         "a1_a2": res(commutator(g.a1, g.a2), k1),
         "jp_jm": res(commutator(g.j_plus, g.j_minus) - 2 * g.j3, k2),
@@ -162,25 +250,19 @@ def _run_verify_algebra(cfg: dict):
         "jm_a1": res(commutator(g.j_minus, g.a1), k2),
     }
     worst = max(checks.values())
-    report = {"checks": checks, "worst": worst, "tolerance": tol,
-              "passed": bool(worst < tol)}
-    return (EXIT_OK if worst < tol else EXIT_HARD), report, {}
+    return _verdict({"checks": checks, "worst": worst}, worst, inp.tol_algebra)
 
 
-def _run_solve_ladder(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 4)
-    p = _params_from_config(cfg)
-    tol = float(cfg.get("tol_ladder", 1e-10))
+def _run_solve_ladder(inp, g):
+    p, tol = inp.params, inp.tol_ladder
     rep = solve_ladder(p)
-    g = build_generators(cutoff)
     h = build_hamiltonian(p, g)
     residuals = [float(verify_ladder(h, build_ladder(c, g), 3)) for c in rep.coeffs]
     report = {
         "params": params_to_json(p),
         "b_squared": su2_invariant(p),
         "tag": str(rep.tag),
-        "margins": {k: float(v) for k, v in rep.margins.items()},
+        "margins": {k: float(x) for k, x in rep.margins.items()},
         "free_parameters": rep.free_parameters,
         "normalizable": rep.normalizable,
         "coeffs": [coeffs_to_json(c) for c in rep.coeffs],
@@ -193,17 +275,11 @@ def _run_solve_ladder(cfg: dict):
     return (EXIT_OK if ok else EXIT_HARD), report, {}
 
 
-def _run_spectrum(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 8)
-    p = _params_from_config(cfg)
-    tol = float(cfg["tol_eigen"])
-    n_max = int(cfg.get("n_max", 6))
-    kappas = [int(k) for k in cfg.get("kappas", [0, 1, 2])]
-    g = build_generators(cutoff)
+def _run_spectrum(inp, g):
+    p = inp.params
     rep = solve_ladder(p)
     if not rep.exists:
-        return EXIT_REFUSED, {"tag": str(rep.tag), "reason": "no ladder"}, {}
+        return _refuse(rep.tag, "no ladder")
     tag = rep.tag
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
@@ -212,11 +288,11 @@ def _run_spectrum(cfg: dict):
     csv_lines = [SpectrumReport.CSV_HEADER]
     oracle = diagonalize_oracle(h, 3)
     worst = 0.0
-    for kappa in kappas:
+    for kappa in inp.kappas:
         ground = _ground_for(tag, p, rep, kappa, g)
         if ground is None:
             continue
-        chain = raising_chain(h, a, ground, n_max, degree=3, family=str(tag.kind.value))
+        chain = raising_chain(h, a, ground, inp.n_max, degree=3, family=str(tag.kind.value))
         chain.oracle = oracle
         for e in chain.entries:
             nearest = chain.nearest_oracle(e.energy_chain)
@@ -231,10 +307,10 @@ def _run_spectrum(cfg: dict):
                             "certified": e.certified})
         csv_lines += chain.csv_rows(kappa)
     if not entries:
-        return EXIT_REFUSED, {"tag": str(tag), "reason": "no chain entries"}, {}
+        return _refuse(tag, "no chain entries")
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,
-              "worst_residual": worst, "tolerance": tol, "passed": bool(worst < tol)}
-    return (EXIT_OK if worst < tol else EXIT_HARD), report, {"spectrum.csv": "\n".join(csv_lines) + "\n"}
+              "worst_residual": worst}
+    return _verdict(report, worst, inp.tol_eigen, {"spectrum.csv": "\n".join(csv_lines) + "\n"})
 
 
 def _ground_for(tag, p, rep, kappa, g):
@@ -263,43 +339,27 @@ def _ground_for(tag, p, rep, kappa, g):
     return None
 
 
-def _run_eigenstate(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 8)
-    p = _params_from_config(cfg)
-    tol = float(cfg["tol_eigen"])
-    g = build_generators(cutoff)
+def _run_eigenstate(inp, g):
+    p = inp.params
     rep = solve_ladder(p)
     if not rep.exists:
-        return EXIT_REFUSED, {"tag": str(rep.tag), "reason": "no ladder"}, {}
+        return _refuse(rep.tag, "no ladder")
     tag = rep.tag
-    raw = cfg.get("request", {})
-    req = EigenstateRequest(
-        tag=tag,
-        lam=parse_complex(raw.get("lambda", 0)),
-        kappa=int(raw.get("kappa", 0)),
-        branch=int(raw.get("branch", 1)),
-        c1=parse_complex(raw["c1"]) if "c1" in raw else None,
-        c2=parse_complex(raw["c2"]) if "c2" in raw else None,
-        lambda2=parse_complex(raw["lambda2"]) if "lambda2" in raw else None,
-    )
+    req = EigenstateRequest(tag=tag, **inp.request)
     kind = tag.kind
     if kind in (FamilyKind.FRACTIONAL, FamilyKind.LINEAR_FRACTIONAL):
         idx = rep.free_parameters.index("mu1") if "mu1" in rep.free_parameters else 0
         coeff = rep.coeffs[idx]
         if not rep.normalizable[idx]:
-            return EXIT_REFUSED, {"tag": str(tag),
-                                  "reason": "non-normalizable branch refused"}, {}
-        coeff = coeff.scaled(1.0 / coeff.mu1)
+            return _refuse(tag, "non-normalizable branch refused")
         state = fractional_lambda_state(p, req, g)
-        a_op = build_ladder(coeff, g)
+        a_op = build_ladder(coeff.scaled(1.0 / coeff.mu1), g)
     elif kind == FamilyKind.ISOTROPIC:
         state = isotropic_states(1.0, 1.0, req.lam, req.kappa, req.branch, g, c2=req.c2)
         a_op = build_ladder(LadderCoeffs(mu1=1.0, mu2=1.0), g)
     elif kind in (FamilyKind.BASIC21, FamilyKind.EXTENDED21, FamilyKind.GENERALIZED21):
         if tag.detail in ("mode1", "mode2", "b0=1"):
-            return EXIT_REFUSED, {"tag": str(tag),
-                                  "reason": "non-normalizable family refused"}, {}
+            return _refuse(tag, "non-normalizable family refused")
         # for the extended/generalized variants the state lives in the
         # reduced frame, which is where the residual is meaningful
         state = basic21_states(1.0, 1.0, req.lam, req.branch, g, c1=req.c1,
@@ -310,42 +370,32 @@ def _run_eigenstate(cfg: dict):
         a_op = build_ladder(rep.coeffs[0], g)
         req.lam = 0j
     elif kind in (FamilyKind.LINEAR_ISO, FamilyKind.APPENDIX_A):
-        state = linear_coupled_states(p, req, g, nu1=parse_complex(raw.get("nu1", 0.3)))
+        state = linear_coupled_states(p, req, g, nu1=inp.nu1)
         a_op = build_ladder(rep.combined(), g)
     elif kind == FamilyKind.LINEAR_B2:
         # the b = 2 states carry a different amplitude normalization than
         # the solver's ladder, so there is no residual to check them against
-        return EXIT_REFUSED, {"tag": str(tag),
-                              "reason": "no eigenstate residual for the b = 2 family"}, {}
+        return _refuse(tag, "no eigenstate residual for the b = 2 family")
     else:
-        return EXIT_REFUSED, {"tag": str(tag), "reason": "no constructor"}, {}
+        return _refuse(tag, "no constructor")
 
     resid = float(verify_eigenstate(a_op, state, req.lam, 4))
     report = {"params": params_to_json(p), "tag": str(tag),
-              "state": state_to_json(state), "tolerance": tol,
-              "residual": resid, "passed": bool(resid < tol)}
-    return (EXIT_OK if resid < tol else EXIT_HARD), report, {"state.csv": state_to_csv(state)}
+              "state": state_to_json(state), "residual": resid}
+    return _verdict(report, resid, inp.tol_eigen, {"state.csv": state_to_csv(state)})
 
 
-def _run_chen(cfg: dict):
-    p_int = int(cfg.get("p", 2))
-    q_int = int(cfg.get("q", 1))
-    kappa = int(cfg.get("kappa", 1))
-    cutoff = FockCutoff(*cfg["cutoff"])
-    if (cutoff.n1_max < max(q_int * kappa, 2 * max(p_int, q_int))
-            or cutoff.n2_max < max(p_int * kappa, 2 * max(p_int, q_int))):
+def _run_chen(inp, g):
+    pq, kappa, cutoff = inp.pq, inp.kappa, g.cutoff
+    degree = max(pq.p, pq.q)
+    if (cutoff.n1_max < max(pq.q * kappa, 2 * degree)
+            or cutoff.n2_max < max(pq.p * kappa, 2 * degree)):
         raise _CutoffTooSmall(
-            f"chen kappa={kappa} needs cutoffs >= ({q_int * kappa},{p_int * kappa}) "
-            f"and twice the ladder degree {max(p_int, q_int)}")
-    tol = float(cfg.get("tol_chen", 1e-10))
-    pq = PQParams(p_int, q_int,
-                  parse_complex(cfg.get("alpha_plus", 1)),
-                  parse_complex(cfg.get("alpha_minus", 1)))
-    g = build_generators(cutoff)
+            f"chen kappa={kappa} needs cutoffs >= ({pq.q * kappa},{pq.p * kappa}) "
+            f"and twice the ladder degree {degree}")
     h = build_H_pq(pq, g)
     cal_a = build_calA_pq(pq, g)
     a_gen = build_A_pq_generalized(pq, g)
-    degree = max(p_int, q_int)
     ladder_resid = float(verify_ladder(h, cal_a, degree))
     commute_resid = interior_residual(commutator(a_gen, cal_a.dag()),
                                       interior_indices(cutoff, degree))
@@ -354,10 +404,10 @@ def _run_chen(cfg: dict):
     h_resid = float(np.linalg.norm(h.mat @ ground.amplitudes - kappa * ground.amplitudes))
     annih_resid = float(np.linalg.norm((a_gen.mat @ ground.amplitudes)))
 
-    zeros = degenerate_zero_states(pq, g)
     zero_energies = [float(louck_spectrum(pq, 0, k1, k2))
                      for k1 in range(pq.q) for k2 in range(pq.p)]
-    zero_resid = max(float(np.linalg.norm(cal_a.mat @ z.amplitudes)) for z in zeros)
+    zero_resid = max(float(np.linalg.norm(cal_a.mat @ z.amplitudes))
+                     for z in degenerate_zero_states(pq, g))
 
     t0 = tilde0_state(pq, g)
     t0_resid = max(float(np.linalg.norm(cal_a.mat @ t0.amplitudes)),
@@ -365,7 +415,7 @@ def _run_chen(cfg: dict):
 
     worst = max(ladder_resid, commute_resid, h_resid, annih_resid, zero_resid, t0_resid)
     report = {
-        "p": p_int, "q": q_int, "kappa": kappa,
+        "p": pq.p, "q": pq.q, "kappa": kappa,
         "ladder_residual": ladder_resid,
         "generalized_commutes_residual": commute_resid,
         "ground_energy_residual": h_resid,
@@ -374,50 +424,31 @@ def _run_chen(cfg: dict):
         "zero_subspace_residual": zero_resid,
         "tilde0_residual": t0_resid,
         "ground_state": state_to_json(ground),
-        "worst": worst, "tolerance": tol, "passed": bool(worst < tol),
+        "worst": worst,
     }
-    return (EXIT_OK if worst < tol else EXIT_HARD), report, {"chen_state.csv": state_to_csv(ground)}
+    return _verdict(report, worst, inp.tol_chen, {"chen_state.csv": state_to_csv(ground)})
 
 
-def _run_catalogue_sweep(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 8)
-    tol = float(cfg.get("tol_ladder", 1e-10))
-    bind = Bindings()
-    g = build_generators(cutoff)
-    rows = appendix_catalogue(bind)
-
-    def check(row):
-        h = build_hamiltonian(row.params, g)
-        a = build_ladder(row.coeffs, g)
-        return row.label, float(verify_ladder(h, a, 3)), row.normalizable
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(check, rows))
-
-    table = [{"label": lbl, "residual": res, "normalizable": nrm,
-              "passed": bool(res < tol)} for lbl, res, nrm in results]
+def _run_catalogue_sweep(inp, g):
+    table = []
+    for row in appendix_catalogue(Bindings()):
+        res = float(verify_ladder(build_hamiltonian(row.params, g),
+                                  build_ladder(row.coeffs, g), 3))
+        table.append({"label": row.label, "residual": res,
+                      "normalizable": row.normalizable, "passed": bool(res < inp.tol_ladder)})
     worst = max(r["residual"] for r in table)
-    report = {"rows": table, "count": len(table), "worst": worst,
-              "tolerance": tol, "passed": bool(worst < tol)}
-    csv_lines = ["label,residual,normalizable,passed"]
-    for r in table:
-        csv_lines.append(f"{r['label']},{r['residual']!r},{r['normalizable']},{r['passed']}")
-    return (EXIT_OK if worst < tol else EXIT_HARD), report, {"catalogue.csv": "\n".join(csv_lines) + "\n"}
+    csv_lines = ["label,residual,normalizable,passed"] + [
+        f"{r['label']},{r['residual']!r},{r['normalizable']},{r['passed']}" for r in table]
+    return _verdict({"rows": table, "count": len(table), "worst": worst}, worst,
+                    inp.tol_ladder, {"catalogue.csv": "\n".join(csv_lines) + "\n"})
 
 
-def _run_reduce(cfg: dict):
-    cutoff = FockCutoff(*cfg["cutoff"])
-    _require_cutoff(cutoff, 8)
-    p = _params_from_config(cfg)
-    eps = int(cfg.get("eps", 1))
-    tol = float(cfg.get("tol_reduce", 1e-8))
-    g = build_generators(cutoff)
+def _run_reduce(inp, g):
+    p = inp.params
     rep = solve_ladder(p)
     if not rep.exists:
-        return EXIT_REFUSED, {"tag": str(rep.tag), "reason": "no ladder"}, {}
-    red = reduce_by_similarity(p, rep.combined(), g, eps=eps)
-    worst = max(red.h_residual, red.a_residual)
+        return _refuse(rep.tag, "no ladder")
+    red = reduce_by_similarity(p, rep.combined(), g, eps=inp.eps)
     report = {
         "params": params_to_json(p),
         "tag": str(rep.tag),
@@ -427,19 +458,20 @@ def _run_reduce(cfg: dict):
         "h_residual": red.h_residual,
         "a_residual": red.a_residual,
         "shell_max": red.shell_max,
-        "tolerance": tol, "passed": bool(worst < tol),
     }
-    return (EXIT_OK if worst < tol else EXIT_HARD), report, {}
+    return _verdict(report, max(red.h_residual, red.a_residual), inp.tol_reduce)
 
 
+# the one list of scenarios: runner and the least cutoff of each mode (chen
+# checks its own bound, which depends on p, q and kappa)
 _RUNNERS = {
-    "verify-algebra": _run_verify_algebra,
-    "solve-ladder": _run_solve_ladder,
-    "spectrum": _run_spectrum,
-    "eigenstate": _run_eigenstate,
-    "chen": _run_chen,
-    "catalogue-sweep": _run_catalogue_sweep,
-    "reduce": _run_reduce,
+    "verify-algebra": (_run_verify_algebra, 6),
+    "solve-ladder": (_run_solve_ladder, 4),
+    "spectrum": (_run_spectrum, 8),
+    "eigenstate": (_run_eigenstate, 8),
+    "chen": (_run_chen, 0),
+    "catalogue-sweep": (_run_catalogue_sweep, 8),
+    "reduce": (_run_reduce, 8),
 }
 
 
@@ -450,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"ladderforge {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in _SCENARIOS:
+    for name in _RUNNERS:
         s = sub.add_parser(name)
         s.add_argument("--cutoff", help="N1,N2 occupation cutoffs")
         s.add_argument("--tol-algebra", type=float, dest="tol_algebra")
@@ -466,23 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        cfg = _resolve(args, cfg)
-        if args.scenario == "chen":
-            for key in ("p", "q", "kappa"):
-                value = getattr(args, key, None)
-                if value is not None:
-                    cfg[key] = value
-        FockCutoff(*cfg["cutoff"])
-    except (ConfigError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
-        code, report, extras = _RUNNERS[args.scenario](cfg)
+        cfg = _resolve(args, _load_config(args.config))
+        inp = _inputs(cfg)
+        runner, min_cutoff = _RUNNERS[args.scenario]
+        _require_cutoff(inp.cutoff, min_cutoff)
+        code, report, extras = runner(inp, build_generators(inp.cutoff))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -496,25 +518,18 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HARD
 
-    payload = {
-        "version": f"ladderforge {__version__}",
-        "scenario": args.scenario,
-        "config": cfg,
-        "report": report,
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=float)
-    out_dir = cfg.get("out")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{args.scenario}.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if cfg.get("format") == "csv":
-            for name, body in extras.items():
-                with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                    fh.write(body)
-    else:
+    text = json.dumps({"version": f"ladderforge {__version__}", "scenario": args.scenario,
+                       "config": cfg, "report": report}, sort_keys=True, indent=2, default=float)
+    if not inp.out:
         print(text)
+        return code
+    files = {f"{args.scenario}.json": text + "\n"}
+    if inp.format == "csv":
+        files.update(extras)
+    os.makedirs(inp.out, exist_ok=True)
+    for name, body in files.items():
+        with open(os.path.join(inp.out, name), "w", encoding="utf-8") as fh:
+            fh.write(body)
     return code
 
 

@@ -151,7 +151,7 @@ def isotropic_states(mu1: complex, mu2: complex, lam: complex, kappa: int,
         _check_kappa(g, kappa, kappa)
         poly = g.a2_dag - (mu2 / mu1) * g.a1_dag
         return _exp_poly_vac(g, (lam / mu1) * g.a1_dag, poly, kappa)
-    raise ValueError(f"unknown branch {branch}")
+    raise DomainError("unknown-branch", f"this family has no branch {branch}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def basic21_states(mu2: complex, alpha_plus: complex, lam: complex, branch: int,
         _check_kappa(g, power, 2 * power)
         poly = 0.5 * (g.a2_dag @ g.a2_dag) - (mu2 / alpha_plus) * g.a1_dag
         return _exp_poly_vac(g, (lam / mu2) * g.a2_dag, poly, power)
-    raise ValueError(f"unknown branch {branch}")
+    raise DomainError("unknown-branch", f"this family has no branch {branch}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
             poly = d2 - (mu2 / mu1) * d1
             exponent = (lam / mu1) * d1 + shift
             return _exp_poly_vac(g, exponent, poly, req.kappa)
-        raise ValueError(f"unknown branch {req.branch}")
+        raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
 
     if kind == FamilyKind.APPENDIX_A:
         return _displaced_21_states(p, req, g, mu2, alpha_plus)
@@ -303,7 +303,7 @@ def _displaced_21_states(p: HamiltonianParams, req: EigenstateRequest,
         poly = 0.5 * (dl @ dl) - (mu2 / alpha_plus) * dq
         exponent = (lam / mu2) * dl + shift
         return _exp_poly_vac(g, exponent, poly, power)
-    raise ValueError(f"unknown branch {req.branch}")
+    raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
 
 
 def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
@@ -372,7 +372,7 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
                     + x * (b1 @ b2))
         return _exp_poly_vac(g, exponent, base=base)
 
-    raise ValueError(f"unknown branch {req.branch}")
+    raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
 
 
 def verify_eigenstate(a: Operator, v: TwoModeState, lam: complex,

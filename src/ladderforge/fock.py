@@ -52,7 +52,6 @@ class ToleranceConfig:
     algebra: float = 1e-12        # exact operator identities on the interior
     ladder: float = 1e-10         # commutator residual ||P([H,A]+A)P||
     eigen: float = 1e-8           # eigenstate residuals ||Av - lambda v||
-    chain: float = 1e-9           # accumulated roundoff in raising chains
     gate: float = 1e-10           # relative tolerance for algebraic gates (b^2 = 1, ...)
     nullspace_rel: float = 1e-11  # SVD threshold relative to largest singular value
     zero_state: float = 1e-14     # below this norm a state cannot be normalized
@@ -98,12 +97,10 @@ class Operator:
 
     __slots__ = ("cutoff", "mat")
 
-    def __init__(self, cutoff: FockCutoff, mat, drop_tol: float = 0.0):
+    def __init__(self, cutoff: FockCutoff, mat):
         m = sp.csr_matrix(mat, dtype=np.complex128)
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {cutoff.dim}")
-        if drop_tol > 0.0:
-            m.data[np.abs(m.data) <= drop_tol] = 0.0
         m.eliminate_zeros()
         m.sort_indices()
         self.cutoff = cutoff

@@ -194,11 +194,7 @@ def su2_invariant(p: HamiltonianParams) -> float:
     return 4.0 * abs(p.beta_plus) ** 2 + p.beta3 ** 2
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
-
-
-def _close_c(x: complex, y: complex, tol: float) -> bool:
+def _close(x: complex, y: complex, tol: float) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
@@ -295,7 +291,8 @@ def compute_a0(p: HamiltonianParams, c: LadderCoeffs) -> complex:
 # ---------------------------------------------------------------------------
 
 # allowed beta0 slots per item of the catalogue tables; "gen" stands for any
-# beta0 outside {1, 3, -1, -3}
+# beta0 outside {1, 3, -1, -3}.  Item k has k - 1 = [gamma1 != 0]
+# + 2 [gamma2 != 0] + 4 [beta3 = -1]
 _A_TABLE_SLOTS = {
     1: (1, 3, -1, -3),
     2: (1, 3, -3, "gen"),
@@ -320,11 +317,7 @@ def appendix_a_label(beta0: float, beta3: float, gamma1: complex, gamma2: comple
     """Stable row label of the beta_plus = 0, b = 1 catalogue; 'unlisted'
     detail when the gamma pattern admits no row at this beta0."""
     section = 1 if beta3 > 0 else 2
-    g1 = abs(gamma1) > _ZERO
-    g2 = abs(gamma2) > _ZERO
-    item = {(False, False): 1, (True, False): 2, (False, True): 3, (True, True): 4}[(g1, g2)]
-    if section == 2:
-        item += 4
+    item = 1 + (abs(gamma1) > _ZERO) + 2 * (abs(gamma2) > _ZERO) + 4 * (section - 1)
     slot = _beta0_slot(beta0, tol)
     b0 = "gen" if slot == "gen" else str(slot)
     if slot not in _A_TABLE_SLOTS[item]:
@@ -367,9 +360,9 @@ def classify(p: HamiltonianParams, tol: ToleranceConfig = DEFAULT_TOL) -> CaseTa
                 return CaseTag(FamilyKind.APPENDIX_B, f"B3-b0={slot}")
             return CaseTag(FamilyKind.SU2, "interacting")
         b0 = slot if slot != "gen" else "gen"
-        if _close_c(p.gamma1 / 2.0, p.gamma2 * p.beta_minus / (1.0 - p.beta3), gate):
+        if _close(p.gamma1 / 2.0, p.gamma2 * p.beta_minus / (1.0 - p.beta3), gate):
             return CaseTag(FamilyKind.APPENDIX_B, f"B4-b0={b0}")
-        if _close_c(p.gamma1 / 2.0, -p.gamma2 * p.beta_minus / (1.0 + p.beta3), gate):
+        if _close(p.gamma1 / 2.0, -p.gamma2 * p.beta_minus / (1.0 + p.beta3), gate):
             return CaseTag(FamilyKind.APPENDIX_B, f"B5-b0={b0}")
         return CaseTag(FamilyKind.APPENDIX_B, f"B6-b0={b0}")
 
@@ -562,7 +555,8 @@ def parse_complex(value) -> complex:
     """A complex number written as [re, im], a plain number, or a
     're+imj' string (spaces allowed)."""
     if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
+        re, im = value
+        return complex(float(re), float(im))
     if isinstance(value, str):
         return complex(value.replace(" ", ""))
     return complex(value)

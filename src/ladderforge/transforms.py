@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CutoffMismatch, DomainError
+from .errors import DomainError
 from .fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
                    interior_residual)
 
@@ -141,9 +141,7 @@ def build_chain(chain: list[UnitarySpec], g: GeneratorSet) -> Operator:
 
 
 def similarity(u: Operator, o: Operator) -> Operator:
-    """U' O U."""
-    if u.cutoff != o.cutoff:
-        raise CutoffMismatch(f"{u.cutoff} vs {o.cutoff}")
+    """U' O U; CutoffMismatch if the two were built over different cutoffs."""
     return u.dag() @ o @ u
 
 

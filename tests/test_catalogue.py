@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ladderforge.catalogue import (Bindings, appendix_a_rows, appendix_b_rows,
                                    appendix_catalogue)
 from ladderforge.params import (LadderCoeffs, build_hamiltonian, build_ladder,
                                 classify, solve_ladder, verify_ladder)
+from ladderforge.params import HamiltonianParams
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,30 @@ def test_b6_verbatim_nu_relation():
     h2 = p.gamma2 / 2 + p.gamma1 * p.beta_plus / (1 - p.beta3)
     assert abs(c.nu1 - c.alpha3 / 2 * h2 * 2 * p.beta_minus / (1 + p.beta3)) < 1e-10
     assert abs(c.nu2 - (-c.alpha3 / 2 * h2)) < 1e-10
+
+
+def _mode_swap(params, coeffs):
+    """Relabel mode 1 <-> mode 2: J+ <-> J-, J3 -> -J3, gamma1 <-> gamma2."""
+    return (HamiltonianParams(beta0=params.beta0, beta_plus=np.conj(params.beta_plus),
+                              beta3=-params.beta3, gamma1=params.gamma2,
+                              gamma2=params.gamma1, h0=params.h0),
+            LadderCoeffs(mu1=coeffs.mu2, mu2=coeffs.mu1, nu1=coeffs.nu2, nu2=coeffs.nu1,
+                         alpha_plus=coeffs.alpha_minus, alpha_minus=coeffs.alpha_plus,
+                         alpha3=-coeffs.alpha3, a0=coeffs.a0))
+
+
+def test_minus_rows_are_mode_swapped_plus_rows():
+    # each beta3 = -1 row is the beta3 = +1 row, bound with gamma1 <-> gamma2,
+    # read with the two modes exchanged
+    bind = Bindings()
+    swapped = replace(bind, gamma1=bind.gamma2, gamma2=bind.gamma1)
+    plus = {row.params: row for row in appendix_a_rows(swapped) if row.params.beta3 > 0}
+    minus = [row for row in appendix_a_rows(bind) if row.params.beta3 < 0]
+    assert len(plus) == len(minus) == 15
+    for row in minus:
+        params, coeffs = _mode_swap(row.params, row.coeffs)
+        twin = plus[params]
+        assert twin.normalizable == row.normalizable, row.label
+        # a0 sums the same four products in the other order: equal to roundoff
+        assert np.allclose(twin.coeffs.as_array(), coeffs.as_array(), rtol=0, atol=1e-15), \
+            row.label
