@@ -132,14 +132,16 @@ def louck_spectrum(pq: PQParams, n: int, k1: int, k2: int) -> float:
 
 def tilde0_state(pq: PQParams, g: GeneratorSet) -> TwoModeState:
     """Non-separable zero mode (p/(alpha+* sqrt(p!)))|0,p> +
-    (q/(alpha-* sqrt(q!)))|q,0>, an energy-1 eigenstate."""
+    (q/(alpha-* sqrt(q!)))|q,0>, an energy-1 eigenstate.  Built from the
+    same ray times alpha+* alpha-*, which divides by neither amplitude, so a
+    subnormal alpha_plus or alpha_minus cannot overflow."""
     if pq.q > g.cutoff.n1_max or pq.p > g.cutoff.n2_max:
         raise DomainError("cutoff", "cutoff too small for the zero mode")
     amps = np.zeros(g.cutoff.dim, dtype=np.complex128)
-    amps[g.cutoff.index(0, pq.p)] = pq.p / (np.conj(pq.alpha_plus)
-                                            * math.sqrt(math.factorial(pq.p)))
-    amps[g.cutoff.index(pq.q, 0)] = pq.q / (np.conj(pq.alpha_minus)
-                                            * math.sqrt(math.factorial(pq.q)))
+    amps[g.cutoff.index(0, pq.p)] = (pq.p * np.conj(pq.alpha_minus)
+                                     / math.sqrt(math.factorial(pq.p)))
+    amps[g.cutoff.index(pq.q, 0)] = (pq.q * np.conj(pq.alpha_plus)
+                                     / math.sqrt(math.factorial(pq.q)))
     return normalize(TwoModeState(g.cutoff, amps))
 
 

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,15 +35,14 @@ from .chen import (PQParams, build_A_pq_generalized, build_calA_pq, build_H_pq,
                    chen_ground, degenerate_zero_states, louck_spectrum,
                    tilde0_state)
 from .errors import DomainError, LadderForgeError
-from .eigenstates import EigenstateRequest, linear_coupled_states, su2_ground, \
-    fractional_lambda_state, isotropic_states, basic21_states, verify_eigenstate
+from .eigenstates import (EigenstateRequest, chain_seed, reduced_eigenstate,
+                          verify_eigenstate)
 from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator,
                    interior_indices, interior_residual, state_to_csv,
-                   state_to_json, vacuum_state)
-from .params import (FamilyKind, HamiltonianParams, LadderCoeffs,
-                     build_hamiltonian, build_ladder, coeffs_to_json,
-                     params_from_json, params_to_json, parse_complex,
-                     solve_ladder, su2_invariant, verify_ladder)
+                   state_to_json)
+from .params import (HamiltonianParams, build_hamiltonian, build_ladder, coeffs_to_json,
+                     params_from_json, params_to_json, parse_complex, solve_ladder,
+                     su2_invariant, verify_ladder)
 from .reductions import reduce_by_similarity
 from .spectra import SpectrumReport, diagonalize_oracle, raising_chain
 from .transforms import unitary_spec_to_json
@@ -196,7 +196,6 @@ def _inputs(cfg: dict) -> SimpleNamespace:
                      c1=request("c1", _optional_complex),
                      c2=request("c2", _optional_complex),
                      lambda2=request("lambda2", _optional_complex)),
-        nu1=request("nu1", _complex, 0.3),
     )
 
 
@@ -207,7 +206,8 @@ def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
 
 # ---------------------------------------------------------------------------
 # scenarios: each takes the checked inputs and the generators and returns
-# (exit_code, report_dict, {csv_name: csv_text})
+# (exit_code, report_dict, {csv_name: function returning the csv text}); the
+# tables are only built when --format csv writes them
 # ---------------------------------------------------------------------------
 
 def _verdict(report: dict, worst: float, tol: float, extras: dict | None = None):
@@ -289,100 +289,38 @@ def _run_spectrum(inp, g):
     oracle = diagonalize_oracle(h, 3)
     worst = 0.0
     for kappa in inp.kappas:
-        ground = _ground_for(tag, p, rep, kappa, g)
-        if ground is None:
-            continue
-        chain = raising_chain(h, a, ground, inp.n_max, degree=3, family=str(tag.kind.value))
+        chain = raising_chain(h, a, chain_seed(p, kappa, g), inp.n_max, degree=3,
+                              family=str(tag.kind.value))
         chain.oracle = oracle
         for e in chain.entries:
             nearest = chain.nearest_oracle(e.energy_chain)
             if e.certified:
                 # only truncation-safe states count toward the verdict
                 worst = max(worst, e.residual, abs(e.energy_chain - nearest))
-            entries.append({"kappa": kappa, "n": e.n,
-                            "energy_formula": e.energy_formula,
-                            "energy_chain": e.energy_chain,
-                            "energy_oracle": nearest,
-                            "residual": e.residual,
-                            "certified": e.certified})
+            entries.append({"kappa": kappa, "energy_oracle": nearest, **asdict(e)})
         csv_lines += chain.csv_rows(kappa)
-    if not entries:
-        return _refuse(tag, "no chain entries")
+    if not any(e["certified"] for e in entries):
+        return _refuse(tag, "no certified chain entries")
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,
               "worst_residual": worst}
-    return _verdict(report, worst, inp.tol_eigen, {"spectrum.csv": "\n".join(csv_lines) + "\n"})
-
-
-def _ground_for(tag, p, rep, kappa, g):
-    """lambda = 0 member of the family used to seed a chain."""
-    kind = tag.kind
-    if kind in (FamilyKind.FRACTIONAL, FamilyKind.LINEAR_FRACTIONAL):
-        req = EigenstateRequest(tag=tag, lam=0, kappa=kappa)
-        return fractional_lambda_state(p, req, g)
-    if kind == FamilyKind.ISOTROPIC:
-        return isotropic_states(1.0, 1.0, 0.0, kappa, 2 if kappa else 1, g)
-    if kind == FamilyKind.SU2:
-        if kappa == 0:
-            return vacuum_state(g.cutoff)
-        return su2_ground(p.beta3, p.theta, kappa, g)
-    if kind in (FamilyKind.BASIC21, FamilyKind.EXTENDED21, FamilyKind.GENERALIZED21):
-        if kappa == 0:
-            return vacuum_state(g.cutoff)
-        return basic21_states(1.0, 1.0, 0.0, 3, g, kappa=kappa)
-    if kind in (FamilyKind.LINEAR_ISO, FamilyKind.APPENDIX_A, FamilyKind.LINEAR_B2):
-        req = EigenstateRequest(tag=tag, lam=0, kappa=kappa,
-                                branch=2 if kappa else 1)
-        try:
-            return linear_coupled_states(p, req, g, nu1=0.3 + 0j)
-        except DomainError:
-            return None
-    return None
+    return _verdict(report, worst, inp.tol_eigen,
+                    {"spectrum.csv": lambda: "\n".join(csv_lines) + "\n"})
 
 
 def _run_eigenstate(inp, g):
     p = inp.params
     rep = solve_ladder(p)
-    if not rep.exists:
-        return _refuse(rep.tag, "no ladder")
     tag = rep.tag
-    req = EigenstateRequest(tag=tag, **inp.request)
-    kind = tag.kind
-    if kind in (FamilyKind.FRACTIONAL, FamilyKind.LINEAR_FRACTIONAL):
-        idx = rep.free_parameters.index("mu1") if "mu1" in rep.free_parameters else 0
-        coeff = rep.coeffs[idx]
-        if not rep.normalizable[idx]:
-            return _refuse(tag, "non-normalizable branch refused")
-        state = fractional_lambda_state(p, req, g)
-        a_op = build_ladder(coeff.scaled(1.0 / coeff.mu1), g)
-    elif kind == FamilyKind.ISOTROPIC:
-        state = isotropic_states(1.0, 1.0, req.lam, req.kappa, req.branch, g, c2=req.c2)
-        a_op = build_ladder(LadderCoeffs(mu1=1.0, mu2=1.0), g)
-    elif kind in (FamilyKind.BASIC21, FamilyKind.EXTENDED21, FamilyKind.GENERALIZED21):
-        if tag.detail in ("mode1", "mode2", "b0=1"):
-            return _refuse(tag, "non-normalizable family refused")
-        # for the extended/generalized variants the state lives in the
-        # reduced frame, which is where the residual is meaningful
-        state = basic21_states(1.0, 1.0, req.lam, req.branch, g, c1=req.c1,
-                               kappa=req.kappa)
-        a_op = build_ladder(LadderCoeffs(mu2=1.0, alpha_plus=1.0), g)
-    elif kind == FamilyKind.SU2:
-        state = su2_ground(p.beta3, p.theta, req.kappa, g)
-        a_op = build_ladder(rep.coeffs[0], g)
-        req.lam = 0j
-    elif kind in (FamilyKind.LINEAR_ISO, FamilyKind.APPENDIX_A):
-        state = linear_coupled_states(p, req, g, nu1=inp.nu1)
-        a_op = build_ladder(rep.combined(), g)
-    elif kind == FamilyKind.LINEAR_B2:
-        # the b = 2 states carry a different amplitude normalization than
-        # the solver's ladder, so there is no residual to check them against
-        return _refuse(tag, "no eigenstate residual for the b = 2 family")
-    else:
-        return _refuse(tag, "no constructor")
-
-    resid = float(verify_eigenstate(a_op, state, req.lam, 4))
+    if not rep.exists:
+        return _refuse(tag, "no ladder")
+    try:
+        state, ladder, lam = reduced_eigenstate(p, rep, EigenstateRequest(tag, **inp.request), g)
+    except DomainError as exc:
+        return _refuse(tag, f"{exc} [{exc.code}]")
+    resid = float(verify_eigenstate(build_ladder(ladder, g), state, lam, 4))
     report = {"params": params_to_json(p), "tag": str(tag),
               "state": state_to_json(state), "residual": resid}
-    return _verdict(report, resid, inp.tol_eigen, {"state.csv": state_to_csv(state)})
+    return _verdict(report, resid, inp.tol_eigen, {"state.csv": lambda: state_to_csv(state)})
 
 
 def _run_chen(inp, g):
@@ -426,7 +364,7 @@ def _run_chen(inp, g):
         "ground_state": state_to_json(ground),
         "worst": worst,
     }
-    return _verdict(report, worst, inp.tol_chen, {"chen_state.csv": state_to_csv(ground)})
+    return _verdict(report, worst, inp.tol_chen, {"chen_state.csv": lambda: state_to_csv(ground)})
 
 
 def _run_catalogue_sweep(inp, g):
@@ -440,7 +378,7 @@ def _run_catalogue_sweep(inp, g):
     csv_lines = ["label,residual,normalizable,passed"] + [
         f"{r['label']},{r['residual']!r},{r['normalizable']},{r['passed']}" for r in table]
     return _verdict({"rows": table, "count": len(table), "worst": worst}, worst,
-                    inp.tol_ladder, {"catalogue.csv": "\n".join(csv_lines) + "\n"})
+                    inp.tol_ladder, {"catalogue.csv": lambda: "\n".join(csv_lines) + "\n"})
 
 
 def _run_reduce(inp, g):
@@ -525,7 +463,7 @@ def run(argv=None) -> int:
         return code
     files = {f"{args.scenario}.json": text + "\n"}
     if inp.format == "csv":
-        files.update(extras)
+        files.update((name, text()) for name, text in extras.items())
     os.makedirs(inp.out, exist_ok=True)
     for name, body in files.items():
         with open(os.path.join(inp.out, name), "w", encoding="utf-8") as fh:

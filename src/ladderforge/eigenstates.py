@@ -8,10 +8,11 @@ phase and are exercised in the test suite as cross-checks, not used as the
 primary construction: a truncated matrix exponential pollutes amplitudes
 near the cutoff while a creation series does not.
 
-Displacement prefixes D1(w1) D2(w2) applied to a creation expression are
-absorbed exactly through
+Every family reduces to a basic system, whose states are carried back
+through the reduction frame (reductions.Frame): rotation and displacement
+prefixes are absorbed exactly through
 
-    D(w) f(a') |0>  =  const * exp(w a') f(a' - conj(w)) |0>,
+    U f(a1', a2') |0>  =  const * exp(x . a') f(d1, d2) |0>,   d_i = U a_i' U',
 
 so every family below stays within exact series arithmetic.
 """
@@ -23,11 +24,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, LadderForgeError
 from .fock import (GeneratorSet, Operator, TwoModeState, apply,
                    apply_creation_series, interior_indices, normalize,
                    vacuum_state)
-from .params import CaseTag, FamilyKind, HamiltonianParams
+from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
+                     SolveReport, classify)
+from .reductions import Frame, reduction_frame
 
 __all__ = [
     "EigenstateRequest",
@@ -37,6 +40,8 @@ __all__ = [
     "basic21_states",
     "su2_ground",
     "linear_coupled_states",
+    "chain_seed",
+    "reduced_eigenstate",
     "verify_eigenstate",
 ]
 
@@ -62,35 +67,71 @@ class EigenstateRequest:
     lambda2: complex | None = None
 
 
-def _check_kappa(g: GeneratorSet, deg1: int, deg2: int) -> None:
-    # polynomial prefactors must stay in the lower half of each mode range
-    if deg1 > g.cutoff.n1_max // 2 or deg2 > g.cutoff.n2_max // 2:
-        raise DomainError("kappa-overflow",
-                          f"prefactor degree ({deg1},{deg2}) exceeds half the cutoff "
-                          f"({g.cutoff.n1_max},{g.cutoff.n2_max})")
-
-
 def _strip_identity(op: Operator, identity: Operator) -> Operator:
     """Drop the identity component of a creation polynomial; a scalar in the
     exponent only rescales the state and normalization removes it anyway."""
     idx = op.cutoff.index(0, 0)
-    c00 = complex(op.mat[idx, idx])
-    if c00 == 0:
-        return op
-    return op - c00 * identity
+    return op - complex(op.mat[idx, idx]) * identity
 
 
-def _exp_poly_vac(g: GeneratorSet, exponent: Operator | None,
-                  poly: Operator | None = None, power: int = 1,
-                  base: TwoModeState | None = None) -> TwoModeState:
-    """normalize( exp(exponent) * poly^power |base> ), exactly."""
-    v = vacuum_state(g.cutoff) if base is None else base
+def _exp_poly_vac(g: GeneratorSet, exponent: Operator | None, poly: Operator | None = None,
+                  power: int = 1, frame: Frame | None = None) -> TwoModeState:
+    """normalize( exp(exponent) * poly^power |0> ), exactly, carried through
+    `frame` when given (exponent and poly then written in its d1, d2).  The
+    polynomial prefactor must stay in the lower half of each mode range."""
+    v = vacuum_state(g.cutoff)
     if poly is not None:
         for _ in range(power):
             v = apply(poly, v)
+        n1, n2 = np.divmod(np.flatnonzero(v.amplitudes), g.cutoff.n2_max + 1)
+        # a power that leaves the truncated space entirely vanishes
+        if not n1.size or n1.max() > g.cutoff.n1_max // 2 or n2.max() > g.cutoff.n2_max // 2:
+            raise DomainError("kappa-overflow", f"prefactor^{power} |0> leaves the lower "
+                                                f"half of the cutoff {g.cutoff}")
+    if frame is not None:
+        exponent = frame.prefix(g) if exponent is None else exponent + frame.prefix(g)
     if exponent is not None:
         v = apply_creation_series(_strip_identity(exponent, g.identity), v)
     return normalize(v)
+
+
+# ---------------------------------------------------------------------------
+# basic-frame constructors: (exponent, poly, power) in creation operators d
+# ---------------------------------------------------------------------------
+
+def _isotropic_terms(d1: Operator, d2: Operator, mu1: complex, mu2: complex, lam: complex,
+                     kappa: int, branch: int, c2: complex | None):
+    """Eigenstates of mu1 a1 + mu2 a2 (see isotropic_states)."""
+    if abs(mu1) < _TINY:
+        raise DomainError("mu1-zero", "constructors need mu1 != 0")
+    if branch == 1:
+        c2 = np.conj(mu2) if c2 is None else c2
+        return ((lam / mu1) * (1.0 - c2 * mu2)) * d1 + (lam * c2) * d2, None, 0
+    if branch == 2:
+        return (lam / mu1) * d1, d2 - (mu2 / mu1) * d1, kappa
+    raise DomainError("unknown-branch", f"this family has no branch {branch}")
+
+
+def _kernel21_terms(d1: Operator, d2: Operator, mu2: complex, alpha_plus: complex,
+                    lam: complex, branch: int, c1: complex | None, kappa: int):
+    """Eigenstates of mu2 a2 + alpha_plus J- (see basic21_states)."""
+    if abs(mu2) < _TINY:
+        raise DomainError("mu2-zero", "family needs mu2 != 0")
+    c1 = 1.0 + 0j if c1 is None else c1
+    if branch == 1:
+        t = abs(lam * c1 * alpha_plus / mu2)
+        if t >= 1.0:
+            raise DomainError("squeeze-domain",
+                              f"|lam*c1*alpha_plus/mu2| = {t:.4f} leaves the "
+                              "squeezed-state domain (< 1 required)")
+        return (c1 * lam * d1 + (lam / mu2) * d2
+                - (lam * c1 * alpha_plus / (2.0 * mu2)) * (d2 @ d2)), None, 0
+    if branch in (2, 3):
+        if abs(alpha_plus) < _TINY:
+            raise DomainError("alpha-zero", "non-separable branches need alpha_plus != 0")
+        power = 1 if branch == 2 else kappa
+        return (lam / mu2) * d2, 0.5 * (d2 @ d2) - (mu2 / alpha_plus) * d1, power
+    raise DomainError("unknown-branch", f"this family has no branch {branch}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +152,6 @@ def fractional_lambda_state(p: HamiltonianParams, req: EigenstateRequest,
     one-direction annihilator mu1 (a1 + r a2)."""
     if req.kappa < 0:
         raise ValueError("kappa must be non-negative")
-    _check_kappa(g, req.kappa, req.kappa)
     r = _fractional_ratio(p)
     poly = g.a2_dag - r * g.a1_dag
     exponent = (req.lam / mu1) * g.a1_dag
@@ -139,19 +179,8 @@ def isotropic_states(mu1: complex, mu2: complex, lam: complex, kappa: int,
               (default conj(mu2), which recovers the symmetric choice).
     branch 2: exp[(lam/mu1) a1'] (a2' - (mu2/mu1) a1')^kappa |0,0>.
     """
-    if abs(mu1) < _TINY:
-        raise DomainError("mu1-zero", "constructors need mu1 != 0")
-    if branch == 1:
-        if c2 is None:
-            c2 = np.conj(mu2)
-        z1 = (lam / mu1) * (1.0 - c2 * mu2)
-        z2 = lam * c2
-        return _exp_poly_vac(g, z1 * g.a1_dag + z2 * g.a2_dag)
-    if branch == 2:
-        _check_kappa(g, kappa, kappa)
-        poly = g.a2_dag - (mu2 / mu1) * g.a1_dag
-        return _exp_poly_vac(g, (lam / mu1) * g.a1_dag, poly, kappa)
-    raise DomainError("unknown-branch", f"this family has no branch {branch}")
+    return _exp_poly_vac(g, *_isotropic_terms(g.a1_dag, g.a2_dag, mu1, mu2, lam,
+                                              kappa, branch, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +197,8 @@ def basic21_states(mu2: complex, alpha_plus: complex, lam: complex, branch: int,
     branch 2: quadratic-prefactor superposition (the kappa = 1 member).
     branch 3: kappa-th power of the quadratic prefactor.
     """
-    if abs(mu2) < _TINY:
-        raise DomainError("mu2-zero", "family needs mu2 != 0")
-    if c1 is None:
-        c1 = 1.0 + 0j
-    if branch == 1:
-        t = abs(lam * c1 * alpha_plus / mu2)
-        if t >= 1.0:
-            raise DomainError("squeeze-domain",
-                              f"|lam*c1*alpha_plus/mu2| = {t:.4f} leaves the "
-                              "squeezed-state domain (< 1 required)")
-        exponent = (c1 * lam * g.a1_dag
-                    + (lam / mu2) * g.a2_dag
-                    - (lam * c1 * alpha_plus / (2.0 * mu2)) * (g.a2_dag @ g.a2_dag))
-        return _exp_poly_vac(g, exponent)
-    if branch in (2, 3):
-        if abs(alpha_plus) < _TINY:
-            raise DomainError("alpha-zero", "non-separable branches need alpha_plus != 0")
-        power = 1 if branch == 2 else kappa
-        _check_kappa(g, power, 2 * power)
-        poly = 0.5 * (g.a2_dag @ g.a2_dag) - (mu2 / alpha_plus) * g.a1_dag
-        return _exp_poly_vac(g, (lam / mu2) * g.a2_dag, poly, power)
-    raise DomainError("unknown-branch", f"this family has no branch {branch}")
+    return _exp_poly_vac(g, *_kernel21_terms(g.a1_dag, g.a2_dag, mu2, alpha_plus, lam,
+                                             branch, c1, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +228,6 @@ def su2_ground(beta3: float, theta: float, kappa: int, g: GeneratorSet) -> TwoMo
 # externally coupled families
 # ---------------------------------------------------------------------------
 
-def _shifted_dags(g: GeneratorSet, w1: complex, w2: complex):
-    """Creation operators conjugated through D1(w1) D2(w2)."""
-    return (g.a1_dag - np.conj(w1) * g.identity, g.a2_dag - np.conj(w2) * g.identity)
-
-
 def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
                           g: GeneratorSet, mu1: complex = 1.0, mu2: complex = 1.0,
                           nu1: complex = 0j, alpha_plus: complex = 1.0) -> TwoModeState:
@@ -232,85 +236,40 @@ def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
     Dispatches on the request tag: the displaced isotropic family, the
     displaced 2:1 / 1:2 family with both linear couplings switched on, and
     the Bogoliubov family on the b = 2 surface (gammas must already be
-    displaced away there; see reduce_by_similarity).
+    displaced away there; see reduce_by_similarity).  Each is the basic
+    family's state carried through the reduction frame of p.
     """
     kind = req.tag.kind
-    lam = complex(req.lam)
-    if kind == FamilyKind.LINEAR_ISO:
-        if abs(mu1) < _TINY or abs(mu2) < _TINY:
-            raise DomainError("mu-zero", "displaced isotropic family needs mu1, mu2 != 0")
-        w1, w2 = -p.gamma1, -p.gamma2
-        d1, d2 = _shifted_dags(g, w1, w2)
-        shift = w1 * g.a1_dag + w2 * g.a2_dag
-        if req.branch == 1:
-            c1 = 1.0 + 0j if req.c1 is None else complex(req.c1)
-            exponent = (c1 * lam / mu1) * d1 + ((lam / mu2) * (1.0 - c1)) * d2 + shift
-            return _exp_poly_vac(g, exponent)
-        if req.branch == 2:
-            _check_kappa(g, req.kappa, req.kappa)
-            poly = d2 - (mu2 / mu1) * d1
-            exponent = (lam / mu1) * d1 + shift
-            return _exp_poly_vac(g, exponent, poly, req.kappa)
-        raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
-
-    if kind == FamilyKind.APPENDIX_A:
-        return _displaced_21_states(p, req, g, mu2, alpha_plus)
-
     if kind == FamilyKind.LINEAR_B2:
         if p.has_gamma():
             raise DomainError("unsupported-gamma",
                               "b = 2 constructors run on the displaced frame; "
                               "reduce the linear couplings away first")
         return _b2_states(p, req, g, mu1, nu1)
-
-    raise DomainError("unsupported-family",
-                      f"no coupled-state constructor for tag {req.tag}")
-
-
-def _displaced_21_states(p: HamiltonianParams, req: EigenstateRequest,
-                         g: GeneratorSet, mu2: complex,
-                         alpha_plus: complex) -> TwoModeState:
-    """Displaced 2:1 (beta3 = +1) or 1:2 (beta3 = -1) family with both
-    linear couplings; reduces to the basic family after mode displacements
-    by -gamma/frequency."""
-    if abs(p.beta0 - 3.0) > 1e-9 or abs(abs(p.beta3) - 1.0) > 1e-9:
-        raise DomainError("unsupported-family",
-                          "displaced commensurate family needs beta0 = 3, beta3 = +/-1")
-    if abs(mu2) < _TINY:
-        raise DomainError("mu2-zero", "family needs a nonzero lowering amplitude")
-    lam = complex(req.lam)
-    if p.beta3 > 0:
-        w1, w2 = -p.gamma1 / 2.0, -p.gamma2       # mode frequencies (2, 1)
-        dq, dl = _shifted_dags(g, w1, w2)          # dq: linear mode 1, dl: lowered mode 2
+    frame = reduction_frame(p)
+    d = frame.dags(g)
+    if kind == FamilyKind.LINEAR_ISO:
+        if abs(mu1) < _TINY or abs(mu2) < _TINY:
+            raise DomainError("mu-zero", "displaced isotropic family needs mu1, mu2 != 0")
+        c1 = 1.0 + 0j if req.c1 is None else complex(req.c1)
+        terms = _isotropic_terms(*d, mu1, mu2, req.lam, req.kappa, req.branch, (1.0 - c1) / mu2)
+    elif kind == FamilyKind.APPENDIX_A:
+        if abs(p.beta0 - 3.0) > 1e-9 or abs(abs(p.beta3) - 1.0) > 1e-9:
+            raise DomainError("unsupported-family",
+                              "displaced commensurate family needs beta0 = 3, beta3 = +/-1")
+        terms = _kernel21_terms(*d, mu2, alpha_plus, req.lam, req.branch, req.c1, req.kappa)
     else:
-        w1, w2 = -p.gamma1, -p.gamma2 / 2.0        # mode frequencies (1, 2)
-        d1, d2 = _shifted_dags(g, w1, w2)
-        dq, dl = d2, d1                            # lowered mode is mode 1
-    shift = w1 * g.a1_dag + w2 * g.a2_dag
-    c1 = 1.0 + 0j if req.c1 is None else complex(req.c1)
-    if req.branch == 1:
-        t = abs(lam * c1 * alpha_plus / mu2)
-        if t >= 1.0:
-            raise DomainError("squeeze-domain", f"|lam*c1*alpha_plus/mu2| = {t:.4f} >= 1")
-        exponent = (c1 * lam * dq + (lam / mu2) * dl
-                    - (lam * c1 * alpha_plus / (2.0 * mu2)) * (dl @ dl) + shift)
-        return _exp_poly_vac(g, exponent)
-    if req.branch in (2, 3):
-        if abs(alpha_plus) < _TINY:
-            raise DomainError("alpha-zero", "non-separable branches need alpha != 0")
-        power = 1 if req.branch == 2 else req.kappa
-        _check_kappa(g, power, 2 * power)
-        poly = 0.5 * (dl @ dl) - (mu2 / alpha_plus) * dq
-        exponent = (lam / mu2) * dl + shift
-        return _exp_poly_vac(g, exponent, poly, power)
-    raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
+        raise DomainError("unsupported-family",
+                          f"no coupled-state constructor for tag {req.tag}")
+    return _exp_poly_vac(g, *terms, frame=frame)
 
 
 def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
                mu1: complex, nu1: complex) -> TwoModeState:
     """Families on the b = 2 surface, where annihilation and creation
     amplitudes coexist and the ladder closes the oscillator algebra after a
-    normalization by the commutator."""
+    normalization by the commutator.  In the basic frame (mode 1 lowered,
+    mode 2 raised) the states are exp(z d1 + x d1 d2) d2^kappa |0>."""
     if abs(mu1) < _TINY:
         raise DomainError("mu-zero", "annihilation amplitude must be nonzero")
     lam = complex(req.lam)
@@ -320,59 +279,102 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
         # decoupled variant: A = mu*a_low + nu*a_high' with mode roles set by beta3
         if ratio >= 1.0:
             raise DomainError("squeeze-domain", f"|nu/mu| = {ratio:.4f} >= 1")
-        if abs(p.beta3 - 2.0) < 1e-9:
-            lower_dag, raise_dag = g.a1_dag, g.a2_dag
-        elif abs(p.beta3 + 2.0) < 1e-9:
-            lower_dag, raise_dag = g.a2_dag, g.a1_dag
-        else:
-            raise DomainError("unsupported-family", "decoupled form needs beta3 = +/-2")
-        base = vacuum_state(g.cutoff)
-        for _ in range(req.kappa):
-            base = apply(raise_dag, base)
-        exponent = (lam / mu1) * lower_dag - (nu1 / mu1) * (lower_dag @ raise_dag)
-        return _exp_poly_vac(g, exponent, base=base)
-
-    norm2 = abs(mu1) ** 2 / (2.0 + p.beta3) - abs(nu1) ** 2 / (2.0 - p.beta3)
-    if norm2 <= 0:
-        raise DomainError("squeeze-domain",
-                          "creation part dominates: the family is not normalizable")
-    scale = 2.0 * np.sqrt(norm2)
-    mu_t, nu_t = mu1 / scale, nu1 / scale
-
-    if req.branch == 1:
-        t1 = ratio
-        t2 = ratio * (2.0 + p.beta3) / (2.0 - p.beta3)
-        if t1 >= 1.0 or t2 >= 1.0:
+        z, x = lam / mu1, -nu1 / mu1
+    else:
+        norm2 = abs(mu1) ** 2 / (2.0 + p.beta3) - abs(nu1) ** 2 / (2.0 - p.beta3)
+        if norm2 <= 0:
             raise DomainError("squeeze-domain",
-                              f"squeeze arguments ({t1:.4f}, {t2:.4f}) must stay below 1")
-        lam2 = lam / 2.0 if req.lambda2 is None else complex(req.lambda2)
-        bm = p.beta_minus
-        exponent = (((lam - lam2) / mu_t) * g.a1_dag
-                    - (nu_t / (2.0 * mu_t)) * (g.a1_dag @ g.a1_dag)
-                    + ((2.0 + p.beta3) * lam2 / (2.0 * bm * mu_t)) * g.a2_dag
-                    + (0.5 * ((2.0 + p.beta3) / (2.0 - p.beta3))
-                       * (p.beta_plus / bm) * (nu_t / mu_t)) * (g.a2_dag @ g.a2_dag))
-        return _exp_poly_vac(g, exponent)
-
-    if req.branch == 2:
+                              "creation part dominates: the family is not normalizable")
+        scale = 2.0 * np.sqrt(norm2)
+        mu_t, nu_t = mu1 / scale, nu1 / scale
+        if req.branch == 1:
+            t2 = ratio * (2.0 + p.beta3) / (2.0 - p.beta3)
+            if ratio >= 1.0 or t2 >= 1.0:
+                raise DomainError("squeeze-domain",
+                                  f"squeeze arguments ({ratio:.4f}, {t2:.4f}) must stay below 1")
+            lam2 = lam / 2.0 if req.lambda2 is None else complex(req.lambda2)
+            bm = p.beta_minus
+            exponent = (((lam - lam2) / mu_t) * g.a1_dag
+                        - (nu_t / (2.0 * mu_t)) * (g.a1_dag @ g.a1_dag)
+                        + ((2.0 + p.beta3) * lam2 / (2.0 * bm * mu_t)) * g.a2_dag
+                        + (0.5 * ((2.0 + p.beta3) / (2.0 - p.beta3))
+                           * (p.beta_plus / bm) * (nu_t / mu_t)) * (g.a2_dag @ g.a2_dag))
+            return _exp_poly_vac(g, exponent)
+        if req.branch != 2:
+            raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
         x = (nu1 / mu1) * np.sqrt((2.0 + p.beta3) / (2.0 - p.beta3)) * np.exp(1j * p.theta)
         if abs(x) >= 1.0:
             raise DomainError("squeeze-domain", f"pair amplitude |x| = {abs(x):.4f} >= 1")
-        # pair-creation state written directly in the original frame: conjugate
-        # the rotated-frame creation operators through the mixing rotation
-        # analytically, so the construction stays an exact series
-        c = np.sqrt((2.0 + p.beta3) / 4.0)
-        s = np.sqrt((2.0 - p.beta3) / 4.0)
-        b1 = c * g.a1_dag + np.exp(1j * p.theta) * s * g.a2_dag
-        b2 = c * g.a2_dag - np.exp(-1j * p.theta) * s * g.a1_dag
-        base = vacuum_state(g.cutoff)
-        for _ in range(req.kappa):
-            base = apply(b2, base)
-        exponent = ((np.sqrt(2.0 + p.beta3) * lam / (2.0 * mu_t)) * b1
-                    + x * (b1 @ b2))
-        return _exp_poly_vac(g, exponent, base=base)
+        z = np.sqrt(2.0 + p.beta3) * lam / (2.0 * mu_t)
+    frame = reduction_frame(p)
+    d1, d2 = frame.dags(g)
+    return _exp_poly_vac(g, z * d1 + x * (d1 @ d2), d2, req.kappa, frame)
 
-    raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
+
+# ---------------------------------------------------------------------------
+# any family: the basic system's state carried through the reduction frame
+# ---------------------------------------------------------------------------
+
+def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: complex = 0j,
+                  branch: int = 0, c1: complex | None = None, c2: complex | None = None):
+    """(frame, basic tag, unit ladder, (exponent, poly, power), lambda) of a
+    member of p's basic family.  The unit ladders are a1 + a2 (isotropic),
+    a2 + J- (2:1), a_k of the stepped mode k (fractional pair) and J- (su(2),
+    lambda = 0 only); other basic systems, decoupled pairs with no
+    normalizable eigenstates, have None.  Pairs give the lambda = 0 powers
+    d_other^kappa; branch 0 is the kappa family of the other two."""
+    frame = reduction_frame(p)
+    d, b = frame.dags(g), frame.basic
+    tag = classify(b)
+    # the stepped mode has frequency +/-1: mode 2 unless only mode 1 has
+    w1, w2 = abs(b.beta0 + b.beta3) / 2.0, abs(b.beta0 - b.beta3) / 2.0
+    other = 0 if abs(w2 - 1.0) < 1e-9 and abs(w1 - 1.0) >= 1e-9 else 1
+    if tag.kind == FamilyKind.ISOTROPIC:
+        return frame, tag, LadderCoeffs(mu1=1.0, mu2=1.0), _isotropic_terms(
+            *d, 1.0, 1.0, lam, kappa, branch or 2, c2), lam
+    if tag == CaseTag(FamilyKind.BASIC21, "2:1"):
+        return frame, tag, LadderCoeffs(mu2=1.0, alpha_plus=1.0), _kernel21_terms(
+            *d, 1.0, 1.0, lam, branch or 3, c1, kappa), lam
+    if tag == CaseTag(FamilyKind.FRACTIONAL, "mu"):
+        return (frame, tag, LadderCoeffs(*np.eye(2)[1 - other]),
+                (lam * d[1 - other], d[other], kappa), lam)
+    unit = LadderCoeffs(alpha_plus=1.0) if tag.kind == FamilyKind.SU2 else None
+    return frame, tag, unit, (None, d[other], kappa), 0j
+
+
+def chain_seed(p: HamiltonianParams, kappa: int, g: GeneratorSet) -> TwoModeState:
+    """lambda = 0 member number kappa of p's basic family, carried through
+    the reduction frame: an eigenstate of H that seeds a raising chain."""
+    frame, _, _, terms, _ = _basic_family(p, g, kappa)
+    return _exp_poly_vac(g, *terms, frame=frame)
+
+
+def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRequest,
+                       g: GeneratorSet) -> tuple[TwoModeState, LadderCoeffs, complex]:
+    """(state, ladder, eigenvalue): the requested eigenstate of the basic
+    family's unit ladder, carried through the reduction frame, and that
+    ladder written in the solver's basis of p's ladders (so a fractional
+    ladder is scaled by its stepped mode's amplitude)."""
+    # the paper lists the Appendix B rows that do not reduce to 2:1 as
+    # non-normalizable, and the solver flags their ladders so; like plain su(2)
+    # they keep lambda = 0 states, but only the undisplaced su(2) family builds them
+    if req.tag.kind == FamilyKind.APPENDIX_B and not any(rep.normalizable):
+        raise DomainError("non-normalizable", f"{req.tag}: no ladder is flagged normalizable")
+    c2 = req.c2
+    if req.tag.kind == FamilyKind.LINEAR_ISO:   # free constant c1, as in linear_coupled_states
+        c2 = 1.0 - (1.0 if req.c1 is None else complex(req.c1))
+    frame, tag, unit, terms, lam = _basic_family(p, g, req.kappa, req.lam, req.branch,
+                                                 req.c1, c2)
+    if tag.kind == FamilyKind.LINEAR_B2:   # its states and the solver's ladder differ in norm
+        raise DomainError("b2-normalization", "no eigenstate residual for the b = 2 family")
+    if unit is None:
+        raise DomainError("non-normalizable", f"basic system {tag} has no normalizable states")
+    basis = np.array([frame.reduced_ladder(c).as_array() for c in rep.coeffs]).T
+    weights, *_ = np.linalg.lstsq(basis, unit.as_array(), rcond=None)
+    if np.linalg.norm(basis @ weights - unit.as_array()) > 1e-9:
+        raise LadderForgeError(f"the unit ladder of {tag} is outside the solver's span")
+    ladder = LadderCoeffs(*(np.array([c.as_array() for c in rep.coeffs]).T @ weights))
+    return _exp_poly_vac(g, *terms, frame=frame), ladder, lam
 
 
 def verify_eigenstate(a: Operator, v: TwoModeState, lam: complex,

@@ -102,6 +102,11 @@ class HamiltonianParams:
     def has_gamma(self, tol: float = _ZERO) -> bool:
         return abs(self.gamma1) > tol or abs(self.gamma2) > tol
 
+    def snapped(self) -> "HamiltonianParams":
+        """Every linear coupling at or below _ZERO set to zero, as classify reads it."""
+        return replace(self, **{k: 0j for k in ("gamma1", "gamma2")
+                                if abs(getattr(self, k)) <= _ZERO})
+
 
 @dataclass(frozen=True)
 class LadderCoeffs:
@@ -400,6 +405,7 @@ def solve_ladder(p: HamiltonianParams,
     alpha-driven direction with its induced mu/nu components.  Any linear
     combination of the basis is again a valid lowering operator.
     """
+    p = p.snapped()
     b2 = su2_invariant(p)
     tag = classify(p, tol)
     margins = {

@@ -4,7 +4,7 @@ closed-form spectra per family, and the dense-diagonalization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, factorial
 
 import numpy as np
@@ -142,18 +142,9 @@ class SpectrumReport:
     oracle: np.ndarray | None = None
     states: list[TwoModeState] = field(default_factory=list)
 
-    def energies(self, certified_only: bool = True) -> list[float]:
-        return [e.energy_chain for e in self.entries if e.certified or not certified_only]
-
     def to_json(self) -> dict:
-        payload = {
-            "family": self.family,
-            "e0": self.e0,
-            "collapse_at": self.collapse_at,
-            "entries": [{"n": e.n, "energy_formula": e.energy_formula,
-                         "energy_chain": e.energy_chain, "residual": e.residual,
-                         "certified": e.certified} for e in self.entries],
-        }
+        payload = {"family": self.family, "e0": self.e0, "collapse_at": self.collapse_at,
+                   "entries": [asdict(e) for e in self.entries]}
         if self.oracle is not None:
             payload["oracle_eigenvalues"] = [float(x) for x in self.oracle]
         return payload

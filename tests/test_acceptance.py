@@ -2,7 +2,6 @@
 PASS/FAIL line.  Tolerances are pinned here and nowhere else."""
 
 import math
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -496,13 +495,12 @@ def test_criterion_8_chen_louck(gen20a):
 
 def test_criterion_9_determinism(tmp_path):
     out = tmp_path / "sweep"
-    env = dict(os.environ, LADDERFORGE_THREADS="4")
     base = [sys.executable, "-m", "ladderforge.cli", "catalogue-sweep",
             "--cutoff", "12,12", "--out", str(out), "--format", "csv"]
-    subprocess.run(base, check=True, env=env)
+    subprocess.run(base, check=True)
     first = (out / "catalogue-sweep.json").read_bytes()
     first_csv = (out / "catalogue.csv").read_bytes()
-    subprocess.run(base, check=True, env=env)
+    subprocess.run(base, check=True)
     same = ((out / "catalogue-sweep.json").read_bytes() == first
             and (out / "catalogue.csv").read_bytes() == first_csv)
     report("criterion 9: catalogue sweep is byte-deterministic", same,

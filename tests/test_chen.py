@@ -173,6 +173,28 @@ def test_tilde0(gen14):
         assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
 
 
+def test_tilde0_subnormal_amplitude(gen14):
+    # 1/conj(alpha) overflows for a subnormal alpha; the state must still be
+    # the finite, normalized zero mode
+    for alphas in [(5e-324, 1.0), (1.0, 5e-324j), (5e-324 + 0j, 0.3 - 2.0j)]:
+        pq = PQParams(3, 2, *alphas)
+        v = tilde0_state(pq, gen14)
+        assert np.all(np.isfinite(v.amplitudes))
+        assert abs(np.linalg.norm(v.amplitudes) - 1.0) < 1e-14
+        cal_a = build_calA_pq(pq, gen14)
+        h = build_H_pq(pq, gen14)
+        assert np.linalg.norm(cal_a.mat @ v.amplitudes) < 1e-10
+        assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
+    # same ray as the quotient form p/(alpha+* sqrt(p!)), q/(alpha-* sqrt(q!))
+    pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
+    cut = gen14.cutoff
+    ref = np.zeros(cut.dim, dtype=complex)
+    ref[cut.index(0, 3)] = 3 / (np.conj(pq.alpha_plus) * np.sqrt(6))
+    ref[cut.index(2, 0)] = 2 / (np.conj(pq.alpha_minus) * np.sqrt(2))
+    ref /= np.linalg.norm(ref)
+    assert abs(abs(np.vdot(ref, tilde0_state(pq, gen14).amplitudes)) - 1.0) < 1e-14
+
+
 def test_tilde0_11_form(gen14):
     v = tilde0_state(PQParams(1, 1), gen14)
     cut = gen14.cutoff

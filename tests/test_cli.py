@@ -70,15 +70,14 @@ def test_malformed_config(tmp_path):
 
 def test_catalogue_sweep_deterministic(tmp_path):
     out = tmp_path / "sweep"
-    env = dict(os.environ, LADDERFORGE_THREADS="4")
     subprocess.run(BASE + ["catalogue-sweep", "--cutoff", "8,8",
                            "--out", str(out), "--format", "csv"],
-                   check=True, env=env)
+                   check=True)
     first = (out / "catalogue-sweep.json").read_bytes()
     first_csv = (out / "catalogue.csv").read_bytes()
     subprocess.run(BASE + ["catalogue-sweep", "--cutoff", "8,8",
                            "--out", str(out), "--format", "csv"],
-                   check=True, env=env)
+                   check=True)
     assert (out / "catalogue-sweep.json").read_bytes() == first
     assert (out / "catalogue.csv").read_bytes() == first_csv
     payload = json.loads(first)
@@ -145,20 +144,141 @@ def test_reduce_scenario(tmp_path):
     assert abs(payload["report"]["reduced_params"]["beta3"] - 1.0) < 1e-9
 
 
-# the catalogue's Appendix B (B6) default bindings: b^2 = 1, no chain ground
+# the catalogue's Appendix B (B6) default bindings: b^2 = 1, a rotation and two
+# displacements reduce them to the su(2) ladder J-
 B6_PARAMS = {"beta0": 2.5, "beta_plus": [0.4 * np.cos(0.7), 0.4 * np.sin(0.7)],
              "beta3": 0.6, "gamma1": [0.4, 0.3], "gamma2": "0.25 - 0.15j"}
 
 
 def test_spectrum_without_chain_entries_is_refused(tmp_path):
+    # at cutoff 8 every chain state of the displaced seeds leaks past the
+    # certified interior, so nothing would be checked
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": B6_PARAMS}))
-    code = run(["spectrum", "--config", str(cfg), "--cutoff", "10,10",
+    code = run(["spectrum", "--config", str(cfg), "--cutoff", "8,8",
                 "--out", str(tmp_path)])
     assert code == 2
     payload = json.loads((tmp_path / "spectrum.json").read_text())
     assert payload["report"]["tag"].startswith("AppendixB")
-    assert payload["report"]["reason"] == "no chain entries"
+    assert payload["report"]["reason"] == "no certified chain entries"
+    cfg.write_text(json.dumps({"params": {"beta0": 2.0}, "kappas": []}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "10,10"]) == 2
+
+
+def test_spectrum_appendix_b_seeds_from_its_reduction(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": B6_PARAMS, "n_max": 3}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "16,16",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    certified = [e for e in report["entries"] if e["certified"]]
+    assert len(certified) >= 4
+    for e in certified:
+        assert e["residual"] < 1e-10
+        assert abs(e["energy_chain"] - e["energy_oracle"]) < 1e-10
+
+
+def test_fractional_family_without_mode1_part(tmp_path):
+    # beta_plus = 0, beta0 = 4, beta3 = 2: H = 3 n1 + n2, whose only ladder is a2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 4.0, "beta3": 2.0},
+                               "request": {"lambda": [0.3, 0.1], "kappa": 1}}))
+    for scenario in ("spectrum", "eigenstate"):
+        assert run([scenario, "--config", str(cfg), "--cutoff", "10,10",
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eigenstate.json").read_text())["report"]
+    assert report["residual"] < 1e-12
+    # exp(lambda a2') a1' |0>: the stepped mode is 2, kappa powers mode 1
+    amps = np.array([complex(*z) for z in report["state"]["amplitudes"]]).reshape(11, 11)
+    lam = 0.3 + 0.1j
+    want = np.zeros((11, 11), dtype=complex)
+    want[1] = [lam ** n / np.sqrt(float(np.prod(np.arange(1, n + 1)))) for n in range(11)]
+    want /= np.linalg.norm(want)
+    assert abs(abs(np.vdot(want.ravel(), amps.ravel())) - 1.0) < 1e-12
+    spectrum = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    for e in spectrum["entries"]:
+        assert abs(e["energy_chain"] - (3.0 * e["kappa"] + e["n"])) < 1e-12
+
+
+def test_kappa_past_the_cutoff_is_refused(tmp_path):
+    # 2:1: (d2^2/2 - d1)^16 |0> leaves the 10 x 10 space and vanishes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 3, "beta3": 1}, "kappas": [16],
+                               "request": {"branch": 3, "kappa": 16}}))
+    for scenario in ("eigenstate", "spectrum"):
+        assert run([scenario, "--config", str(cfg), "--cutoff", "10,10"]) == 2
+
+
+@pytest.mark.parametrize("gamma", [1e-13, 1e-12, 1.2e-12])
+def test_spectrum_with_a_coupling_at_the_zero_threshold(tmp_path, gamma):
+    # Appendix B3: the solver, the classifier and the reduction frame must
+    # agree on whether a coupling this small is zero (1.2e-12 shrinks below
+    # 1e-12 in the mixing rotation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": -3, "beta_plus": [0.5, 0], "beta3": 0,
+                                          "gamma2": [0, gamma]}}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "20,20",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    assert report["worst_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("params", [
+    {"beta0": 2.5, "beta_plus": [-2.4e-9, -2.8e-9], "beta3": -0.49999999999999994},
+    {"beta0": 0.0, "beta_plus": [7.45e-9, 0], "beta3": 0.9999999999999999}])
+def test_spectrum_with_a_mixing_rotation_near_its_endpoint(tmp_path, params):
+    # b - |beta3| is at the rounding floor here: the rotation angle must come
+    # from |beta_plus| (fractional near the mode swap, su(2) near the identity)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "n_max": 4}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "20,20",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    assert report["worst_residual"] < 1e-12
+
+
+def test_linear_iso_eigenstate_takes_c1(tmp_path):
+    from ladderforge.eigenstates import EigenstateRequest, linear_coupled_states
+    from ladderforge.fock import FockCutoff, build_generators
+    from ladderforge.params import classify, params_from_json
+
+    params = {"beta0": 2, "gamma1": [0.2, 0.1], "gamma2": [0, -0.15]}
+    p, g = params_from_json(params), build_generators(FockCutoff(12, 12))
+    cfg = tmp_path / "cfg.json"
+    states = []
+    for c1 in (None, 0.5):
+        request = {"lambda": [0.3, 0.1], "c1": c1}
+        cfg.write_text(json.dumps({"params": params, "request": request}))
+        assert run(["eigenstate", "--config", str(cfg), "--cutoff", "12,12",
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "eigenstate.json").read_text())["report"]
+        assert report["tag"].startswith("LinearCoupledIso")
+        got = np.array([complex(*z) for z in report["state"]["amplitudes"]])
+        want = linear_coupled_states(p, EigenstateRequest(classify(p), lam=0.3 + 0.1j, c1=c1),
+                                     g).amplitudes
+        assert abs(abs(np.vdot(want, got)) - 1.0) < 1e-12
+        states.append(got)
+    assert abs(np.vdot(*states)) < 0.999
+
+
+def test_eigenstate_appendix_b_rows(tmp_path):
+    # a row with beta0 = 3 reduces to 2:1 and is checked through its frame;
+    # the solver flags every ladder of the other rows (B6 at beta0 = 2.5, B3
+    # at beta0 = -3) non-normalizable, and the scenario refuses them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": dict(B6_PARAMS, beta0=3.0),
+                               "request": {"lambda": [0.2, 0.1], "branch": 3, "kappa": 2}}))
+    assert run(["eigenstate", "--config", str(cfg), "--cutoff", "16,16",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eigenstate.json").read_text())["report"]
+    assert report["tag"].startswith("AppendixB")
+    assert report["residual"] < 1e-10
+    for params in (B6_PARAMS, {"beta0": -3, "beta_plus": [0.5, 0]}):
+        cfg.write_text(json.dumps({"params": params}))
+        assert run(["eigenstate", "--config", str(cfg), "--cutoff", "16,16",
+                    "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "eigenstate.json").read_text())["report"]
+        assert report["reason"].endswith("[non-normalizable]")
 
 
 def test_eigenstate_b2_without_residual_is_refused(tmp_path):
@@ -172,7 +292,7 @@ def test_eigenstate_b2_without_residual_is_refused(tmp_path):
     payload = json.loads((tmp_path / "eigenstate.json").read_text())
     assert payload["report"]["tag"].startswith("LinearCoupledB2")
     assert "residual" not in payload["report"]
-    assert payload["report"]["reason"]
+    assert payload["report"]["reason"].endswith("[b2-normalization]")
 
 
 @pytest.mark.parametrize("scenario", ["reduce", "spectrum", "solve-ladder"])
@@ -311,3 +431,54 @@ def test_any_config_value_gives_an_exit_code(request):
             json.dump(cfg, fh)
         assert run([scenario, "--config", path, "--out", os.path.join(tmp, "out")]) in {
             0, 1, 2, 64, 65}
+
+
+# points on the gate surfaces b^2 = 1 and (2 -/+ beta0)^2 = b^2 (b = 0 and the
+# b = 2 crossing of the two mode gates included), with or without small linear
+# couplings, some of them at the 1e-12 threshold below which a coupling is zero
+_SMALL = st.floats(-0.2, 0.2) | st.sampled_from([1e-13, 1e-12, -1.2e-12])
+
+
+@st.composite
+def _gate_params(draw):
+    surface = draw(st.sampled_from(["unit", "mu", "nu"]))
+    if surface == "unit":
+        b = 1.0
+        beta0 = draw(st.sampled_from([-3.0, -1.0, 1.0, 3.0]) | st.floats(-3.5, 3.5))
+    else:
+        b = draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 2.5))
+        beta0 = (2.0 if surface == "mu" else -2.0) + draw(st.sampled_from([1.0, -1.0])) * b
+    beta3 = b * draw(st.sampled_from([1.0, -1.0, 0.0]) | st.floats(-1.0, 1.0))
+    r = np.sqrt(max(b * b - beta3 * beta3, 0.0)) / 2.0
+    theta = draw(st.floats(0.0, 6.3))
+    gammas = draw(st.none() | st.tuples(_SMALL, _SMALL, _SMALL, _SMALL))
+    p = {"beta0": beta0, "beta_plus": [r * np.cos(theta), r * np.sin(theta)], "beta3": beta3}
+    if gammas is not None:
+        p.update(gamma1=list(gammas[:2]), gamma2=list(gammas[2:]))
+    return p
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_gate_params(), st.sampled_from([14, 16, 20]))
+def test_spectrum_on_gate_surfaces_certifies_every_entry(params, cutoff):
+    from ladderforge.errors import DomainError
+    from ladderforge.params import params_from_json
+    from ladderforge.reductions import reduction_chain
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"params": params, "n_max": 4}, fh)
+        code = run(["spectrum", "--config", path, "--cutoff", f"{cutoff},{cutoff}",
+                    "--out", tmp])
+        if code == 0:
+            return      # exit 0: some entries certified and every one passed
+        assert code == 2, (params, cutoff, code)
+        try:
+            reduction_chain(params_from_json(params))
+        except DomainError as exc:   # a coupling on a vanishing mode frequency
+            assert exc.code == "resonant"
+            return
+        with open(os.path.join(tmp, "spectrum.json"), encoding="utf-8") as fh:
+            reason = json.load(fh)["report"]["reason"]
+        assert reason in ("no ladder", "no certified chain entries"), (params, reason)

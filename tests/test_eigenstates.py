@@ -5,12 +5,12 @@ import pytest
 
 from ladderforge.errors import DomainError
 from ladderforge.eigenstates import (EigenstateRequest, basic21_states,
-                                     fractional_lambda_state,
+                                     chain_seed, fractional_lambda_state,
                                      fractional_separable_cs, isotropic_states,
                                      linear_coupled_states, su2_ground,
                                      verify_eigenstate)
-from ladderforge.fock import (apply, basis_state, interior_indices, norm,
-                              vacuum_state)
+from ladderforge.fock import (FockCutoff, apply, basis_state, build_generators,
+                              interior_indices, norm, vacuum_state)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 solve_ladder)
@@ -303,6 +303,26 @@ def test_su2_ground_matches_rotation(gen14):
                                                 "theta": 1.1}), gen14)
         w = apply(t, basis_state(gen14.cutoff, 0, kappa))
         assert np.linalg.norm(v.amplitudes - w.amplitudes) < 1e-8
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_closed_forms_match_the_reduction_frame(n):
+    # the closed-form kappa families are the basic system's kappa family
+    # carried through the reduction frame: the binomial su(2) ground is the
+    # rotated |0, kappa>, the fractional (a2' - r a1')^kappa the rotated
+    # other-mode power, the 2:1 kernel polynomial the basic frame's own
+    g = build_generators(FockCutoff(n, n))
+    cases = [(gate_params(2.2, 0.6, 1.0, theta=1.1), lambda k: su2_ground(0.6, 1.1, k, g)),
+             (HamiltonianParams(beta0=3.0, beta3=1.0),
+              lambda k: basic21_states(1.0, 1.0, 0.0, 3, g, kappa=k))]
+    for beta0, beta3 in ((2.5, 0.3), (1.5, -0.3), (3.2, 0.9)):
+        p = gate_params(beta0, beta3, abs(2.0 - beta0), theta=0.8)
+        cases.append((p, lambda k, p=p: fractional_lambda_state(
+            p, EigenstateRequest(tag=classify(p), kappa=k), g)))
+    for p, closed_form in cases:
+        for kappa in range(4):
+            overlap = np.vdot(closed_form(kappa).amplitudes, chain_seed(p, kappa, g).amplitudes)
+            assert abs(abs(overlap) - 1.0) < 1e-12, (p, kappa)
 
 
 def test_su2_ground_annihilated_and_h_eigen(gen14):

@@ -8,7 +8,11 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder,
                                 hamiltonian_params_from_matrix,
                                 ladder_coeffs_from_matrix, solve_ladder)
-from ladderforge.reductions import reduce_by_similarity, rotated_gammas
+from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
+                                     reduced_eigenstate, verify_eigenstate)
+from ladderforge.params import classify
+from ladderforge.reductions import (reduce_by_similarity, reduction_chain,
+                                    reduction_frame, rotated_gammas)
 from ladderforge.spectra import diagonalize_oracle
 from ladderforge.transforms import (build_chain, rotation_safe_degree,
                                     similarity)
@@ -186,3 +190,96 @@ def test_stepwise_conjugation_matches_composed_chain(kinds, cutoff, p):
     assert interior_residual(h_ref - build_hamiltonian(p_ref, g), keep) < 1e-8
     assert interior_residual(a_ref - build_ladder(c_ref, g), keep) < 1e-8
     assert red.h_residual < 1e-8 and red.a_residual < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the reduction frame against the dense chain U = build_chain(chain)
+# ---------------------------------------------------------------------------
+
+FRAME_FAMILIES = {
+    "generalized 2:1": gate_params(3.0, 0.5, 1.0),
+    "generalized 2:1, beta3 < 0": gate_params(3.0, -0.5, 1.0, theta=2.1),
+    "1:2": HamiltonianParams(beta0=3.0, beta3=-1.0),
+    "Appendix A 1:2": HamiltonianParams(beta0=3.0, beta3=-1.0, gamma1=0.2 + 0.1j,
+                                        gamma2=-0.15j),
+    "Appendix B6": gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.1 - 0.06j),
+    "su(2)": gate_params(2.2, 0.3, 1.0, theta=1.1),
+    "fractional": gate_params(2.5, 0.3, 0.5),
+    "fractional nu": gate_params(-2.5, -0.3, 0.5),
+    "linear fractional": gate_params(1.5, 0.3, 0.5, gamma1=0.1 + 0.05j, gamma2=-0.08j),
+    "b = 2": gate_params(0.0, 0.3, 2.0),
+    "linear iso": HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+}
+EIGEN_FAMILIES = ("generalized 2:1", "generalized 2:1, beta3 < 0", "1:2", "Appendix A 1:2",
+                  "su(2)", "fractional", "linear fractional", "linear iso")
+
+
+def _dense_image(p, basic_state, g):
+    """U P |basic>: the dense chain applied to a basic-frame state, P the mode
+    swap when the chain lands on beta3 < 0."""
+    _, landed = reduction_chain(p)
+    amps = basic_state.amplitudes
+    if landed.beta3 < 0:
+        amps = amps.reshape(g.cutoff.n1_max + 1, -1).T.ravel()
+    return build_chain(reduction_chain(p)[0], g).mat @ amps
+
+
+def _low_shell_distance(got, want, g):
+    """Distance between the two rays restricted to the shells n1 + n2 <= N/2
+    (the global normalization also counts the incomplete outer shells)."""
+    keep = shell_indices(g.cutoff, g.cutoff.n1_max // 2)
+    got, want = got[keep] / np.linalg.norm(got[keep]), want[keep] / np.linalg.norm(want[keep])
+    overlap = np.vdot(got, want)
+    return float(np.linalg.norm(want - overlap / abs(overlap) * got))
+
+
+@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("name", sorted(FRAME_FAMILIES))
+def test_frame_carries_chain_seeds_like_the_dense_chain(name, n):
+    p = FRAME_FAMILIES[name]
+    g = build_generators(FockCutoff(n, n))
+    basic = reduction_frame(p).basic
+    for kappa in (0, 1, 2):
+        want = _dense_image(p, chain_seed(basic, kappa, g), g)
+        got = chain_seed(p, kappa, g).amplitudes
+        assert _low_shell_distance(got, want, g) < 1e-10, kappa
+
+
+@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("name", EIGEN_FAMILIES)
+def test_frame_carries_eigenstates_like_the_dense_chain(name, n):
+    p = FRAME_FAMILIES[name]
+    g = build_generators(FockCutoff(n, n))
+    basic = reduction_frame(p).basic
+    branches = 3 if classify(basic).kind.value == "Basic21" else 2
+    # the dense oracle's truncated displacement is exact on low shells only
+    # while the state's tail at the cutoff is small; the squeezed 2:1 branch
+    # at |lambda| = 0.36 keeps amplitudes near 1e-4 at n = 14
+    for lam, branch, kappa in [(0.15 + 0.1j, 1, 0), (0.25 - 0.1j, 2, 1), (0.2j, 3, 2)]:
+        def state(q):
+            # c2 = 0 is what the linear-coupled isotropic family's default c1 = 1 gives
+            req = EigenstateRequest(tag=classify(q), lam=lam, branch=min(branch, branches),
+                                    kappa=kappa, c2=0j)
+            return reduced_eigenstate(q, solve_ladder(q), req, g)
+        got, ladder, lam_used = state(p)
+        want = _dense_image(p, state(basic)[0], g)
+        assert _low_shell_distance(got.amplitudes, want, g) < 1e-10, (lam, branch)
+        # and it is an eigenstate of a ladder of H from the solver's span
+        h = build_hamiltonian(p, g)
+        a = build_ladder(ladder, g)
+        assert interior_residual(h @ a - a @ h + a, shell_indices(g.cutoff, n // 2)) < 1e-10
+        assert verify_eigenstate(a, got, lam_used, 4) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_FAMILIES))
+def test_reduced_ladder_matches_the_conjugated_matrix(gen14, name):
+    p = FRAME_FAMILIES[name]
+    c = combined_coeffs(solve_ladder(p))
+    red = reduce_by_similarity(p, c, gen14, shell_max=6)
+    assert red.chain == reduction_chain(p)[0]
+    m = red.coeffs
+    if reduction_chain(p)[1].beta3 < 0:   # the frame ends with the mode swap
+        m = LadderCoeffs(m.mu2, m.mu1, m.nu2, m.nu1, m.alpha_minus, m.alpha_plus,
+                         -m.alpha3, m.a0)
+    got = reduction_frame(p).reduced_ladder(c)
+    assert np.max(np.abs(got.as_array() - m.as_array())) < 1e-10
