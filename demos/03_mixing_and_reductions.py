@@ -16,8 +16,7 @@ deg = rotation_safe_degree(cutoff)
 keep = interior_indices(cutoff, deg)
 
 # the quarter-turn case: a1 -> (a1 - a2)/sqrt(2)
-t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.0,
-                                        "theta": 0.0}), g)
+t = build_unitary(UnitarySpec("mix_t", {"angle": np.pi / 4, "theta": 0.0}), g)
 rotated = similarity(t, g.a1)
 target = (g.a1 - g.a2) / np.sqrt(2)
 print(f"rotated a1 vs (a1 - a2)/sqrt2:  {interior_residual(rotated - target, keep):.2e}")

@@ -86,6 +86,14 @@ def _log_ratio_factorial(a: int, b: int) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1)
 
 
+def _unit_amplitudes(pq: PQParams) -> tuple[complex, complex]:
+    """(alpha_plus, alpha_minus) divided by the larger modulus: the states
+    depend only on their ratio, and the scaled pair neither underflows nor
+    overflows in the powers and products below."""
+    scale = max(abs(pq.alpha_plus), abs(pq.alpha_minus))
+    return pq.alpha_plus / scale, pq.alpha_minus / scale
+
+
 def chen_ground(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoModeState:
     """Normalized binomial superposition over |q k, p (kappa - k)>; equals
     the kappa-th raising power applied to the vacuum."""
@@ -95,6 +103,7 @@ def chen_ground(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoModeState:
         raise DomainError("kappa-overflow",
                           f"kappa = {kappa} needs cutoffs of at least "
                           f"({pq.q * kappa},{pq.p * kappa})")
+    alpha_plus, alpha_minus = _unit_amplitudes(pq)
     amps = np.zeros(g.cutoff.dim, dtype=np.complex128)
     use_log = pq.p * kappa > 20 or pq.q * kappa > 20
     for k in range(kappa + 1):
@@ -108,8 +117,8 @@ def chen_ground(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoModeState:
                             * math.factorial(pq.p * (kappa - k)) // math.factorial(kappa - k)
                             * math.factorial(pq.q * k) // math.factorial(k))
         coeff = (mag * (-1) ** k
-                 * (pq.alpha_minus / pq.q) ** k
-                 * (pq.alpha_plus / pq.p) ** (kappa - k))
+                 * (alpha_minus / pq.q) ** k
+                 * (alpha_plus / pq.p) ** (kappa - k))
         amps[g.cutoff.index(pq.q * k, pq.p * (kappa - k))] = coeff
     return normalize(TwoModeState(g.cutoff, amps))
 
@@ -137,10 +146,11 @@ def tilde0_state(pq: PQParams, g: GeneratorSet) -> TwoModeState:
     subnormal alpha_plus or alpha_minus cannot overflow."""
     if pq.q > g.cutoff.n1_max or pq.p > g.cutoff.n2_max:
         raise DomainError("cutoff", "cutoff too small for the zero mode")
+    alpha_plus, alpha_minus = _unit_amplitudes(pq)
     amps = np.zeros(g.cutoff.dim, dtype=np.complex128)
-    amps[g.cutoff.index(0, pq.p)] = (pq.p * np.conj(pq.alpha_minus)
+    amps[g.cutoff.index(0, pq.p)] = (pq.p * np.conj(alpha_minus)
                                      / math.sqrt(math.factorial(pq.p)))
-    amps[g.cutoff.index(pq.q, 0)] = (pq.q * np.conj(pq.alpha_plus)
+    amps[g.cutoff.index(pq.q, 0)] = (pq.q * np.conj(alpha_plus)
                                      / math.sqrt(math.factorial(pq.q)))
     return normalize(TwoModeState(g.cutoff, amps))
 

@@ -319,9 +319,10 @@ def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: comple
                   branch: int = 0, c1: complex | None = None, c2: complex | None = None):
     """(frame, basic tag, unit ladder, (exponent, poly, power), lambda) of a
     member of p's basic family.  The unit ladders are a1 + a2 (isotropic),
-    a2 + J- (2:1), a_k of the stepped mode k (fractional pair) and J- (su(2),
-    lambda = 0 only); other basic systems, decoupled pairs with no
-    normalizable eigenstates, have None.  Pairs give the lambda = 0 powers
+    a2 + J- (2:1), a_k of the stepped mode k (fractional pair, and b = 2,
+    where mode 1 is lowered and mode 2 raised) and J- (su(2), lambda = 0
+    only); other basic systems, decoupled pairs with no normalizable
+    eigenstates, have None.  Pairs give the lambda = 0 powers
     d_other^kappa; branch 0 is the kappa family of the other two."""
     frame = reduction_frame(p)
     d, b = frame.dags(g), frame.basic
@@ -335,7 +336,7 @@ def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: comple
     if tag == CaseTag(FamilyKind.BASIC21, "2:1"):
         return frame, tag, LadderCoeffs(mu2=1.0, alpha_plus=1.0), _kernel21_terms(
             *d, 1.0, 1.0, lam, branch or 3, c1, kappa), lam
-    if tag == CaseTag(FamilyKind.FRACTIONAL, "mu"):
+    if tag == CaseTag(FamilyKind.FRACTIONAL, "mu") or tag.kind == FamilyKind.LINEAR_B2:
         return (frame, tag, LadderCoeffs(*np.eye(2)[1 - other]),
                 (lam * d[1 - other], d[other], kappa), lam)
     unit = LadderCoeffs(alpha_plus=1.0) if tag.kind == FamilyKind.SU2 else None
@@ -365,8 +366,6 @@ def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRe
         c2 = 1.0 - (1.0 if req.c1 is None else complex(req.c1))
     frame, tag, unit, terms, lam = _basic_family(p, g, req.kappa, req.lam, req.branch,
                                                  req.c1, c2)
-    if tag.kind == FamilyKind.LINEAR_B2:   # its states and the solver's ladder differ in norm
-        raise DomainError("b2-normalization", "no eigenstate residual for the b = 2 family")
     if unit is None:
         raise DomainError("non-normalizable", f"basic system {tag} has no normalizable states")
     basis = np.array([frame.reduced_ladder(c).as_array() for c in rep.coeffs]).T

@@ -28,10 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LadderForgeError
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
-                   commutator, interior_indices, interior_residual,
-                   shell_indices)
+                   commutator, interior_indices, interior_residual)
 
 __all__ = [
     "HamiltonianParams",
@@ -49,8 +47,6 @@ __all__ = [
     "build_hamiltonian",
     "build_ladder",
     "verify_ladder",
-    "hamiltonian_params_from_matrix",
-    "ladder_coeffs_from_matrix",
     "parse_complex",
     "params_to_json",
     "params_from_json",
@@ -365,9 +361,11 @@ def classify(p: HamiltonianParams, tol: ToleranceConfig = DEFAULT_TOL) -> CaseTa
                 return CaseTag(FamilyKind.APPENDIX_B, f"B3-b0={slot}")
             return CaseTag(FamilyKind.SU2, "interacting")
         b0 = slot if slot != "gen" else "gen"
-        if _close(p.gamma1 / 2.0, p.gamma2 * p.beta_minus / (1.0 - p.beta3), gate):
+        # gamma1/2 = +/- gamma2 beta_minus / (1 -/+ beta3), cross-multiplied: a
+        # beta_plus below about 1e-8 rounds beta3 to +/-1 on the unit gate
+        if _close(p.gamma1 * (1.0 - p.beta3), 2.0 * p.gamma2 * p.beta_minus, gate):
             return CaseTag(FamilyKind.APPENDIX_B, f"B4-b0={b0}")
-        if _close(p.gamma1 / 2.0, -p.gamma2 * p.beta_minus / (1.0 + p.beta3), gate):
+        if _close(p.gamma1 * (1.0 + p.beta3), -2.0 * p.gamma2 * p.beta_minus, gate):
             return CaseTag(FamilyKind.APPENDIX_B, f"B5-b0={b0}")
         return CaseTag(FamilyKind.APPENDIX_B, f"B6-b0={b0}")
 
@@ -475,72 +473,6 @@ def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
 def verify_ladder(h: Operator, a: Operator, degree: int = 3) -> float:
     """|| P ([H, A] + A) P ||_F on the degree-`degree` interior."""
     return interior_residual(commutator(h, a) + a, interior_indices(h.cutoff, degree))
-
-
-# ---------------------------------------------------------------------------
-# coefficient extraction (inverse of the builders, used by the reductions)
-# ---------------------------------------------------------------------------
-
-def _me(op: Operator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
-    cut = op.cutoff
-    return complex(op.mat[cut.index(*bra), cut.index(*ket)])
-
-
-def hamiltonian_params_from_matrix(h: Operator, g: GeneratorSet,
-                                   residual_tol: float = 1e-8,
-                                   degree: int = 1,
-                                   shell_max: int | None = None) -> HamiltonianParams:
-    """Read Hamiltonian coefficients back off a matrix known to lie in the
-    algebra span; raises if the rebuild does not reproduce the degree-`degree`
-    interior.  Matrices produced by conjugation through built unitaries carry
-    truncation junk on incomplete shells, so callers should pass the
-    shell-safe degree in that case."""
-    if h.cutoff.n1_max < 2 or h.cutoff.n2_max < 2:
-        raise LadderForgeError("coefficient extraction needs cutoffs of at least (2,2)")
-    h0 = _me(h, (0, 0), (0, 0))
-    gamma1 = _me(h, (1, 0), (0, 0))
-    gamma2 = _me(h, (0, 1), (0, 0))
-    beta_plus = _me(h, (0, 1), (1, 0))
-    d10 = _me(h, (1, 0), (1, 0)) - h0
-    d01 = _me(h, (0, 1), (0, 1)) - h0
-    beta0 = d10 + d01
-    beta3 = d10 - d01
-    for name, val in (("h0", h0), ("beta0", beta0), ("beta3", beta3)):
-        if abs(val.imag) > 1e-9:
-            raise LadderForgeError(f"extracted {name} is not real: {val}")
-    p = HamiltonianParams(beta0=beta0.real, beta_plus=beta_plus, beta3=beta3.real,
-                          gamma1=gamma1, gamma2=gamma2, h0=h0.real)
-    keep = (interior_indices(h.cutoff, degree) if shell_max is None
-            else shell_indices(h.cutoff, shell_max))
-    resid = interior_residual(h - build_hamiltonian(p, g), keep)
-    if resid > residual_tol:
-        raise LadderForgeError(f"matrix is not in the Hamiltonian span (residual {resid:.3e})")
-    return p
-
-
-def ladder_coeffs_from_matrix(a: Operator, g: GeneratorSet,
-                              residual_tol: float = 1e-8,
-                              degree: int = 1,
-                              shell_max: int | None = None) -> LadderCoeffs:
-    if a.cutoff.n1_max < 2 or a.cutoff.n2_max < 2:
-        raise LadderForgeError("coefficient extraction needs cutoffs of at least (2,2)")
-    a0 = _me(a, (0, 0), (0, 0))
-    c = LadderCoeffs(
-        mu1=_me(a, (0, 0), (1, 0)),
-        mu2=_me(a, (0, 0), (0, 1)),
-        nu1=_me(a, (1, 0), (0, 0)),
-        nu2=_me(a, (0, 1), (0, 0)),
-        alpha_plus=_me(a, (0, 1), (1, 0)),
-        alpha_minus=_me(a, (1, 0), (0, 1)),
-        alpha3=2.0 * (_me(a, (1, 0), (1, 0)) - a0),
-        a0=a0,
-    )
-    keep = (interior_indices(a.cutoff, degree) if shell_max is None
-            else shell_indices(a.cutoff, shell_max))
-    resid = interior_residual(a - build_ladder(c, g), keep)
-    if resid > residual_tol:
-        raise LadderForgeError(f"matrix is not in the ladder span (residual {resid:.3e})")
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,19 @@ part (beta_plus -> 0, beta3 -> eps*b), then mode displacements in the
 rotated frame that absorb the rotated linear couplings into a constant
 shift.  The displacement in mode i divides by the mode frequency, so the
 step fails on resonance (a vanishing frequency with a surviving linear
-term).  `reduction_frame` turns the chain into one affine map of creation
-operators, which carries the basic system's states back to the original
+term).  Each step acts on the creation operators as an affine map, so the
+chain composes into one map (`Frame`): it gives the reduced ladder in
+closed form and carries the basic system's states back to the original
 frame without building a unitary.
 
-Certification is matrix-level: the original operators are conjugated by the
-built unitaries of the chain, one step at a time, and compared against the
-rebuilt basic forms.  Hard truncation makes the conjugated matrices exact
-only away from the cutoff corner - the junk created there leaks inward by a
-few total-occupation shells under the displacement steps - so residuals are
-measured on a shell interior (n1 + n2 bounded by about half the cutoff), the
-region where the identity genuinely holds.
+The closed form is certified against matrices: the original operators are
+conjugated by the built unitaries of the chain, one step at a time, and
+compared against the rebuilt basic forms.  Hard truncation makes the
+conjugated matrices exact only away from the cutoff corner - the junk
+created there leaks inward by a few total-occupation shells under the
+displacement steps - so residuals are measured on a shell interior
+(n1 + n2 bounded by about half the cutoff), the region where the identity
+genuinely holds.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ import numpy as np
 from .errors import DomainError
 from .fock import GeneratorSet, Operator, interior_residual, shell_indices
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
-                     build_ladder, hamiltonian_params_from_matrix,
-                     ladder_coeffs_from_matrix)
-from .transforms import UnitarySpec, build_unitary, similarity
+                     build_ladder)
+from .transforms import UnitarySpec, build_unitary, mixing_angle, similarity
 
-__all__ = ["Reduction", "Frame", "rotated_gammas", "reduction_chain",
-           "reduction_frame", "reduce_by_similarity"]
+__all__ = ["Reduction", "Frame", "reduction_chain", "reduction_frame",
+           "reduce_by_similarity"]
 
 _ZERO = 1e-12
 
@@ -44,20 +45,9 @@ class Reduction:
     params: HamiltonianParams
     coeffs: LadderCoeffs
     chain: list[UnitarySpec]
-    h_residual: float   # shell-interior mismatch, conjugated H vs rebuilt basic H
+    h_residual: float   # shell-interior mismatch, conjugated H vs the basic H
     a_residual: float
     shell_max: int      # total occupation up to which the residuals are measured
-
-
-def rotated_gammas(p: HamiltonianParams, eps: int) -> tuple[complex, complex]:
-    """Linear-coupling amplitudes after the mixing rotation."""
-    b = p.b
-    c = np.sqrt((b + eps * p.beta3) / (2.0 * b))
-    s = np.sqrt((b - eps * p.beta3) / (2.0 * b))
-    phase = np.exp(1j * p.theta)
-    g1 = c * p.gamma1 + eps * np.conj(phase) * s * p.gamma2
-    g2 = c * p.gamma2 - eps * phase * s * p.gamma1
-    return complex(g1), complex(g2)
 
 
 def reduction_chain(p: HamiltonianParams,
@@ -71,9 +61,12 @@ def reduction_chain(p: HamiltonianParams,
     p = p.snapped()   # the couplings the solver and classify see
     chain: list[UnitarySpec] = []
     if abs(p.beta_plus) > _ZERO:
-        chain.append(UnitarySpec("mix_t", {"eps": eps, "b": p.b, "beta3": p.beta3,
-                                           "theta": p.theta}))
-        g1, g2 = rotated_gammas(p, eps)
+        rotation = UnitarySpec("mix_t", {"angle": mixing_angle(p.r, p.beta3, eps),
+                                         "theta": p.theta})
+        chain.append(rotation)
+        r = _affine(rotation)[0]
+        # U' a' U = r^dagger a': the couplings of a' go to conj(r) gamma
+        g1, g2 = map(complex, np.conj(r) @ [p.gamma1, p.gamma2])
         beta3 = eps * p.b
     else:
         g1, g2, beta3 = p.gamma1, p.gamma2, p.beta3
@@ -94,8 +87,9 @@ class Frame:
     """A reduction chain U as one affine map of creation operators,
         U a_i' U' = d_i = sum_k m[i, k] a_k' + c[i],   U|0> ∝ exp(x . a')|0>,
     so that U f(a1', a2')|0> ∝ exp(x . a') f(d1, d2)|0> is exact creation-series
-    arithmetic.  The basic parameters have beta3 >= 0: a chain that lands on
-    beta3 < 0 ends with the mode swap (1:2 is the mode swap of 2:1)."""
+    arithmetic.  The frames of `reduction_frame` have basic parameters with
+    beta3 >= 0: a chain that lands on beta3 < 0 ends with the mode swap (1:2
+    is the mode swap of 2:1)."""
 
     basic: HamiltonianParams
     m: np.ndarray
@@ -131,25 +125,35 @@ class Frame:
                             alpha3=t[1, 3] - t[2, 4], a0=q[0, 0] + q[1, 3] + q[2, 4])
 
 
-def reduction_frame(p: HamiltonianParams) -> Frame:
-    """The reduction chain of p composed into one Frame."""
-    chain, basic = reduction_chain(p)
+def _affine(spec: UnitarySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, s, pre): the chain factor V maps a' -> V a' V' = r a' + s and
+    |0> -> exp(pre . a')|0> (up to normalization)."""
+    if spec.kind == "mix_t":
+        phi, phase = spec.params["angle"], np.exp(1j * spec.params["theta"])
+        r = np.array([[np.cos(phi), phase * np.sin(phi)],
+                      [-np.conj(phase) * np.sin(phi), np.cos(phi)]])
+        return r, np.zeros(2), np.zeros(2)
+    mode = np.eye(2)[int(spec.kind[-1]) - 1]   # displace1 / displace2
+    alpha = complex(spec.params["alpha"])
+    return np.eye(2), -np.conj(alpha) * mode, alpha * mode
+
+
+def _compose(chain: list[UnitarySpec], basic: HamiltonianParams) -> Frame:
+    """The chain composed into one Frame, without the closing mode swap."""
     m, c, x = np.eye(2, dtype=complex), np.zeros(2, dtype=complex), np.zeros(2, dtype=complex)
     for spec in reversed(chain):   # U = U_1 ... U_k reaches the ket last factor first
-        # the factor V maps a' -> r a' + s and |0> -> exp(pre . a')|0>
-        r, s, pre = np.eye(2), np.zeros(2), np.zeros(2)
-        if spec.kind == "mix_t":   # eps = 1; mix_angle's b - beta3 cancels for small beta_plus
-            phi = 0.5 * np.arctan2(2.0 * p.r, p.beta3)
-            phase = np.exp(1j * spec.params["theta"])
-            r = np.array([[np.cos(phi), phase * np.sin(phi)],
-                          [-np.conj(phase) * np.sin(phi), np.cos(phi)]])
-        else:   # displace1 / displace2
-            mode = np.eye(2)[int(spec.kind[-1]) - 1]
-            s, pre = -np.conj(spec.params["alpha"]) * mode, spec.params["alpha"] * mode
+        r, s, pre = _affine(spec)
         m, c, x = m @ r, m @ s + c, pre + r.T @ x
-    if basic.beta3 < 0:
-        m, c, basic = m[::-1], c[::-1], replace(basic, beta3=-basic.beta3)
     return Frame(basic, m, c, x)
+
+
+def reduction_frame(p: HamiltonianParams) -> Frame:
+    """The reduction chain of p composed into one Frame, ending with the mode
+    swap when the chain lands on beta3 < 0."""
+    f = _compose(*reduction_chain(p))
+    if f.basic.beta3 < 0:
+        return Frame(replace(f.basic, beta3=-f.basic.beta3), f.m[::-1], f.c[::-1], f.x)
+    return f
 
 
 def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
@@ -158,11 +162,12 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
 
     The chain lists the similarity steps in application order; composing it
     with ``build_chain`` gives U with  H_reduced = U' H U  and
-    |original> = U |reduced>.  Reduced coefficients are read back off the
-    conjugated matrices, which also certifies that the conjugation stayed
-    inside the operator algebra.
+    |original> = U |reduced>.  The reduced parameters and coefficients are
+    the closed forms of `reduction_chain` and `Frame.reduced_ladder`; the
+    residuals compare them with H and A conjugated by the built unitaries.
     """
-    chain, _ = reduction_chain(p, eps)
+    chain, params = reduction_chain(p, eps)
+    coeffs = _compose(chain, params).reduced_ladder(c)
     if shell_max is None:
         shell_max = min(g.cutoff.n1_max, g.cutoff.n2_max) // 2
 
@@ -172,11 +177,8 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
         u = build_unitary(spec, g)
         h_red = similarity(u, h_red)
         a_red = similarity(u, a_red)
-    p_red = hamiltonian_params_from_matrix(h_red, g, shell_max=shell_max)
-    c_red = ladder_coeffs_from_matrix(a_red, g, shell_max=shell_max)
-
     keep = shell_indices(g.cutoff, shell_max)
-    h_resid = interior_residual(h_red - build_hamiltonian(p_red, g), keep)
-    a_resid = interior_residual(a_red - build_ladder(c_red, g), keep)
-    return Reduction(params=p_red, coeffs=c_red, chain=chain,
-                     h_residual=h_resid, a_residual=a_resid, shell_max=shell_max)
+    return Reduction(params=params, coeffs=coeffs, chain=chain,
+                     h_residual=interior_residual(h_red - build_hamiltonian(params, g), keep),
+                     a_residual=interior_residual(a_red - build_ladder(coeffs, g), keep),
+                     shell_max=shell_max)

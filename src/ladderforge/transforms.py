@@ -1,5 +1,6 @@
-"""Unitary toolkit: displacements, squeezes, the two-mode mixing rotation, and
-the similarity reductions that bring a general Hamiltonian to basic form.
+"""Unitary toolkit: displacements, squeezes and the two-mode mixing rotation,
+built as truncated matrices.  The reductions compute in closed form; these
+matrices certify them.
 
 Every generator here is block-diagonal on the truncated grid (shells n1 + n2,
 sectors n1 - n2, one-mode columns or rows), and `expm` applies scipy's
@@ -26,7 +27,7 @@ __all__ = [
     "expm",
     "build_unitary",
     "similarity",
-    "mix_angle",
+    "mixing_angle",
     "rotation_safe_degree",
     "verify_disentangled_T",
     "unitary_spec_to_json",
@@ -61,7 +62,7 @@ class UnitarySpec:
     displace1 / displace2:  alpha (complex)
     squeeze2:               chi (complex)
     squeeze_two_mode:       theta_tilde (real), phi_tilde (real)
-    mix_t:                  eps (+1/-1), b (> 0), beta3 (|beta3| <= b), theta (real)
+    mix_t:                  angle (real), theta (real); see mixing_angle
     """
 
     kind: str
@@ -70,32 +71,20 @@ class UnitarySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown unitary kind {self.kind!r}")
-        if self.kind == "mix_t":
-            eps = self.params.get("eps")
-            b = self.params.get("b")
-            beta3 = self.params.get("beta3")
-            if eps not in (1, -1, 1.0, -1.0):
-                raise DomainError("mix-eps", "mixing rotation requires eps in {+1, -1}")
-            if b is None or b <= 0:
-                raise DomainError("mix-b", "mixing rotation requires b > 0")
-            if abs(beta3) > b * (1 + 1e-12):
-                raise DomainError("mix-beta3", "mixing rotation requires |beta3| <= b")
 
 
-def mix_angle(eps: int, b: float, beta3: float) -> float:
-    """Rotation angle arctan(eps * sqrt((b - eps*beta3)/(b + eps*beta3))).
+def mixing_angle(r: float, beta3: float, eps: int) -> float:
+    """Angle of the mixing rotation that takes beta_plus (of modulus r) to 0
+    and beta3 to eps*b:  atan2(2r, beta3)/2 - (1 - eps) pi/4.
 
-    The endpoint cases are taken as limits: angle 0 when beta3 = eps*b (the
-    rotation degenerates to the identity) and eps*pi/2 when beta3 = -eps*b
-    (a phase-decorated mode swap).
+    The rotation exp(-angle (e^{-i theta} J+ - e^{i theta} J-)) maps
+        a1 -> cos(angle) a1 - e^{-i theta} sin(angle) a2,
+        a2 -> cos(angle) a2 + e^{i theta} sin(angle) a1;
+    angle 0 is the identity, angle pi/2 a phase-decorated mode swap.  Read
+    off r rather than b -/+ beta3, the angle has no cancellation near the
+    endpoints beta3 = +/-b.
     """
-    lo = b - eps * beta3
-    hi = b + eps * beta3
-    if abs(lo) < 1e-12:
-        return 0.0
-    if abs(hi) < 1e-12:
-        return eps * math.pi / 2.0
-    return math.atan(eps * math.sqrt(lo / hi))
+    return 0.5 * math.atan2(2.0 * r, beta3) - (1 - eps) * math.pi / 4.0
 
 
 def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> Operator:
@@ -116,8 +105,7 @@ def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> Operator:
         return -0.5 * th * (np.exp(-1j * ph) * (g.a1_dag @ g.a2_dag)
                              - np.exp(1j * ph) * (g.a1 @ g.a2))
     elif spec.kind == "mix_t":
-        phi = mix_angle(int(p["eps"]), float(p["b"]), float(p["beta3"]))
-        theta = float(p.get("theta", 0.0))
+        phi, theta = float(p["angle"]), float(p["theta"])
         return -phi * (np.exp(-1j * theta) * g.j_plus - np.exp(1j * theta) * g.j_minus)
     else:  # pragma: no cover - guarded in UnitarySpec
         raise ValueError(spec.kind)
@@ -171,13 +159,12 @@ def verify_disentangled_T(eps: int, b: float, beta3: float, theta: float,
         g = build_generators(cutoff)
     if degree is None:
         degree = rotation_safe_degree(cutoff)
-    t_exp = build_unitary(UnitarySpec("mix_t", {"eps": eps, "b": b, "beta3": beta3,
-                                                "theta": theta}), g)
     lo = b - eps * beta3
     hi = b + eps * beta3
     if abs(hi) < 1e-12:
         raise DomainError("disentangle-domain", "product form requires b + eps*beta3 > 0")
     tau = eps * math.sqrt(max(lo, 0.0) / hi)
+    t_exp = build_unitary(UnitarySpec("mix_t", {"angle": math.atan(tau), "theta": theta}), g)
     t_prod = (expm(-tau * np.exp(-1j * theta) * g.j_plus)
               @ expm(math.log(2.0 * b / hi) * g.j3)
               @ expm(tau * np.exp(1j * theta) * g.j_minus))

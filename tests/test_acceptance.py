@@ -23,12 +23,13 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 compute_a0, solve_alpha_block, solve_ladder,
                                 solve_mu_nu_block, su2_invariant, verify_ladder)
-from ladderforge.reductions import reduce_by_similarity, rotated_gammas
+from ladderforge.reductions import reduce_by_similarity
 from ladderforge.spectra import (diagonalize_oracle, normal_order_coeffs,
                                  normal_order_coeffs_recurrence,
                                  normal_order_power, raising_chain)
-from ladderforge.transforms import (UnitarySpec, build_chain, build_unitary,
+from ladderforge.transforms import (build_chain, build_unitary,
                                     rotation_safe_degree, similarity)
+from oracles import mix_spec, rotated_couplings
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -285,26 +286,22 @@ def test_criterion_6_similarity_reductions(gen14a):
     for beta0, eps in [(0.5, 1), (3.5, 1), (0.5, -1), (3.5, -1)]:
         b = abs(2.0 - beta0)
         p = gate_params(beta0, 0.5, b)
-        t = build_unitary(UnitarySpec("mix_t", {"eps": eps, "b": b,
-                                                "beta3": p.beta3,
-                                                "theta": p.theta}), g)
+        t = build_unitary(mix_spec(eps, b, p.beta3, p.theta), g)
         reduced = similarity(t, build_hamiltonian(p, g))
         target = build_hamiltonian(HamiltonianParams(beta0=beta0, beta3=eps * b), g)
         worst = max(worst, entrywise(reduced, target))
     # extended 2:1 (quarter-turn) and the b = 2 difference form
     p = gate_params(3.0, 0.0, 1.0, theta=0.4)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.0,
-                                            "theta": 0.4}), g)
+    t = build_unitary(mix_spec(1, 1.0, 0.0, 0.4), g)
     worst = max(worst, entrywise(similarity(t, build_hamiltonian(p, g)),
                                  build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0), g)))
     p = gate_params(0.0, 0.8, 2.0, theta=1.1)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 2.0, "beta3": 0.8,
-                                            "theta": 1.1}), g)
+    t = build_unitary(mix_spec(1, 2.0, 0.8, 1.1), g)
     worst = max(worst, entrywise(similarity(t, build_hamiltonian(p, g)), 2.0 * g.j3))
     # composite rotation + displacement chain with the printed constant shift
     p = gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.10 - 0.06j, h0=0.3)
     red = reduce_by_similarity(p, solve_ladder(p).coeffs[0], g)
-    g1, g2 = rotated_gammas(p, 1)
+    g1, g2 = rotated_couplings(p)
     h0_target = p.h0 - 2 * abs(g1) ** 2 / (p.beta0 + 1) - 2 * abs(g2) ** 2 / (p.beta0 - 1)
     sproj = shell_projector(g.cutoff, red.shell_max)
     u = build_chain(red.chain, g)

@@ -56,6 +56,20 @@ def test_chen_scenario(tmp_path):
     assert (tmp_path / "chen_state.csv").exists()
 
 
+@pytest.mark.parametrize("amplitude,kappa", [(5e-324, 1), (1e-200, 3)])
+def test_chen_with_tiny_amplitudes(tmp_path, amplitude, kappa):
+    # the states depend only on alpha_plus / alpha_minus: both amplitudes that
+    # small must give the same checked states as a unit pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_plus": amplitude, "alpha_minus": [0, amplitude]}))
+    assert run(["chen", "--config", str(cfg), "--p", "3", "--q", "2", "--kappa", str(kappa),
+                "--cutoff", "12,12", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "chen.json").read_text())["report"]
+    assert report["passed"] is True
+    amps = np.array(report["ground_state"]["amplitudes"])
+    assert abs(np.sum(amps ** 2) - 1.0) < 1e-12
+
+
 def test_chen_cutoff_too_small():
     assert run(["chen", "--p", "5", "--q", "4", "--kappa", "4",
                 "--cutoff", "10,10"]) == 65
@@ -281,18 +295,19 @@ def test_eigenstate_appendix_b_rows(tmp_path):
         assert report["reason"].endswith("[non-normalizable]")
 
 
-def test_eigenstate_b2_without_residual_is_refused(tmp_path):
-    # beta0 = 0, b = 2: both the annihilation and the creation gate hold
+def test_eigenstate_b2_checks_a_residual(tmp_path):
+    # beta0 = 0, b = 2: both the annihilation and the creation gate hold; the
+    # state is the coherent eigenstate of the lowered mode of the basic frame
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"beta0": 0.0, "beta3": 2.0},
                                "request": {"lambda": [0.3, 0.1]}}))
     code = run(["eigenstate", "--config", str(cfg), "--cutoff", "10,10",
                 "--out", str(tmp_path)])
-    assert code == 2
-    payload = json.loads((tmp_path / "eigenstate.json").read_text())
-    assert payload["report"]["tag"].startswith("LinearCoupledB2")
-    assert "residual" not in payload["report"]
-    assert payload["report"]["reason"].endswith("[b2-normalization]")
+    assert code == 0
+    report = json.loads((tmp_path / "eigenstate.json").read_text())["report"]
+    assert report["tag"].startswith("LinearCoupledB2")
+    assert report["passed"] is True
+    assert report["residual"] < report["tolerance"]
 
 
 @pytest.mark.parametrize("scenario", ["reduce", "spectrum", "solve-ladder"])

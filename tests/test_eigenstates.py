@@ -15,6 +15,7 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 solve_ladder)
 from ladderforge.transforms import UnitarySpec, build_chain, build_unitary
+from oracles import mix_spec
 
 
 def gate_params(beta0, beta3, b, theta=0.3, **kw):
@@ -110,7 +111,7 @@ def test_fractional_transform_consistency(gen20):
     b = 2.0 - p.beta0
     lam, kappa = 0.6 - 0.3j, 2
     chain = [
-        UnitarySpec("mix_t", {"eps": 1, "b": b, "beta3": p.beta3, "theta": p.theta}),
+        mix_spec(1, b, p.beta3, p.theta),
         UnitarySpec("displace1", {"alpha": np.sqrt((b + p.beta3) / (2 * b)) * lam}),
     ]
     w = apply(build_chain(chain, gen20), basis_state(gen20.cutoff, 0, kappa))
@@ -299,8 +300,7 @@ def test_su2_ground_is_exactly_normalized(gen14):
 def test_su2_ground_matches_rotation(gen14):
     for kappa in (0, 1, 3):
         v = su2_ground(0.6, 1.1, kappa, gen14)
-        t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.6,
-                                                "theta": 1.1}), gen14)
+        t = build_unitary(mix_spec(1, 1.0, 0.6, 1.1), gen14)
         w = apply(t, basis_state(gen14.cutoff, 0, kappa))
         assert np.linalg.norm(v.amplitudes - w.amplitudes) < 1e-8
 
@@ -429,8 +429,7 @@ def test_b2_geometric_series(gen20):
     mu1, nu1 = 1.0, 0.3
     v = linear_coupled_states(p, EigenstateRequest(tag=tag, branch=2, kappa=1),
                               gen20, mu1=mu1, nu1=nu1)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 2.0, "beta3": b3,
-                                            "theta": 0.0}), gen20)
+    t = build_unitary(mix_spec(1, 2.0, b3, 0.0), gen20)
     w = apply(t.dag(), v)
     x = (nu1 / mu1) * np.sqrt((2 + b3) / (2 - b3))
     assert abs(x - 0.3 / np.sqrt(3)) < 1e-14

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderforge.errors import LadderForgeError
 from ladderforge.params import (CaseTag, FamilyKind, HamiltonianParams,
                                 LadderCoeffs, build_hamiltonian, build_ladder,
                                 classify, coeffs_from_json, coeffs_to_json,
-                                compute_a0, hamiltonian_params_from_matrix,
-                                ladder_coeffs_from_matrix, params_from_json,
+                                compute_a0, params_from_json,
                                 params_to_json, solve_alpha_block, solve_ladder,
                                 solve_mu_nu_block, su2_invariant, verify_ladder)
 
@@ -241,25 +239,6 @@ def test_build_hamiltonian_diagonals(gen10):
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 5) < 1e-12
     h = build_hamiltonian(HamiltonianParams(beta0=0.0, beta3=2.0), gen10)
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - (2 - 3)) < 1e-12
-
-
-def test_extraction_roundtrip(gen10):
-    p = HamiltonianParams(beta0=1.7, beta_plus=0.3 - 0.4j, beta3=0.2,
-                          gamma1=0.5j, gamma2=0.1, h0=-0.3)
-    back = hamiltonian_params_from_matrix(build_hamiltonian(p, gen10), gen10)
-    assert abs(back.beta0 - p.beta0) < 1e-12
-    assert abs(back.beta_plus - p.beta_plus) < 1e-12
-    assert abs(back.h0 - p.h0) < 1e-12
-    c = LadderCoeffs(mu1=0.2, mu2=-0.4j, nu1=0.1, nu2=0.3 + 0.1j,
-                     alpha_plus=0.5, alpha_minus=-0.2j, alpha3=0.7, a0=1.1 - 0.2j)
-    back_c = ladder_coeffs_from_matrix(build_ladder(c, gen10), gen10)
-    np.testing.assert_allclose(back_c.as_array(), c.as_array(), atol=1e-12)
-
-
-def test_extraction_rejects_outside_span(gen10):
-    bad = gen10.a1_dag @ gen10.a1 @ gen10.a1  # cubic, not in the algebra
-    with pytest.raises(LadderForgeError):
-        ladder_coeffs_from_matrix(bad, gen10)
 
 
 def test_params_json_roundtrip():

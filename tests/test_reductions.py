@@ -1,21 +1,29 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ladderforge.errors import DomainError
-from ladderforge.fock import (FockCutoff, build_generators, interior_residual,
-                             shell_indices)
+from ladderforge.cli import run
+from ladderforge.errors import DomainError, LadderForgeError
+from ladderforge.fock import (FockCutoff, Operator, build_generators,
+                             interior_residual, shell_indices)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder,
-                                hamiltonian_params_from_matrix,
-                                ladder_coeffs_from_matrix, solve_ladder)
+                                coeffs_from_json, params_from_json,
+                                solve_ladder, verify_ladder)
 from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
                                      reduced_eigenstate, verify_eigenstate)
 from ladderforge.params import classify
 from ladderforge.reductions import (reduce_by_similarity, reduction_chain,
-                                    reduction_frame, rotated_gammas)
+                                    reduction_frame)
 from ladderforge.spectra import diagonalize_oracle
-from ladderforge.transforms import (build_chain, rotation_safe_degree,
-                                    similarity)
+from ladderforge.transforms import (build_chain, build_unitary,
+                                    rotation_safe_degree, similarity,
+                                    unitary_spec_from_json)
+from oracles import (hamiltonian_params_from_matrix, ladder_coeffs_from_matrix,
+                     reduced_params, rotated_couplings)
 
 
 def gate_params(beta0, beta3, b, theta=0.7, **kw):
@@ -90,7 +98,7 @@ def test_composite_reduction_with_couplings(gen14):
     assert [s.kind for s in red.chain] == ["mix_t", "displace1", "displace2"]
     assert red.h_residual < 1e-8
     assert abs(red.params.gamma1) < 1e-9 and abs(red.params.gamma2) < 1e-9
-    g1, g2 = rotated_gammas(p, 1)
+    g1, g2 = rotated_couplings(p)
     expected_h0 = p.h0 - 2 * abs(g1) ** 2 / (p.beta0 + 1) - 2 * abs(g2) ** 2 / (p.beta0 - 1)
     assert abs(red.params.h0 - expected_h0) < 1e-9
 
@@ -211,7 +219,7 @@ FRAME_FAMILIES = {
     "linear iso": HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
 }
 EIGEN_FAMILIES = ("generalized 2:1", "generalized 2:1, beta3 < 0", "1:2", "Appendix A 1:2",
-                  "su(2)", "fractional", "linear fractional", "linear iso")
+                  "su(2)", "fractional", "linear fractional", "b = 2", "linear iso")
 
 
 def _dense_image(p, basic_state, g):
@@ -271,15 +279,123 @@ def test_frame_carries_eigenstates_like_the_dense_chain(name, n):
         assert verify_eigenstate(a, got, lam_used, 4) < 1e-10
 
 
+def _conjugated(chain, op: Operator, g) -> Operator:
+    """U' O U with U the chain's built unitaries multiplied densely (U is
+    dense-filled, where sparse products are slow)."""
+    u = np.eye(g.cutoff.dim)
+    for spec in chain:
+        u = u @ build_unitary(spec, g).to_dense()
+    return Operator(g.cutoff, u.conj().T @ op.to_dense() @ u)
+
+
 @pytest.mark.parametrize("name", sorted(FRAME_FAMILIES))
 def test_reduced_ladder_matches_the_conjugated_matrix(gen14, name):
     p = FRAME_FAMILIES[name]
     c = combined_coeffs(solve_ladder(p))
     red = reduce_by_similarity(p, c, gen14, shell_max=6)
     assert red.chain == reduction_chain(p)[0]
-    m = red.coeffs
-    if reduction_chain(p)[1].beta3 < 0:   # the frame ends with the mode swap
-        m = LadderCoeffs(m.mu2, m.mu1, m.nu2, m.nu1, m.alpha_minus, m.alpha_plus,
-                         -m.alpha3, m.a0)
+    want = ladder_coeffs_from_matrix(_conjugated(red.chain, build_ladder(c, gen14), gen14),
+                                     gen14, shell_max=6)
+    assert np.max(np.abs(red.coeffs.as_array() - want.as_array())) < 1e-10
+    # reduction_frame ends with the mode swap when the chain lands on beta3 < 0
+    if red.params.beta3 < 0:
+        want = LadderCoeffs(want.mu2, want.mu1, want.nu2, want.nu1, want.alpha_minus,
+                            want.alpha_plus, -want.alpha3, want.a0)
     got = reduction_frame(p).reduced_ladder(c)
-    assert np.max(np.abs(got.as_array() - m.as_array())) < 1e-10
+    assert np.max(np.abs(got.as_array() - want.as_array())) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the matrix readers: the oracle the closed form is compared against
+# ---------------------------------------------------------------------------
+
+def test_extraction_roundtrip(gen10):
+    p = HamiltonianParams(beta0=1.7, beta_plus=0.3 - 0.4j, beta3=0.2,
+                          gamma1=0.5j, gamma2=0.1, h0=-0.3)
+    back = hamiltonian_params_from_matrix(build_hamiltonian(p, gen10), gen10)
+    assert abs(back.beta0 - p.beta0) < 1e-12
+    assert abs(back.beta_plus - p.beta_plus) < 1e-12
+    assert abs(back.h0 - p.h0) < 1e-12
+    c = LadderCoeffs(mu1=0.2, mu2=-0.4j, nu1=0.1, nu2=0.3 + 0.1j,
+                     alpha_plus=0.5, alpha_minus=-0.2j, alpha3=0.7, a0=1.1 - 0.2j)
+    back_c = ladder_coeffs_from_matrix(build_ladder(c, gen10), gen10)
+    np.testing.assert_allclose(back_c.as_array(), c.as_array(), atol=1e-12)
+
+
+def test_extraction_rejects_outside_span(gen10):
+    bad = gen10.a1_dag @ gen10.a1 @ gen10.a1  # cubic, not in the algebra
+    with pytest.raises(LadderForgeError):
+        ladder_coeffs_from_matrix(bad, gen10)
+
+
+# ---------------------------------------------------------------------------
+# the reduce scenario against the independent closed form and the readers
+# ---------------------------------------------------------------------------
+
+def _reduce(tmp, params: dict, eps: int, cutoff: int):
+    """(exit code, report) of the reduce scenario."""
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "eps": eps}))
+    code = run(["reduce", "--config", str(cfg), "--cutoff", f"{cutoff},{cutoff}",
+                "--out", str(tmp)])
+    return code, json.loads((tmp / "reduce.json").read_text())["report"]
+
+
+def _check_against_oracles(p: HamiltonianParams, eps: int, report: dict, cutoff: int):
+    got = params_from_json(report["reduced_params"])
+    want = reduced_params(p, eps)
+    for name in ("beta0", "beta_plus", "beta3", "gamma1", "gamma2", "h0"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-10, name
+    g = build_generators(FockCutoff(cutoff, cutoff))
+    chain = [unitary_spec_from_json(s) for s in report["chain"]]
+    a_ref = _conjugated(chain, build_ladder(combined_coeffs(solve_ladder(p)), g), g)
+    oracle = ladder_coeffs_from_matrix(a_ref, g, shell_max=report["shell_max"])
+    got = coeffs_from_json(report["reduced_coeffs"])
+    assert np.max(np.abs(got.as_array() - oracle.as_array())) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-9])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_near_endpoint_rotation_reduces_the_coupling(tmp_path, eps, r):
+    # beta3 within 1e-14 of b: an angle taken from b - beta3 would cancel
+    params = {"beta0": 3, "beta_plus": [r, 0], "beta3": 0.99999999999999, "gamma1": 0.2}
+    code, report = _reduce(tmp_path, params, eps, 20)
+    assert code == 0, report
+    assert [s["kind"] for s in report["chain"]][0] == "mix_t"
+    assert report["reduced_params"]["beta_plus"] == [0.0, 0.0]
+    assert max(report["h_residual"], report["a_residual"]) < 1e-8
+    _check_against_oracles(params_from_json(params), eps, report, 20)
+
+
+@st.composite
+def _coupled_gate_points(draw):
+    """A point on b^2 = 1 or (2 -/+ beta0)^2 = b^2 with |beta_plus| down to
+    1e-9 b and linear couplings small enough that every displacement of
+    either eps has |alpha| <= 0.15 (all mode frequencies are >= 0.3)."""
+    surface = draw(st.sampled_from(["unit", "mu", "nu"]))
+    if surface == "unit":
+        b = 1.0
+        beta0 = draw(st.floats(1.6, 2.6) | st.floats(3.4, 4.0))
+    else:
+        b = draw(st.floats(0.3, 0.7) | st.floats(1.3, 1.7))
+        beta0 = (2.0 if surface == "mu" else -2.0) + draw(st.sampled_from([1.0, -1.0])) * b
+    r = b * 10.0 ** draw(st.sampled_from([-9.0, -7.0]) | st.floats(-9.0, -0.31))
+    beta3 = draw(st.sampled_from([1.0, -1.0])) * np.sqrt(b * b - 4.0 * r * r)
+    theta = draw(st.floats(0.0, 6.3))
+    w_min = min(abs(beta0 + b), abs(beta0 - b)) / 2.0
+    z = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    z *= 0.15 * w_min / max(np.linalg.norm(z), 1.0)   # |gamma| <= 0.15 |omega|
+    return {"beta0": beta0, "beta_plus": [r * np.cos(theta), r * np.sin(theta)],
+            "beta3": beta3, "gamma1": list(z[:2]), "gamma2": list(z[2:])}
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(_coupled_gate_points(), st.sampled_from([1, -1]))
+def test_reduce_on_gate_surfaces_matches_the_closed_form(tmp_path_factory, params, eps):
+    p = params_from_json(params)
+    g = build_generators(FockCutoff(18, 18))
+    for c in solve_ladder(p).coeffs:
+        assert verify_ladder(build_hamiltonian(p, g), build_ladder(c, g)) < 1e-10
+    code, report = _reduce(tmp_path_factory.mktemp("reduce"), params, eps, 18)
+    assert code == 0, (params, eps, report)
+    _check_against_oracles(p, eps, report, 18)

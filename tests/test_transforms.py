@@ -8,10 +8,11 @@ from ladderforge.errors import DomainError
 from ladderforge.fock import (FockCutoff, apply, build_generators,
                              interior_projector, vacuum_state)
 from ladderforge.transforms import (UnitarySpec, build_chain, build_unitary,
-                                    expm, mix_angle, rotation_safe_degree,
+                                    expm, mixing_angle, rotation_safe_degree,
                                     similarity, unitary_generator,
                                     unitary_spec_from_json,
                                     unitary_spec_to_json, verify_disentangled_T)
+from oracles import mix_spec
 
 
 def safe_proj(g):
@@ -23,7 +24,7 @@ _ORACLE_SPECS = [
     UnitarySpec("displace2", {"alpha": -0.3j}),
     UnitarySpec("squeeze2", {"chi": 0.3 + 0.1j}),
     UnitarySpec("squeeze_two_mode", {"theta_tilde": 0.4, "phi_tilde": 1.2}),
-    UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.6, "theta": 0.7}),
+    mix_spec(1, 1.0, 0.6, 0.7),
 ]
 _SU2_FACTORS = {
     "j_plus": lambda g: -0.5 * np.exp(-0.7j) * g.j_plus,
@@ -54,8 +55,8 @@ def test_unitarity(gen10):
         UnitarySpec("displace2", {"alpha": -0.3j}),
         UnitarySpec("squeeze2", {"chi": 0.3 + 0.1j}),
         UnitarySpec("squeeze_two_mode", {"theta_tilde": 0.4, "phi_tilde": 1.2}),
-        UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.6, "theta": 0.7}),
-        UnitarySpec("mix_t", {"eps": -1, "b": 2.0, "beta3": -0.8, "theta": 2.1}),
+        mix_spec(1, 1.0, 0.6, 0.7),
+        mix_spec(-1, 2.0, -0.8, 2.1),
     ]
     for spec in specs:
         u = build_unitary(spec, gen10)
@@ -63,23 +64,29 @@ def test_unitarity(gen10):
 
 
 def test_mix_angle_limits():
-    assert mix_angle(1, 1.0, 1.0) == 0.0
-    assert mix_angle(1, 1.0, -1.0) == pytest.approx(np.pi / 2)
-    assert mix_angle(-1, 2.0, 2.0) == pytest.approx(-np.pi / 2)
-    assert mix_angle(1, 1.0, 0.0) == pytest.approx(np.pi / 4)
+    # endpoints beta3 = +/-b (beta_plus = 0) and the quarter turn beta3 = 0
+    assert mixing_angle(0.0, 1.0, 1) == 0.0
+    assert mixing_angle(0.0, -1.0, 1) == pytest.approx(np.pi / 2)
+    assert mixing_angle(0.0, 2.0, -1) == pytest.approx(-np.pi / 2)
+    assert mixing_angle(0.0, -2.0, -1) == 0.0
+    assert mixing_angle(0.5, 0.0, 1) == pytest.approx(np.pi / 4)
+    # off the endpoints: arctan(eps sqrt((b - eps beta3)/(b + eps beta3)))
+    for eps in (1, -1):
+        want = np.arctan(eps * np.sqrt((1.0 - eps * 0.6) / (1.0 + eps * 0.6)))
+        assert mixing_angle(0.4, 0.6, eps) == pytest.approx(want, abs=1e-15)
+    # near an endpoint the angle follows beta_plus, which b - beta3 cannot
+    assert mixing_angle(1e-9, 0.99999999999999, 1) == pytest.approx(1e-9, rel=1e-12)
 
 
 def test_mix_fixes_vacuum(gen10):
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.7, "beta3": 0.9,
-                                            "theta": 0.3}), gen10)
+    t = build_unitary(mix_spec(1, 1.7, 0.9, 0.3), gen10)
     v = apply(t, vacuum_state(gen10.cutoff))
     assert abs(v.amplitudes[gen10.cutoff.index(0, 0)] - 1.0) < 1e-12
 
 
 def test_mix_action_simple(gen10):
     proj = safe_proj(gen10)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.0,
-                                            "theta": 0.0}), gen10)
+    t = build_unitary(mix_spec(1, 1.0, 0.0, 0.0), gen10)
     lhs = similarity(t, gen10.a1)
     rhs = (gen10.a1 - gen10.a2) / np.sqrt(2)
     assert (proj @ (lhs - rhs) @ proj).norm() < 1e-9
@@ -91,8 +98,7 @@ def test_mix_action_simple(gen10):
 ])
 def test_mix_action_grid(gen10, eps, b, beta3, theta):
     proj = safe_proj(gen10)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": eps, "b": b, "beta3": beta3,
-                                            "theta": theta}), gen10)
+    t = build_unitary(mix_spec(eps, b, beta3, theta), gen10)
     c = np.sqrt((b + eps * beta3) / (2 * b))
     s = np.sqrt((b - eps * beta3) / (2 * b))
     rhs1 = c * gen10.a1 - eps * np.exp(-1j * theta) * s * gen10.a2
@@ -117,8 +123,7 @@ def test_disentangled_rejects_swap_endpoint(gen10):
 def test_mode_swap_endpoint_is_swap(gen10):
     # beta3 = -eps*b: angle pi/2, a phase-decorated exchange of the modes
     proj = safe_proj(gen10)
-    t = build_unitary(UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": -1.0,
-                                            "theta": 0.5}), gen10)
+    t = build_unitary(mix_spec(1, 1.0, -1.0, 0.5), gen10)
     lhs = similarity(t, gen10.a1)
     rhs = -np.exp(-0.5j) * gen10.a2
     assert (proj @ (lhs - rhs) @ proj).norm() < 1e-9
@@ -158,12 +163,6 @@ def test_two_mode_squeeze_pair_series(gen14):
 def test_spec_validation():
     with pytest.raises(ValueError):
         UnitarySpec("warp", {})
-    with pytest.raises(DomainError):
-        UnitarySpec("mix_t", {"eps": 2, "b": 1.0, "beta3": 0.0})
-    with pytest.raises(DomainError):
-        UnitarySpec("mix_t", {"eps": 1, "b": 0.0, "beta3": 0.0})
-    with pytest.raises(DomainError):
-        UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 1.5})
 
 
 def test_chain_composition_order(gen10):
@@ -177,7 +176,7 @@ def test_chain_composition_order(gen10):
 
 
 def test_spec_json_roundtrip():
-    spec = UnitarySpec("mix_t", {"eps": 1, "b": 1.0, "beta3": 0.25, "theta": 0.4})
+    spec = mix_spec(1, 1.0, 0.25, 0.4)
     back = unitary_spec_from_json(json.loads(json.dumps(unitary_spec_to_json(spec))))
     assert back.kind == spec.kind
     for key, val in spec.params.items():
