@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .catalogue import Bindings, appendix_catalogue
-from .chen import (PQParams, build_A_pq_generalized, build_calA_pq, build_H_pq,
-                   chen_ground, degenerate_zero_states, louck_spectrum,
+from .chen import (PQParams, _unit_amplitudes, build_A_pq_generalized, build_calA_pq,
+                   build_H_pq, chen_ground, degenerate_zero_states, louck_spectrum,
                    tilde0_state)
 from .errors import DomainError, LadderForgeError
 from .eigenstates import (EigenstateRequest, chain_seed, reduced_eigenstate,
@@ -194,8 +194,7 @@ def _inputs(cfg: dict) -> SimpleNamespace:
                      kappa=request("kappa", _integer, 0),
                      branch=request("branch", lambda b: _choice(_integer(b), (1, 2, 3)), 1),
                      c1=request("c1", _optional_complex),
-                     c2=request("c2", _optional_complex),
-                     lambda2=request("lambda2", _optional_complex)),
+                     c2=request("c2", _optional_complex)),
     )
 
 
@@ -331,6 +330,13 @@ def _run_chen(inp, g):
         raise _CutoffTooSmall(
             f"chen kappa={kappa} needs cutoffs >= ({pq.q * kappa},{pq.p * kappa}) "
             f"and twice the ladder degree {degree}")
+    # the residuals are absolute: build every operator from the same ray
+    # scaled to unit modulus, so that they neither overflow nor vanish with |alpha|
+    alphas = _unit_amplitudes(pq)
+    if not all(alphas):
+        return _refuse(f"{pq.p}:{pq.q}", "alpha_plus / alpha_minus is outside "
+                                         "the double-precision range")
+    pq = PQParams(pq.p, pq.q, *alphas)
     h = build_H_pq(pq, g)
     cal_a = build_calA_pq(pq, g)
     a_gen = build_A_pq_generalized(pq, g)

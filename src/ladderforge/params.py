@@ -376,7 +376,7 @@ def classify(p: HamiltonianParams, tol: ToleranceConfig = DEFAULT_TOL) -> CaseTa
     if not mu_gate and not nu_gate:
         return CaseTag(FamilyKind.NONE)
     branch = "mu" if mu_gate else "nu"
-    if _close(b2, 0.0, gate):
+    if b2 <= gate ** 2:   # b = 0 means b <= gate, so b^2 is held to gate^2
         if has_g:
             return CaseTag(FamilyKind.LINEAR_ISO, branch)
         if mu_gate:

@@ -10,14 +10,13 @@ chain composes into one map (`Frame`): it gives the reduced ladder in
 closed form and carries the basic system's states back to the original
 frame without building a unitary.
 
-The closed form is certified against matrices: the original operators are
-conjugated by the built unitaries of the chain, one step at a time, and
-compared against the rebuilt basic forms.  Hard truncation makes the
-conjugated matrices exact only away from the cutoff corner - the junk
-created there leaks inward by a few total-occupation shells under the
-displacement steps - so residuals are measured on a shell interior
-(n1 + n2 bounded by about half the cutoff), the region where the identity
-genuinely holds.
+The closed form is certified against the brute-force truncated H and A:
+the frame also gives the columns W = U[:, S] of the chain's unitary exactly
+on the truncated space (creation-series arithmetic, no matrix exponential),
+and the residuals are ||W' H W - H_red[S, S]||_F and the same for A.  The
+columns are not renormalized, so the weight a displaced column loses past
+the cutoff shows in the residual; S is the shell set n1 + n2 <= about half
+the cutoff, the region where the identity genuinely holds.
 """
 
 from __future__ import annotations
@@ -27,10 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .fock import GeneratorSet, Operator, interior_residual, shell_indices
+from .fock import (GeneratorSet, Operator, apply_creation_series, shell_indices,
+                   vacuum_state)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder)
-from .transforms import UnitarySpec, build_unitary, mixing_angle, similarity
+from .transforms import UnitarySpec, mixing_angle
 
 __all__ = ["Reduction", "Frame", "reduction_chain", "reduction_frame",
            "reduce_by_similarity"]
@@ -45,9 +45,9 @@ class Reduction:
     params: HamiltonianParams
     coeffs: LadderCoeffs
     chain: list[UnitarySpec]
-    h_residual: float   # shell-interior mismatch, conjugated H vs the basic H
-    a_residual: float
-    shell_max: int      # total occupation up to which the residuals are measured
+    h_residual: float   # ||W' H W - H_red[S, S]||_F, W = U[:, S] from the frame
+    a_residual: float   # the same for A and the reduced ladder
+    shell_max: int      # S: the basis states with n1 + n2 <= shell_max
 
 
 def reduction_chain(p: HamiltonianParams,
@@ -104,6 +104,30 @@ class Frame:
     def prefix(self, g: GeneratorSet) -> Operator:
         return self.x[0] * g.a1_dag + self.x[1] * g.a2_dag
 
+    def columns(self, g: GeneratorSet, keep: np.ndarray) -> np.ndarray:
+        """U[:, keep], exact on the truncated space:
+            U|n1, n2> = d1^n1 d2^n2 U|0> / sqrt(n1! n2!),
+            U|0> = e^{-|x|^2/2} exp(x . a')|0>,
+        each column one creation step from a lower one, so `keep` (sorted)
+        must hold the lower neighbour of each of its states, as shell and
+        interior index sets do.  Nothing is renormalized: the weight a column
+        has past the cutoff is truncation, and stays missing."""
+        vac = apply_creation_series(self.prefix(g), vacuum_state(g.cutoff)).amplitudes
+        d1, d2 = (d.mat for d in self.dags(g))
+        stride = g.cutoff.n2_max + 1
+        w = np.empty((g.cutoff.dim, keep.size), dtype=complex)
+        col = {}
+        for j, k in enumerate(keep.tolist()):
+            n1, n2 = divmod(k, stride)
+            if n1:
+                w[:, j] = d1 @ w[:, col[k - stride]] / np.sqrt(n1)
+            elif n2:
+                w[:, j] = d2 @ w[:, col[k - 1]] / np.sqrt(n2)
+            else:
+                w[:, j] = np.exp(-np.vdot(self.x, self.x).real / 2.0) * vac
+            col[k] = j
+        return w
+
     def reduced_ladder(self, c: LadderCoeffs) -> LadderCoeffs:
         """Coefficients of U' A U, with A built from c.
 
@@ -157,28 +181,28 @@ def reduction_frame(p: HamiltonianParams) -> Frame:
 
 
 def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
-                         eps: int = 1, shell_max: int | None = None) -> Reduction:
+                         eps: int = 1) -> Reduction:
     """Return the basic-form parameters, coefficients and the transform chain.
 
-    The chain lists the similarity steps in application order; composing it
-    with ``build_chain`` gives U with  H_reduced = U' H U  and
+    The chain lists the similarity steps in application order; composed
+    (``transforms.build_chain``) it is the U with  H_reduced = U' H U  and
     |original> = U |reduced>.  The reduced parameters and coefficients are
     the closed forms of `reduction_chain` and `Frame.reduced_ladder`; the
-    residuals compare them with H and A conjugated by the built unitaries.
+    residuals compare them, on the shells S, with the truncated H and A
+    conjugated by the frame's exact columns W = U[:, S].
     """
     chain, params = reduction_chain(p, eps)
-    coeffs = _compose(chain, params).reduced_ladder(c)
-    if shell_max is None:
-        shell_max = min(g.cutoff.n1_max, g.cutoff.n2_max) // 2
-
-    h_red = build_hamiltonian(p, g)
-    a_red = build_ladder(c, g)
-    for spec in chain:  # one factor at a time: each stays sparse, unlike U
-        u = build_unitary(spec, g)
-        h_red = similarity(u, h_red)
-        a_red = similarity(u, a_red)
+    frame = _compose(chain, params)
+    coeffs = frame.reduced_ladder(c)
+    shell_max = min(g.cutoff.n1_max, g.cutoff.n2_max) // 2
     keep = shell_indices(g.cutoff, shell_max)
+    w = frame.columns(g, keep)
+
+    def residual(op: Operator, reduced: Operator) -> float:
+        return float(np.linalg.norm(w.conj().T @ (op.mat @ w)
+                                    - reduced.mat[keep][:, keep].toarray()))
+
     return Reduction(params=params, coeffs=coeffs, chain=chain,
-                     h_residual=interior_residual(h_red - build_hamiltonian(params, g), keep),
-                     a_residual=interior_residual(a_red - build_ladder(coeffs, g), keep),
+                     h_residual=residual(build_hamiltonian(p, g), build_hamiltonian(params, g)),
+                     a_residual=residual(build_ladder(c, g), build_ladder(coeffs, g)),
                      shell_max=shell_max)

@@ -1,6 +1,7 @@
 """Unitary toolkit: displacements, squeezes and the two-mode mixing rotation,
-built as truncated matrices.  The reductions compute in closed form; these
-matrices certify them.
+built as truncated matrices.  The reductions compute and certify in closed
+form (reductions.Frame) and build none of them; here they serve
+verify_disentangled_T and are the test suite's oracle for the closed forms.
 
 Every generator here is block-diagonal on the truncated grid (shells n1 + n2,
 sectors n1 - n2, one-mode columns or rows), and `expm` applies scipy's

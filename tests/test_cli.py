@@ -56,18 +56,31 @@ def test_chen_scenario(tmp_path):
     assert (tmp_path / "chen_state.csv").exists()
 
 
-@pytest.mark.parametrize("amplitude,kappa", [(5e-324, 1), (1e-200, 3)])
+@pytest.mark.parametrize("amplitude,kappa", [(5e-324, 1), (1e-200, 3), (5e-324, 3),
+                                             (1e200, 3)])
 def test_chen_with_tiny_amplitudes(tmp_path, amplitude, kappa):
-    # the states depend only on alpha_plus / alpha_minus: both amplitudes that
-    # small must give the same checked states as a unit pair
+    # the states depend only on alpha_plus / alpha_minus, and the operators are
+    # built from the unit-modulus ray: both amplitudes that small (or that
+    # large) must give the same report as a unit pair, with residuals that
+    # neither overflow nor read 0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha_plus": amplitude, "alpha_minus": [0, amplitude]}))
-    assert run(["chen", "--config", str(cfg), "--p", "3", "--q", "2", "--kappa", str(kappa),
-                "--cutoff", "12,12", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "chen.json").read_text())["report"]
-    assert report["passed"] is True
-    amps = np.array(report["ground_state"]["amplitudes"])
+    reports = []
+    for scale in (amplitude, 1.0):
+        cfg.write_text(json.dumps({"alpha_plus": scale, "alpha_minus": [0, scale]}))
+        assert run(["chen", "--config", str(cfg), "--p", "3", "--q", "2", "--kappa",
+                    str(kappa), "--cutoff", "12,12", "--out", str(tmp_path)]) == 0
+        reports.append(json.loads((tmp_path / "chen.json").read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] is True and reports[0]["ladder_residual"] > 0.0
+    amps = np.array(reports[0]["ground_state"]["amplitudes"])
     assert abs(np.sum(amps ** 2) - 1.0) < 1e-12
+
+
+def test_chen_refuses_an_amplitude_ratio_beyond_double_range(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_plus": 4.0, "alpha_minus": 5e-324}))
+    assert run(["chen", "--config", str(cfg), "--p", "3", "--q", "2",
+                "--cutoff", "12,12", "--out", str(tmp_path)]) == 2
 
 
 def test_chen_cutoff_too_small():
@@ -249,6 +262,20 @@ def test_spectrum_with_a_mixing_rotation_near_its_endpoint(tmp_path, params):
                 "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
     assert report["worst_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("b", [1e-6, 2e-9, 5e-10, 1e-11])
+def test_spectrum_near_the_isotropic_point(tmp_path, b, sign):
+    # b counts as zero only up to the gate tolerance 1e-10; a larger b is a
+    # fractional family, whose isotropic seeds would be off by about b
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2.0 + sign * b, "beta3": b}}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "20,20",
+                "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    assert report["tag"].startswith("Isotropic" if b <= 1e-10 else "Fractional")
+    assert report["worst_residual"] < 1e-10
 
 
 def test_linear_iso_eigenstate_takes_c1(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
 from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
                                      reduced_eigenstate, verify_eigenstate)
 from ladderforge.params import classify
-from ladderforge.reductions import (reduce_by_similarity, reduction_chain,
+from ladderforge import reductions
+from ladderforge.reductions import (_compose, reduce_by_similarity, reduction_chain,
                                     reduction_frame)
 from ladderforge.spectra import diagonalize_oracle
 from ladderforge.transforms import (build_chain, build_unitary,
@@ -180,8 +184,8 @@ def test_reduction_chain_maps_states(gen14):
      gate_params(2.8, -0.4, 1.0, gamma1=0.1 - 0.05j, gamma2=0.08j)),
 ], ids=["rotation", "displacements", "rotation+displacements"])
 def test_stepwise_conjugation_matches_composed_chain(kinds, cutoff, p):
-    # reduce conjugates one chain factor at a time; the composed U of
-    # build_chain is the reference
+    # the closed form and the residuals of reduce against the conjugation
+    # by the composed U of build_chain
     g = build_generators(FockCutoff(cutoff, cutoff))
     c = combined_coeffs(solve_ladder(p))
     red = reduce_by_similarity(p, c, g)
@@ -279,6 +283,64 @@ def test_frame_carries_eigenstates_like_the_dense_chain(name, n):
         assert verify_eigenstate(a, got, lam_used, 4) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("name", sorted(FRAME_FAMILIES))
+def test_frame_columns_match_the_dense_chain(name, eps):
+    # on the shells n1 + n2 <= N/2 the truncated expm of every factor is
+    # exact, and the frame's columns are exact everywhere
+    p = FRAME_FAMILIES[name]
+    g = build_generators(FockCutoff(20, 20))
+    chain, basic = reduction_chain(p, eps)
+    keep = shell_indices(g.cutoff, 10)
+    got = _compose(chain, basic).columns(g, keep)
+    want = build_chain(chain, g).to_dense()[:, keep]
+    assert np.max(np.abs(got[keep] - want[keep])) < 1e-10
+
+
+def _shift_h0(chain, params):
+    return chain, replace(params, h0=params.h0 + 1e-6)
+
+
+def _turn_rotation(chain, params):
+    spec = chain[0]
+    angle = spec.params["angle"] + 1e-6
+    return [replace(spec, params={**spec.params, "angle": angle}), *chain[1:]], params
+
+
+@pytest.mark.parametrize("perturb", [None, _shift_h0, _turn_rotation])
+def test_reduce_residuals_see_a_wrong_chain(tmp_path, monkeypatch, perturb):
+    # an Appendix B6 point whose displacements reach |alpha| = 0.5: the
+    # residuals certify the true chain and refuse one that is off by 1e-6
+    params = {"beta0": 2.5, "beta_plus": [0.4, 0.0], "beta3": 0.6,
+              "gamma1": [0.81, 0.18], "gamma2": [0.36, -0.27]}
+    chain = reduction_chain(params_from_json(params))[0]
+    assert [s.kind for s in chain] == ["mix_t", "displace1", "displace2"]
+    assert max(abs(s.params.get("alpha", 0)) for s in chain) > 0.45
+    if perturb is not None:
+        true_chain = reduction_chain
+        monkeypatch.setattr(reductions, "reduction_chain",
+                            lambda p, eps=1: perturb(*true_chain(p, eps)))
+    code, report = _reduce(tmp_path, params, 1, 24)
+    assert code == (0 if perturb is None else 1), report
+    assert (max(report["h_residual"], report["a_residual"]) > 1e-7) == (perturb is not None)
+
+
+def test_reduce_loads_no_dense_linalg(tmp_path):
+    # the reduce path builds no unitary: none of scipy's expm machinery, and
+    # no sparse norm, is imported by a whole reduce run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2.5, "beta_plus": [0.4, 0], "beta3": 0.6,
+                                          "gamma1": [0.1, 0.05]}}))
+    probe = ("import sys; from ladderforge.cli import run; "
+             "assert run(['reduce', '--config', sys.argv[1], '--cutoff', '12,12', "
+             "'--out', sys.argv[2]]) == 0; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', "
+             "'scipy.sparse.csgraph') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _conjugated(chain, op: Operator, g) -> Operator:
     """U' O U with U the chain's built unitaries multiplied densely (U is
     dense-filled, where sparse products are slow)."""
@@ -292,7 +354,7 @@ def _conjugated(chain, op: Operator, g) -> Operator:
 def test_reduced_ladder_matches_the_conjugated_matrix(gen14, name):
     p = FRAME_FAMILIES[name]
     c = combined_coeffs(solve_ladder(p))
-    red = reduce_by_similarity(p, c, gen14, shell_max=6)
+    red = reduce_by_similarity(p, c, gen14)
     assert red.chain == reduction_chain(p)[0]
     want = ladder_coeffs_from_matrix(_conjugated(red.chain, build_ladder(c, gen14), gen14),
                                      gen14, shell_max=6)
