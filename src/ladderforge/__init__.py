@@ -11,7 +11,7 @@ from .eigenstates import (EigenstateRequest, basic21_states,
                           fractional_lambda_state, fractional_separable_cs,
                           isotropic_states, linear_coupled_states, su2_ground,
                           verify_eigenstate)
-from .errors import CutoffMismatch, DomainError, LadderForgeError
+from .errors import CutoffMismatch, CutoffTooSmall, DomainError, LadderForgeError
 from .fock import (DEFAULT_TOL, FockCutoff, GeneratorSet, Operator,
                    ToleranceConfig, TwoModeState, apply, build_generators,
                    commutator, interior_indices, interior_residual,

@@ -34,7 +34,7 @@ from .catalogue import Bindings, appendix_catalogue
 from .chen import (PQParams, _unit_amplitudes, build_A_pq_generalized, build_calA_pq,
                    build_H_pq, chen_ground, degenerate_zero_states, louck_spectrum,
                    tilde0_state)
-from .errors import DomainError, LadderForgeError
+from .errors import CutoffTooSmall, DomainError, LadderForgeError
 from .eigenstates import (EigenstateRequest, chain_seed, reduced_eigenstate,
                           verify_eigenstate)
 from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator,
@@ -55,10 +55,6 @@ EXIT_CUTOFF = 65
 
 
 class ConfigError(Exception):
-    pass
-
-
-class _CutoffTooSmall(Exception):
     pass
 
 
@@ -200,7 +196,7 @@ def _inputs(cfg: dict) -> SimpleNamespace:
 
 def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
     if min(cutoff.n1_max, cutoff.n2_max) < min_each:
-        raise _CutoffTooSmall(f"scenario needs cutoffs of at least ({min_each},{min_each})")
+        raise CutoffTooSmall(f"scenario needs cutoffs of at least ({min_each},{min_each})")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def _run_chen(inp, g):
     degree = max(pq.p, pq.q)
     if (cutoff.n1_max < max(pq.q * kappa, 2 * degree)
             or cutoff.n2_max < max(pq.p * kappa, 2 * degree)):
-        raise _CutoffTooSmall(
+        raise CutoffTooSmall(
             f"chen kappa={kappa} needs cutoffs >= ({pq.q * kappa},{pq.p * kappa}) "
             f"and twice the ladder degree {degree}")
     # the residuals are absolute: build every operator from the same ray
@@ -452,7 +448,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except _CutoffTooSmall as exc:
+    except CutoffTooSmall as exc:
         print(f"cutoff too small: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
     except DomainError as exc:

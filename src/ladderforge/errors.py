@@ -9,6 +9,10 @@ class CutoffMismatch(LadderForgeError):
     """Two objects built over different Fock-space truncations were combined."""
 
 
+class CutoffTooSmall(LadderForgeError):
+    """The truncation cannot hold what a scenario must check."""
+
+
 class DomainError(LadderForgeError):
     """A constructor was asked to run outside its domain of validity.
 

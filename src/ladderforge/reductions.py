@@ -14,9 +14,11 @@ The closed form is certified against the brute-force truncated H and A:
 the frame also gives the columns W = U[:, S] of the chain's unitary exactly
 on the truncated space (creation-series arithmetic, no matrix exponential),
 and the residuals are ||W' H W - H_red[S, S]||_F and the same for A.  The
-columns are not renormalized, so the weight a displaced column loses past
-the cutoff shows in the residual; S is the shell set n1 + n2 <= about half
-the cutoff, the region where the identity genuinely holds.
+columns are not renormalized: the weight 1 - ||W[:, j]||^2 a displaced
+column loses past the cutoff is measured, and S is the shells
+n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13, the
+region where the truncated identity holds.  The weight lost depends on the
+chain and the cutoff only, never on the closed form being certified.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CutoffTooSmall, DomainError
 from .fock import (GeneratorSet, Operator, apply_creation_series, shell_indices,
                    vacuum_state)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
@@ -36,6 +38,10 @@ __all__ = ["Reduction", "Frame", "reduction_chain", "reduction_frame",
            "reduce_by_similarity"]
 
 _ZERO = 1e-12
+# the norm a certified column may lose past the cutoff: far above the roundoff
+# of a unit column, and times the size of H and A near the cutoff (< 100)
+# under 1e-11 in a residual
+_INTACT = 1e-13
 
 
 @dataclass
@@ -47,7 +53,7 @@ class Reduction:
     chain: list[UnitarySpec]
     h_residual: float   # ||W' H W - H_red[S, S]||_F, W = U[:, S] from the frame
     a_residual: float   # the same for A and the reduced ladder
-    shell_max: int      # S: the basis states with n1 + n2 <= shell_max
+    shell_max: int      # S: n1 + n2 <= shell_max, the shells whose columns are intact
 
 
 def reduction_chain(p: HamiltonianParams,
@@ -189,14 +195,24 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     |original> = U |reduced>.  The reduced parameters and coefficients are
     the closed forms of `reduction_chain` and `Frame.reduced_ladder`; the
     residuals compare them, on the shells S, with the truncated H and A
-    conjugated by the frame's exact columns W = U[:, S].
+    conjugated by the frame's exact columns W = U[:, S].  S is the shells up
+    to min(N1, N2)//2 below the first whose columns lose more than 1e-13 of
+    their norm past the cutoff; CutoffTooSmall when that leaves no shell 1.
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
-    shell_max = min(g.cutoff.n1_max, g.cutoff.n2_max) // 2
-    keep = shell_indices(g.cutoff, shell_max)
+    keep = shell_indices(g.cutoff, min(g.cutoff.n1_max, g.cutoff.n2_max) // 2)
     w = frame.columns(g, keep)
+    shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
+    lost = 1.0 - np.vecdot(w.T, w.T).real
+    shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
+    if shell_max < 1:   # shell 1 is the least S that sees every coefficient
+        raise CutoffTooSmall(f"reduce cannot certify at cutoff {g.cutoff.n1_max},"
+                             f"{g.cutoff.n2_max}: the frame's shell-1 columns lose "
+                             f"{lost[shells <= 1].max():.1e} of their norm past it")
+    if shell_max < shells.max():
+        keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
 
     def residual(op: Operator, reduced: Operator) -> float:
         return float(np.linalg.norm(w.conj().T @ (op.mat @ w)

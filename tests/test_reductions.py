@@ -307,12 +307,15 @@ def _turn_rotation(chain, params):
     return [replace(spec, params={**spec.params, "angle": angle}), *chain[1:]], params
 
 
+# an Appendix B6 point whose displacements reach |alpha| = 0.5
+B6_WIDE = {"beta0": 2.5, "beta_plus": [0.4, 0.0], "beta3": 0.6,
+           "gamma1": [0.81, 0.18], "gamma2": [0.36, -0.27]}
+
+
 @pytest.mark.parametrize("perturb", [None, _shift_h0, _turn_rotation])
 def test_reduce_residuals_see_a_wrong_chain(tmp_path, monkeypatch, perturb):
-    # an Appendix B6 point whose displacements reach |alpha| = 0.5: the
-    # residuals certify the true chain and refuse one that is off by 1e-6
-    params = {"beta0": 2.5, "beta_plus": [0.4, 0.0], "beta3": 0.6,
-              "gamma1": [0.81, 0.18], "gamma2": [0.36, -0.27]}
+    # the residuals certify the true chain and refuse one that is off by 1e-6
+    params = B6_WIDE
     chain = reduction_chain(params_from_json(params))[0]
     assert [s.kind for s in chain] == ["mix_t", "displace1", "displace2"]
     assert max(abs(s.params.get("alpha", 0)) for s in chain) > 0.45
@@ -323,6 +326,37 @@ def test_reduce_residuals_see_a_wrong_chain(tmp_path, monkeypatch, perturb):
     code, report = _reduce(tmp_path, params, 1, 24)
     assert code == (0 if perturb is None else 1), report
     assert (max(report["h_residual"], report["a_residual"]) > 1e-7) == (perturb is not None)
+
+
+@pytest.mark.parametrize("params,cutoff", [(B6_WIDE, 12), (B6_WIDE, 16), (B6_WIDE, 20),
+                                           ({"beta0": 2.5, "beta_plus": [0.4, 0], "beta3": 0.6,
+                                             "gamma1": [0.1, 0.05]}, 16)])
+def test_reduce_certifies_on_the_intact_shells(tmp_path, params, cutoff):
+    # S stops below the first shell whose columns lose more than 1e-13 of
+    # their norm past the cutoff (|alpha| = 0.5 leaks from the top shells of
+    # N//2, |alpha| = 0.1 does not), and the residuals on it carry no truncation
+    code, report = _reduce(tmp_path, params, 1, cutoff)
+    assert code == 0, report
+    assert max(report["h_residual"], report["a_residual"]) < 1e-11
+    shell_max = report["shell_max"]
+    stops = params is B6_WIDE
+    assert 1 <= shell_max and (shell_max < cutoff // 2) == stops
+    g = build_generators(FockCutoff(cutoff, cutoff))
+    keep = shell_indices(g.cutoff, shell_max + 1)
+    lost = 1 - np.linalg.norm(reduction_frame(params_from_json(params)).columns(g, keep),
+                              axis=0) ** 2
+    inside = np.isin(keep, shell_indices(g.cutoff, shell_max))
+    assert lost[inside].max() <= reductions._INTACT
+    assert (lost[~inside].max() > reductions._INTACT) == stops
+
+
+def test_reduce_refuses_a_cutoff_without_an_intact_shell(tmp_path):
+    # at cutoff 8 the displaced shell-1 columns already lose 4e-9
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": B6_WIDE}))
+    assert run(["reduce", "--config", str(cfg), "--cutoff", "8,8",
+                "--out", str(tmp_path)]) == 65
+    assert not (tmp_path / "reduce.json").exists()
 
 
 def test_reduce_loads_no_dense_linalg(tmp_path):
