@@ -22,7 +22,8 @@ from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      solve_mu_nu_block, su2_invariant, verify_ladder)
 from .reductions import Reduction, reduce_by_similarity
 from .spectra import (SpectrumReport, closed_form_spectrum, diagonalize_oracle,
-                      normal_order_coeffs, normal_order_power, raising_chain)
+                      nearest_eigenvalues, normal_order_coeffs, normal_order_power,
+                      raising_chain)
 from .transforms import (UnitarySpec, build_unitary, expm, similarity,
                          verify_disentangled_T)
 

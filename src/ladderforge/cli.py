@@ -44,7 +44,7 @@ from .params import (HamiltonianParams, build_hamiltonian, build_ladder, coeffs_
                      params_from_json, params_to_json, parse_complex, solve_ladder,
                      su2_invariant, verify_ladder)
 from .reductions import reduce_by_similarity
-from .spectra import SpectrumReport, diagonalize_oracle, raising_chain
+from .spectra import SpectrumReport, nearest_eigenvalues, raising_chain
 from .transforms import unitary_spec_to_json
 
 EXIT_OK = 0
@@ -279,23 +279,20 @@ def _run_spectrum(inp, g):
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
 
-    entries = []
-    csv_lines = [SpectrumReport.CSV_HEADER]
-    oracle = diagonalize_oracle(h, 3)
-    worst = 0.0
-    for kappa in inp.kappas:
-        chain = raising_chain(h, a, chain_seed(p, kappa, g), inp.n_max, degree=3,
-                              family=str(tag.kind.value))
-        chain.oracle = oracle
-        for e in chain.entries:
-            nearest = chain.nearest_oracle(e.energy_chain)
-            if e.certified:
-                # only truncation-safe states count toward the verdict
-                worst = max(worst, e.residual, abs(e.energy_chain - nearest))
-            entries.append({"kappa": kappa, "energy_oracle": nearest, **asdict(e)})
-        csv_lines += chain.csv_rows(kappa)
-    if not any(e["certified"] for e in entries):
+    chains = [(kappa, raising_chain(h, a, chain_seed(p, kappa, g), inp.n_max, degree=3,
+                                    family=str(tag.kind.value)))
+              for kappa in inp.kappas]
+    flat = [e for _, chain in chains for e in chain.entries]
+    if not any(e.certified for e in flat):
         return _refuse(tag, "no certified chain entries")
+    for e, nearest in zip(flat, nearest_eigenvalues(h, [e.energy_chain for e in flat], 3)):
+        e.energy_oracle = float(nearest)
+    # only truncation-safe states count toward the verdict
+    worst = max(max(e.residual, abs(e.energy_chain - e.energy_oracle))
+                for e in flat if e.certified)
+    entries = [{"kappa": kappa, **asdict(e)} for kappa, chain in chains for e in chain.entries]
+    csv_lines = [SpectrumReport.CSV_HEADER, *(row for kappa, chain in chains
+                                              for row in chain.csv_rows(kappa))]
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,
               "worst_residual": worst}
     return _verdict(report, worst, inp.tol_eigen,

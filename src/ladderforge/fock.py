@@ -53,7 +53,7 @@ class ToleranceConfig:
     ladder: float = 1e-10         # commutator residual ||P([H,A]+A)P||
     eigen: float = 1e-8           # eigenstate residuals ||Av - lambda v||
     gate: float = 1e-10           # relative tolerance for algebraic gates (b^2 = 1, ...)
-    nullspace_rel: float = 1e-11  # SVD threshold relative to largest singular value
+    nullspace_rel: float = 1e-11  # SVD threshold relative to max(1, largest singular value)
     zero_state: float = 1e-14     # below this norm a state cannot be normalized
     chain_mass: float = 1e-10     # amplitude mass allowed outside the safe interior
 

@@ -201,7 +201,9 @@ def _close(x: complex, y: complex, tol: float) -> bool:
 
 def _nullspace(m: np.ndarray, rel_tol: float) -> list[np.ndarray]:
     _, sing, vh = np.linalg.svd(m)
-    cut = rel_tol * (sing[0] if sing.size and sing[0] > 0 else 1.0)
+    # relative to the largest singular value, but never below the gates'
+    # own scale: near b = 0 a block of norm 1e-8 would otherwise cut at 1e-19
+    cut = rel_tol * max(1.0, sing[0])
     vecs = [vh[i].conj() for i in range(vh.shape[0]) if i >= sing.size or sing[i] <= cut]
     return [_normalize_direction(v) for v in vecs]
 

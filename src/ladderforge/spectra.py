@@ -1,5 +1,14 @@
 """Energy chains from raising powers, normal ordering of those powers,
-closed-form spectra per family, and the dense-diagonalization oracle.
+closed-form spectra per family, and the eigenvalue oracle the chains are
+checked against.
+
+The oracle is the brute-force truncated interior block H[keep, keep].
+`nearest_eigenvalues` gives the eigenvalue of that block nearest each chain
+energy without forming a dim x dim matrix: the u(2) part of H conserves
+n1 + n2, so a block without linear couplings is diagonalized shell by
+shell; a block whose couplings join shells gets one sparse shift-invert
+solve per energy.  `diagonalize_oracle` is the dense eigvalsh of the same
+block, kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ __all__ = [
     "raising_chain",
     "closed_form_spectrum",
     "mode_frequencies",
+    "nearest_eigenvalues",
     "diagonalize_oracle",
 ]
 
@@ -129,6 +139,7 @@ class ChainEntry:
     energy_chain: float
     residual: float
     certified: bool
+    energy_oracle: float | None = None   # set from nearest_eigenvalues
 
 
 @dataclass
@@ -139,27 +150,18 @@ class SpectrumReport:
     e0: float
     entries: list[ChainEntry] = field(default_factory=list)
     collapse_at: int | None = None
-    oracle: np.ndarray | None = None
     states: list[TwoModeState] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        payload = {"family": self.family, "e0": self.e0, "collapse_at": self.collapse_at,
-                   "entries": [asdict(e) for e in self.entries]}
-        if self.oracle is not None:
-            payload["oracle_eigenvalues"] = [float(x) for x in self.oracle]
-        return payload
-
-    def nearest_oracle(self, energy: float) -> float:
-        """The oracle eigenvalue closest to `energy`."""
-        return float(self.oracle[np.argmin(np.abs(self.oracle - energy))])
+        return {"family": self.family, "e0": self.e0, "collapse_at": self.collapse_at,
+                "entries": [asdict(e) for e in self.entries]}
 
     def csv_rows(self, kappa: int | str = "") -> list[str]:
         """One CSV row per entry, in CSV_HEADER's column order; the
-        energy_oracle column is empty when there is no oracle."""
+        energy_oracle column is empty for an entry not yet checked."""
         rows = []
-        has_oracle = self.oracle is not None and self.oracle.size > 0
         for e in self.entries:
-            nearest = repr(self.nearest_oracle(e.energy_chain)) if has_oracle else ""
+            nearest = "" if e.energy_oracle is None else repr(e.energy_oracle)
             rows.append(f"{self.family},{kappa},{e.n},{e.energy_formula!r},"
                         f"{e.energy_chain!r},{nearest},{e.residual!r}")
         return rows
@@ -245,12 +247,56 @@ def closed_form_spectrum(tag: FamilyKind, p: HamiltonianParams | None = None,
     raise LadderForgeError(f"no closed-form spectrum for tag {tag}")
 
 
+def _hermitian_interior(h: Operator, degree: int) -> sp.csr_matrix:
+    """The interior block H[keep, keep], symmetrized; rejects visibly
+    non-Hermitian input."""
+    keep = interior_indices(h.cutoff, degree)
+    sub = h.mat[keep][:, keep]
+    herm_defect = np.linalg.norm((sub - sub.conj().T).data)
+    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(sub.data)):
+        raise LadderForgeError(f"interior block is not Hermitian (defect {herm_defect:.3e})")
+    return (sub + sub.conj().T) / 2.0
+
+
+def nearest_eigenvalues(h: Operator, energies, degree: int = 3) -> np.ndarray:
+    """For each energy, the eigenvalue of the interior block H[keep, keep]
+    nearest it: what diagonalize_oracle's spectrum gives, read off the
+    block's structure instead of a dense dim x dim matrix.
+
+    When every stored entry joins two states of the same shell n1 + n2 (no
+    linear coupling), each shell block is diagonalized on its own, at most
+    min(N1, N2) + 1 states at a time.  Otherwise each distinct energy E takes
+    one shift-invert Lanczos solve, eigsh(K, k=1, sigma=E), for the
+    eigenvalue nearest it.  Rejects visibly non-Hermitian input.
+    """
+    sub = _hermitian_interior(h, degree)
+    energies = np.asarray(energies, dtype=float)
+    n1, n2 = np.divmod(interior_indices(h.cutoff, degree), h.cutoff.n2_max + 1)
+    shell = n1 + n2
+    rows, cols = sub.nonzero()
+    if np.array_equal(shell[rows], shell[cols]):
+        order = np.argsort(shell, kind="stable")
+        blocks = np.split(order, np.cumsum(np.bincount(shell))[:-1])
+        spectrum = np.concatenate([np.linalg.eigvalsh(sub[i][:, i].toarray())
+                                   for i in blocks])
+        return spectrum[np.argmin(np.abs(spectrum - energies[:, None]), axis=1)]
+    # Local import: loading scipy.sparse.linalg at module level would add
+    # about 0.5 s to every `import ladderforge.cli`.
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    # a fixed start vector, so that a report does not depend on earlier calls
+    v0 = np.random.default_rng(0).standard_normal(sub.shape[0])
+    distinct, back = np.unique(energies, return_inverse=True)
+    try:
+        nearest = [eigsh(sub, k=1, sigma=e, v0=v0, return_eigenvectors=False)[0]
+                   for e in distinct]
+    except ArpackNoConvergence as exc:
+        raise LadderForgeError(f"shift-invert did not converge: {exc}") from exc
+    return np.array(nearest, dtype=float)[back]
+
+
 def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:
     """Eigenvalues of the Hamiltonian restricted to the interior subspace,
-    sorted ascending; rejects visibly non-Hermitian input."""
-    keep = interior_indices(h.cutoff, degree)
-    sub = h.to_dense()[np.ix_(keep, keep)]
-    herm_defect = np.linalg.norm(sub - sub.conj().T)
-    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(sub)):
-        raise LadderForgeError(f"interior block is not Hermitian (defect {herm_defect:.3e})")
-    return np.linalg.eigvalsh((sub + sub.conj().T) / 2.0)
+    sorted ascending, by dense eigvalsh of the whole block; rejects visibly
+    non-Hermitian input."""
+    return np.linalg.eigvalsh(_hermitian_interior(h, degree).toarray())

@@ -6,10 +6,12 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderforge.cli import run
+from ladderforge.fock import Operator
 
 BASE = [sys.executable, "-m", "ladderforge.cli"]
 
@@ -348,14 +350,47 @@ def test_bad_params_value_is_config_error(tmp_path, scenario):
 
 
 def test_cli_import_leaves_dense_linalg_unloaded():
-    # transforms.expm imports these lazily; at module level they would add
-    # to the start-up time of every scenario
+    # transforms.expm and spectra.nearest_eigenvalues import these lazily; at
+    # module level they would add to the start-up time of every scenario
     probe = ("import sys, ladderforge.cli; "
-             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.csgraph') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', "
+             "'scipy.sparse.csgraph') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("params,per_shell", [
+    # generalized 2:1: no linear coupling, so the oracle goes shell by shell
+    ({"beta0": 3.0, "beta_plus": [0.75 ** 0.5 / 2, 0.0], "beta3": 0.5}, True),
+    # Appendix B6: the couplings join shells, so it takes shift-invert
+    (B6_PARAMS, False),
+])
+def test_spectrum_forms_no_dense_matrix_beyond_a_shell(tmp_path, monkeypatch, params,
+                                                       per_shell):
+    cutoff = 52
+    shell = cutoff - 3 + 1   # the most states of one shell of the degree-3 interior
+    shapes = {"eigvalsh": [], "toarray": []}
+
+    def dense_operator(self):
+        raise AssertionError(f"dense {self.cutoff.dim} x {self.cutoff.dim} operator")
+
+    def recorded(name, method):
+        def wrapper(m, *args, **kwargs):
+            shapes[name].append(m.shape)
+            return method(m, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Operator, "to_dense", dense_operator)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(sp.csr_matrix, "toarray", recorded("toarray", sp.csr_matrix.toarray))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "n_max": 3}))
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", f"{cutoff},{cutoff}",
+                "--out", str(tmp_path)]) == 0
+    assert bool(shapes["eigvalsh"]) == per_shell
+    assert all(rows <= shell and cols <= shell
+               for rows, cols in shapes["eigvalsh"] + shapes["toarray"])
 
 
 # every scenario starts from a config it would accept; each case adds one bad

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderforge.cli import run
 from ladderforge.params import (CaseTag, FamilyKind, HamiltonianParams,
                                 LadderCoeffs, build_hamiltonian, build_ladder,
                                 classify, coeffs_from_json, coeffs_to_json,
@@ -214,6 +217,24 @@ def test_no_ladder_when_gates_fail():
     report = solve_ladder(HamiltonianParams(beta0=7.0, beta_plus=0.25, beta3=0.5))
     assert not report.exists
     assert report.tag.kind == FamilyKind.NONE
+
+
+def test_solver_agrees_with_the_gates_next_to_the_isotropic_point(tmp_path):
+    # b = 6e-8: the mu block has norm 6e-8 and singular values 6e-8 and
+    # 1.6e-12, so a null-space cut relative to its norm alone (6e-19) found no
+    # direction while the mu gate held
+    raw = {"beta0": 1.9999999403953552, "beta_plus": [-2.98e-8, -4.83e-10], "beta3": 0}
+    p = params_from_json(raw)
+    report = solve_ladder(p)
+    assert report.exists
+    assert report.tag == classify(p)
+    assert report.tag.kind == FamilyKind.FRACTIONAL
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": raw}))
+    assert run(["solve-ladder", "--config", str(cfg), "--cutoff", "14,14",
+                "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "solve-ladder.json").read_text())["report"]
+    assert out["tag"] == str(classify(p)) and max(out["residuals"]) < 1e-10
 
 
 def test_verify_ladder_detects_wrong_pair(gen10):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ladderforge.errors import LadderForgeError
-from ladderforge.eigenstates import basic21_states, su2_ground
+from ladderforge.eigenstates import basic21_states, chain_seed, su2_ground
 from ladderforge.fock import (FockCutoff, build_generators, interior_projector,
                               vacuum_state)
 from ladderforge.params import (FamilyKind, HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, solve_ladder)
 from ladderforge.spectra import (closed_form_spectrum, diagonalize_oracle,
-                                 mode_frequencies, normal_order_coeffs,
+                                 mode_frequencies, nearest_eigenvalues,
+                                 normal_order_coeffs,
                                  normal_order_coeffs_recurrence,
                                  normal_order_power, raising_chain)
 
@@ -191,13 +192,21 @@ def test_su2_chain_truncates(gen10):
                                atol=1e-9)
 
 
+def _checked_chain(h, a, g):
+    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
+    nearest = nearest_eigenvalues(h, [e.energy_chain for e in rep.entries], 3)
+    for e, x in zip(rep.entries, nearest):
+        e.energy_oracle = float(x)
+    return rep
+
+
 def test_chain_report_serialization(chain_setup):
     g, h, a, _, _ = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
-    rep.oracle = diagonalize_oracle(h, 3)
+    rep = _checked_chain(h, a, g)
     payload = rep.to_json()
     assert payload["family"] == "2:1"
     assert len(payload["entries"]) == 4
+    assert all(e["energy_oracle"] is not None for e in payload["entries"])
     csv = rep.to_csv(kappa=0)
     assert csv.startswith("family,kappa,n,energy_formula,energy_chain,energy_oracle,residual")
     assert len(csv.strip().split("\n")) == 5
@@ -205,15 +214,18 @@ def test_chain_report_serialization(chain_setup):
 
 def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
     g, h, a, _, _ = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
-    rep.oracle = diagonalize_oracle(h, 3)
+    rep = _checked_chain(h, a, g)
+    dense = diagonalize_oracle(h, 3)
     rows = rep.to_csv(kappa=0).strip().split("\n")[1:]
     assert len(rows) == 4
     for row in rows:
         family, kappa, n, *numbers = row.split(",")
         assert (family, kappa) == ("2:1", "0") and int(n) >= 0
         formula, chain, oracle, residual = (float(x) for x in numbers)
-        assert oracle == min(rep.oracle, key=lambda x: abs(x - chain))
+        assert abs(oracle - min(dense, key=lambda x: abs(x - chain))) <= 1e-11
+    # an entry that was never checked leaves its oracle column empty
+    unchecked = raising_chain(h, a, vacuum_state(g.cutoff), 0, degree=3, family="2:1")
+    assert unchecked.csv_rows(kappa=0)[0].split(",")[5] == ""
 
 
 # ---------------------------------------------------------------------------
@@ -251,5 +263,101 @@ def test_oracle_diagonal(gen10):
 
 
 def test_oracle_rejects_non_hermitian(gen10):
-    with pytest.raises(LadderForgeError):
-        diagonalize_oracle(gen10.a1, 1)
+    # a1 joins shells, J+ keeps them: both paths of nearest_eigenvalues check
+    for op in (gen10.a1, gen10.j_plus):
+        with pytest.raises(LadderForgeError):
+            diagonalize_oracle(op, 1)
+        with pytest.raises(LadderForgeError):
+            nearest_eigenvalues(op, [0.0, 1.0], 1)
+
+
+# ---------------------------------------------------------------------------
+# the structured oracle against the dense one
+# ---------------------------------------------------------------------------
+
+def gate_params(beta0, beta3, b, theta=0.7, **kw):
+    r = np.sqrt((b ** 2 - beta3 ** 2) / 4.0)
+    return HamiltonianParams(beta0=beta0, beta_plus=r * np.exp(1j * theta),
+                             beta3=beta3, **kw)
+
+
+# one point per family the spectrum scenario serves; the linear-coupled ones
+# join shells and take the shift-invert path, the others the per-shell one
+SPECTRUM_FAMILIES = {
+    "isotropic": HamiltonianParams(beta0=2.0),
+    "2:1": HamiltonianParams(beta0=3.0, beta3=1.0),
+    "1:2": HamiltonianParams(beta0=3.0, beta3=-1.0),
+    "generalized 2:1": gate_params(3.0, 0.5, 1.0),
+    "su(2)": gate_params(2.2, 0.3, 1.0, theta=1.1),
+    "fractional mu": gate_params(2.5, 0.3, 0.5),
+    "fractional nu": gate_params(-2.5, -0.3, 0.5),
+    "b = 2": gate_params(0.0, 0.3, 2.0),
+    "linear iso": HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+    "linear fractional": gate_params(1.5, 0.3, 0.5, gamma1=0.1 + 0.05j, gamma2=-0.08j),
+    "Appendix A": HamiltonianParams(beta0=3.0, beta3=1.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+    "Appendix B6": gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.1 - 0.06j),
+}
+
+
+def _chain_energies(p, g, certified_only=False):
+    """The chain energies the spectrum scenario checks, kappa = 0, 1, 2."""
+    rep = solve_ladder(p)
+    h = build_hamiltonian(p, g)
+    a = build_ladder(rep.combined(), g)
+    energies = [e.energy_chain for kappa in (0, 1, 2)
+                for e in raising_chain(h, a, chain_seed(p, kappa, g), 6).entries
+                if e.certified or not certified_only]
+    return h, np.array(energies)
+
+
+def _dense_nearest(h, energies):
+    dense = diagonalize_oracle(h, 3)
+    return dense[np.argmin(np.abs(dense - energies[:, None]), axis=1)]
+
+
+@pytest.mark.parametrize("n", [14, 20, 40])
+@pytest.mark.parametrize("name", sorted(SPECTRUM_FAMILIES))
+def test_nearest_eigenvalues_match_the_dense_oracle(name, n):
+    h, energies = _chain_energies(SPECTRUM_FAMILIES[name], build_generators(FockCutoff(n, n)))
+    got = nearest_eigenvalues(h, energies, 3)
+    assert got.shape == energies.shape
+    assert np.max(np.abs(got - _dense_nearest(h, energies))) <= 1e-11
+
+
+def test_nearest_eigenvalues_on_a_near_degenerate_coupled_point(gen14, monkeypatch):
+    # the 1e-12 coupling joins shells, so the shift-invert path runs on
+    # clusters of n + 1 eigenvalues equal to within 1e-12; ARPACK with
+    # ncv = 4 does not converge there
+    p = HamiltonianParams(beta0=2.0, gamma1=1e-12j)
+    h, energies = _chain_energies(p, gen14)
+    want = _dense_nearest(h, energies)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)   # no per-shell path
+    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3) - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["generalized 2:1", "linear iso"])
+def test_nearest_eigenvalues_show_a_shifted_energy(gen14, name):
+    # a certified chain energy sits on an eigenvalue; moved off it by 1e-6,
+    # it is about 1e-6 from every eigenvalue (truncation splits the linear
+    # isotropic levels by about 1e-9)
+    h, energies = _chain_energies(SPECTRUM_FAMILIES[name], gen14, certified_only=True)
+    assert energies.size >= 6
+    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3) - energies)) < 1e-10
+    shifted = energies + 1e-6
+    gap = np.abs(shifted - nearest_eigenvalues(h, shifted, 3))
+    assert 0.99e-6 < np.min(gap) and np.max(gap) < 1.01e-6
+
+
+def test_nearest_eigenvalues_report_a_shift_invert_failure(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]),
+                                                      np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    h, energies = _chain_energies(SPECTRUM_FAMILIES["linear iso"],
+                                  build_generators(FockCutoff(10, 10)))
+    with pytest.raises(LadderForgeError, match="did not converge"):
+        nearest_eigenvalues(h, energies, 3)
+    assert nearest_eigenvalues(h, [], 3).shape == (0,)   # no energy, no solve
