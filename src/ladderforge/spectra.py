@@ -265,9 +265,10 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3) -> np.ndarray:
 
     When every stored entry joins two states of the same shell n1 + n2 (no
     linear coupling), each shell block is diagonalized on its own, at most
-    min(N1, N2) + 1 states at a time.  Otherwise each distinct energy E takes
-    one shift-invert Lanczos solve, eigsh(K, k=1, sigma=E), for the
-    eigenvalue nearest it.  Rejects visibly non-Hermitian input.
+    min(N1, N2) + 1 states at a time.  Otherwise each energy E takes one
+    ARPACK shift-invert solve, eigsh(K, k=1, sigma=E), for the eigenvalue
+    nearest it; the block is complex, so eigsh hands it to eigs (Arnoldi,
+    ncv 20).  Rejects visibly non-Hermitian input.
     """
     sub = _hermitian_interior(h, degree)
     energies = np.asarray(energies, dtype=float)
@@ -286,13 +287,12 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3) -> np.ndarray:
 
     # a fixed start vector, so that a report does not depend on earlier calls
     v0 = np.random.default_rng(0).standard_normal(sub.shape[0])
-    distinct, back = np.unique(energies, return_inverse=True)
     try:
         nearest = [eigsh(sub, k=1, sigma=e, v0=v0, return_eigenvectors=False)[0]
-                   for e in distinct]
+                   for e in energies]
     except ArpackNoConvergence as exc:
         raise LadderForgeError(f"shift-invert did not converge: {exc}") from exc
-    return np.array(nearest, dtype=float)[back]
+    return np.array(nearest, dtype=float)
 
 
 def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:

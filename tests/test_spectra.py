@@ -218,10 +218,11 @@ def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
     dense = diagonalize_oracle(h, 3)
     rows = rep.to_csv(kappa=0).strip().split("\n")[1:]
     assert len(rows) == 4
-    for row in rows:
+    for row, e in zip(rows, rep.entries):
         family, kappa, n, *numbers = row.split(",")
         assert (family, kappa) == ("2:1", "0") and int(n) >= 0
         formula, chain, oracle, residual = (float(x) for x in numbers)
+        assert oracle == e.energy_oracle
         assert abs(oracle - min(dense, key=lambda x: abs(x - chain))) <= 1e-11
     # an entry that was never checked leaves its oracle column empty
     unchecked = raising_chain(h, a, vacuum_state(g.cutoff), 0, degree=3, family="2:1")
