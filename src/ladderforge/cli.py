@@ -285,8 +285,10 @@ def _run_spectrum(inp, g):
     flat = [e for _, chain in chains for e in chain.entries]
     if not any(e.certified for e in flat):
         return _refuse(tag, "no certified chain entries")
-    for e, nearest in zip(flat, nearest_eigenvalues(h, [e.energy_chain for e in flat], 3)):
-        e.energy_oracle = float(nearest)
+    states = [s for _, chain in chains for s in chain.states]
+    nearest, fell_back = nearest_eigenvalues(h, [e.energy_chain for e in flat], 3, states)
+    for e, x in zip(flat, nearest):
+        e.energy_oracle = float(x)
     # only truncation-safe states count toward the verdict
     worst = max(max(e.residual, abs(e.energy_chain - e.energy_oracle))
                 for e in flat if e.certified)
@@ -294,7 +296,7 @@ def _run_spectrum(inp, g):
     csv_lines = [SpectrumReport.CSV_HEADER, *(row for kappa, chain in chains
                                               for row in chain.csv_rows(kappa))]
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,
-              "worst_residual": worst}
+              "worst_residual": worst, "oracle_fallbacks": int(fell_back.sum())}
     return _verdict(report, worst, inp.tol_eigen,
                     {"spectrum.csv": lambda: "\n".join(csv_lines) + "\n"})
 

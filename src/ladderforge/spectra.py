@@ -2,14 +2,17 @@
 closed-form spectra per family, and the eigenvalue oracle the chains are
 checked against.
 
-The oracle is the brute-force truncated interior block H[keep, keep].
+The oracle is the brute-force truncated interior block K = H[keep, keep].
 `nearest_eigenvalues` gives the eigenvalue of that block nearest each chain
-energy without forming a dim x dim matrix: the u(2) part of H conserves
-n1 + n2, so a block without linear couplings is diagonalized shell by
-shell; a block whose couplings join shells gets one sparse shift-invert
-solve per energy.  `diagonalize_oracle` is the dense eigvalsh of the same
-block, kept as the test oracle.
-"""
+energy without forming a dim x dim matrix.  Each chain state is first
+taken as its own witness: its Rayleigh quotient on K and the residual
+there pin the nearest eigenvalue to within 1e-12 by the Hermitian residual
+bound.  Only the energies their states do not pin take the block's
+structure: the u(2) part of H conserves n1 + n2, so a block without linear
+couplings is diagonalized shell by shell; a block whose couplings join
+shells gets one sparse shift-invert solve per energy.
+`diagonalize_oracle` is the dense eigvalsh of the same block, kept as the
+test oracle."""
 
 from __future__ import annotations
 
@@ -196,9 +199,10 @@ def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
                 report.collapse_at = n
                 break
             v = normalize(nxt)
-        energy = float(np.real(np.vdot(v.amplitudes, h.mat @ v.amplitudes)))
+        hv = h.mat @ v.amplitudes
+        energy = float(np.real(np.vdot(v.amplitudes, hv)))
         target = e0 + n
-        resid = float(np.linalg.norm((h.mat @ v.amplitudes - target * v.amplitudes)[keep]))
+        resid = float(np.linalg.norm((hv - target * v.amplitudes)[keep]))
         mass_out = float(np.linalg.norm(v.amplitudes[outside]) ** 2)
         report.entries.append(ChainEntry(n=n, energy_formula=target,
                                          energy_chain=energy, residual=resid,
@@ -247,6 +251,14 @@ def closed_form_spectrum(tag: FamilyKind, p: HamiltonianParams | None = None,
     raise LadderForgeError(f"no closed-form spectrum for tag {tag}")
 
 
+# A chain state pins the eigenvalue nearest its energy E at its Rayleigh
+# quotient rho on the interior block when 2|E - rho| + r is at most this,
+# r = ||(K - rho) x|| / ||x||: K has an eigenvalue within r of rho (Parlett,
+# The Symmetric Eigenvalue Problem, Thm 4.5.1), so the one nearest E is
+# within 2|E - rho| + r of rho.
+_PINNED = 1e-12
+
+
 def _hermitian_interior(h: Operator, degree: int) -> sp.csr_matrix:
     """The interior block H[keep, keep], symmetrized; rejects visibly
     non-Hermitian input."""
@@ -258,21 +270,25 @@ def _hermitian_interior(h: Operator, degree: int) -> sp.csr_matrix:
     return (sub + sub.conj().T) / 2.0
 
 
-def nearest_eigenvalues(h: Operator, energies, degree: int = 3) -> np.ndarray:
-    """For each energy, the eigenvalue of the interior block H[keep, keep]
-    nearest it: what diagonalize_oracle's spectrum gives, read off the
-    block's structure instead of a dense dim x dim matrix.
+def _pinned_by_witness(sub: sp.csr_matrix, keep: np.ndarray, energies: np.ndarray,
+                       states) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's Rayleigh quotient on the interior block, and whether it
+    pins the eigenvalue nearest the state's energy (see _PINNED)."""
+    x = np.array([s.amplitudes[keep] for s in states]).reshape(len(states), keep.size)
+    kx = (sub @ x.T).T
+    xx = np.vecdot(x, x).real
+    # a state with no interior part gives NaN, which pins nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.vecdot(x, kx).real / xx
+        r = np.linalg.norm(kx - rho[:, None] * x, axis=1) / np.sqrt(xx)
+    return rho, 2.0 * np.abs(energies - rho) + r <= _PINNED
 
-    When every stored entry joins two states of the same shell n1 + n2 (no
-    linear coupling), each shell block is diagonalized on its own, at most
-    min(N1, N2) + 1 states at a time.  Otherwise each energy E takes one
-    ARPACK shift-invert solve, eigsh(K, k=1, sigma=E), for the eigenvalue
-    nearest it; the block is complex, so eigsh hands it to eigs (Arnoldi,
-    ncv 20).  Rejects visibly non-Hermitian input.
-    """
-    sub = _hermitian_interior(h, degree)
-    energies = np.asarray(energies, dtype=float)
-    n1, n2 = np.divmod(interior_indices(h.cutoff, degree), h.cutoff.n2_max + 1)
+
+def _nearest_from_structure(sub: sp.csr_matrix, keep: np.ndarray, n2_max: int,
+                            energies: np.ndarray) -> np.ndarray:
+    """The eigenvalue of the interior block nearest each energy, per shell
+    when no stored entry joins two shells, else by shift-invert."""
+    n1, n2 = np.divmod(keep, n2_max + 1)
     shell = n1 + n2
     rows, cols = sub.nonzero()
     if np.array_equal(shell[rows], shell[cols]):
@@ -293,6 +309,38 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3) -> np.ndarray:
     except ArpackNoConvergence as exc:
         raise LadderForgeError(f"shift-invert did not converge: {exc}") from exc
     return np.array(nearest, dtype=float)
+
+
+def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
+                        states=None) -> tuple[np.ndarray, np.ndarray]:
+    """For each energy, the eigenvalue of the interior block K = H[keep, keep]
+    nearest it: what diagonalize_oracle's spectrum gives, without a dense
+    dim x dim matrix.  Returns those eigenvalues and a mask of the energies
+    that took the per-shell or shift-invert path.
+
+    `states`, when given, holds one state per energy (the chain state the
+    energy was measured on).  An energy E whose state x pins the eigenvalue,
+    2|E - rho| + r <= 1e-12 with rho = x'Kx / x'x and r = ||Kx - rho x|| / ||x||,
+    gets rho.  Every other energy takes the block's structure: when every
+    stored entry joins two states of the same shell n1 + n2 (no linear
+    coupling), each shell block is diagonalized on its own, at most
+    min(N1, N2) + 1 states at a time; otherwise the energy takes one ARPACK
+    shift-invert solve, eigsh(K, k=1, sigma=E); the block is complex, so
+    eigsh hands it to eigs (Arnoldi, ncv 20).  Neither runs when the states
+    pin every energy.  Rejects visibly non-Hermitian input.
+    """
+    sub = _hermitian_interior(h, degree)
+    keep = interior_indices(h.cutoff, degree)
+    energies = np.asarray(energies, dtype=float)
+    nearest = np.empty_like(energies)
+    left = np.ones(energies.shape, dtype=bool)
+    if states is not None:
+        rho, pinned = _pinned_by_witness(sub, keep, energies, states)
+        nearest[pinned] = rho[pinned]
+        left = ~pinned
+    if left.any():
+        nearest[left] = _nearest_from_structure(sub, keep, h.cutoff.n2_max, energies[left])
+    return nearest, left
 
 
 def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:

@@ -350,8 +350,9 @@ def test_bad_params_value_is_config_error(tmp_path, scenario):
 
 
 def test_cli_import_leaves_dense_linalg_unloaded():
-    # transforms.expm and spectra.nearest_eigenvalues import these lazily; at
-    # module level they would add to the start-up time of every scenario
+    # transforms.expm imports these lazily, and spectra.nearest_eigenvalues
+    # imports scipy.sparse.linalg only for energies its chain states do not
+    # pin; at module level they would add to the start-up time of every scenario
     probe = ("import sys, ladderforge.cli; "
              "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', "
              "'scipy.sparse.csgraph') if m in sys.modules))")
@@ -360,14 +361,63 @@ def test_cli_import_leaves_dense_linalg_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("params,per_shell", [
-    # generalized 2:1: no linear coupling, so the oracle goes shell by shell
-    ({"beta0": 3.0, "beta_plus": [0.75 ** 0.5 / 2, 0.0], "beta3": 0.5}, True),
-    # Appendix B6: the couplings join shells, so it takes shift-invert
-    (B6_PARAMS, False),
+LINEAR_ISO = {"beta0": 2.0, "gamma1": [0.2, 0.1], "gamma2": [0.0, -0.15]}
+
+
+def test_witnessed_spectrum_loads_no_shift_invert(tmp_path):
+    # the couplings join shells, but every chain state pins its eigenvalue,
+    # so no shift-invert solve runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": LINEAR_ISO, "n_max": 6}))
+    probe = ("import sys; from ladderforge.cli import run; "
+             f"code = run(['spectrum', '--config', {str(cfg)!r}, '--cutoff', '40,40', "
+             f"'--out', {str(tmp_path)!r}]); "
+             "print(code, 'scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert json.loads((tmp_path / "spectrum.json").read_text())["report"]["oracle_fallbacks"] == 0
+
+
+def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp_path):
+    # a chain of 40 steps at cutoff 20 runs past the certified interior; the
+    # states there pin nothing and take shift-invert
+    from ladderforge.fock import FockCutoff, build_generators
+    from ladderforge.params import build_hamiltonian, params_from_json
+    from ladderforge.spectra import diagonalize_oracle
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": LINEAR_ISO, "n_max": 40}))
+    code = run(["spectrum", "--config", str(cfg), "--cutoff", "20,20", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    assert report["oracle_fallbacks"] > 0
+    h = build_hamiltonian(params_from_json(LINEAR_ISO), build_generators(FockCutoff(20, 20)))
+    dense = diagonalize_oracle(h, 3)
+    worst = 0.0
+    for e in report["entries"]:
+        nearest = dense[np.argmin(np.abs(dense - e["energy_chain"]))]
+        assert abs(e["energy_oracle"] - nearest) <= 1e-11
+        if e["certified"]:
+            worst = max(worst, e["residual"], abs(e["energy_chain"] - nearest))
+    assert abs(report["worst_residual"] - worst) <= 1e-13
+    assert code == (0 if worst <= report["tolerance"] else 1)
+
+
+GENERALIZED_21 = {"beta0": 3.0, "beta_plus": [0.75 ** 0.5 / 2, 0.0], "beta3": 0.5}
+
+
+@pytest.mark.parametrize("params,n_max,per_shell", [
+    # generalized 2:1: the chain states pin every eigenvalue, so neither the
+    # per-shell nor the shift-invert path runs
+    (GENERALIZED_21, 3, False),
+    # Appendix B6: the couplings join shells, and the states pin every eigenvalue
+    (B6_PARAMS, 3, False),
+    # a chain as long as the cutoff ends in states that pin nothing; without
+    # linear coupling those take the per-shell path
+    (GENERALIZED_21, 52, True),
 ])
 def test_spectrum_forms_no_dense_matrix_beyond_a_shell(tmp_path, monkeypatch, params,
-                                                       per_shell):
+                                                       n_max, per_shell):
     cutoff = 52
     shell = cutoff - 3 + 1   # the most states of one shell of the degree-3 interior
     shapes = {"eigvalsh": [], "toarray": []}
@@ -385,9 +435,11 @@ def test_spectrum_forms_no_dense_matrix_beyond_a_shell(tmp_path, monkeypatch, pa
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(sp.csr_matrix, "toarray", recorded("toarray", sp.csr_matrix.toarray))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": params, "n_max": 3}))
+    cfg.write_text(json.dumps({"params": params, "n_max": n_max}))
     assert run(["spectrum", "--config", str(cfg), "--cutoff", f"{cutoff},{cutoff}",
                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
+    assert (report["oracle_fallbacks"] > 0) == per_shell
     assert bool(shapes["eigvalsh"]) == per_shell
     assert all(rows <= shell and cols <= shell
                for rows, cols in shapes["eigvalsh"] + shapes["toarray"])

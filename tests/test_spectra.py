@@ -5,8 +5,8 @@ import pytest
 
 from ladderforge.errors import LadderForgeError
 from ladderforge.eigenstates import basic21_states, chain_seed, su2_ground
-from ladderforge.fock import (FockCutoff, build_generators, interior_projector,
-                              vacuum_state)
+from ladderforge.fock import (FockCutoff, build_generators, interior_indices,
+                              interior_projector, vacuum_state)
 from ladderforge.params import (FamilyKind, HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, solve_ladder)
 from ladderforge.spectra import (closed_form_spectrum, diagonalize_oracle,
@@ -194,7 +194,7 @@ def test_su2_chain_truncates(gen10):
 
 def _checked_chain(h, a, g):
     rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
-    nearest = nearest_eigenvalues(h, [e.energy_chain for e in rep.entries], 3)
+    nearest, _ = nearest_eigenvalues(h, [e.energy_chain for e in rep.entries], 3)
     for e, x in zip(rep.entries, nearest):
         e.energy_oracle = float(x)
     return rep
@@ -300,15 +300,16 @@ SPECTRUM_FAMILIES = {
 }
 
 
-def _chain_energies(p, g, certified_only=False):
-    """The chain energies the spectrum scenario checks, kappa = 0, 1, 2."""
+def _chain_energies(p, g, certified_only=False, n_max=6):
+    """The chain energies the spectrum scenario checks, kappa = 0, 1, 2, and
+    the states they were measured on."""
     rep = solve_ladder(p)
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
-    energies = [e.energy_chain for kappa in (0, 1, 2)
-                for e in raising_chain(h, a, chain_seed(p, kappa, g), 6).entries
-                if e.certified or not certified_only]
-    return h, np.array(energies)
+    chains = [raising_chain(h, a, chain_seed(p, kappa, g), n_max) for kappa in (0, 1, 2)]
+    pairs = [(e.energy_chain, v) for chain in chains for e, v in zip(chain.entries, chain.states)
+             if e.certified or not certified_only]
+    return h, np.array([e for e, _ in pairs]), [v for _, v in pairs]
 
 
 def _dense_nearest(h, energies):
@@ -319,9 +320,27 @@ def _dense_nearest(h, energies):
 @pytest.mark.parametrize("n", [14, 20, 40])
 @pytest.mark.parametrize("name", sorted(SPECTRUM_FAMILIES))
 def test_nearest_eigenvalues_match_the_dense_oracle(name, n):
-    h, energies = _chain_energies(SPECTRUM_FAMILIES[name], build_generators(FockCutoff(n, n)))
-    got = nearest_eigenvalues(h, energies, 3)
-    assert got.shape == energies.shape
+    h, energies, states = _chain_energies(SPECTRUM_FAMILIES[name],
+                                          build_generators(FockCutoff(n, n)))
+    want = _dense_nearest(h, energies)
+    got, fell_back = nearest_eigenvalues(h, energies, 3)
+    assert got.shape == energies.shape and fell_back.all()
+    assert np.max(np.abs(got - want)) <= 1e-11
+    # each chain state as the witness of its own energy
+    got, fell_back = nearest_eigenvalues(h, energies, 3, states)
+    assert not fell_back.all()
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_witnesses_past_the_interior_fall_back(gen10):
+    # a 2:1 chain this long ends in states with no amplitude on the interior;
+    # they pin nothing and take the per-shell path
+    h, energies, states = _chain_energies(SPECTRUM_FAMILIES["2:1"], gen10, n_max=30)
+    keep = interior_indices(gen10.cutoff, 3)
+    outside = np.array([not v.amplitudes[keep].any() for v in states])
+    assert outside.any()
+    got, fell_back = nearest_eigenvalues(h, energies, 3, states)
+    assert fell_back[outside].all() and not fell_back.all()
     assert np.max(np.abs(got - _dense_nearest(h, energies))) <= 1e-11
 
 
@@ -330,23 +349,27 @@ def test_nearest_eigenvalues_on_a_near_degenerate_coupled_point(gen14, monkeypat
     # clusters of n + 1 eigenvalues equal to within 1e-12; ARPACK with
     # ncv = 4 does not converge there
     p = HamiltonianParams(beta0=2.0, gamma1=1e-12j)
-    h, energies = _chain_energies(p, gen14)
+    h, energies, _ = _chain_energies(p, gen14)
     want = _dense_nearest(h, energies)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)   # no per-shell path
-    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3) - want)) <= 1e-11
+    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3)[0] - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("name", ["generalized 2:1", "linear iso"])
 def test_nearest_eigenvalues_show_a_shifted_energy(gen14, name):
     # a certified chain energy sits on an eigenvalue; moved off it by 1e-6,
     # it is about 1e-6 from every eigenvalue (truncation splits the linear
-    # isotropic levels by about 1e-9)
-    h, energies = _chain_energies(SPECTRUM_FAMILIES[name], gen14, certified_only=True)
+    # isotropic levels by about 1e-9); its chain state must not pin it
+    h, energies, states = _chain_energies(SPECTRUM_FAMILIES[name], gen14, certified_only=True)
     assert energies.size >= 6
-    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3) - energies)) < 1e-10
-    shifted = energies + 1e-6
-    gap = np.abs(shifted - nearest_eigenvalues(h, shifted, 3))
-    assert 0.99e-6 < np.min(gap) and np.max(gap) < 1.01e-6
+    for witnesses in (None, states):
+        got, _ = nearest_eigenvalues(h, energies, 3, witnesses)
+        assert np.max(np.abs(got - energies)) < 1e-10
+        shifted = energies + 1e-6
+        got, fell_back = nearest_eigenvalues(h, shifted, 3, witnesses)
+        assert fell_back.all()
+        gap = np.abs(shifted - got)
+        assert 0.99e-6 < np.min(gap) and np.max(gap) < 1.01e-6
 
 
 def test_nearest_eigenvalues_report_a_shift_invert_failure(monkeypatch):
@@ -357,8 +380,8 @@ def test_nearest_eigenvalues_report_a_shift_invert_failure(monkeypatch):
                                                       np.array([]))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    h, energies = _chain_energies(SPECTRUM_FAMILIES["linear iso"],
-                                  build_generators(FockCutoff(10, 10)))
+    h, energies, _ = _chain_energies(SPECTRUM_FAMILIES["linear iso"],
+                                     build_generators(FockCutoff(10, 10)))
     with pytest.raises(LadderForgeError, match="did not converge"):
         nearest_eigenvalues(h, energies, 3)
-    assert nearest_eigenvalues(h, [], 3).shape == (0,)   # no energy, no solve
+    assert nearest_eigenvalues(h, [], 3)[0].shape == (0,)   # no energy, no solve
