@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -414,7 +415,10 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="ladderforge",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

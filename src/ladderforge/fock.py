@@ -6,11 +6,16 @@ row-major so that index(n1, n2) = n1 * (n2_max + 1) + n2.  Creation operators
 are hard-truncated: a_i^dag maps the top occupation level to the zero vector.
 Truncation artifacts are masked in all checks by restricting to interior
 index sets (interior_residual).
+
+Each of the nine generators moves the grid by one of seven shifts
+(dn1, dn2) with a closed-form weight, so they all live on one sparsity
+pattern; GeneratorSet.combine forms any linear combination of them (a
+Hamiltonian, a ladder, a frame operator) as one data vector on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -93,7 +98,11 @@ class FockCutoff:
 
 
 class Operator:
-    """Sparse complex matrix over a fixed truncated basis."""
+    """Sparse complex matrix over a fixed truncated basis, stored in canonical
+    CSR form (sorted indices, no stored zeros).  The argument is never
+    modified: a CSR matrix or (data, indices, indptr) tuple may lend its
+    arrays, and when they are not canonical the canonical form is made on a
+    copy of them."""
 
     __slots__ = ("cutoff", "mat")
 
@@ -101,8 +110,13 @@ class Operator:
         m = sp.csr_matrix(mat, dtype=np.complex128)
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {cutoff.dim}")
-        m.eliminate_zeros()
-        m.sort_indices()
+        if not (m.has_sorted_indices and m.data.all()):
+            lent = (mat if isinstance(mat, tuple)
+                    else [getattr(mat, k, None) for k in ("data", "indices", "indptr")])
+            if any(x is a for x in (m.data, m.indices, m.indptr) for a in lent):
+                m = m.copy()
+            m.eliminate_zeros()
+            m.sort_indices()
         self.cutoff = cutoff
         self.mat = m
 
@@ -110,31 +124,38 @@ class Operator:
         if self.cutoff != other.cutoff:
             raise CutoffMismatch(f"{self.cutoff} vs {other.cutoff}")
 
+    def _result(self, m) -> "Operator":
+        """Wrap a CSR matrix scipy has just made: nobody else holds it, so
+        it is made canonical in place."""
+        m.eliminate_zeros()
+        m.sort_indices()
+        return Operator(self.cutoff, m)
+
     def dag(self) -> "Operator":
         return Operator(self.cutoff, self.mat.conj().T)
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.cutoff, self.mat + other.mat)
+        return self._result(self.mat + other.mat)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.cutoff, self.mat - other.mat)
+        return self._result(self.mat - other.mat)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.cutoff, -self.mat)
+        return self._result(-self.mat)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.cutoff, self.mat * complex(scalar))
+        return self._result(self.mat * complex(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.cutoff, self.mat / complex(scalar))
+        return self._result(self.mat / complex(scalar))
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.cutoff, self.mat @ other.mat)
+        return self._result(self.mat @ other.mat)
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -180,12 +201,19 @@ class TwoModeState:
         return TwoModeState(self.cutoff, self.amplitudes.copy())
 
 
+# the generators in the order combine adds them: only the diagonal ones
+# (n_op, j3, identity) share entries, and they come last in this order
+_GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """All algebra generators realized as matrices on one truncated basis.
 
     n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
     j_minus = a1 a2' (Schwinger realization built from the mode operators).
+    Every generator is stored on one shared sorted CSR pattern (`indptr`,
+    `indices`); `positions[name]` says where its stored entries sit in it.
     """
 
     cutoff: FockCutoff
@@ -198,35 +226,78 @@ class GeneratorSet:
     j3: Operator
     j_plus: Operator
     j_minus: Operator
+    indptr: np.ndarray = field(repr=False, compare=False)
+    indices: np.ndarray = field(repr=False, compare=False)
+    positions: dict = field(repr=False, compare=False)
+
+    def combine(self, terms) -> Operator:
+        """sum_k c_k G_k over the (generator name, c_k) pairs, built as one
+        data vector on the shared pattern.  The diagonal generators are added
+        in the order n_op, j3, identity whatever the order of `terms`, so the
+        entries are those of the chained Operator sum written in that order.
+        The zeros are dropped into fresh arrays: the pattern stays intact."""
+        data = np.zeros(self.indices.size, dtype=np.complex128)
+        for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
+            if c != 0:
+                data[self.positions[name]] += getattr(self, name).mat.data * complex(c)
+        nz = data != 0
+        kept = np.zeros(nz.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(nz, out=kept[1:])
+        dim = self.cutoff.dim
+        return Operator(self.cutoff, sp.csr_matrix((data[nz], self.indices[nz], kept[self.indptr]),
+                                                   shape=(dim, dim)))
 
 
 def build_generators(cutoff: FockCutoff) -> GeneratorSet:
     """Construct the full generator set on the given truncation.
 
-    On the row-major grid the mode operators are exact Kronecker products,
-    a1 = a (x) I and a2 = I (x) a, of the one-mode annihilator a."""
-    def lower(n_max: int):
-        return sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, shape=(n_max + 1, n_max + 1))
-
-    a1 = Operator(cutoff, sp.kron(lower(cutoff.n1_max), sp.identity(cutoff.n2_max + 1)))
-    a2 = Operator(cutoff, sp.kron(sp.identity(cutoff.n1_max + 1), lower(cutoff.n2_max)))
-    a1_dag = a1.dag()
-    a2_dag = a2.dag()
-    identity = Operator(cutoff, sp.identity(cutoff.dim, dtype=np.complex128, format="csr"))
-    num1 = a1_dag @ a1
-    num2 = a2_dag @ a2
-    return GeneratorSet(
-        cutoff=cutoff,
-        a1=a1,
-        a2=a2,
-        a1_dag=a1_dag,
-        a2_dag=a2_dag,
-        identity=identity,
-        n_op=(num1 + num2) / 2.0,
-        j3=(num1 - num2) / 2.0,
-        j_plus=a1_dag @ a2,
-        j_minus=a1 @ a2_dag,
+    Each generator is one shift of the occupations with a closed-form
+    weight, read off the grid: row |m1, m2> of a1 holds sqrt(m1 + 1) in
+    column |m1 + 1, m2>, row |m1, m2> of j_plus = a1'a2 holds
+    sqrt(m1) sqrt(m2 + 1) in column |m1 - 1, m2 + 1>, and so on.  Taken in
+    column order, the seven shifts fill every row of the shared pattern
+    already sorted.  The weights are the float expressions of the
+    mode-operator products (the diagonal of a1'a1 is sqrt(m1) sqrt(m1), not
+    m1), so every entry equals that of the product build bit for bit."""
+    stride, dim = cutoff.n2_max + 1, cutoff.dim
+    row = np.arange(dim, dtype=np.int32)
+    m1, m2 = np.divmod(row, stride)
+    root1, root2 = np.sqrt(m1.astype(float)), np.sqrt(m2.astype(float))
+    up1, up2 = np.sqrt(m1 + 1.0), np.sqrt(m2 + 1.0)
+    lo1, lo2, hi1, hi2 = m1 > 0, m2 > 0, m1 < cutoff.n1_max, m2 < cutoff.n2_max
+    num1, num2 = root1 * root1, root2 * root2
+    # (column offset, rows holding an entry, {generator: weight}) in column
+    # order; two shifts with one offset (at n2_max = 1) never share a row.
+    # a1' and a2' carry the -0 imaginary part of a conjugate transpose.
+    shifts = (
+        (-stride, lo1, {"a1_dag": np.conj(root1 + 0j)}),
+        (1 - stride, lo1 & hi2, {"j_plus": root1 * up2}),
+        (-1, lo2, {"a2_dag": np.conj(root2 + 0j)}),
+        (0, np.ones(dim, dtype=bool), {"n_op": (num1 + num2) / 2.0,
+                                       "j3": (num1 - num2) / 2.0, "identity": np.ones(dim)}),
+        (1, hi2, {"a2": up2}),
+        (stride - 1, hi1 & lo2, {"j_minus": up1 * root2}),
+        (stride, hi1, {"a1": up1}),
     )
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(sum(on.astype(np.int32) for _, on, _ in shifts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    free = indptr[:-1].copy()   # the next unfilled slot of each row
+    ops, positions = {}, {}
+    for offset, on, weights in shifts:
+        pos, rows = free[on], row[on]
+        free += on
+        indices[pos] = rows + offset
+        for name, w in weights.items():
+            w = np.asarray(w[on], dtype=np.complex128)
+            keep = w != 0
+            held = rows[keep]
+            ops[name] = Operator(cutoff, sp.csr_matrix(
+                (w[keep], held + offset, np.searchsorted(held, np.arange(dim + 1))),
+                shape=(dim, dim)))
+            positions[name] = pos[keep]
+    return GeneratorSet(cutoff=cutoff, indptr=indptr, indices=indices,
+                        positions=positions, **ops)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

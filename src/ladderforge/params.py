@@ -459,17 +459,15 @@ def solve_ladder(p: HamiltonianParams,
 # ---------------------------------------------------------------------------
 
 def build_hamiltonian(p: HamiltonianParams, g: GeneratorSet) -> Operator:
-    return (p.beta0 * g.n_op
-            + p.beta_plus * g.j_minus + p.beta_minus * g.j_plus + p.beta3 * g.j3
-            + p.gamma1 * g.a1_dag + np.conj(p.gamma1) * g.a1
-            + p.gamma2 * g.a2_dag + np.conj(p.gamma2) * g.a2
-            + p.h0 * g.identity)
+    return g.combine([("n_op", p.beta0), ("j_minus", p.beta_plus), ("j_plus", p.beta_minus),
+                      ("j3", p.beta3), ("a1_dag", p.gamma1), ("a1", np.conj(p.gamma1)),
+                      ("a2_dag", p.gamma2), ("a2", np.conj(p.gamma2)), ("identity", p.h0)])
 
 
 def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
-    return (c.mu1 * g.a1 + c.mu2 * g.a2 + c.nu1 * g.a1_dag + c.nu2 * g.a2_dag
-            + c.alpha_minus * g.j_plus + c.alpha_plus * g.j_minus + c.alpha3 * g.j3
-            + c.a0 * g.identity)
+    return g.combine([("a1", c.mu1), ("a2", c.mu2), ("a1_dag", c.nu1), ("a2_dag", c.nu2),
+                      ("j_plus", c.alpha_minus), ("j_minus", c.alpha_plus), ("j3", c.alpha3),
+                      ("identity", c.a0)])
 
 
 def verify_ladder(h: Operator, a: Operator, degree: int = 3) -> float:

@@ -104,11 +104,11 @@ class Frame:
 
     def dags(self, g: GeneratorSet) -> tuple[Operator, Operator]:
         """(d1, d2): the creation operators of the basic frame."""
-        return tuple(row[0] * g.a1_dag + row[1] * g.a2_dag + shift * g.identity
+        return tuple(g.combine([("a1_dag", row[0]), ("a2_dag", row[1]), ("identity", shift)])
                      for row, shift in zip(self.m, self.c))
 
     def prefix(self, g: GeneratorSet) -> Operator:
-        return self.x[0] * g.a1_dag + self.x[1] * g.a2_dag
+        return g.combine([("a1_dag", self.x[0]), ("a2_dag", self.x[1])])
 
     def columns(self, g: GeneratorSet, keep: np.ndarray) -> np.ndarray:
         """U[:, keep], exact on the truncated space:

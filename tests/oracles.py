@@ -1,16 +1,70 @@
-"""Independent references for the closed-form reduction: coefficient readers
-that take an operator's coefficients off its matrix, the rotated couplings
-and basic parameters written out from the rotation's cosine and sine rather
-than from its angle, and the mixing rotation named by (eps, b, beta3)."""
+"""Independent references: the generators as Kronecker and matrix products
+of the one-mode annihilator, and H and A as chained Operator sums of them;
+for the closed-form reduction, coefficient readers that take an operator's
+coefficients off its matrix, the rotated couplings and basic parameters
+written out from the rotation's cosine and sine rather than from its angle,
+and the mixing rotation named by (eps, b, beta3)."""
+
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from ladderforge.errors import LadderForgeError
-from ladderforge.fock import (GeneratorSet, Operator, interior_indices,
+from ladderforge.fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
                              interior_residual, shell_indices)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder)
 from ladderforge.transforms import UnitarySpec, mixing_angle
+
+
+# cutoffs the one-pass build is checked at; at N2 = 1 the j_plus and a2_dag
+# shifts fall on one flat diagonal
+ORACLE_CUTOFFS = [(0, 0), (1, 1), (2, 5), (5, 1), (12, 16), (40, 40)]
+
+
+def assert_same_csr(op: Operator, ref: Operator) -> None:
+    """Identical CSR arrays, the data bit for bit (the sign of zero included)."""
+    assert op.mat.indptr.dtype == ref.mat.indptr.dtype
+    np.testing.assert_array_equal(op.mat.indptr, ref.mat.indptr)
+    np.testing.assert_array_equal(op.mat.indices, ref.mat.indices)
+    assert op.mat.data.shape == ref.mat.data.shape
+    np.testing.assert_array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+
+
+def kron_generators(cutoff: FockCutoff) -> SimpleNamespace:
+    """The generators as products: a1 = a (x) I and a2 = I (x) a of the
+    one-mode annihilator a, their adjoints, and n_op, j3, j_plus, j_minus
+    as Operator products and sums of those."""
+    def lower(n_max: int):
+        return sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, shape=(n_max + 1, n_max + 1))
+
+    a1 = Operator(cutoff, sp.kron(lower(cutoff.n1_max), sp.identity(cutoff.n2_max + 1)))
+    a2 = Operator(cutoff, sp.kron(sp.identity(cutoff.n1_max + 1), lower(cutoff.n2_max)))
+    a1_dag = a1.dag()
+    a2_dag = a2.dag()
+    identity = Operator(cutoff, sp.identity(cutoff.dim, dtype=np.complex128, format="csr"))
+    num1 = a1_dag @ a1
+    num2 = a2_dag @ a2
+    return SimpleNamespace(cutoff=cutoff, a1=a1, a2=a2, a1_dag=a1_dag, a2_dag=a2_dag,
+                           identity=identity, n_op=(num1 + num2) / 2.0,
+                           j3=(num1 - num2) / 2.0, j_plus=a1_dag @ a2, j_minus=a1 @ a2_dag)
+
+
+def sum_hamiltonian(p: HamiltonianParams, g) -> Operator:
+    """H as the chained Operator sum of scaled generators."""
+    return (p.beta0 * g.n_op
+            + p.beta_plus * g.j_minus + p.beta_minus * g.j_plus + p.beta3 * g.j3
+            + p.gamma1 * g.a1_dag + np.conj(p.gamma1) * g.a1
+            + p.gamma2 * g.a2_dag + np.conj(p.gamma2) * g.a2
+            + p.h0 * g.identity)
+
+
+def sum_ladder(c: LadderCoeffs, g) -> Operator:
+    """A as the chained Operator sum of scaled generators."""
+    return (c.mu1 * g.a1 + c.mu2 * g.a2 + c.nu1 * g.a1_dag + c.nu2 * g.a2_dag
+            + c.alpha_minus * g.j_plus + c.alpha_plus * g.j_minus + c.alpha3 * g.j3
+            + c.a0 * g.identity)
 
 
 def _me(op: Operator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:

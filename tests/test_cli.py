@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderforge.cli import run
+from ladderforge.cli import build_parser, run
 from ladderforge.fock import Operator
 
 BASE = [sys.executable, "-m", "ladderforge.cli"]
@@ -56,6 +56,24 @@ def test_chen_scenario(tmp_path):
     payload = json.loads((tmp_path / "chen.json").read_text())
     assert payload["report"]["passed"] is True
     assert (tmp_path / "chen_state.csv").exists()
+
+
+def test_runs_share_one_parser_and_no_flags(tmp_path):
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["chen", "--p", "3", "--q", "2", "--cutoff", "12,12", "--out", str(first)]) == 0
+    assert run(["chen", "--cutoff", "12,12", "--out", str(second)]) == 0
+    payload = json.loads((second / "chen.json").read_text())
+    assert "p" not in payload["config"] and "q" not in payload["config"]
+    assert (payload["report"]["p"], payload["report"]["q"]) == (2, 1)
+
+
+@pytest.mark.parametrize("argv,code", [(["--version"], 0), (["--help"], 0),
+                                       (["chen", "--p", "x"], 2), (["no-such-scenario"], 2)])
+def test_parser_exits_as_argparse_does(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
 
 
 @pytest.mark.parametrize("amplitude,kappa", [(5e-324, 1), (1e-200, 3), (5e-324, 3),

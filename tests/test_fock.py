@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ORACLE_CUTOFFS, assert_same_csr, kron_generators
 
 from ladderforge.errors import CutoffMismatch, LadderForgeError
 from ladderforge.fock import (FockCutoff, Operator, TwoModeState, apply,
@@ -267,3 +269,57 @@ def test_interior_residual_equals_projector_sandwich(n1_max, n2_max, density, se
     s_max = data.draw(st.integers(-1, n1_max + n2_max))
     sproj = shell_projector(cut, s_max)
     assert interior_residual(op, shell_indices(cut, s_max)) == (sproj @ op @ sproj).norm()
+
+
+GENERATOR_NAMES = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3",
+                   "identity")
+
+
+@pytest.mark.parametrize("n1_max,n2_max", ORACLE_CUTOFFS)
+def test_generators_match_the_kronecker_product_build(n1_max, n2_max):
+    cut = FockCutoff(n1_max, n2_max)
+    g, ref = build_generators(cut), kron_generators(cut)
+    for name in GENERATOR_NAMES:
+        assert_same_csr(getattr(g, name), getattr(ref, name))
+
+
+def test_generator_build_takes_no_kronecker_product(monkeypatch):
+    def kron(*args, **kwargs):
+        raise AssertionError("build_generators called sp.kron")
+
+    monkeypatch.setattr(sp, "kron", kron)
+    build_generators(FockCutoff(6, 4))
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(0, 0), (5, 1), (6, 6)])
+def test_combine_is_the_chained_operator_sum_in_any_order(n1_max, n2_max):
+    g = build_generators(FockCutoff(n1_max, n2_max))
+    terms = [("identity", 0.25 - 1j), ("a1", 0.5j), ("j3", -1.5), ("j_minus", 2.0),
+             ("n_op", 0.75 + 0.5j), ("a2_dag", -0.3), ("j_plus", 0.0)]
+    ref = (g.n_op * (0.75 + 0.5j) + g.j3 * -1.5 + g.identity * (0.25 - 1j)
+           + g.a1 * 0.5j + g.j_minus * 2.0 + g.a2_dag * -0.3)
+    pattern = g.indptr.copy(), g.indices.copy()
+    assert_same_csr(g.combine(terms), ref)
+    assert_same_csr(g.combine(terms[::-1]), ref)
+    # n_op - j3 = a2'a2 cancels to zero on n2 = 0: those entries are dropped
+    assert g.combine([("n_op", 1.0), ("j3", -1.0)]).nnz == (n1_max + 1) * n2_max
+    np.testing.assert_array_equal(g.indptr, pattern[0])
+    np.testing.assert_array_equal(g.indices, pattern[1])
+
+
+def test_operator_leaves_its_argument_unchanged():
+    arrays = (np.array([1.0, 0.0, 2.0, 3.0], dtype=complex), np.array([0, 1, 2, 3], dtype=np.int32),
+              np.array([0, 1, 2, 3, 4], dtype=np.int32))
+    before = [arr.copy() for arr in arrays]
+    m = sp.csr_matrix(arrays, shape=(4, 4))
+    real = sp.csr_matrix((arrays[0].real.copy(), *arrays[1:]), shape=(4, 4))
+    for arg in (m, real, arrays):
+        assert Operator(FockCutoff(1, 1), arg).nnz == 3
+        assert m.nnz == 4
+        for arr, kept in zip(arrays, before):
+            np.testing.assert_array_equal(arr, kept)
+    unsorted = sp.csr_matrix((np.array([2.0, 1.0], dtype=complex), np.array([3, 0]),
+                              np.array([0, 2, 2, 2, 2])), shape=(4, 4))
+    op = Operator(FockCutoff(1, 1), unsorted)
+    assert unsorted.indices.tolist() == [3, 0]
+    assert op.mat.indices.tolist() == [0, 3]

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (ORACLE_CUTOFFS, assert_same_csr, kron_generators, sum_hamiltonian,
+                     sum_ladder)
 
+from ladderforge import fock
+from ladderforge.catalogue import appendix_catalogue
 from ladderforge.cli import run
+from ladderforge.fock import FockCutoff, build_generators
 from ladderforge.params import (CaseTag, FamilyKind, HamiltonianParams,
                                 LadderCoeffs, build_hamiltonian, build_ladder,
                                 classify, coeffs_from_json, coeffs_to_json,
@@ -268,3 +273,58 @@ def test_params_json_roundtrip():
     assert params_from_json(params_to_json(p)) == p
     c = LadderCoeffs(mu1=1, mu2=2j, nu1=0.5, alpha3=-1.5, a0=0.1 + 0.9j)
     assert coeffs_from_json(coeffs_to_json(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# H and A assembled in one pass, against the chained operator sums
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def generator_pairs():
+    return {cut: (build_generators(FockCutoff(*cut)), kron_generators(FockCutoff(*cut)))
+            for cut in ORACLE_CUTOFFS}
+
+
+@pytest.mark.parametrize("cut", ORACLE_CUTOFFS)
+def test_catalogue_h_and_a_match_the_operator_sums(cut, generator_pairs):
+    g, ref = generator_pairs[cut]
+    for row in appendix_catalogue():
+        assert_same_csr(build_hamiltonian(row.params, g), sum_hamiltonian(row.params, ref))
+        assert_same_csr(build_ladder(row.coeffs, g), sum_ladder(row.coeffs, ref))
+
+
+_finite = st.floats(-5, 5, allow_nan=False)
+_coupling = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+_maybe_zero = st.one_of(st.just(0.0), _finite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.sampled_from(ORACLE_CUTOFFS), beta0=_maybe_zero, beta3=_maybe_zero,
+       beta_plus=st.one_of(st.just(0j), _coupling), gamma1=st.one_of(st.just(0j), _coupling),
+       gamma2=st.one_of(st.just(0j), _coupling), h0=_maybe_zero,
+       coeffs=st.lists(st.one_of(st.just(0j), _coupling), min_size=8, max_size=8))
+def test_drawn_h_and_a_match_the_operator_sums(generator_pairs, cut, beta0, beta3, beta_plus,
+                                               gamma1, gamma2, h0, coeffs):
+    g, ref = generator_pairs[cut]
+    p = HamiltonianParams(beta0=beta0, beta_plus=beta_plus, beta3=beta3,
+                          gamma1=gamma1, gamma2=gamma2, h0=h0)
+    c = LadderCoeffs(*coeffs)
+    assert_same_csr(build_hamiltonian(p, g), sum_hamiltonian(p, ref))
+    assert_same_csr(build_ladder(c, g), sum_ladder(c, ref))
+
+
+def test_h_and_a_are_each_one_operator(gen8, monkeypatch):
+    built = []
+    init = fock.Operator.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fock.Operator, "__init__", counting)
+    p = HamiltonianParams(beta0=2.5, beta_plus=0.3 + 0.1j, beta3=0.4, gamma1=0.2j,
+                          gamma2=-0.1, h0=0.5)
+    build_hamiltonian(p, gen8)
+    assert len(built) == 1
+    build_ladder(LadderCoeffs(*np.arange(1, 9) * (1 + 0.5j)), gen8)
+    assert len(built) == 2
