@@ -5,8 +5,7 @@ against the commutator requirement [H, A] = -A."""
 import numpy as np
 
 from ladderforge import (FockCutoff, HamiltonianParams, build_generators,
-                         build_hamiltonian, build_ladder, solve_ladder,
-                         su2_invariant, verify_ladder)
+                         solve_ladder, su2_invariant, verify_ladder)
 
 
 def unit_gate(beta0, beta3, theta=0.7, **kw):
@@ -36,8 +35,7 @@ for name, p in cases.items():
     if not rep.exists:
         print("  no compatible lowering operator (both gates closed)")
         continue
-    h = build_hamiltonian(p, g)
     for coeff, free, ok in zip(rep.coeffs, rep.free_parameters, rep.normalizable):
-        resid = verify_ladder(h, build_ladder(coeff, g), 3)
+        resid = verify_ladder(p, coeff, g, 3)
         flag = "normalizable family" if ok else "eigenstates refuse away from 0"
         print(f"  free parameter {free:<12} residual {resid:.2e}  [{flag}]")

@@ -10,8 +10,7 @@ from ladderforge import (FockCutoff, PQParams, build_A_pq_generalized,
                          build_calA_pq, build_H_pq, build_generators,
                          chen_ground, commutator, degenerate_zero_states,
                          diagonalize_oracle, interior_indices,
-                         interior_residual, louck_spectrum,
-                         tilde0_state, verify_ladder)
+                         interior_residual, louck_spectrum, tilde0_state)
 
 g = build_generators(FockCutoff(20, 20))
 pq = PQParams(3, 2, alpha_plus=0.7 + 0.2j, alpha_minus=0.9 - 0.5j)
@@ -21,8 +20,11 @@ a_gen = build_A_pq_generalized(pq, g)
 deg = max(pq.p, pq.q)
 
 print(f"p:q = {pq.p}:{pq.q}")
-print(f"[H, A] + A residual:          {verify_ladder(h, cal_a, deg):.2e}")
+# the p:q ladder lies outside the algebra's span, so its identities are
+# checked on the truncated matrices
 keep = interior_indices(g.cutoff, deg)
+print(f"[H, A] + A residual:          "
+      f"{interior_residual(commutator(h, cal_a) + cal_a, keep):.2e}")
 print(f"[A_gen, A'] residual:         "
       f"{interior_residual(commutator(a_gen, cal_a.dag()), keep):.2e}")
 

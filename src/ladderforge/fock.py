@@ -8,13 +8,17 @@ Truncation artifacts are masked in all checks by restricting to interior
 index sets (interior_residual).
 
 Each of the nine generators moves the grid by one of seven shifts
-(dn1, dn2) with a closed-form weight, so they all live on one sparsity
-pattern; GeneratorSet.combine forms any linear combination of them (a
-Hamiltonian, a ladder, a frame operator) as one data vector on it.
+(dn1, dn2) with a closed-form weight, and GeneratorSet records them as
+those weights on the grid.  Commutator identities among elements of their
+span are checked on the weights themselves (commutator_residual), with no
+matrix formed; GeneratorSet.combine forms any linear combination of them (a
+Hamiltonian, a ladder, a frame operator) as one data vector on the
+sparsity pattern they share.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,6 +35,7 @@ __all__ = [
     "GeneratorSet",
     "build_generators",
     "commutator",
+    "commutator_residual",
     "interior_projector",
     "interior_indices",
     "shell_indices",
@@ -205,30 +210,100 @@ class TwoModeState:
 # (n_op, j3, identity) share entries, and they come last in this order
 _GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
 
+# the seven shifts (dn1, dn2) of the generators, in column order: row
+# |m1, m2> of a generator holds its weight in column |m1 + dn1, m2 + dn2>
+_SHIFTS = ((-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0))
+_SHIFT_OF = {"a1_dag": 0, "j_plus": 1, "a2_dag": 2, "n_op": 3, "j3": 3, "identity": 3,
+             "a2": 4, "j_minus": 5, "a1": 6}
+
+# a product of two shifts moves the grid by their sum, one of 19 shifts:
+# _PAIR_SHIFT[i, j] is where the pair of shifts i, j lands among them, and
+# _OWN_SHIFT[i] where shift i itself does
+_PRODUCT_SHIFTS = sorted({(a + c, b + d) for a, b in _SHIFTS for c, d in _SHIFTS})
+_PAIR_SHIFT = np.array([[_PRODUCT_SHIFTS.index((a + c, b + d)) for c, d in _SHIFTS]
+                        for a, b in _SHIFTS])
+_OWN_SHIFT = [_PRODUCT_SHIFTS.index(s) for s in _SHIFTS]
+
+
+def _in_order(terms) -> list:
+    """The (generator name, c_k) terms with c_k != 0, in the order combine
+    adds them."""
+    return [(name, c) for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0]))
+            if c != 0]
+
+
+def _inside(m1, m2, shift, n1_max: int, n2_max: int):
+    """Where |m1 + dn1, m2 + dn2> lies in the box 0 <= n_i <= n_i_max."""
+    d1, d2 = shift
+    return (0 <= m1 + d1) & (m1 + d1 <= n1_max) & (0 <= m2 + d2) & (m2 + d2 <= n2_max)
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All algebra generators realized as matrices on one truncated basis.
+    """All algebra generators on one truncated basis, recorded as their
+    weights on the occupation grid.
 
     n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
     j_minus = a1 a2' (Schwinger realization built from the mode operators).
-    Every generator is stored on one shared sorted CSR pattern (`indptr`,
-    `indices`); `positions[name]` says where its stored entries sit in it.
+    `weights[name]` is an (n1_max + 1, n2_max + 1) array: row |m> of the
+    generator holds weights[name][m] in the column one shift away, and the
+    weight is zero where that column leaves the grid.  The CSR forms are
+    built from it on first use: each generator as an Operator (`g.a1`, ...),
+    and the sorted pattern all nine share (`indptr`, `indices`), on which
+    `combine` forms their linear combinations.
     """
 
     cutoff: FockCutoff
-    a1: Operator
-    a2: Operator
-    a1_dag: Operator
-    a2_dag: Operator
-    identity: Operator
-    n_op: Operator
-    j3: Operator
-    j_plus: Operator
-    j_minus: Operator
-    indptr: np.ndarray = field(repr=False, compare=False)
-    indices: np.ndarray = field(repr=False, compare=False)
-    positions: dict = field(repr=False, compare=False)
+    weights: dict = field(repr=False, compare=False)
+
+    def __getattr__(self, name: str) -> Operator:
+        # reached only for a generator not built yet: once built, it is
+        # found in the instance dict
+        if name not in _GENERATORS:
+            raise AttributeError(name)
+        rows, _ = self._pattern[2][name]
+        d1, d2 = _SHIFTS[_SHIFT_OF[name]]
+        dim = self.cutoff.dim
+        op = Operator(self.cutoff, sp.csr_matrix(
+            (self.weights[name].ravel()[rows], rows + d1 * (self.cutoff.n2_max + 1) + d2,
+             np.searchsorted(rows, np.arange(dim + 1))), shape=(dim, dim)))
+        object.__setattr__(self, name, op)
+        return op
+
+    @functools.cached_property
+    def _pattern(self) -> tuple:
+        """(indptr, indices, {name: (rows, positions)}): the shared sorted
+        CSR pattern and, per generator, the rows of its stored (nonzero)
+        entries and where they sit in the pattern.  Taken in column order,
+        the seven shifts fill every row already sorted; two shifts with one
+        column offset (at n2_max = 1) never share a row."""
+        cut = self.cutoff
+        stride, dim = cut.n2_max + 1, cut.dim
+        row = np.arange(dim, dtype=np.int32)
+        m1, m2 = np.divmod(row, stride)
+        ons = [_inside(m1, m2, s, cut.n1_max, cut.n2_max) for s in _SHIFTS]
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(sum(on.astype(np.int32) for on in ons), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        free = indptr[:-1].copy()   # the next unfilled slot of each row
+        entries = {}
+        for k, ((d1, d2), on) in enumerate(zip(_SHIFTS, ons)):
+            pos, rows = free[on], row[on]
+            free += on
+            indices[pos] = rows + d1 * stride + d2
+            for name in _GENERATORS:
+                if _SHIFT_OF[name] == k:
+                    keep = self.weights[name].ravel()[rows] != 0
+                    entries[name] = rows[keep], pos[keep]
+        return indptr, indices, entries
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._pattern[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._pattern[1]
 
     def combine(self, terms) -> Operator:
         """sum_k c_k G_k over the (generator name, c_k) pairs, built as one
@@ -236,68 +311,41 @@ class GeneratorSet:
         in the order n_op, j3, identity whatever the order of `terms`, so the
         entries are those of the chained Operator sum written in that order.
         The zeros are dropped into fresh arrays: the pattern stays intact."""
-        data = np.zeros(self.indices.size, dtype=np.complex128)
-        for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
-            if c != 0:
-                data[self.positions[name]] += getattr(self, name).mat.data * complex(c)
+        indptr, indices, entries = self._pattern
+        data = np.zeros(indices.size, dtype=np.complex128)
+        for name, c in _in_order(terms):
+            rows, pos = entries[name]
+            data[pos] += self.weights[name].ravel()[rows] * complex(c)
         nz = data != 0
-        kept = np.zeros(nz.size + 1, dtype=self.indptr.dtype)
+        kept = np.zeros(nz.size + 1, dtype=indptr.dtype)
         np.cumsum(nz, out=kept[1:])
         dim = self.cutoff.dim
-        return Operator(self.cutoff, sp.csr_matrix((data[nz], self.indices[nz], kept[self.indptr]),
+        return Operator(self.cutoff, sp.csr_matrix((data[nz], indices[nz], kept[indptr]),
                                                    shape=(dim, dim)))
 
 
 def build_generators(cutoff: FockCutoff) -> GeneratorSet:
-    """Construct the full generator set on the given truncation.
+    """The generator set on the given truncation, read off the grid.
 
     Each generator is one shift of the occupations with a closed-form
-    weight, read off the grid: row |m1, m2> of a1 holds sqrt(m1 + 1) in
-    column |m1 + 1, m2>, row |m1, m2> of j_plus = a1'a2 holds
-    sqrt(m1) sqrt(m2 + 1) in column |m1 - 1, m2 + 1>, and so on.  Taken in
-    column order, the seven shifts fill every row of the shared pattern
-    already sorted.  The weights are the float expressions of the
-    mode-operator products (the diagonal of a1'a1 is sqrt(m1) sqrt(m1), not
-    m1), so every entry equals that of the product build bit for bit."""
-    stride, dim = cutoff.n2_max + 1, cutoff.dim
-    row = np.arange(dim, dtype=np.int32)
-    m1, m2 = np.divmod(row, stride)
+    weight: row |m1, m2> of a1 holds sqrt(m1 + 1) in column |m1 + 1, m2>,
+    row |m1, m2> of j_plus = a1'a2 holds sqrt(m1) sqrt(m2 + 1) in column
+    |m1 - 1, m2 + 1>, and so on.  The weights are the float expressions of
+    the mode-operator products (the diagonal of a1'a1 is sqrt(m1) sqrt(m1),
+    not m1), so every entry equals that of the product build bit for bit;
+    a1' and a2' carry the -0 imaginary part of a conjugate transpose."""
+    m1, m2 = np.indices((cutoff.n1_max + 1, cutoff.n2_max + 1))
     root1, root2 = np.sqrt(m1.astype(float)), np.sqrt(m2.astype(float))
     up1, up2 = np.sqrt(m1 + 1.0), np.sqrt(m2 + 1.0)
-    lo1, lo2, hi1, hi2 = m1 > 0, m2 > 0, m1 < cutoff.n1_max, m2 < cutoff.n2_max
     num1, num2 = root1 * root1, root2 * root2
-    # (column offset, rows holding an entry, {generator: weight}) in column
-    # order; two shifts with one offset (at n2_max = 1) never share a row.
-    # a1' and a2' carry the -0 imaginary part of a conjugate transpose.
-    shifts = (
-        (-stride, lo1, {"a1_dag": np.conj(root1 + 0j)}),
-        (1 - stride, lo1 & hi2, {"j_plus": root1 * up2}),
-        (-1, lo2, {"a2_dag": np.conj(root2 + 0j)}),
-        (0, np.ones(dim, dtype=bool), {"n_op": (num1 + num2) / 2.0,
-                                       "j3": (num1 - num2) / 2.0, "identity": np.ones(dim)}),
-        (1, hi2, {"a2": up2}),
-        (stride - 1, hi1 & lo2, {"j_minus": up1 * root2}),
-        (stride, hi1, {"a1": up1}),
-    )
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(sum(on.astype(np.int32) for _, on, _ in shifts), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    free = indptr[:-1].copy()   # the next unfilled slot of each row
-    ops, positions = {}, {}
-    for offset, on, weights in shifts:
-        pos, rows = free[on], row[on]
-        free += on
-        indices[pos] = rows + offset
-        for name, w in weights.items():
-            w = np.asarray(w[on], dtype=np.complex128)
-            keep = w != 0
-            held = rows[keep]
-            ops[name] = Operator(cutoff, sp.csr_matrix(
-                (w[keep], held + offset, np.searchsorted(held, np.arange(dim + 1))),
-                shape=(dim, dim)))
-            positions[name] = pos[keep]
-    return GeneratorSet(cutoff=cutoff, indptr=indptr, indices=indices,
-                        positions=positions, **ops)
+    weights = {"a1": up1, "a2": up2, "a1_dag": np.conj(root1 + 0j),
+               "a2_dag": np.conj(root2 + 0j), "j_plus": root1 * up2, "j_minus": up1 * root2,
+               "n_op": (num1 + num2) / 2.0, "j3": (num1 - num2) / 2.0,
+               "identity": np.ones(m1.shape)}
+    return GeneratorSet(cutoff, {
+        name: np.where(_inside(m1, m2, _SHIFTS[_SHIFT_OF[name]], cutoff.n1_max, cutoff.n2_max),
+                       w, 0).astype(np.complex128)
+        for name, w in weights.items()})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -311,6 +359,95 @@ def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
     n1 = np.arange(cutoff.n1_max - degree + 1, dtype=np.intp)
     n2 = np.arange(cutoff.n2_max - degree + 1, dtype=np.intp)
     return (n1[:, None] * (cutoff.n2_max + 1) + n2).ravel()
+
+
+# The kernel below works on the grid padded by one zero layer and flattened
+# row-major (stride n2_max + 3), over the padded rows of the interior box
+# taken whole: a shift is then a flat offset, and every slice is contiguous.
+# The columns past the box in each row are formed too and never read.
+
+@functools.lru_cache(maxsize=32)
+def _interior_entries(cutoff: FockCutoff, degree: int) -> tuple[int, np.ndarray]:
+    """The number of grid rows the degree-`degree` interior box spans, and
+    the entries of a 19 x (those rows of the padded grid, flat) array of
+    entries per product shift whose row and column both lie in the box: as
+    flat indices into it, in row-major order of (row, column)."""
+    m1, m2 = np.divmod(interior_indices(cutoff, degree), cutoff.n2_max + 1)
+    hi1, hi2 = cutoff.n1_max - degree, cutoff.n2_max - degree
+    inside = np.array([_inside(m1, m2, s, hi1, hi2) for s in _PRODUCT_SHIFTS])
+    at = m1 * (cutoff.n2_max + 3) + m2 + 1
+    flat = np.arange(len(_PRODUCT_SHIFTS))[:, None] * (hi1 + 1) * (cutoff.n2_max + 3) + at
+    return hi1 + 1, flat.T[inside.T]
+
+
+def _shift_weights(g: GeneratorSet, terms) -> tuple[list, np.ndarray, np.ndarray]:
+    """sum_k c_k G_k as the shifts it uses and, per shift, the real and
+    imaginary parts of its weight on the flat padded grid; the terms are
+    added in combine's order."""
+    by_shift = {}
+    for name, c in _in_order(terms):
+        k, w = _SHIFT_OF[name], g.weights[name] * complex(c)
+        by_shift[k] = by_shift[k] + w if k in by_shift else w
+    shifts = sorted(by_shift)
+    padded = (g.cutoff.n1_max + 3, g.cutoff.n2_max + 3)
+    parts = np.zeros((2, len(shifts), *padded))
+    for row, k in enumerate(shifts):
+        parts[0, row, 1:-1, 1:-1] = by_shift[k].real
+        parts[1, row, 1:-1, 1:-1] = by_shift[k].imag
+    return shifts, *parts.reshape(2, len(shifts), padded[0] * padded[1])
+
+
+def _product(left, right, stride: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the product of two _shift_weights sums on
+    the padded rows 1..rows, per product shift (19 x rows * stride): row |m>
+    of L_i R_j holds L_i[m] R_j[m + s_i] in column |m + s_i + s_j>.  Each
+    entry is formed as a sparse row-by-row product forms it: summed over i
+    in column order, each term rounded as (ar br - ai bi, ar bi + ai br),
+    with no fused multiply-add."""
+    (li, l_re, l_im), (rj, r_re, r_im) = left, right
+    start, stop = stride, stride * (rows + 1)
+    re, im = np.zeros((2, len(_PRODUCT_SHIFTS), stop - start))
+    for row, i in enumerate(li):
+        d1, d2 = _SHIFTS[i]
+        at = d1 * stride + d2
+        ar, ai = l_re[row, start:stop], l_im[row, start:stop]
+        br, bi = r_re[:, start + at:stop + at], r_im[:, start + at:stop + at]
+        t = _PAIR_SHIFT[i, rj]
+        re[t] += ar * br - ai * bi
+        im[t] += ar * bi + ai * br
+    return re, im
+
+
+def commutator_residual(g: GeneratorSet, x, y, z, degree: int) -> float:
+    """||P([X, Y] + Z)P||_F on the degree-`degree` interior, for X, Y and Z
+    in the span of the generators, each given as (generator name, c_k)
+    terms as combine takes them.
+
+    No matrix is formed: each operand is at most seven weighted shifts, a
+    product at most 49 products of shifted slices summed into the 19
+    product shifts, and only the rows of the box are formed; an entry counts
+    when its column is in the box too.  A weight is zero where its column
+    leaves the grid and the padding is zero, so every entry is that of the
+    truncated matrices, formed with the roundings of scipy's sparse product,
+    difference and sum, and the norm takes the nonzero entries in row-major
+    order as interior_residual does on the CSR matrices.  Where scipy rounds
+    without fused multiply-add and n2_max >= 4 (the 19 shifts then reach
+    their columns in sorted order), the two agree to the last bit."""
+    rows, kept = _interior_entries(g.cutoff, degree)
+    stride = g.cutoff.n2_max + 3
+    x, y = _shift_weights(g, x), _shift_weights(g, y)
+    (re, im), (yx_re, yx_im) = _product(x, y, stride, rows), _product(y, x, stride, rows)
+    re -= yx_re
+    im -= yx_im
+    zk, z_re, z_im = _shift_weights(g, z)
+    own = [_OWN_SHIFT[k] for k in zk]
+    re[own] += z_re[:, stride:stride * (rows + 1)]
+    im[own] += z_im[:, stride:stride * (rows + 1)]
+    re, im = re.ravel()[kept], im.ravel()[kept]
+    nonzero = (re != 0) | (im != 0)
+    entries = np.empty(np.count_nonzero(nonzero), dtype=np.complex128)
+    entries.real, entries.imag = re[nonzero], im[nonzero]
+    return float(np.linalg.norm(entries))
 
 
 def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
-                   commutator, interior_indices, interior_residual)
+                   commutator_residual)
 
 __all__ = [
     "HamiltonianParams",
@@ -119,6 +119,12 @@ class LadderCoeffs:
         return np.array([self.mu1, self.mu2, self.nu1, self.nu2,
                          self.alpha_plus, self.alpha_minus, self.alpha3, self.a0],
                         dtype=np.complex128)
+
+    @property
+    def scale(self) -> float:
+        """max_k |c_k|: the ladder divided by it is the representative
+        verify_ladder checks."""
+        return float(np.max(np.abs(self.as_array())))
 
     def scaled(self, factor: complex) -> "LadderCoeffs":
         arr = self.as_array() * factor
@@ -458,21 +464,37 @@ def solve_ladder(p: HamiltonianParams,
 # matrix construction and residuals
 # ---------------------------------------------------------------------------
 
+def _hamiltonian_terms(p: HamiltonianParams) -> list:
+    return [("n_op", p.beta0), ("j_minus", p.beta_plus), ("j_plus", p.beta_minus),
+            ("j3", p.beta3), ("a1_dag", p.gamma1), ("a1", np.conj(p.gamma1)),
+            ("a2_dag", p.gamma2), ("a2", np.conj(p.gamma2)), ("identity", p.h0)]
+
+
+def _ladder_terms(c: LadderCoeffs) -> list:
+    return [("a1", c.mu1), ("a2", c.mu2), ("a1_dag", c.nu1), ("a2_dag", c.nu2),
+            ("j_plus", c.alpha_minus), ("j_minus", c.alpha_plus), ("j3", c.alpha3),
+            ("identity", c.a0)]
+
+
 def build_hamiltonian(p: HamiltonianParams, g: GeneratorSet) -> Operator:
-    return g.combine([("n_op", p.beta0), ("j_minus", p.beta_plus), ("j_plus", p.beta_minus),
-                      ("j3", p.beta3), ("a1_dag", p.gamma1), ("a1", np.conj(p.gamma1)),
-                      ("a2_dag", p.gamma2), ("a2", np.conj(p.gamma2)), ("identity", p.h0)])
+    return g.combine(_hamiltonian_terms(p))
 
 
 def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
-    return g.combine([("a1", c.mu1), ("a2", c.mu2), ("a1_dag", c.nu1), ("a2_dag", c.nu2),
-                      ("j_plus", c.alpha_minus), ("j_minus", c.alpha_plus), ("j3", c.alpha3),
-                      ("identity", c.a0)])
+    return g.combine(_ladder_terms(c))
 
 
-def verify_ladder(h: Operator, a: Operator, degree: int = 3) -> float:
-    """|| P ([H, A] + A) P ||_F on the degree-`degree` interior."""
-    return interior_residual(commutator(h, a) + a, interior_indices(h.cutoff, degree))
+def verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
+                  degree: int = 3) -> float:
+    """|| P ([H, A] + A) P ||_F on the degree-`degree` interior, for A the
+    ladder c divided by c.scale.  The identity is homogeneous in A, so this
+    is the one place that picks which multiple of the ladder the tolerance
+    applies to: the one whose largest coefficient has modulus 1.  Computed
+    on the generators' grid weights (fock.commutator_residual); no matrix is
+    formed."""
+    scale = c.scale
+    a = _ladder_terms(LadderCoeffs(*(c.as_array() / scale)) if scale else c)
+    return commutator_residual(g, _hamiltonian_terms(p), a, a, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Independent references: the generators as Kronecker and matrix products
 of the one-mode annihilator, and H and A as chained Operator sums of them;
+the ladder identity as CSR products restricted to the interior;
 for the closed-form reduction, coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
@@ -11,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ladderforge.errors import LadderForgeError
-from ladderforge.fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
-                             interior_residual, shell_indices)
+from ladderforge.fock import (FockCutoff, GeneratorSet, Operator, commutator,
+                             interior_indices, interior_residual, shell_indices)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder)
 from ladderforge.transforms import UnitarySpec, mixing_angle
@@ -65,6 +66,20 @@ def sum_ladder(c: LadderCoeffs, g) -> Operator:
     return (c.mu1 * g.a1 + c.mu2 * g.a2 + c.nu1 * g.a1_dag + c.nu2 * g.a2_dag
             + c.alpha_minus * g.j_plus + c.alpha_plus * g.j_minus + c.alpha3 * g.j3
             + c.a0 * g.identity)
+
+
+def csr_ladder_residual(h: Operator, a: Operator, degree: int = 3) -> float:
+    """|| P ([H, A] + A) P ||_F on the degree-`degree` interior, from the CSR
+    products on the whole truncated space."""
+    return interior_residual(commutator(h, a) + a, interior_indices(h.cutoff, degree))
+
+
+def csr_verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
+                      degree: int = 3) -> float:
+    """verify_ladder from the CSR matrices: H against the ladder divided by
+    its scale."""
+    a = build_ladder(LadderCoeffs(*(c.as_array() / c.scale)), g)
+    return csr_ladder_residual(build_hamiltonian(p, g), a, degree)
 
 
 def _me(op: Operator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:

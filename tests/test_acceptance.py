@@ -154,9 +154,7 @@ def test_criterion_3_ladder_residuals(gen14a):
             theta=rng.uniform(0, 2 * np.pi)))
     for bind in binds:
         for row in appendix_catalogue(bind):
-            h = build_hamiltonian(row.params, gen14a)
-            a = build_ladder(row.coeffs, gen14a)
-            worst = max(worst, verify_ladder(h, a, 3))
+            worst = max(worst, verify_ladder(row.params, row.coeffs, gen14a, 3))
             count += 1
     # solver output on assorted families
     families = [
@@ -169,9 +167,8 @@ def test_criterion_3_ladder_residuals(gen14a):
         gate_params(2.5, 0.6, 1.0, gamma1=0.4 + 0.3j, gamma2=0.25 - 0.15j),
     ]
     for p in families:
-        h = build_hamiltonian(p, gen14a)
         for coeff in solve_ladder(p).coeffs:
-            worst = max(worst, verify_ladder(h, build_ladder(coeff, gen14a), 3))
+            worst = max(worst, verify_ladder(p, coeff, gen14a, 3))
             count += 1
     report("criterion 3: commutator residual of every catalogue/solver pair",
            worst < 1e-10, f"{count} pairs, worst {worst:.2e}")

@@ -5,8 +5,7 @@ import pytest
 
 from ladderforge.catalogue import (Bindings, appendix_a_rows, appendix_b_rows,
                                    appendix_catalogue)
-from ladderforge.params import (LadderCoeffs, build_hamiltonian, build_ladder,
-                                classify, solve_ladder, verify_ladder)
+from ladderforge.params import LadderCoeffs, classify, solve_ladder, verify_ladder
 from ladderforge.params import HamiltonianParams
 
 
@@ -27,9 +26,7 @@ def test_row_counts(rows):
 
 def test_every_row_satisfies_commutator(rows, gen14):
     for row in rows:
-        h = build_hamiltonian(row.params, gen14)
-        a = build_ladder(row.coeffs, gen14)
-        assert verify_ladder(h, a, 3) < 1e-10, row.label
+        assert verify_ladder(row.params, row.coeffs, gen14, 3) < 1e-10, row.label
 
 
 def test_random_bindings_satisfy_commutator(gen10, rng):
@@ -45,9 +42,7 @@ def test_random_bindings_satisfy_commutator(gen10, rng):
             theta=rng.uniform(0, 2 * np.pi),
         )
         for row in appendix_catalogue(bind):
-            h = build_hamiltonian(row.params, gen10)
-            a = build_ladder(row.coeffs, gen10)
-            assert verify_ladder(h, a, 3) < 1e-10, row.label
+            assert verify_ladder(row.params, row.coeffs, gen10, 3) < 1e-10, row.label
 
 
 def test_displaced_21_row_matches_display(gen10):

@@ -9,9 +9,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import csr_verify_ladder
 
-from ladderforge.cli import build_parser, run
-from ladderforge.fock import Operator
+from ladderforge import fock
+from ladderforge.cli import _ALGEBRA_IDENTITIES, build_parser, run
+from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator,
+                              commutator_residual, interior_indices, interior_residual)
+from ladderforge.params import params_from_json, solve_ladder, verify_ladder
 
 BASE = [sys.executable, "-m", "ladderforge.cli"]
 
@@ -629,3 +633,41 @@ def test_spectrum_on_gate_surfaces_certifies_every_entry(params, cutoff):
         with open(os.path.join(tmp, "spectrum.json"), encoding="utf-8") as fh:
             reason = json.load(fh)["report"]["reason"]
         assert reason in ("no ladder", "no certified chain entries"), (params, reason)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_gate_params(), st.sampled_from([(12, 16), (20, 20)]))
+def test_verify_ladder_matches_the_csr_oracle_on_gate_surfaces(params, cutoff):
+    p = params_from_json(params)
+    g = build_generators(FockCutoff(*cutoff))
+    for c in solve_ladder(p).coeffs:
+        assert abs(verify_ladder(p, c, g) - csr_verify_ladder(p, c, g)) <= 2e-12, params
+
+
+@pytest.mark.parametrize("cut", [(8, 8), (12, 16), (24, 24)])
+def test_algebra_identities_match_their_csr_form(cut):
+    # single generators with coefficients +/-1, +/-0.5 and -2: the entries are
+    # products and sums of real numbers, rounded alike on both paths
+    g = build_generators(FockCutoff(*cut))
+    for name, x, y, degree, z in _ALGEBRA_IDENTITIES:
+        csr = commutator(getattr(g, x), getattr(g, y)) + g.combine(z)
+        want = interior_residual(csr, interior_indices(g.cutoff, degree))
+        assert commutator_residual(g, [(x, 1)], [(y, 1)], z, degree) == want, name
+
+
+def test_ladder_and_algebra_checks_build_no_csr_matrix(tmp_path, monkeypatch):
+    built = []
+    init = fock.Operator.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fock.Operator, "__init__", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2.5, "beta_plus": 0.4, "beta3": 0.6,
+                                          "gamma1": [0.2, 0.1], "gamma2": 0.1}}))
+    for argv in (["solve-ladder", "--config", str(cfg)], ["catalogue-sweep"],
+                 ["verify-algebra"]):
+        assert run([*argv, "--cutoff", "12,12", "--out", str(tmp_path)]) == 0, argv
+    assert built == []

@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (ORACLE_CUTOFFS, assert_same_csr, kron_generators, sum_hamiltonian,
-                     sum_ladder)
+from oracles import (ORACLE_CUTOFFS, assert_same_csr, csr_verify_ladder, kron_generators,
+                     sum_hamiltonian, sum_ladder)
 
 from ladderforge import fock
 from ladderforge.catalogue import appendix_catalogue
@@ -198,9 +199,8 @@ def test_solver_branches_pass_commutator(maker, gen14):
     p = maker()
     report = solve_ladder(p)
     assert report.exists
-    h = build_hamiltonian(p, gen14)
     for coeff in report.coeffs:
-        assert verify_ladder(h, build_ladder(coeff, gen14), 3) < 1e-10
+        assert verify_ladder(p, coeff, gen14, 3) < 1e-10
 
 
 def test_solver_a0_matches_matrix_identity_component(gen14):
@@ -243,10 +243,74 @@ def test_solver_agrees_with_the_gates_next_to_the_isotropic_point(tmp_path):
 
 
 def test_verify_ladder_detects_wrong_pair(gen10):
-    h = gen10.n_op
-    assert verify_ladder(h, gen10.a1, 2) > 0.1
-    zero = 0.0 * gen10.a1
-    assert verify_ladder(h, zero, 2) == 0.0
+    h = HamiltonianParams(beta0=1.0)   # N
+    assert verify_ladder(h, LadderCoeffs(mu1=1.0), gen10, 2) > 0.1
+    assert verify_ladder(h, LadderCoeffs(), gen10, 2) == 0.0
+
+
+# su(2) with a small beta_plus: the solver's ladder has alpha3 = 1 and
+# alpha_plus = -500, and the absolute residual of [H, A] = -A grows with that
+# scale (6.2e-10 at cutoff 24 when checked as solved)
+SU2_SMALL_BETA_PLUS = {"beta0": 2, "beta_plus": [0.001, 0], "beta3": 0.999997999998}
+
+
+@pytest.mark.parametrize("n", [12, 18, 24])
+def test_a_ladder_is_verified_at_unit_scale(n):
+    p = params_from_json(SU2_SMALL_BETA_PLUS)
+    (c,) = solve_ladder(p).coeffs
+    g = build_generators(FockCutoff(n, n))
+    assert c.scale == pytest.approx(500, rel=1e-5)
+    assert verify_ladder(p, c, g) < 1e-10
+    # one coefficient of the unit-scale ladder off by 1e-9 still fails; not
+    # the largest one, alpha_plus, since moving it moves A along itself
+    unit = LadderCoeffs(*(c.as_array() / c.scale))
+    for f in fields(LadderCoeffs):
+        if f.name != "alpha_plus":
+            off = replace(unit, **{f.name: getattr(unit, f.name) + 1e-9})
+            assert verify_ladder(p, off, g) > 1e-10, f.name
+
+
+def test_solve_ladder_reports_the_scale_it_verified_at(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": SU2_SMALL_BETA_PLUS}))
+    assert run(["solve-ladder", "--config", str(cfg), "--cutoff", "24,24",
+                "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "solve-ladder.json").read_text())["report"]
+    (c,) = solve_ladder(params_from_json(SU2_SMALL_BETA_PLUS)).coeffs
+    assert out["scales"] == [c.scale] and out["residuals"][0] < 1e-10
+
+
+# verify_ladder on the grid weights against the CSR products it replaces
+
+@pytest.fixture(scope="module")
+def catalogue_rows():
+    return appendix_catalogue()
+
+
+@pytest.mark.parametrize("cut", [(12, 16), (16, 12), (20, 20), (40, 40)])
+def test_verify_ladder_matches_the_csr_oracle(cut, catalogue_rows):
+    # a valid ladder reads its rounding floor, where any other rounding of
+    # the entries would show; a ladder with one coefficient off by 1e-9 reads
+    # well above it, and there the two agree in relative terms
+    g = build_generators(FockCutoff(*cut))
+    for row in catalogue_rows:
+        want = csr_verify_ladder(row.params, row.coeffs, g)
+        assert abs(verify_ladder(row.params, row.coeffs, g) - want) <= 2e-12, row.label
+        unit = LadderCoeffs(*(row.coeffs.as_array() / row.coeffs.scale))
+        for f in fields(LadderCoeffs):
+            off = replace(unit, **{f.name: getattr(unit, f.name) + 1e-9})
+            want = csr_verify_ladder(row.params, off, g)
+            if want > 1e-10:
+                assert verify_ladder(row.params, off, g) == pytest.approx(want, rel=1e-6, abs=0), \
+                    (row.label, f.name)
+
+
+def test_verify_ladder_refuses_a_degree_past_the_cutoff(gen8):
+    p, c = HamiltonianParams(beta0=2.0), LadderCoeffs(mu1=1.0)
+    with pytest.raises(ValueError, match="degree 9 too large for cutoff"):
+        verify_ladder(p, c, gen8, 9)
+    with pytest.raises(ValueError, match="degree -1 too large for cutoff"):
+        verify_ladder(p, c, gen8, -1)
 
 
 def test_hermiticity_structural(gen10):

@@ -493,7 +493,7 @@ def test_reduce_on_gate_surfaces_matches_the_closed_form(tmp_path_factory, param
     p = params_from_json(params)
     g = build_generators(FockCutoff(18, 18))
     for c in solve_ladder(p).coeffs:
-        assert verify_ladder(build_hamiltonian(p, g), build_ladder(c, g)) < 1e-10
+        assert verify_ladder(p, c, g) < 1e-10
     code, report = _reduce(tmp_path_factory.mktemp("reduce"), params, eps, 18)
     assert code == 0, (params, eps, report)
     _check_against_oracles(p, eps, report, 18)
