@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import os
@@ -195,6 +196,67 @@ def _inputs(cfg: dict) -> SimpleNamespace:
     )
 
 
+# ---------------------------------------------------------------------------
+# the report writer: json.dumps(o, indent=2) takes json's pure-Python
+# encoder, a few microseconds per number; the same text is written here with
+# lists of floats taken whole
+# ---------------------------------------------------------------------------
+
+def _finite_floats(items) -> bool:
+    """Whether `items` holds only finite floats of type float, which json
+    writes as float.__repr__ does.  A sum of finite floats that overflows
+    reads as not finite: those items take the general path, same text."""
+    return set(map(type, items)) == {float} and math.isfinite(sum(items))
+
+
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _key_text(k) -> str:
+    """k as json writes a dict key: a str as it is, a number, bool or None
+    as its JSON text in quotes; any other type raises as in json."""
+    return _ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    """The text of json.dumps(o, sort_keys=True, indent=2, default=float);
+    `nl` is the line break and indentation of o's own level.  A list of
+    finite floats, and a list of such lists all of one length (a state's
+    amplitude pairs), is written whole, one float.__repr__ per float; other
+    lists and dicts item by item, and scalars one by one as json writes
+    them: NaN and infinities by json itself, and a value json has no type
+    for (numpy integers and bools) after float()."""
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else json.dumps(o)
+    if isinstance(o, str):
+        return _ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if _finite_floats(o):
+            body = ("," + inner).join(map(float.__repr__, o))
+        elif (set(map(type, o)) == {list} and len(set(map(len, o))) == 1 and o[0]
+              and _finite_floats(flat := list(itertools.chain.from_iterable(o)))):
+            # rows of one length: one %r, float.__repr__, per float
+            deeper = inner + "  "
+            row = "[" + deeper + ("%r," + deeper) * (len(o[0]) - 1) + "%r" + inner + "]"
+            body = ("," + inner).join([row] * len(o)) % tuple(flat)
+        else:
+            body = ("," + inner).join([_json_text(x, inner) for x in o])
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _key_text(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]) + nl + "}"
+    return _json_text(float(o), nl)
+
+
 def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
     if min(cutoff.n1_max, cutoff.n2_max) < min_each:
         raise CutoffTooSmall(f"scenario needs cutoffs of at least ({min_each},{min_each})")
@@ -286,16 +348,17 @@ def _run_spectrum(inp, g):
     chains = [(kappa, raising_chain(h, a, chain_seed(p, kappa, g), inp.n_max, degree=3,
                                     family=str(tag.kind.value)))
               for kappa in inp.kappas]
-    flat = [e for _, chain in chains for e in chain.entries]
-    if not any(e.certified for e in flat):
+    # only truncation-safe states count toward the verdict, so only their
+    # energies are looked up; the others keep energy_oracle None
+    certified = [(e, s) for _, chain in chains for e, s in zip(chain.entries, chain.states)
+                 if e.certified]
+    if not certified:
         return _refuse(tag, "no certified chain entries")
-    states = [s for _, chain in chains for s in chain.states]
-    nearest, fell_back = nearest_eigenvalues(h, [e.energy_chain for e in flat], 3, states)
-    for e, x in zip(flat, nearest):
+    nearest, fell_back = nearest_eigenvalues(h, [e.energy_chain for e, _ in certified], 3,
+                                             [s for _, s in certified])
+    for (e, _), x in zip(certified, nearest):
         e.energy_oracle = float(x)
-    # only truncation-safe states count toward the verdict
-    worst = max(max(e.residual, abs(e.energy_chain - e.energy_oracle))
-                for e in flat if e.certified)
+    worst = max(max(e.residual, abs(e.energy_chain - e.energy_oracle)) for e, _ in certified)
     entries = [{"kappa": kappa, **asdict(e)} for kappa, chain in chains for e in chain.entries]
     csv_lines = [SpectrumReport.CSV_HEADER, *(row for kappa, chain in chains
                                               for row in chain.csv_rows(kappa))]
@@ -465,8 +528,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HARD
 
-    text = json.dumps({"version": f"ladderforge {__version__}", "scenario": args.scenario,
-                       "config": cfg, "report": report}, sort_keys=True, indent=2, default=float)
+    text = _json_text({"version": f"ladderforge {__version__}", "scenario": args.scenario,
+                       "config": cfg, "report": report})
     if not inp.out:
         print(text)
         return code

@@ -7,6 +7,10 @@ are hard-truncated: a_i^dag maps the top occupation level to the zero vector.
 Truncation artifacts are masked in all checks by restricting to interior
 index sets (interior_residual).
 
+scipy.sparse is imported where a CSR matrix is built (Operator, the
+generators' CSR forms), not at module level: the scenarios that only check
+identities on the grid weights never load scipy.
+
 Each of the nine generators moves the grid by one of seven shifts
 (dn1, dn2) with a closed-form weight, and GeneratorSet records them as
 those weights on the grid.  Commutator identities among elements of their
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CutoffMismatch, LadderForgeError
 
@@ -104,24 +107,27 @@ class FockCutoff:
 
 class Operator:
     """Sparse complex matrix over a fixed truncated basis, stored in canonical
-    CSR form (sorted indices, no stored zeros).  The argument is never
-    modified: a CSR matrix or (data, indices, indptr) tuple may lend its
-    arrays, and when they are not canonical the canonical form is made on a
-    copy of them."""
+    CSR form (sorted indices, no duplicate entries, no stored zeros).  The
+    argument is never modified: a CSR matrix or (data, indices, indptr) tuple
+    may lend its arrays, and when they are not canonical the canonical form
+    is made on a copy of them."""
 
     __slots__ = ("cutoff", "mat")
 
     def __init__(self, cutoff: FockCutoff, mat):
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(mat, dtype=np.complex128)
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {cutoff.dim}")
-        if not (m.has_sorted_indices and m.data.all()):
+        if not (m.has_canonical_format and m.data.all()):
             lent = (mat if isinstance(mat, tuple)
                     else [getattr(mat, k, None) for k in ("data", "indices", "indptr")])
-            if any(x is a for x in (m.data, m.indices, m.indptr) for a in lent):
+            if any(np.may_share_memory(x, a) for x in (m.data, m.indices, m.indptr)
+                   for a in lent):
                 m = m.copy()
+            m.sum_duplicates()
             m.eliminate_zeros()
-            m.sort_indices()
         self.cutoff = cutoff
         self.mat = m
 
@@ -163,8 +169,9 @@ class Operator:
         return self._result(self.mat @ other.mat)
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(sp.linalg.norm(self.mat, "fro"))
+        """Frobenius norm: the 2-norm of the stored entries, which in
+        canonical form is what scipy.sparse.linalg.norm(mat, "fro") takes."""
+        return float(np.linalg.norm(self.mat.data))
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
@@ -261,6 +268,8 @@ class GeneratorSet:
         # found in the instance dict
         if name not in _GENERATORS:
             raise AttributeError(name)
+        import scipy.sparse as sp
+
         rows, _ = self._pattern[2][name]
         d1, d2 = _SHIFTS[_SHIFT_OF[name]]
         dim = self.cutoff.dim
@@ -311,6 +320,8 @@ class GeneratorSet:
         in the order n_op, j3, identity whatever the order of `terms`, so the
         entries are those of the chained Operator sum written in that order.
         The zeros are dropped into fresh arrays: the pattern stays intact."""
+        import scipy.sparse as sp
+
         indptr, indices, entries = self._pattern
         data = np.zeros(indices.size, dtype=np.complex128)
         for name, c in _in_order(terms):
@@ -453,6 +464,8 @@ def commutator_residual(g: GeneratorSet, x, y, z, degree: int) -> float:
 def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
     """Diagonal 0/1 projector masking the outer `degree` occupation layers;
     the reference that interior_residual is tested against."""
+    import scipy.sparse as sp
+
     diag = np.zeros(cutoff.dim)
     diag[interior_indices(cutoff, degree)] = 1.0
     return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
@@ -474,6 +487,8 @@ def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
 def shell_projector(cutoff: FockCutoff, s_max: int) -> Operator:
     """Diagonal 0/1 projector onto total occupation <= s_max; the reference
     that interior_residual is tested against."""
+    import scipy.sparse as sp
+
     diag = np.zeros(cutoff.dim)
     diag[shell_indices(cutoff, s_max)] = 1.0
     return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
@@ -483,10 +498,11 @@ def interior_residual(op: Operator, keep: np.ndarray) -> float:
     """Frobenius norm of `op` restricted to the sorted basis indices `keep`
     (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
     projector P onto them.  The restriction keeps the stored entries in
-    row-major order, so the sum runs in the same order as for P op P."""
+    row-major order, so the sum runs in the same order as for P op P; the
+    norm is that of Operator.norm."""
     sub = op.mat[keep][:, keep]
     sub.sort_indices()
-    return float(sp.linalg.norm(sub, "fro"))
+    return float(np.linalg.norm(sub.data))
 
 
 def apply(a: Operator, v: TwoModeState) -> TwoModeState:
@@ -550,6 +566,8 @@ def operator_to_json(a: Operator) -> dict:
 
 
 def operator_from_json(payload: dict) -> Operator:
+    import scipy.sparse as sp
+
     cutoff = FockCutoff(*payload["cutoff"])
     rows, cols, vals = [], [], []
     for r, c, re, im in payload["entries"]:
@@ -563,7 +581,7 @@ def operator_from_json(payload: dict) -> Operator:
 def state_to_json(v: TwoModeState) -> dict:
     return {
         "cutoff": [v.cutoff.n1_max, v.cutoff.n2_max],
-        "amplitudes": [[z.real, z.imag] for z in v.amplitudes],
+        "amplitudes": np.column_stack((v.amplitudes.real, v.amplitudes.imag)).tolist(),
     }
 
 

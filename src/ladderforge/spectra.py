@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from math import comb, factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LadderForgeError
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
@@ -120,7 +119,7 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
         d2_pow.append(d2_pow[-1] @ delta2)
         x_pow.append(x_pow[-1] @ contraction)
 
-    zero = Operator(g.cutoff, sp.csr_matrix((g.cutoff.dim, g.cutoff.dim)))
+    zero = g.combine([])
     result = zero
     for nk in normal_order_coeffs(n):
         m = n - 2 * nk.k
@@ -142,7 +141,7 @@ class ChainEntry:
     energy_chain: float
     residual: float
     certified: bool
-    energy_oracle: float | None = None   # set from nearest_eigenvalues
+    energy_oracle: float | None = None   # set from nearest_eigenvalues when certified
 
 
 @dataclass
@@ -161,7 +160,8 @@ class SpectrumReport:
 
     def csv_rows(self, kappa: int | str = "") -> list[str]:
         """One CSV row per entry, in CSV_HEADER's column order; the
-        energy_oracle column is empty for an entry not yet checked."""
+        energy_oracle column is empty for an entry not checked against the
+        oracle (the spectrum scenario checks the certified entries only)."""
         rows = []
         for e in self.entries:
             nearest = "" if e.energy_oracle is None else repr(e.energy_oracle)
@@ -259,9 +259,9 @@ def closed_form_spectrum(tag: FamilyKind, p: HamiltonianParams | None = None,
 _PINNED = 1e-12
 
 
-def _hermitian_interior(h: Operator, degree: int) -> sp.csr_matrix:
-    """The interior block H[keep, keep], symmetrized; rejects visibly
-    non-Hermitian input."""
+def _hermitian_interior(h: Operator, degree: int):
+    """The interior block H[keep, keep] as a CSR matrix, symmetrized;
+    rejects visibly non-Hermitian input."""
     keep = interior_indices(h.cutoff, degree)
     sub = h.mat[keep][:, keep]
     herm_defect = np.linalg.norm((sub - sub.conj().T).data)
@@ -270,7 +270,7 @@ def _hermitian_interior(h: Operator, degree: int) -> sp.csr_matrix:
     return (sub + sub.conj().T) / 2.0
 
 
-def _pinned_by_witness(sub: sp.csr_matrix, keep: np.ndarray, energies: np.ndarray,
+def _pinned_by_witness(sub, keep: np.ndarray, energies: np.ndarray,
                        states) -> tuple[np.ndarray, np.ndarray]:
     """Each state's Rayleigh quotient on the interior block, and whether it
     pins the eigenvalue nearest the state's energy (see _PINNED)."""
@@ -284,7 +284,7 @@ def _pinned_by_witness(sub: sp.csr_matrix, keep: np.ndarray, energies: np.ndarra
     return rho, 2.0 * np.abs(energies - rho) + r <= _PINNED
 
 
-def _nearest_from_structure(sub: sp.csr_matrix, keep: np.ndarray, n2_max: int,
+def _nearest_from_structure(sub, keep: np.ndarray, n2_max: int,
                             energies: np.ndarray) -> np.ndarray:
     """The eigenvalue of the interior block nearest each energy, per shell
     when no stored entry joins two shells, else by shift-invert."""

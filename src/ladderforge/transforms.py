@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 from .fock import (FockCutoff, GeneratorSet, Operator, interior_indices,
@@ -39,9 +38,10 @@ __all__ = [
 def expm(a: Operator) -> Operator:
     """exp(a), one scipy Pade-13 expm per connected component of the
     sparsity graph of a; the components are the invariant blocks."""
-    # Local imports: loading scipy.linalg at module level would add about
-    # 0.15 s to every `import ladderforge.cli`, reduce or not.
+    # Local imports: loading scipy at module level would add about 0.3 s to
+    # every `import ladderforge.cli`, whichever scenario runs.
     import scipy.linalg
+    import scipy.sparse as sp
     from scipy.sparse import csgraph
 
     n_blocks, labels = csgraph.connected_components(abs(a.mat), directed=False)

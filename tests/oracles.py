@@ -1,6 +1,7 @@
 """Independent references: the generators as Kronecker and matrix products
 of the one-mode annihilator, and H and A as chained Operator sums of them;
-the ladder identity as CSR products restricted to the interior;
+scipy's sparse Frobenius norm; the ladder identity as CSR products
+restricted to the interior;
 for the closed-form reduction, coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from ladderforge.errors import LadderForgeError
 from ladderforge.fock import (FockCutoff, GeneratorSet, Operator, commutator,
@@ -31,6 +33,11 @@ def assert_same_csr(op: Operator, ref: Operator) -> None:
     np.testing.assert_array_equal(op.mat.indices, ref.mat.indices)
     assert op.mat.data.shape == ref.mat.data.shape
     np.testing.assert_array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+
+
+def csr_frobenius(op: Operator) -> float:
+    """scipy.sparse.linalg.norm(mat, "fro") of the operator's CSR matrix."""
+    return float(scipy.sparse.linalg.norm(op.mat, "fro"))
 
 
 def kron_generators(cutoff: FockCutoff) -> SimpleNamespace:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csr_verify_ladder
 
-from ladderforge import fock
-from ladderforge.cli import _ALGEBRA_IDENTITIES, build_parser, run
+from ladderforge import cli, fock
+from ladderforge.cli import _ALGEBRA_IDENTITIES, _json_text, build_parser, run
 from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator,
                               commutator_residual, interior_indices, interior_residual)
 from ladderforge.params import params_from_json, solve_ladder, verify_ladder
@@ -371,16 +371,49 @@ def test_bad_params_value_is_config_error(tmp_path, scenario):
     assert not (tmp_path / f"{scenario}.json").exists()
 
 
+GENERALIZED_21 = {"beta0": 3.0, "beta_plus": [0.75 ** 0.5 / 2, 0.0], "beta3": 0.5}
+
+
+# prints the scipy modules loaded so far in a fresh process
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_dense_linalg_unloaded():
-    # transforms.expm imports these lazily, and spectra.nearest_eigenvalues
-    # imports scipy.sparse.linalg only for energies its chain states do not
-    # pin; at module level they would add to the start-up time of every scenario
-    probe = ("import sys, ladderforge.cli; "
-             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', "
-             "'scipy.sparse.csgraph') if m in sys.modules))")
+    # scipy is imported where a CSR matrix is built, transforms.expm's dense
+    # linalg and spectra's shift-invert only on their own paths; at module
+    # level scipy.sparse alone would add about 0.2 s to every scenario's start
+    probe = (f"import sys, ladderforge; print({_SCIPY_LOADED}); "
+             f"import ladderforge.cli; print({_SCIPY_LOADED})")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_gate_scenarios_load_no_scipy(tmp_path):
+    # solve-ladder, catalogue-sweep and verify-algebra check identities on
+    # the generators' grid weights and build no CSR matrix
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": GENERALIZED_21}))
+    calls = [["solve-ladder", "--config", str(cfg), "--cutoff", "12,12"],
+             ["catalogue-sweep", "--cutoff", "12,16"], ["verify-algebra", "--cutoff", "12,12"]]
+    probe = ("import sys; from ladderforge.cli import run; "
+             f"print([run(argv + ['--out', {str(tmp_path)!r}]) for argv in {calls!r}]); "
+             f"print({_SCIPY_LOADED})")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[0, 0, 0]", "[]"]
+
+
+def test_chen_loads_no_sparse_linalg(tmp_path):
+    # chen's interior residuals are 2-norms of stored entries, not
+    # scipy.sparse.linalg.norm
+    probe = ("import sys; from ladderforge.cli import run; "
+             f"code = run(['chen', '--p', '3', '--q', '2', '--cutoff', '12,12', "
+             f"'--out', {str(tmp_path)!r}]); "
+             "print(code, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "True", "False"]
 
 
 LINEAR_ISO = {"beta0": 2.0, "gamma1": [0.2, 0.1], "gamma2": [0.0, -0.15]}
@@ -403,7 +436,8 @@ def test_witnessed_spectrum_loads_no_shift_invert(tmp_path):
 
 def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp_path):
     # a chain of 40 steps at cutoff 20 runs past the certified interior; the
-    # states there pin nothing and take shift-invert
+    # certified states near its edge pin nothing and take shift-invert, and
+    # the uncertified ones past it are not looked up
     from ladderforge.fock import FockCutoff, build_generators
     from ladderforge.params import build_hamiltonian, params_from_json
     from ladderforge.spectra import diagonalize_oracle
@@ -416,16 +450,16 @@ def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp
     h = build_hamiltonian(params_from_json(LINEAR_ISO), build_generators(FockCutoff(20, 20)))
     dense = diagonalize_oracle(h, 3)
     worst = 0.0
+    assert not all(e["certified"] for e in report["entries"])
     for e in report["entries"]:
+        if not e["certified"]:
+            assert e["energy_oracle"] is None
+            continue
         nearest = dense[np.argmin(np.abs(dense - e["energy_chain"]))]
         assert abs(e["energy_oracle"] - nearest) <= 1e-11
-        if e["certified"]:
-            worst = max(worst, e["residual"], abs(e["energy_chain"] - nearest))
+        worst = max(worst, e["residual"], abs(e["energy_chain"] - nearest))
     assert abs(report["worst_residual"] - worst) <= 1e-13
     assert code == (0 if worst <= report["tolerance"] else 1)
-
-
-GENERALIZED_21 = {"beta0": 3.0, "beta_plus": [0.75 ** 0.5 / 2, 0.0], "beta3": 0.5}
 
 
 @pytest.mark.parametrize("params,n_max,per_shell", [
@@ -671,3 +705,71 @@ def test_ladder_and_algebra_checks_build_no_csr_matrix(tmp_path, monkeypatch):
                  ["verify-algebra"]):
         assert run([*argv, "--cutoff", "12,12", "--out", str(tmp_path)]) == 0, argv
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the report writer gives json.dumps(o, sort_keys=True, indent=2, default=float)
+# ---------------------------------------------------------------------------
+
+def _json_dumps(o) -> str:
+    return json.dumps(o, sort_keys=True, indent=2, default=float)
+
+
+@pytest.mark.parametrize("o", [
+    {}, [], {"a": []}, {"a": {}}, [[]], [[1.0], []], [[1.0, 2.0], [3.0]], [(1.0, 2.0)],
+    (1.0, 2.0), [1.0, float("nan")], [float("inf"), -float("inf")], [[1.0, float("nan")]],
+    [[1.0, float("inf")], [2.0, 3.0]], [1e308, 1e308], [True, False, None], [1, 2.0],
+    [[1, 2.0]], [[True, 1.0]], [np.float64(1.5), 2.0], [[np.float64(1.0), 2.0]],
+    [np.int64(3), np.bool_(True), np.float32(0.1)], {"x": np.float64(-0.0)},
+    {"b": [1.0, -0.0, 5e-324, 1.0 / 3], "a": [[0.5, -2.5e-17], [1e16, -3.0]]},
+    {"\u00e9 \"q\" \\": "\x00\u2603"}, {1: 2, 3: 4}, {1.5: 0, 2.5: 1}, {None: 1}, {True: 1},
+    {"deep": [[[1.0]], {"k": [[2.0, 3.0, 4.0]]}]}, 3, "s", None, True, 2.5, float("nan"),
+])
+def test_report_writer_is_json_dumps(o):
+    assert _json_text(o) == _json_dumps(o)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for o in ({(1, 2): 0.5}, {"a": 1j}, [[1.0, 2.0], ["x", 3j]]):
+        with pytest.raises(TypeError):
+            _json_dumps(o)
+        with pytest.raises(TypeError):
+            _json_text(o)
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.lists(st.floats(), max_size=4)
+                | st.integers(1, 3).flatmap(lambda k: st.lists(
+                    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=k, max_size=k), max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12))
+def test_drawn_reports_are_written_as_json_dumps(o):
+    assert _json_text(o) == _json_dumps(o)
+
+
+def test_every_scenario_report_is_written_as_json_dumps(tmp_path, monkeypatch):
+    # the reports as the runners return them (numpy scalars included)
+    written = []
+
+    def writer(o, *args):
+        text = cli_writer(o, *args)
+        if not args:
+            written.append(text == _json_dumps(o))
+        return text
+
+    cli_writer = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", writer)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": GENERALIZED_21, "n_max": 3,
+                               "request": {"kappa": 1}}))
+    calls = [["verify-algebra", "--cutoff", "8,8"], ["catalogue-sweep", "--cutoff", "8,8"],
+             ["solve-ladder", "--cutoff", "8,8"], ["spectrum", "--cutoff", "12,12"],
+             ["eigenstate", "--cutoff", "12,12"], ["reduce", "--cutoff", "12,12"],
+             ["chen", "--p", "2", "--q", "1", "--cutoff", "12,12"]]
+    codes = [run(argv + ["--config", str(cfg), "--out", str(tmp_path)]) for argv in calls]
+    assert codes == [0] * len(calls)
+    assert written == [True] * len(calls)

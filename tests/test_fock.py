@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ORACLE_CUTOFFS, assert_same_csr, kron_generators
+from oracles import ORACLE_CUTOFFS, assert_same_csr, csr_frobenius, kron_generators
 
+from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, LadderForgeError
 from ladderforge.fock import (FockCutoff, Operator, TwoModeState, apply,
                               apply_creation_series, basis_state,
@@ -17,6 +18,7 @@ from ladderforge.fock import (FockCutoff, Operator, TwoModeState, apply,
                               shell_indices, shell_projector,
                               state_from_json, state_to_csv,
                               state_to_json, vacuum_state)
+from ladderforge.params import build_hamiltonian, build_ladder
 
 
 def test_indexing_row_major():
@@ -323,3 +325,38 @@ def test_operator_leaves_its_argument_unchanged():
     op = Operator(FockCutoff(1, 1), unsorted)
     assert unsorted.indices.tolist() == [3, 0]
     assert op.mat.indices.tolist() == [0, 3]
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(12, 16), (40, 40)])
+def test_norms_are_scipys_frobenius_norm(n1_max, n2_max):
+    # Operator.norm and interior_residual take the 2-norm of the stored
+    # entries, which is what scipy's sparse Frobenius norm computes: equal
+    # bit for bit, on the generators, the catalogue's H and A and their
+    # ladder identity, restricted to interior boxes and to a shell
+    cut = FockCutoff(n1_max, n2_max)
+    g = build_generators(cut)
+    ops = [getattr(g, name) for name in GENERATOR_NAMES]
+    for row in appendix_catalogue(Bindings()):
+        h, a = build_hamiltonian(row.params, g), build_ladder(row.coeffs, g)
+        ops += [h, a, commutator(h, a) + a]
+    boxes = [(interior_indices(cut, d), interior_projector(cut, d)) for d in (1, 3)]
+    boxes.append((shell_indices(cut, n1_max // 2), shell_projector(cut, n1_max // 2)))
+    for op in ops:
+        assert op.norm() == csr_frobenius(op)
+        for keep, proj in boxes:
+            assert interior_residual(op, keep) == csr_frobenius(proj @ op @ proj)
+
+
+def test_operator_sums_duplicate_entries():
+    # canonical form has no duplicates, so the norm of the stored entries
+    # is the matrix's (a pair that cancels is dropped); the lent arrays stay
+    # as they were, though scipy keeps a view of the data and converts the
+    # int64 indices
+    arrays = (np.array([3.0, 4.0, 1.0, -1.0], dtype=complex), np.array([0, 0, 3, 3]),
+              np.array([0, 2, 4, 4, 4]))
+    before = [arr.copy() for arr in arrays]
+    op = Operator(FockCutoff(1, 1), arrays)
+    assert op.mat.indices.tolist() == [0] and op.mat.data.tolist() == [7.0]
+    assert op.norm() == 7.0 == np.linalg.norm(op.to_dense())
+    for arr, kept in zip(arrays, before):
+        np.testing.assert_array_equal(arr, kept)
