@@ -169,9 +169,10 @@ class Operator:
         return self._result(self.mat @ other.mat)
 
     def norm(self) -> float:
-        """Frobenius norm: the 2-norm of the stored entries, which in
-        canonical form is what scipy.sparse.linalg.norm(mat, "fro") takes."""
-        return float(np.linalg.norm(self.mat.data))
+        """Frobenius norm, scipy's as in interior_residual."""
+        import scipy.sparse.linalg
+
+        return float(scipy.sparse.linalg.norm(self.mat, "fro"))
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
@@ -498,11 +499,18 @@ def interior_residual(op: Operator, keep: np.ndarray) -> float:
     """Frobenius norm of `op` restricted to the sorted basis indices `keep`
     (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
     projector P onto them.  The restriction keeps the stored entries in
-    row-major order, so the sum runs in the same order as for P op P; the
-    norm is that of Operator.norm."""
+    row-major order, so the sum runs in the same order as for P op P.
+
+    The norm is scipy.sparse.linalg.norm(sub, "fro"), though it equals
+    np.linalg.norm(sub.data): chen then always loads scipy.sparse.linalg
+    (about 10 MB with the scipy.linalg it imports), so whether a process
+    that runs chen loads it does not hang on whether some spectrum energy
+    took shift-invert, the only other path to it."""
+    import scipy.sparse.linalg
+
     sub = op.mat[keep][:, keep]
     sub.sort_indices()
-    return float(np.linalg.norm(sub.data))
+    return float(scipy.sparse.linalg.norm(sub, "fro"))
 
 
 def apply(a: Operator, v: TwoModeState) -> TwoModeState:

@@ -329,10 +329,10 @@ def test_operator_leaves_its_argument_unchanged():
 
 @pytest.mark.parametrize("n1_max,n2_max", [(12, 16), (40, 40)])
 def test_norms_are_scipys_frobenius_norm(n1_max, n2_max):
-    # Operator.norm and interior_residual take the 2-norm of the stored
-    # entries, which is what scipy's sparse Frobenius norm computes: equal
-    # bit for bit, on the generators, the catalogue's H and A and their
-    # ladder identity, restricted to interior boxes and to a shell
+    # Operator.norm is scipy's sparse Frobenius norm, and interior_residual
+    # equals it on the projector sandwich bit for bit, on the generators,
+    # the catalogue's H and A and their ladder identity, restricted to
+    # interior boxes and to a shell
     cut = FockCutoff(n1_max, n2_max)
     g = build_generators(cut)
     ops = [getattr(g, name) for name in GENERATOR_NAMES]
