@@ -1,12 +1,20 @@
 """Closed-form eigenstate families of the lowering operators.
 
-Constructors assemble states from creation-operator series and polynomials
-acting on the vacuum, which are exact on the truncated space (creation
-polynomials are nilpotent), then normalize numerically.  Product forms in
-terms of displacement/squeeze unitaries agree with these up to a global
-phase and are exercised in the test suite as cross-checks, not used as the
-primary construction: a truncated matrix exponential pollutes amplitudes
-near the cutoff while a creation series does not.
+Every state is  exp(E) P^kappa |0>  for polynomials E and P in the
+creation operators (CreationPoly), exact on the truncated space (creation
+polynomials are nilpotent there) and then normalized numerically.  The
+creation operators commute, so with E = c + L + Q split by degree (a
+constant, the linear part, and the terms of degree 2 and more)
+
+    exp(E) P^kappa |0>  =  e^c exp(Q) P^kappa coherent(L),
+
+where coherent(L) = exp(x1 a1' + x2 a2')|0> has the closed form
+x1^n1 / sqrt(n1!) x2^n2 / sqrt(n2!) (fock.coherent_state) and e^c goes in
+the normalization.  A Taylor series runs only on Q, which is nonzero on the
+squeezed branches alone.  Product forms in terms of displacement/squeeze
+unitaries agree with these up to a global phase and are exercised in the
+test suite as cross-checks, not used as the construction: a truncated
+matrix exponential pollutes amplitudes near the cutoff while these do not.
 
 Every family reduces to a basic system, whose states are carried back
 through the reduction frame (reductions.Frame): rotation and displacement
@@ -14,7 +22,9 @@ prefixes are absorbed exactly through
 
     U f(a1', a2') |0>  =  const * exp(x . a') f(d1, d2) |0>,   d_i = U a_i' U',
 
-so every family below stays within exact series arithmetic.
+with d1, d2 polynomials of degree one, so every family below stays within
+polynomial arithmetic.  No operator matrix is built here; the checks
+(verify_eigenstate) run on the brute-force truncated matrices.
 """
 
 from __future__ import annotations
@@ -25,9 +35,9 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, LadderForgeError
-from .fock import (GeneratorSet, Operator, TwoModeState, apply,
-                   apply_creation_series, interior_indices, normalize,
-                   vacuum_state)
+from .fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
+                   Operator, TwoModeState, apply, coherent_state,
+                   interior_indices, normalize)
 from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      SolveReport, classify)
 from .reductions import Frame, reduction_frame
@@ -67,39 +77,44 @@ class EigenstateRequest:
     lambda2: complex | None = None
 
 
-def _strip_identity(op: Operator, identity: Operator) -> Operator:
-    """Drop the identity component of a creation polynomial; a scalar in the
-    exponent only rescales the state and normalization removes it anyway."""
-    idx = op.cutoff.index(0, 0)
-    return op - complex(op.mat[idx, idx]) * identity
-
-
-def _exp_poly_vac(g: GeneratorSet, exponent: Operator | None, poly: Operator | None = None,
-                  power: int = 1, frame: Frame | None = None) -> TwoModeState:
+def _exp_poly_vac(cutoff: FockCutoff, exponent: CreationPoly | None,
+                  poly: CreationPoly | None = None, power: int = 1,
+                  frame: Frame | None = None) -> TwoModeState:
     """normalize( exp(exponent) * poly^power |0> ), exactly, carried through
     `frame` when given (exponent and poly then written in its d1, d2).  The
     polynomial prefactor must stay in the lower half of each mode range."""
-    v = vacuum_state(g.cutoff)
-    if poly is not None:
-        for _ in range(power):
-            v = apply(poly, v)
-        n1, n2 = np.divmod(np.flatnonzero(v.amplitudes), g.cutoff.n2_max + 1)
-        # a power that leaves the truncated space entirely vanishes
-        if not n1.size or n1.max() > g.cutoff.n1_max // 2 or n2.max() > g.cutoff.n2_max // 2:
+    if poly is not None and power:
+        # the top power of each mode in poly^power is power times poly's
+        deg = poly.degrees
+        if (deg is None or power * deg[0] > cutoff.n1_max // 2
+                or power * deg[1] > cutoff.n2_max // 2):
             raise DomainError("kappa-overflow", f"prefactor^{power} |0> leaves the lower "
-                                                f"half of the cutoff {g.cutoff}")
+                                                f"half of the cutoff {cutoff}")
     if frame is not None:
-        exponent = frame.prefix(g) if exponent is None else exponent + frame.prefix(g)
-    if exponent is not None:
-        v = apply_creation_series(_strip_identity(exponent, g.identity), v)
-    return normalize(v)
+        exponent = frame.prefix() if exponent is None else exponent + frame.prefix()
+    terms = {} if exponent is None else exponent.coeffs
+    v = coherent_state(cutoff, terms.get((1, 0), 0), terms.get((0, 1), 0)).amplitudes
+    if poly is not None:
+        act = poly.on(cutoff)
+        for _ in range(power):
+            v = act(v)
+    quad = CreationPoly({k: c for k, c in terms.items() if sum(k) >= 2})
+    if quad.coeffs:
+        # each power of quad raises n1 + n2 by at least 2
+        act, term = quad.on(cutoff), v
+        for k in range(1, (cutoff.n1_max + cutoff.n2_max) // 2 + 1):
+            term = act(term) / k
+            if not term.any():
+                break
+            v = v + term
+    return normalize(TwoModeState(cutoff, v))
 
 
 # ---------------------------------------------------------------------------
 # basic-frame constructors: (exponent, poly, power) in creation operators d
 # ---------------------------------------------------------------------------
 
-def _isotropic_terms(d1: Operator, d2: Operator, mu1: complex, mu2: complex, lam: complex,
+def _isotropic_terms(d1: CreationPoly, d2: CreationPoly, mu1: complex, mu2: complex, lam: complex,
                      kappa: int, branch: int, c2: complex | None):
     """Eigenstates of mu1 a1 + mu2 a2 (see isotropic_states)."""
     if abs(mu1) < _TINY:
@@ -112,7 +127,7 @@ def _isotropic_terms(d1: Operator, d2: Operator, mu1: complex, mu2: complex, lam
     raise DomainError("unknown-branch", f"this family has no branch {branch}")
 
 
-def _kernel21_terms(d1: Operator, d2: Operator, mu2: complex, alpha_plus: complex,
+def _kernel21_terms(d1: CreationPoly, d2: CreationPoly, mu2: complex, alpha_plus: complex,
                     lam: complex, branch: int, c1: complex | None, kappa: int):
     """Eigenstates of mu2 a2 + alpha_plus J- (see basic21_states)."""
     if abs(mu2) < _TINY:
@@ -153,9 +168,7 @@ def fractional_lambda_state(p: HamiltonianParams, req: EigenstateRequest,
     if req.kappa < 0:
         raise ValueError("kappa must be non-negative")
     r = _fractional_ratio(p)
-    poly = g.a2_dag - r * g.a1_dag
-    exponent = (req.lam / mu1) * g.a1_dag
-    return _exp_poly_vac(g, exponent, poly, req.kappa)
+    return _exp_poly_vac(g.cutoff, (req.lam / mu1) * A1_DAG, A2_DAG - r * A1_DAG, req.kappa)
 
 
 def fractional_separable_cs(p: HamiltonianParams, lam: complex, c1: complex,
@@ -167,7 +180,7 @@ def fractional_separable_cs(p: HamiltonianParams, lam: complex, c1: complex,
     r = _fractional_ratio(p)
     z1 = c1 * lam / mu1
     z2 = (lam / mu1) * (1.0 - c1) / r
-    return _exp_poly_vac(g, z1 * g.a1_dag + z2 * g.a2_dag)
+    return _exp_poly_vac(g.cutoff, z1 * A1_DAG + z2 * A2_DAG)
 
 
 def isotropic_states(mu1: complex, mu2: complex, lam: complex, kappa: int,
@@ -179,8 +192,8 @@ def isotropic_states(mu1: complex, mu2: complex, lam: complex, kappa: int,
               (default conj(mu2), which recovers the symmetric choice).
     branch 2: exp[(lam/mu1) a1'] (a2' - (mu2/mu1) a1')^kappa |0,0>.
     """
-    return _exp_poly_vac(g, *_isotropic_terms(g.a1_dag, g.a2_dag, mu1, mu2, lam,
-                                              kappa, branch, c2))
+    return _exp_poly_vac(g.cutoff, *_isotropic_terms(A1_DAG, A2_DAG, mu1, mu2, lam,
+                                                     kappa, branch, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +210,8 @@ def basic21_states(mu2: complex, alpha_plus: complex, lam: complex, branch: int,
     branch 2: quadratic-prefactor superposition (the kappa = 1 member).
     branch 3: kappa-th power of the quadratic prefactor.
     """
-    return _exp_poly_vac(g, *_kernel21_terms(g.a1_dag, g.a2_dag, mu2, alpha_plus, lam,
-                                             branch, c1, kappa))
+    return _exp_poly_vac(g.cutoff, *_kernel21_terms(A1_DAG, A2_DAG, mu2, alpha_plus, lam,
+                                                    branch, c1, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +260,7 @@ def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
                               "reduce the linear couplings away first")
         return _b2_states(p, req, g, mu1, nu1)
     frame = reduction_frame(p)
-    d = frame.dags(g)
+    d = frame.dags()
     if kind == FamilyKind.LINEAR_ISO:
         if abs(mu1) < _TINY or abs(mu2) < _TINY:
             raise DomainError("mu-zero", "displaced isotropic family needs mu1, mu2 != 0")
@@ -261,7 +274,7 @@ def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
     else:
         raise DomainError("unsupported-family",
                           f"no coupled-state constructor for tag {req.tag}")
-    return _exp_poly_vac(g, *terms, frame=frame)
+    return _exp_poly_vac(g.cutoff, *terms, frame=frame)
 
 
 def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
@@ -294,12 +307,12 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
                                   f"squeeze arguments ({ratio:.4f}, {t2:.4f}) must stay below 1")
             lam2 = lam / 2.0 if req.lambda2 is None else complex(req.lambda2)
             bm = p.beta_minus
-            exponent = (((lam - lam2) / mu_t) * g.a1_dag
-                        - (nu_t / (2.0 * mu_t)) * (g.a1_dag @ g.a1_dag)
-                        + ((2.0 + p.beta3) * lam2 / (2.0 * bm * mu_t)) * g.a2_dag
+            exponent = (((lam - lam2) / mu_t) * A1_DAG
+                        - (nu_t / (2.0 * mu_t)) * (A1_DAG @ A1_DAG)
+                        + ((2.0 + p.beta3) * lam2 / (2.0 * bm * mu_t)) * A2_DAG
                         + (0.5 * ((2.0 + p.beta3) / (2.0 - p.beta3))
-                           * (p.beta_plus / bm) * (nu_t / mu_t)) * (g.a2_dag @ g.a2_dag))
-            return _exp_poly_vac(g, exponent)
+                           * (p.beta_plus / bm) * (nu_t / mu_t)) * (A2_DAG @ A2_DAG))
+            return _exp_poly_vac(g.cutoff, exponent)
         if req.branch != 2:
             raise DomainError("unknown-branch", f"this family has no branch {req.branch}")
         x = (nu1 / mu1) * np.sqrt((2.0 + p.beta3) / (2.0 - p.beta3)) * np.exp(1j * p.theta)
@@ -307,15 +320,15 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
             raise DomainError("squeeze-domain", f"pair amplitude |x| = {abs(x):.4f} >= 1")
         z = np.sqrt(2.0 + p.beta3) * lam / (2.0 * mu_t)
     frame = reduction_frame(p)
-    d1, d2 = frame.dags(g)
-    return _exp_poly_vac(g, z * d1 + x * (d1 @ d2), d2, req.kappa, frame)
+    d1, d2 = frame.dags()
+    return _exp_poly_vac(g.cutoff, z * d1 + x * (d1 @ d2), d2, req.kappa, frame)
 
 
 # ---------------------------------------------------------------------------
 # any family: the basic system's state carried through the reduction frame
 # ---------------------------------------------------------------------------
 
-def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: complex = 0j,
+def _basic_family(p: HamiltonianParams, kappa: int, lam: complex = 0j,
                   branch: int = 0, c1: complex | None = None, c2: complex | None = None):
     """(frame, basic tag, unit ladder, (exponent, poly, power), lambda) of a
     member of p's basic family.  The unit ladders are a1 + a2 (isotropic),
@@ -325,7 +338,7 @@ def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: comple
     eigenstates, have None.  Pairs give the lambda = 0 powers
     d_other^kappa; branch 0 is the kappa family of the other two."""
     frame = reduction_frame(p)
-    d, b = frame.dags(g), frame.basic
+    d, b = frame.dags(), frame.basic
     tag = classify(b)
     # the stepped mode has frequency +/-1: mode 2 unless only mode 1 has
     w1, w2 = abs(b.beta0 + b.beta3) / 2.0, abs(b.beta0 - b.beta3) / 2.0
@@ -346,8 +359,8 @@ def _basic_family(p: HamiltonianParams, g: GeneratorSet, kappa: int, lam: comple
 def chain_seed(p: HamiltonianParams, kappa: int, g: GeneratorSet) -> TwoModeState:
     """lambda = 0 member number kappa of p's basic family, carried through
     the reduction frame: an eigenstate of H that seeds a raising chain."""
-    frame, _, _, terms, _ = _basic_family(p, g, kappa)
-    return _exp_poly_vac(g, *terms, frame=frame)
+    frame, _, _, terms, _ = _basic_family(p, kappa)
+    return _exp_poly_vac(g.cutoff, *terms, frame=frame)
 
 
 def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRequest,
@@ -364,7 +377,7 @@ def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRe
     c2 = req.c2
     if req.tag.kind == FamilyKind.LINEAR_ISO:   # free constant c1, as in linear_coupled_states
         c2 = 1.0 - (1.0 if req.c1 is None else complex(req.c1))
-    frame, tag, unit, terms, lam = _basic_family(p, g, req.kappa, req.lam, req.branch,
+    frame, tag, unit, terms, lam = _basic_family(p, req.kappa, req.lam, req.branch,
                                                  req.c1, c2)
     if unit is None:
         raise DomainError("non-normalizable", f"basic system {tag} has no normalizable states")
@@ -373,7 +386,7 @@ def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRe
     if np.linalg.norm(basis @ weights - unit.as_array()) > 1e-9:
         raise LadderForgeError(f"the unit ladder of {tag} is outside the solver's span")
     ladder = LadderCoeffs(*(np.array([c.as_array() for c in rep.coeffs]).T @ weights))
-    return _exp_poly_vac(g, *terms, frame=frame), ladder, lam
+    return _exp_poly_vac(g.cutoff, *terms, frame=frame), ladder, lam
 
 
 def verify_eigenstate(a: Operator, v: TwoModeState, lam: complex,

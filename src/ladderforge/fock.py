@@ -16,8 +16,13 @@ Each of the nine generators moves the grid by one of seven shifts
 those weights on the grid.  Commutator identities among elements of their
 span are checked on the weights themselves (commutator_residual), with no
 matrix formed; GeneratorSet.combine forms any linear combination of them (a
-Hamiltonian, a ladder, a frame operator) as one data vector on the
-sparsity pattern they share.
+Hamiltonian, a ladder) as one data vector on the sparsity pattern they
+share.
+
+States are built from polynomials in the commuting creation operators
+(CreationPoly), which act on amplitude vectors as weighted shifts of the
+flat grid, and from the closed-form coherent state exp(x1 a1' + x2 a2')|0>
+(coherent_state): no matrix is formed for them.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ __all__ = [
     "normalize",
     "basis_state",
     "vacuum_state",
-    "apply_creation_series",
+    "CreationPoly",
+    "coherent_state",
     "operator_to_json",
     "operator_from_json",
     "state_to_json",
@@ -307,6 +313,18 @@ class GeneratorSet:
                     entries[name] = rows[keep], pos[keep]
         return indptr, indices, entries
 
+    @functools.cached_property
+    def _padded_weights(self) -> dict:
+        """Each generator's weights on the grid padded by one zero layer,
+        flattened row-major (stride n2_max + 3): commutator_residual's
+        layout, where a shift is a flat offset."""
+        padded = {}
+        for name, w in self.weights.items():
+            grid = np.zeros((self.cutoff.n1_max + 3, self.cutoff.n2_max + 3), dtype=np.complex128)
+            grid[1:-1, 1:-1] = w
+            padded[name] = grid.ravel()
+        return padded
+
     @property
     def indptr(self) -> np.ndarray:
         return self._pattern[0]
@@ -395,18 +413,17 @@ def _interior_entries(cutoff: FockCutoff, degree: int) -> tuple[int, np.ndarray]
 def _shift_weights(g: GeneratorSet, terms) -> tuple[list, np.ndarray, np.ndarray]:
     """sum_k c_k G_k as the shifts it uses and, per shift, the real and
     imaginary parts of its weight on the flat padded grid; the terms are
-    added in combine's order."""
+    added in combine's order.  The padding of a scaled weight may hold -0,
+    which leaves every nonzero entry of a product and the norm as they are."""
     by_shift = {}
     for name, c in _in_order(terms):
-        k, w = _SHIFT_OF[name], g.weights[name] * complex(c)
+        k, w = _SHIFT_OF[name], g._padded_weights[name] * complex(c)
         by_shift[k] = by_shift[k] + w if k in by_shift else w
     shifts = sorted(by_shift)
-    padded = (g.cutoff.n1_max + 3, g.cutoff.n2_max + 3)
-    parts = np.zeros((2, len(shifts), *padded))
+    parts = np.empty((2, len(shifts), (g.cutoff.n1_max + 3) * (g.cutoff.n2_max + 3)))
     for row, k in enumerate(shifts):
-        parts[0, row, 1:-1, 1:-1] = by_shift[k].real
-        parts[1, row, 1:-1, 1:-1] = by_shift[k].imag
-    return shifts, *parts.reshape(2, len(shifts), padded[0] * padded[1])
+        parts[0, row], parts[1, row] = by_shift[k].real, by_shift[k].imag
+    return shifts, parts[0], parts[1]
 
 
 def _product(left, right, stride: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,26 +557,100 @@ def vacuum_state(cutoff: FockCutoff) -> TwoModeState:
     return basis_state(cutoff, 0, 0)
 
 
-def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:
-    """Apply exp(a) to v by Taylor series.
+class CreationPoly:
+    """A polynomial sum_pq c_pq a1'^p a2'^q in the creation operators, held
+    as its nonzero coefficients {(p, q): c_pq}.
 
-    Intended for polynomials in creation operators, which are nilpotent on the
-    truncated space, so the series terminates exactly; a general operator is
-    summed until terms vanish or a hard iteration cap trips.
-    """
-    if a.cutoff != v.cutoff:
-        raise CutoffMismatch(f"{a.cutoff} vs {v.cutoff}")
-    out = v.amplitudes.astype(np.complex128)
-    term = out.copy()
-    for k in range(1, 4 * a.cutoff.dim + 4):
-        term = (a.mat @ term) / k
-        tn = np.linalg.norm(term)
-        if tn == 0.0 or tn < tol * max(1.0, np.linalg.norm(out)):
-            break
-        out = out + term
-    else:
-        raise LadderForgeError("series for exp(a)v did not terminate; operator is not nilpotent")
-    return TwoModeState(v.cutoff, out)
+    The truncated a1' and a2' commute and their powers compose, so sums,
+    scalar multiples and products (`@`) of polynomials are the polynomial
+    ones, exact on the truncated space.  On a cutoff the polynomial acts on
+    amplitude arrays as weighted shifts of the flat grid (`on`)."""
+
+    __slots__ = ("coeffs",)
+    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {k: complex(c) for k, c in coeffs.items() if c != 0}
+
+    def __add__(self, other: "CreationPoly") -> "CreationPoly":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return CreationPoly(out)
+
+    def __sub__(self, other: "CreationPoly") -> "CreationPoly":
+        return self + -1.0 * other
+
+    def __mul__(self, scalar) -> "CreationPoly":
+        return CreationPoly({k: c * complex(scalar) for k, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "CreationPoly") -> "CreationPoly":
+        out = {}
+        for (p, q), c in self.coeffs.items():
+            for (r, s), d in other.coeffs.items():
+                out[p + r, q + s] = out.get((p + r, q + s), 0) + c * d
+        return CreationPoly(out)
+
+    @property
+    def degrees(self) -> tuple[int, int] | None:
+        """(max p, max q) over the nonzero terms; None for the zero polynomial."""
+        if not self.coeffs:
+            return None
+        return max(p for p, _ in self.coeffs), max(q for _, q in self.coeffs)
+
+    def on(self, cutoff: FockCutoff):
+        """The polynomial on the truncated space, as a function of amplitude
+        arrays whose last axis is the flat grid.  a1'^p a2'^q moves the flat
+        index by p (n2_max + 1) + q with weight
+        sqrt(n1! / (n1 - p)!) sqrt(n2! / (n2 - q)!) at the landing state
+        |n1, n2>, zero where n1 < p or n2 < q: there the shifted slice has
+        wrapped round from the row above, and where the source left the
+        grid, its landing place has wrapped round too."""
+        dim, terms = cutoff.dim, []
+        for (p, q), c in self.coeffs.items():
+            if p <= cutoff.n1_max and q <= cutoff.n2_max:
+                off = p * (cutoff.n2_max + 1) + q
+                w = np.outer(_falling_roots(cutoff.n1_max, p), _falling_roots(cutoff.n2_max, q))
+                terms.append((off, c * w.ravel()[off:]))
+
+        def act(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(v.shape, dtype=np.complex128)
+            for off, w in terms:
+                out[..., off:] += w * v[..., :dim - off]
+            return out
+        return act
+
+    def __repr__(self) -> str:
+        return f"CreationPoly({self.coeffs})"
+
+
+A1_DAG = CreationPoly({(1, 0): 1.0})
+A2_DAG = CreationPoly({(0, 1): 1.0})
+
+
+@functools.lru_cache(maxsize=256)
+def _falling_roots(n_max: int, p: int) -> np.ndarray:
+    """sqrt(n! / (n - p)!) for n = 0..n_max, zero where n < p: the weight of
+    a'^p at each landing level."""
+    n = np.arange(n_max + 1.0)
+    out = np.zeros(n_max + 1)
+    out[p:] = np.prod(np.sqrt(n[p:, None] - np.arange(p)), axis=1)
+    return out
+
+
+def _coherent_factor(n_max: int, x: complex) -> np.ndarray:
+    """x^n / sqrt(n!) for n = 0..n_max."""
+    return np.cumprod(np.concatenate(([1.0 + 0j], x / np.sqrt(np.arange(1.0, n_max + 1)))))
+
+
+def coherent_state(cutoff: FockCutoff, x1: complex, x2: complex) -> TwoModeState:
+    """exp(x1 a1' + x2 a2')|0> on the truncated space, unnormalized: the
+    amplitude of |n1, n2> is x1^n1 / sqrt(n1!) * x2^n2 / sqrt(n2!), which
+    the truncated series gives exactly."""
+    return TwoModeState(cutoff, np.outer(_coherent_factor(cutoff.n1_max, complex(x1)),
+                                         _coherent_factor(cutoff.n2_max, complex(x2))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ frame without building a unitary.
 
 The closed form is certified against the brute-force truncated H and A:
 the frame also gives the columns W = U[:, S] of the chain's unitary exactly
-on the truncated space (creation-series arithmetic, no matrix exponential),
+on the truncated space (creation polynomials on a closed-form coherent
+state, no matrix exponential),
 and the residuals are ||W' H W - H_red[S, S]||_F and the same for A.  The
 columns are not renormalized: the weight 1 - ||W[:, j]||^2 a displaced
 column loses past the cutoff is measured, and S is the shells
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
-from .fock import (GeneratorSet, Operator, apply_creation_series, shell_indices,
-                   vacuum_state)
+from .fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
+                   build_generators, coherent_state, shell_indices)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder)
 from .transforms import UnitarySpec, mixing_angle
@@ -42,6 +43,8 @@ _ZERO = 1e-12
 # of a unit column, and times the size of H and A near the cutoff (< 100)
 # under 1e-11 in a residual
 _INTACT = 1e-13
+# the largest cutoff N,N searched for the one that keeps shell 1 intact
+_SEARCH_MAX = 256
 
 
 @dataclass
@@ -92,23 +95,24 @@ def reduction_chain(p: HamiltonianParams,
 class Frame:
     """A reduction chain U as one affine map of creation operators,
         U a_i' U' = d_i = sum_k m[i, k] a_k' + c[i],   U|0> ∝ exp(x . a')|0>,
-    so that U f(a1', a2')|0> ∝ exp(x . a') f(d1, d2)|0> is exact creation-series
-    arithmetic.  The frames of `reduction_frame` have basic parameters with
-    beta3 >= 0: a chain that lands on beta3 < 0 ends with the mode swap (1:2
-    is the mode swap of 2:1)."""
+    so that U f(a1', a2')|0> ∝ exp(x . a') f(d1, d2)|0> is exact arithmetic
+    of creation polynomials (fock.CreationPoly).  The frames of
+    `reduction_frame` have basic parameters with beta3 >= 0: a chain that
+    lands on beta3 < 0 ends with the mode swap (1:2 is the mode swap of
+    2:1)."""
 
     basic: HamiltonianParams
     m: np.ndarray
     c: np.ndarray
     x: np.ndarray
 
-    def dags(self, g: GeneratorSet) -> tuple[Operator, Operator]:
+    def dags(self) -> tuple[CreationPoly, CreationPoly]:
         """(d1, d2): the creation operators of the basic frame."""
-        return tuple(g.combine([("a1_dag", row[0]), ("a2_dag", row[1]), ("identity", shift)])
+        return tuple(CreationPoly({(1, 0): row[0], (0, 1): row[1], (0, 0): shift})
                      for row, shift in zip(self.m, self.c))
 
-    def prefix(self, g: GeneratorSet) -> Operator:
-        return g.combine([("a1_dag", self.x[0]), ("a2_dag", self.x[1])])
+    def prefix(self) -> CreationPoly:
+        return CreationPoly({(1, 0): self.x[0], (0, 1): self.x[1]})
 
     def columns(self, g: GeneratorSet, keep: np.ndarray) -> np.ndarray:
         """U[:, keep], exact on the truncated space:
@@ -116,23 +120,23 @@ class Frame:
             U|0> = e^{-|x|^2/2} exp(x . a')|0>,
         each column one creation step from a lower one, so `keep` (sorted)
         must hold the lower neighbour of each of its states, as shell and
-        interior index sets do.  Nothing is renormalized: the weight a column
-        has past the cutoff is truncation, and stays missing."""
-        vac = apply_creation_series(self.prefix(g), vacuum_state(g.cutoff)).amplitudes
-        d1, d2 = (d.mat for d in self.dags(g))
-        stride = g.cutoff.n2_max + 1
-        w = np.empty((g.cutoff.dim, keep.size), dtype=complex)
-        col = {}
-        for j, k in enumerate(keep.tolist()):
-            n1, n2 = divmod(k, stride)
-            if n1:
-                w[:, j] = d1 @ w[:, col[k - stride]] / np.sqrt(n1)
-            elif n2:
-                w[:, j] = d2 @ w[:, col[k - 1]] / np.sqrt(n2)
-            else:
-                w[:, j] = np.exp(-np.vdot(self.x, self.x).real / 2.0) * vac
-            col[k] = j
-        return w
+        interior index sets do.  The columns with n1 = 0 are stepped up in n2
+        one at a time, then each n1 level at once from the one below.
+        Nothing is renormalized: the weight a column has past the cutoff is
+        truncation, and stays missing."""
+        cut = g.cutoff
+        d1, d2 = (d.on(cut) for d in self.dags())
+        n1, n2 = np.divmod(keep, cut.n2_max + 1)
+        u = np.empty((cut.dim, keep.size), dtype=complex)
+        w = u.T   # w[j] is column j
+        vac = coherent_state(cut, *self.x).amplitudes
+        w[0] = np.exp(-np.vdot(self.x, self.x).real / 2.0) * vac
+        for j in range(1, np.count_nonzero(n1 == 0)):
+            w[j] = d2(w[j - 1]) / np.sqrt(n2[j])
+        for level in range(1, n1.max(initial=0) + 1):
+            rows = np.flatnonzero(n1 == level)
+            w[rows] = d1(w[np.searchsorted(keep, keep[rows] - cut.n2_max - 1)]) / np.sqrt(level)
+        return u
 
     def reduced_ladder(self, c: LadderCoeffs) -> LadderCoeffs:
         """Coefficients of U' A U, with A built from c.
@@ -186,6 +190,31 @@ def reduction_frame(p: HamiltonianParams) -> Frame:
     return f
 
 
+def _lost(w: np.ndarray) -> np.ndarray:
+    """1 - ||w_j||^2: the weight each column has past the cutoff."""
+    return 1.0 - np.vecdot(w.T, w.T).real
+
+
+def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
+    """The least N whose cutoff N,N keeps the frame's shell-1 columns within
+    _INTACT, given that `failing` does not; None when _SEARCH_MAX does not.
+    A column at a cutoff is the exact one restricted to the box, so the
+    weight it loses only falls as N grows: double, then bisect."""
+    def intact(n: int) -> bool:
+        g = build_generators(FockCutoff(n, n))
+        return bool(np.all(_lost(frame.columns(g, shell_indices(g.cutoff, 1))) <= _INTACT))
+
+    lo, hi = failing, min(2 * failing, _SEARCH_MAX)
+    while not intact(hi):
+        if hi == _SEARCH_MAX:
+            return None
+        lo, hi = hi, min(2 * hi, _SEARCH_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if intact(mid) else (mid, hi)
+    return hi
+
+
 def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
                          eps: int = 1) -> Reduction:
     """Return the basic-form parameters, coefficients and the transform chain.
@@ -197,7 +226,8 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     residuals compare them, on the shells S, with the truncated H and A
     conjugated by the frame's exact columns W = U[:, S].  S is the shells up
     to min(N1, N2)//2 below the first whose columns lose more than 1e-13 of
-    their norm past the cutoff; CutoffTooSmall when that leaves no shell 1.
+    their norm past the cutoff; CutoffTooSmall, naming the least cutoff N,N
+    that keeps shell 1, when that leaves no shell 1.
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
@@ -205,12 +235,15 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     keep = shell_indices(g.cutoff, min(g.cutoff.n1_max, g.cutoff.n2_max) // 2)
     w = frame.columns(g, keep)
     shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
-    lost = 1.0 - np.vecdot(w.T, w.T).real
+    lost = _lost(w)
     shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
     if shell_max < 1:   # shell 1 is the least S that sees every coefficient
-        raise CutoffTooSmall(f"reduce cannot certify at cutoff {g.cutoff.n1_max},"
-                             f"{g.cutoff.n2_max}: the frame's shell-1 columns lose "
-                             f"{lost[shells <= 1].max():.1e} of their norm past it")
+        least = _least_intact_cutoff(frame, max(min(g.cutoff.n1_max, g.cutoff.n2_max), 1))
+        raise CutoffTooSmall(
+            f"reduce cannot certify at cutoff {g.cutoff.n1_max},{g.cutoff.n2_max}: the "
+            f"frame's shell-1 columns lose {lost[shells <= 1].max():.1e} of their norm past "
+            "it; " + (f"{least},{least} is the least cutoff that keeps them" if least else
+                      f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps them"))
     if shell_max < shells.max():
         keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
 

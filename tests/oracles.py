@@ -5,7 +5,9 @@ restricted to the interior;
 for the closed-form reduction, coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
-and the mixing rotation named by (eps, b, beta3)."""
+and the mixing rotation named by (eps, b, beta3); for the eigenstates,
+creation polynomials as CSR operator products and the state
+exp(E) P^kappa |0> as a Taylor series of CSR mat-vecs on the whole exponent."""
 
 from types import SimpleNamespace
 
@@ -14,8 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from ladderforge.errors import LadderForgeError
-from ladderforge.fock import (FockCutoff, GeneratorSet, Operator, commutator,
-                             interior_indices, interior_residual, shell_indices)
+from ladderforge.fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
+                              TwoModeState, apply, commutator, interior_indices,
+                              interior_residual, normalize, shell_indices,
+                              vacuum_state)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder)
 from ladderforge.transforms import UnitarySpec, mixing_angle
@@ -188,3 +192,52 @@ def mix_spec(eps: int, b: float, beta3: float, theta: float) -> UnitarySpec:
     with su(2) invariant b and the given beta3 and phase theta."""
     r = np.sqrt(max(b * b - beta3 * beta3, 0.0)) / 2.0
     return UnitarySpec("mix_t", {"angle": mixing_angle(r, beta3, eps), "theta": theta})
+
+
+def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:
+    """Apply exp(a) to v by Taylor series.
+
+    Intended for polynomials in creation operators, which are nilpotent on the
+    truncated space, so the series terminates exactly; a general operator is
+    summed until terms vanish or a hard iteration cap trips.
+    """
+    out = v.amplitudes.astype(np.complex128)
+    term = out.copy()
+    for k in range(1, 4 * a.cutoff.dim + 4):
+        term = (a.mat @ term) / k
+        tn = np.linalg.norm(term)
+        if tn == 0.0 or tn < tol * max(1.0, np.linalg.norm(out)):
+            break
+        out = out + term
+    else:
+        raise LadderForgeError("series for exp(a)v did not terminate; operator is not nilpotent")
+    return TwoModeState(v.cutoff, out)
+
+
+def csr_poly(poly: CreationPoly, g: GeneratorSet) -> Operator:
+    """sum c_pq a1'^p a2'^q as CSR products of the truncated generators."""
+    out = g.combine([])
+    for (p, q), c in poly.coeffs.items():
+        term = g.identity
+        for op in [g.a1_dag] * p + [g.a2_dag] * q:
+            term = term @ op
+        out = out + c * term
+    return out
+
+
+def series_state(g: GeneratorSet, exponent: CreationPoly | None,
+                 poly: CreationPoly | None = None, power: int = 1,
+                 frame=None) -> TwoModeState:
+    """normalize(exp(exponent) poly^power |0>), carried through `frame` when
+    given, from CSR operators: poly applied `power` times to the vacuum, then
+    the Taylor series of the whole exponent without its constant term."""
+    v = vacuum_state(g.cutoff)
+    if poly is not None:
+        for _ in range(power):
+            v = apply(csr_poly(poly, g), v)
+    if frame is not None:
+        exponent = frame.prefix() if exponent is None else exponent + frame.prefix()
+    if exponent is not None:
+        v = apply_creation_series(csr_poly(CreationPoly(
+            {k: c for k, c in exponent.coeffs.items() if k != (0, 0)}), g), v)
+    return normalize(v)

@@ -15,7 +15,9 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 solve_ladder)
 from ladderforge.transforms import UnitarySpec, build_chain, build_unitary
-from oracles import mix_spec
+from ladderforge import eigenstates, fock
+from ladderforge.eigenstates import reduced_eigenstate
+from oracles import mix_spec, series_state
 
 
 def gate_params(beta0, beta3, b, theta=0.3, **kw):
@@ -477,3 +479,154 @@ def test_verify_eigenstate_trivial(gen8):
     v = vacuum_state(gen8.cutoff)
     assert verify_eigenstate(gen8.a1, v, 0.0, 2) == 0.0
     assert abs(verify_eigenstate(gen8.a1_dag, v, 0.0, 2) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the polynomial construction against the CSR series it replaces
+# ---------------------------------------------------------------------------
+
+def _with_csr_series(monkeypatch, g, build):
+    """build() as constructed, and again with every exp(E) P^kappa |0> taken
+    from the CSR-series oracle instead."""
+    got = build()
+    with monkeypatch.context() as m:
+        m.setattr(eigenstates, "_exp_poly_vac",
+                  lambda cutoff, *args, **kw: series_state(g, *args, **kw))
+        want = build()
+    return got.amplitudes, want.amplitudes
+
+
+ORACLE_FAMILIES = {
+    "isotropic": HamiltonianParams(beta0=2.0),
+    "2:1": HamiltonianParams(beta0=3.0, beta3=1.0),
+    "1:2": HamiltonianParams(beta0=3.0, beta3=-1.0),
+    "generalized 2:1": gate_params(3.0, 0.5, 1.0),
+    "generalized 2:1, beta3 < 0": gate_params(3.0, -0.5, 1.0, theta=2.1),
+    "su(2)": gate_params(2.2, 0.3, 1.0, theta=1.1),
+    "fractional mu": gate_params(2.5, 0.3, 0.5),
+    "fractional nu": gate_params(-2.5, -0.3, 0.5),
+    "b = 2": gate_params(0.0, 0.3, 2.0),
+    "b = 2 decoupled": HamiltonianParams(beta0=0.0, beta3=2.0),
+    "linear iso": HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+    "linear fractional": gate_params(1.5, 0.3, 0.5, gamma1=0.1 + 0.05j, gamma2=-0.08j),
+    "Appendix A": HamiltonianParams(beta0=3.0, beta3=1.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+    "Appendix B6": gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.1 - 0.06j),
+}
+
+
+@pytest.mark.parametrize("cutoff", [(14, 14), (24, 20)])
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_frame_states_match_the_csr_series(name, cutoff, monkeypatch):
+    # every branch reduced_eigenstate serves (the squeezed 2:1 branch 1
+    # among them), and the chain seeds
+    p = ORACLE_FAMILIES[name]
+    g = build_generators(FockCutoff(*cutoff))
+    rep = solve_ladder(p)
+    builds = [lambda kappa=kappa: chain_seed(p, kappa, g) for kappa in (0, 1, 2)]
+    for lam, branch, kappa in [(0.15 + 0.1j, 1, 0), (0.25 - 0.1j, 2, 1), (0.2j, 3, 2),
+                               (0.3, 0, 1)]:
+        req = EigenstateRequest(tag=classify(p), lam=lam, branch=branch, kappa=kappa,
+                                c1=0.6 + 0.2j, c2=0.4j)
+        try:
+            reduced_eigenstate(p, rep, req, g)
+        except DomainError:
+            continue
+        builds.append(lambda req=req: reduced_eigenstate(p, rep, req, g)[0])
+    # the creation-dominated fractional nu branch and the Appendix B rows that
+    # do not reduce to 2:1 keep their seeds only
+    assert (len(builds) == 3) == (name in ("fractional nu", "Appendix B6"))
+    for build in builds:
+        got, want = _with_csr_series(monkeypatch, g, build)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _b2(branch, mu1=1.0, nu1=0.3, lam=0.4 - 0.2j, kappa=1):
+    p = gate_params(0.0, -0.8, 2.0, theta=0.9)
+    req = EigenstateRequest(tag=classify(p), lam=lam, branch=branch, kappa=kappa)
+    return lambda g: linear_coupled_states(p, req, g, mu1=mu1, nu1=nu1)
+
+
+_FRAC = gate_params(0.5, 0.4, 1.5)
+_LINEAR_ISO = HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j)
+_APPENDIX_A = HamiltonianParams(beta0=3.0, beta3=-1.0, gamma1=0.2 + 0.1j, gamma2=-0.15j)
+_B2_DECOUPLED = HamiltonianParams(beta0=0.0, beta3=2.0)
+CONSTRUCTORS = {
+    "fractional lambda": lambda g: fractional_lambda_state(
+        _FRAC, EigenstateRequest(classify(_FRAC), lam=0.7 + 0.2j, kappa=2), g),
+    "fractional separable": lambda g: fractional_separable_cs(_FRAC, 0.6, 0.3, g),
+    "isotropic 1": lambda g: isotropic_states(0.8, 0.6, 0.5j, 0, 1, g),
+    "isotropic 2": lambda g: isotropic_states(0.7, 0.5 - 0.2j, 0.4, 2, 2, g),
+    "2:1 squeezed": lambda g: basic21_states(1.0, 0.5 - 0.1j, 0.8, 1, g, c1=0.5),
+    "2:1 branch 2": lambda g: basic21_states(1.0, 0.5 - 0.1j, 0.3, 2, g),
+    "2:1 branch 3": lambda g: basic21_states(1.0, 0.5 - 0.1j, 0.3j, 3, g, kappa=2),
+    "linear iso": lambda g: linear_coupled_states(
+        _LINEAR_ISO, EigenstateRequest(classify(_LINEAR_ISO), lam=0.3, kappa=1, branch=2), g,
+        mu1=0.9, mu2=0.5 + 0.2j),
+    "Appendix A squeezed": lambda g: linear_coupled_states(
+        _APPENDIX_A, EigenstateRequest(classify(_APPENDIX_A), lam=0.3 - 0.1j), g),
+    "Appendix A branch 3": lambda g: linear_coupled_states(
+        _APPENDIX_A, EigenstateRequest(classify(_APPENDIX_A), lam=0.2, branch=3, kappa=2), g),
+    "b = 2 squeezed": _b2(1),
+    "b = 2 pairs": _b2(2),
+    "b = 2 decoupled": lambda g: linear_coupled_states(
+        _B2_DECOUPLED, EigenstateRequest(classify(_B2_DECOUPLED), lam=0.4, kappa=1), g,
+        mu1=1.0, nu1=0.4),
+}
+
+
+@pytest.mark.parametrize("cutoff", [(14, 14), (24, 20)])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_match_the_csr_series(name, cutoff, monkeypatch):
+    g = build_generators(FockCutoff(*cutoff))
+    got, want = _with_csr_series(monkeypatch, g, lambda: CONSTRUCTORS[name](g))
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_frame_states_build_no_operator(monkeypatch):
+    built = []
+    init = fock.Operator.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fock.Operator, "__init__", counting)
+    g = build_generators(FockCutoff(16, 16))
+    for p in ORACLE_FAMILIES.values():
+        rep = solve_ladder(p)
+        for kappa in (0, 2):
+            chain_seed(p, kappa, g)
+            try:
+                reduced_eigenstate(p, rep, EigenstateRequest(classify(p), lam=0.2, branch=1,
+                                                             kappa=kappa), g)
+            except DomainError:
+                pass
+    assert built == []
+
+
+def _basic21(g, **request):
+    p = HamiltonianParams(beta0=3.0, beta3=1.0)
+    return reduced_eigenstate(p, solve_ladder(p), EigenstateRequest(classify(p), **request), g)
+
+
+def _refused(g, name):
+    p = ORACLE_FAMILIES[name]
+    return reduced_eigenstate(p, solve_ladder(p), EigenstateRequest(classify(p), lam=0.2), g)
+
+
+@pytest.mark.parametrize("build,code", [
+    # su(2) seeds are d_other^kappa: degree 5 leaves the lower half of 8
+    (lambda g: chain_seed(gate_params(2.2, 0.3, 1.0), 5, g), "kappa-overflow"),
+    # the 2:1 prefactor is quadratic: kappa 3 reaches n2 = 6
+    (lambda g: _basic21(g, branch=3, kappa=3), "kappa-overflow"),
+    # the unit 2:1 ladder squeezes with |lam c1| < 1 only
+    (lambda g: _basic21(g, lam=1.2, branch=1), "squeeze-domain"),
+    # Appendix B rows that do not reduce to 2:1, and the creation-dominated
+    # fractional nu branch, have no normalizable states
+    (lambda g: _refused(g, "Appendix B6"), "non-normalizable"),
+    (lambda g: _refused(g, "fractional nu"), "non-normalizable"),
+])
+def test_refusals_are_kept(build, code, gen8):
+    with pytest.raises(DomainError) as err:
+        build(gen8)
+    assert err.value.code == code

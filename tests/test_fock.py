@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ORACLE_CUTOFFS, assert_same_csr, csr_frobenius, kron_generators
+from oracles import (ORACLE_CUTOFFS, apply_creation_series, assert_same_csr,
+                     csr_frobenius, csr_poly, kron_generators)
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, LadderForgeError
-from ladderforge.fock import (FockCutoff, Operator, TwoModeState, apply,
-                              apply_creation_series, basis_state,
-                              build_generators, commutator,
+from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff,
+                              Operator, TwoModeState, apply, basis_state,
+                              build_generators, coherent_state, commutator,
                               interior_indices, interior_projector,
                               interior_residual, norm, normalize,
                               operator_from_json, operator_to_json,
@@ -184,6 +185,49 @@ def test_creation_series_handles_diagonal_exponent(gen8):
     # not nilpotent, but the series still converges to exp(c*n1)|2,0>
     v = apply_creation_series(0.7 * (gen8.a1_dag @ gen8.a1), basis_state(gen8.cutoff, 2, 0))
     assert abs(v.amplitudes[gen8.cutoff.index(2, 0)] - np.exp(1.4)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [(12, 16), (40, 40)])
+def test_coherent_state_matches_the_series(cutoff):
+    g = build_generators(FockCutoff(*cutoff))
+    for x1, x2 in [(0.8 - 0.4j, -0.3 + 0.9j), (0.0, 1.7), (2.5j, -1.1)]:
+        got = coherent_state(g.cutoff, x1, x2).amplitudes
+        want = apply_creation_series(csr_poly(x1 * A1_DAG + x2 * A2_DAG, g),
+                                     vacuum_state(g.cutoff)).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (x1, x2)
+
+
+def _random_poly(rng, degree):
+    return CreationPoly({(p, q): complex(*rng.normal(size=2))
+                         for p in range(degree + 1) for q in range(degree + 1 - p)})
+
+
+def test_creation_polys_multiply_as_their_csr_operators(rng):
+    # the truncated a1', a2' commute and their powers compose, so the
+    # polynomial sum, multiple and product are the operators' on the grid
+    g = build_generators(FockCutoff(6, 9))
+    x, y = _random_poly(rng, 2), _random_poly(rng, 3)
+    for got, want in [(x + y, csr_poly(x, g) + csr_poly(y, g)),
+                      (x - y, csr_poly(x, g) - csr_poly(y, g)),
+                      ((0.3 - 2j) * x, (0.3 - 2j) * csr_poly(x, g)),
+                      (np.complex128(0.5j) * x, 0.5j * csr_poly(x, g)),
+                      (x @ y, csr_poly(x, g) @ csr_poly(y, g))]:
+        assert np.max(np.abs(csr_poly(got, g).to_dense() - want.to_dense())) < 1e-12
+    assert (x - x).coeffs == {} and (x - x).degrees is None
+    assert (A1_DAG @ A1_DAG @ A2_DAG).degrees == (2, 1)
+
+
+@pytest.mark.parametrize("cutoff", ORACLE_CUTOFFS)
+def test_creation_poly_acts_as_its_csr_operator(cutoff, rng):
+    # degree 3 reaches past the top of a mode where the cutoff is below 3,
+    # and the shifted slices wrap round the rows of the flat grid
+    g = build_generators(FockCutoff(*cutoff))
+    x = _random_poly(rng, 3)
+    vs = rng.normal(size=(3, g.cutoff.dim)) + 1j * rng.normal(size=(3, g.cutoff.dim))
+    want = (csr_poly(x, g).mat @ vs.T).T
+    act = x.on(g.cutoff)
+    assert np.max(np.abs(act(vs) - want), initial=0) < 1e-12
+    assert np.array_equal(act(vs[1]), act(vs)[1])
 
 
 def test_operator_json_roundtrip(gen8):

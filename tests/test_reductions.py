@@ -359,6 +359,33 @@ def test_reduce_refuses_a_cutoff_without_an_intact_shell(tmp_path):
     assert not (tmp_path / "reduce.json").exists()
 
 
+@pytest.mark.parametrize("params,cutoff", [(B6_WIDE, 8), (B6_WIDE, 11),
+                                           (dict(B6_WIDE, gamma1=[3.0, 0.2]), 10)])
+def test_reduce_names_the_least_cutoff_that_certifies(tmp_path, capsys, params, cutoff):
+    # exit 65 names N: reduce at N,N certifies shell 1 and at N-1,N-1 exits 65 again
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+
+    def reduce_at(n):
+        return run(["reduce", "--config", str(cfg), "--cutoff", f"{n},{n}",
+                    "--out", str(tmp_path / str(n))])
+
+    assert reduce_at(cutoff) == 65
+    message = capsys.readouterr().err
+    n, n2 = map(int, message.split("; ")[-1].split()[0].split(","))
+    assert n == n2 > cutoff and message.endswith("is the least cutoff that keeps them\n")
+    assert reduce_at(n) == 0
+    assert json.loads((tmp_path / str(n) / "reduce.json").read_text())["report"]["shell_max"] >= 1
+    assert reduce_at(n - 1) == 65
+
+
+def test_reduce_says_when_no_searched_cutoff_certifies(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": dict(B6_WIDE, gamma1=[30.0, 0.2])}))
+    assert run(["reduce", "--config", str(cfg), "--cutoff", "8,8"]) == 65
+    assert capsys.readouterr().err.endswith("no cutoff up to 256,256 keeps them\n")
+
+
 def test_reduce_loads_no_dense_linalg(tmp_path):
     # the reduce path builds no unitary: none of scipy's expm machinery, and
     # no sparse norm, is imported by a whole reduce run
