@@ -21,9 +21,8 @@ from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      compute_a0, solve_alpha_block, solve_ladder,
                      solve_mu_nu_block, su2_invariant, verify_ladder)
 from .reductions import Reduction, reduce_by_similarity
-from .spectra import (SpectrumReport, closed_form_spectrum, diagonalize_oracle,
-                      nearest_eigenvalues, normal_order_coeffs, normal_order_power,
-                      raising_chain)
+from .spectra import (SpectrumReport, diagonalize_oracle, nearest_eigenvalues,
+                      normal_order_coeffs, normal_order_power, raising_chain)
 from .transforms import (UnitarySpec, build_unitary, expm, similarity,
                          verify_disentangled_T)
 

@@ -62,10 +62,12 @@ _TINY = 1e-14
 class EigenstateRequest:
     """Which member of a family to build.
 
-    branch 1 is the separable solution, branch 2 the non-separable one,
-    branch 3 (where it exists) the kappa-indexed polynomial family.  Free
-    constants left as None take the documented defaults c1 = 1,
-    c2 = conj(mu2), lambda2 = lam / 2.
+    Isotropic and 2:1 bases read `branch`: 1 is the separable solution, 2
+    the non-separable one, 3 (2:1 only) the kappa-indexed polynomial family.
+    Fractional, su(2) and b = 2 bases ignore it and give the kappa family
+    (linear_coupled_states's b = 2 constructor, which no scenario calls,
+    reads 1, squeezed, and 2, pair).  Free constants left as None take the
+    defaults c1 = 1, c2 = conj(mu2), lambda2 = lam / 2.
     """
 
     tag: CaseTag
@@ -259,22 +261,22 @@ def linear_coupled_states(p: HamiltonianParams, req: EigenstateRequest,
                               "b = 2 constructors run on the displaced frame; "
                               "reduce the linear couplings away first")
         return _b2_states(p, req, g, mu1, nu1)
-    frame = reduction_frame(p)
-    d = frame.dags()
+    c2 = None
     if kind == FamilyKind.LINEAR_ISO:
         if abs(mu1) < _TINY or abs(mu2) < _TINY:
             raise DomainError("mu-zero", "displaced isotropic family needs mu1, mu2 != 0")
-        c1 = 1.0 + 0j if req.c1 is None else complex(req.c1)
-        terms = _isotropic_terms(*d, mu1, mu2, req.lam, req.kappa, req.branch, (1.0 - c1) / mu2)
+        c2 = (1.0 - (1.0 + 0j if req.c1 is None else complex(req.c1))) / mu2
     elif kind == FamilyKind.APPENDIX_A:
         if abs(p.beta0 - 3.0) > 1e-9 or abs(abs(p.beta3) - 1.0) > 1e-9:
             raise DomainError("unsupported-family",
                               "displaced commensurate family needs beta0 = 3, beta3 = +/-1")
-        terms = _kernel21_terms(*d, mu2, alpha_plus, req.lam, req.branch, req.c1, req.kappa)
     else:
         raise DomainError("unsupported-family",
                           f"no coupled-state constructor for tag {req.tag}")
-    return _exp_poly_vac(g.cutoff, *terms, frame=frame)
+    frame = reduction_frame(p)
+    ladder = LadderCoeffs(mu1=mu1, mu2=mu2, alpha_plus=alpha_plus)
+    return _exp_poly_vac(g.cutoff, *_basic_terms(frame, ladder, req.lam, req.kappa, req.branch,
+                                                 req.c1, c2), frame=frame)
 
 
 def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
@@ -282,7 +284,8 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
     """Families on the b = 2 surface, where annihilation and creation
     amplitudes coexist and the ladder closes the oscillator algebra after a
     normalization by the commutator.  In the basic frame (mode 1 lowered,
-    mode 2 raised) the states are exp(z d1 + x d1 d2) d2^kappa |0>."""
+    mode 2 raised, amplitude amp of a1) the states are the pair terms
+    exp((lam / amp) d1 + x d1 d2) d2^kappa |0>."""
     if abs(mu1) < _TINY:
         raise DomainError("mu-zero", "annihilation amplitude must be nonzero")
     lam = complex(req.lam)
@@ -292,7 +295,7 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
         # decoupled variant: A = mu*a_low + nu*a_high' with mode roles set by beta3
         if ratio >= 1.0:
             raise DomainError("squeeze-domain", f"|nu/mu| = {ratio:.4f} >= 1")
-        z, x = lam / mu1, -nu1 / mu1
+        amp, x = mu1, -nu1 / mu1
     else:
         norm2 = abs(mu1) ** 2 / (2.0 + p.beta3) - abs(nu1) ** 2 / (2.0 - p.beta3)
         if norm2 <= 0:
@@ -318,48 +321,53 @@ def _b2_states(p: HamiltonianParams, req: EigenstateRequest, g: GeneratorSet,
         x = (nu1 / mu1) * np.sqrt((2.0 + p.beta3) / (2.0 - p.beta3)) * np.exp(1j * p.theta)
         if abs(x) >= 1.0:
             raise DomainError("squeeze-domain", f"pair amplitude |x| = {abs(x):.4f} >= 1")
-        z = np.sqrt(2.0 + p.beta3) * lam / (2.0 * mu_t)
+        amp = 2.0 * mu_t / np.sqrt(2.0 + p.beta3)
     frame = reduction_frame(p)
+    exponent, poly, power = _basic_terms(frame, LadderCoeffs(mu1=amp), lam, req.kappa, 0)
     d1, d2 = frame.dags()
-    return _exp_poly_vac(g.cutoff, z * d1 + x * (d1 @ d2), d2, req.kappa, frame)
+    return _exp_poly_vac(g.cutoff, exponent + x * (d1 @ d2), poly, power, frame)
 
 
 # ---------------------------------------------------------------------------
 # any family: the basic system's state carried through the reduction frame
 # ---------------------------------------------------------------------------
 
-def _basic_family(p: HamiltonianParams, kappa: int, lam: complex = 0j,
-                  branch: int = 0, c1: complex | None = None, c2: complex | None = None):
-    """(frame, basic tag, unit ladder, (exponent, poly, power), lambda) of a
-    member of p's basic family.  The unit ladders are a1 + a2 (isotropic),
-    a2 + J- (2:1), a_k of the stepped mode k (fractional pair, and b = 2,
-    where mode 1 is lowered and mode 2 raised) and J- (su(2), lambda = 0
-    only); other basic systems, decoupled pairs with no normalizable
-    eigenstates, have None.  Pairs give the lambda = 0 powers
-    d_other^kappa; branch 0 is the kappa family of the other two."""
-    frame = reduction_frame(p)
-    d, b = frame.dags(), frame.basic
-    tag = classify(b)
-    # the stepped mode has frequency +/-1: mode 2 unless only mode 1 has
-    w1, w2 = abs(b.beta0 + b.beta3) / 2.0, abs(b.beta0 - b.beta3) / 2.0
-    other = 0 if abs(w2 - 1.0) < 1e-9 and abs(w1 - 1.0) >= 1e-9 else 1
+def _basic_terms(frame: Frame, ladder: LadderCoeffs, lam: complex, kappa: int, branch: int,
+                 c1: complex | None = None, c2: complex | None = None):
+    """(exponent, poly, power) in the frame's d1, d2 of the eigenstate, value
+    lam, of `ladder` in the basic frame, by the basic family: mu1 a1 + mu2 a2
+    (isotropic) or mu2 a2 + alpha_plus J- (2:1), where branch 0 is the kappa
+    family; else a pair, exp((lam / mu_k) d_k) d_other^kappa for the stepped
+    mode k (no exponent where mu_k = 0, as for J- of su(2))."""
+    d, tag = frame.dags(), classify(frame.basic)
     if tag.kind == FamilyKind.ISOTROPIC:
-        return frame, tag, LadderCoeffs(mu1=1.0, mu2=1.0), _isotropic_terms(
-            *d, 1.0, 1.0, lam, kappa, branch or 2, c2), lam
+        return _isotropic_terms(*d, ladder.mu1, ladder.mu2, lam, kappa, branch or 2, c2)
     if tag == CaseTag(FamilyKind.BASIC21, "2:1"):
-        return frame, tag, LadderCoeffs(mu2=1.0, alpha_plus=1.0), _kernel21_terms(
-            *d, 1.0, 1.0, lam, branch or 3, c1, kappa), lam
+        return _kernel21_terms(*d, ladder.mu2, ladder.alpha_plus, lam, branch or 3, c1, kappa)
+    k = frame.stepped
+    amp = (ladder.mu1, ladder.mu2)[k]
+    return ((lam / amp) * d[k] if amp else None), d[1 - k], kappa
+
+
+def _unit_ladder(frame: Frame) -> LadderCoeffs | None:
+    """a1 + a2 (isotropic), a2 + J- (2:1), a_k of the stepped mode (fractional
+    mu, b = 2) and J- (su(2), lambda = 0 only); None for the basic systems
+    with no normalizable eigenstates."""
+    tag = classify(frame.basic)
+    if tag.kind == FamilyKind.ISOTROPIC:
+        return LadderCoeffs(mu1=1.0, mu2=1.0)
+    if tag == CaseTag(FamilyKind.BASIC21, "2:1"):
+        return LadderCoeffs(mu2=1.0, alpha_plus=1.0)
     if tag == CaseTag(FamilyKind.FRACTIONAL, "mu") or tag.kind == FamilyKind.LINEAR_B2:
-        return (frame, tag, LadderCoeffs(*np.eye(2)[1 - other]),
-                (lam * d[1 - other], d[other], kappa), lam)
-    unit = LadderCoeffs(alpha_plus=1.0) if tag.kind == FamilyKind.SU2 else None
-    return frame, tag, unit, (None, d[other], kappa), 0j
+        return LadderCoeffs(*np.eye(2)[frame.stepped])
+    return LadderCoeffs(alpha_plus=1.0) if tag.kind == FamilyKind.SU2 else None
 
 
-def chain_seed(p: HamiltonianParams, kappa: int, g: GeneratorSet) -> TwoModeState:
-    """lambda = 0 member number kappa of p's basic family, carried through
-    the reduction frame: an eigenstate of H that seeds a raising chain."""
-    frame, _, _, terms, _ = _basic_family(p, kappa)
+def chain_seed(frame: Frame, kappa: int, g: GeneratorSet) -> TwoModeState:
+    """lambda = 0 member number kappa of the frame's basic family, carried
+    through the frame: an eigenstate of H with energy frame.energy(kappa)
+    that seeds a raising chain."""
+    terms = _basic_terms(frame, _unit_ladder(frame) or LadderCoeffs(), 0j, kappa, 0)
     return _exp_poly_vac(g.cutoff, *terms, frame=frame)
 
 
@@ -374,13 +382,15 @@ def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRe
     # they keep lambda = 0 states, but only the undisplaced su(2) family builds them
     if req.tag.kind == FamilyKind.APPENDIX_B and not any(rep.normalizable):
         raise DomainError("non-normalizable", f"{req.tag}: no ladder is flagged normalizable")
+    frame = reduction_frame(p)
+    tag, unit = classify(frame.basic), _unit_ladder(frame)
+    if unit is None:
+        raise DomainError("non-normalizable", f"basic system {tag} has no normalizable states")
     c2 = req.c2
     if req.tag.kind == FamilyKind.LINEAR_ISO:   # free constant c1, as in linear_coupled_states
         c2 = 1.0 - (1.0 if req.c1 is None else complex(req.c1))
-    frame, tag, unit, terms, lam = _basic_family(p, req.kappa, req.lam, req.branch,
-                                                 req.c1, c2)
-    if unit is None:
-        raise DomainError("non-normalizable", f"basic system {tag} has no normalizable states")
+    lam = 0j if tag.kind == FamilyKind.SU2 else req.lam
+    terms = _basic_terms(frame, unit, lam, req.kappa, req.branch, req.c1, c2)
     basis = np.array([frame.reduced_ladder(c).as_array() for c in rep.coeffs]).T
     weights, *_ = np.linalg.lstsq(basis, unit.as_array(), rcond=None)
     if np.linalg.norm(basis @ weights - unit.as_array()) > 1e-9:

@@ -95,6 +95,12 @@ class HamiltonianParams:
     def b(self) -> float:
         return float(np.sqrt(su2_invariant(self)))
 
+    @property
+    def omega(self) -> tuple[float, float]:
+        """Signed mode frequencies ((beta0 + beta3)/2, (beta0 - beta3)/2):
+        the diagonal of H's u(2) part, the frequencies once beta_plus = 0."""
+        return (self.beta0 + self.beta3) / 2.0, (self.beta0 - self.beta3) / 2.0
+
     def has_gamma(self, tol: float = _ZERO) -> bool:
         return abs(self.gamma1) > tol or abs(self.gamma2) > tol
 
@@ -238,14 +244,14 @@ def solve_alpha_block(p: HamiltonianParams,
 
 
 def _mu_matrix(p: HamiltonianParams) -> np.ndarray:
-    return np.array([[1.0 - (p.beta0 + p.beta3) / 2.0, -p.beta_plus],
-                     [-p.beta_minus, 1.0 - (p.beta0 - p.beta3) / 2.0]],
+    w1, w2 = p.omega
+    return np.array([[1.0 - w1, -p.beta_plus], [-p.beta_minus, 1.0 - w2]],
                     dtype=np.complex128)
 
 
 def _nu_matrix(p: HamiltonianParams) -> np.ndarray:
-    return np.array([[1.0 + (p.beta0 + p.beta3) / 2.0, p.beta_minus],
-                     [p.beta_plus, 1.0 + (p.beta0 - p.beta3) / 2.0]],
+    w1, w2 = p.omega
+    return np.array([[1.0 + w1, p.beta_minus], [p.beta_plus, 1.0 + w2]],
                     dtype=np.complex128)
 
 

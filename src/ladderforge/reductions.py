@@ -80,15 +80,16 @@ def reduction_chain(p: HamiltonianParams,
     else:
         g1, g2, beta3 = p.gamma1, p.gamma2, p.beta3
 
+    basic = HamiltonianParams(beta0=p.beta0, beta3=beta3, h0=p.h0)
     h0, scale = p.h0, np.hypot(abs(p.gamma1), abs(p.gamma2))
-    for mode, gamma, w in ((1, g1, (p.beta0 + beta3) / 2.0), (2, g2, (p.beta0 - beta3) / 2.0)):
+    for mode, gamma, w in zip((1, 2), (g1, g2), basic.omega):
         if abs(gamma) > _ZERO * scale:   # else it cancelled in the rotation
             if abs(w) < 1e-10:
                 raise DomainError("resonant", f"no displacement reduction: mode-{mode} "
                                               "frequency vanishes with a residual linear coupling")
             chain.append(UnitarySpec(f"displace{mode}", {"alpha": -gamma / w}))
             h0 -= abs(gamma) ** 2 / w
-    return chain, HamiltonianParams(beta0=p.beta0, beta3=beta3, h0=h0)
+    return chain, replace(basic, h0=h0)
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,24 @@ class Frame:
     of creation polynomials (fock.CreationPoly).  The frames of
     `reduction_frame` have basic parameters with beta3 >= 0: a chain that
     lands on beta3 < 0 ends with the mode swap (1:2 is the mode swap of
-    2:1)."""
+    2:1).  Its basic system h0 + omega1 n1 + omega2 n2 fixes the family."""
 
     basic: HamiltonianParams
     m: np.ndarray
     c: np.ndarray
     x: np.ndarray
+
+    @property
+    def stepped(self) -> int:
+        """The mode (0 or 1) the basic ladder steps: one of frequency +/-1,
+        mode 1 unless only mode 2 has it.  Seeds are powers of the other's."""
+        at_one = [abs(abs(w) - 1.0) < 1e-9 for w in self.basic.omega]
+        return 1 if at_one[1] and not at_one[0] else 0
+
+    def energy(self, kappa: int, n: int = 0) -> float:
+        """E(kappa, n) = h0 + kappa omega_other + n: the energy of the chain
+        seed d_other^kappa |0> raised n times."""
+        return self.basic.h0 + kappa * self.basic.omega[1 - self.stepped] + n
 
     def dags(self) -> tuple[CreationPoly, CreationPoly]:
         """(d1, d2): the creation operators of the basic frame."""

@@ -1,8 +1,10 @@
-"""Energy chains from raising powers, normal ordering of those powers,
-closed-form spectra per family, and the eigenvalue oracle the chains are
-checked against.
+"""Energy chains from raising powers, normal ordering of those powers, and
+the eigenvalue oracle the chains are checked against.
 
-The oracle is the brute-force truncated interior block K = H[keep, keep].
+A chain climbs from a seed of known energy E0 (in the `spectrum` scenario
+the reduction frame's closed form E(kappa, 0), `reductions.Frame.energy`)
+and holds entry n to E0 + n.  The oracle is the brute-force truncated
+interior block K = H[keep, keep].
 `nearest_eigenvalues` gives the eigenvalue of that block nearest each chain
 energy without forming a dim x dim matrix.  Each chain state is first
 taken as its own witness: its Rayleigh quotient on K and the residual
@@ -16,7 +18,7 @@ test oracle."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import LadderForgeError
 from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
                    TwoModeState, apply, interior_indices, normalize)
-from .params import FamilyKind, HamiltonianParams, LadderCoeffs
+from .params import LadderCoeffs
 
 __all__ = [
     "NormalOrderCoeff",
@@ -34,8 +36,6 @@ __all__ = [
     "ChainEntry",
     "SpectrumReport",
     "raising_chain",
-    "closed_form_spectrum",
-    "mode_frequencies",
     "nearest_eigenvalues",
     "diagonalize_oracle",
 ]
@@ -149,14 +149,9 @@ class SpectrumReport:
     CSV_HEADER = "family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"
 
     family: str
-    e0: float
     entries: list[ChainEntry] = field(default_factory=list)
     collapse_at: int | None = None
     states: list[TwoModeState] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "e0": self.e0, "collapse_at": self.collapse_at,
-                "entries": [asdict(e) for e in self.entries]}
 
     def csv_rows(self, kappa: int | str = "") -> list[str]:
         """One CSV row per entry, in CSV_HEADER's column order; the
@@ -169,15 +164,12 @@ class SpectrumReport:
                         f"{e.energy_chain!r},{nearest},{e.residual!r}")
         return rows
 
-    def to_csv(self, kappa: int | str = "") -> str:
-        return "\n".join([self.CSV_HEADER, *self.csv_rows(kappa)]) + "\n"
-
 
 def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
-                  degree: int = 3, family: str = "",
+                  e0: float, degree: int = 3, family: str = "",
                   tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumReport:
     """Normalize (A')^n |ground> step by step and check each state against
-    the energy ladder E0 + n.
+    the energy ladder e0 + n, e0 being the closed-form energy of `ground`.
 
     A state is certified while its amplitude mass outside the degree-safe
     interior stays negligible; past that point entries are still reported
@@ -185,13 +177,12 @@ def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
     ends the walk.
     """
     keep = interior_indices(h.cutoff, degree)
-    outside = np.setdiff1d(np.arange(h.cutoff.dim), keep)
+    outside = np.ones(h.cutoff.dim, dtype=bool)
+    outside[keep] = False
     raiser = a.dag()
 
     v = normalize(ground)
-    e0 = float(np.real(np.vdot(v.amplitudes, h.mat @ v.amplitudes)))
-    report = SpectrumReport(family=family, e0=e0)
-
+    report = SpectrumReport(family=family)
     for n in range(n_max + 1):
         if n > 0:
             nxt = apply(raiser, v)
@@ -209,46 +200,6 @@ def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
                                          certified=mass_out < tol.chain_mass))
         report.states.append(v.copy())
     return report
-
-
-# ---------------------------------------------------------------------------
-# closed-form spectra
-# ---------------------------------------------------------------------------
-
-def mode_frequencies(p: HamiltonianParams, eps: int = 1) -> tuple[float, float]:
-    """Frequencies of the rotated (decoupled) oscillator pair."""
-    b = p.b
-    return (p.beta0 + eps * b) / 2.0, (p.beta0 - eps * b) / 2.0
-
-
-def closed_form_spectrum(tag: FamilyKind, p: HamiltonianParams | None = None,
-                         kappa: int = 0, k1: int = 0, k2: int = 0,
-                         n: int = 0) -> float:
-    """Energy formulas per family; kappa indexes the ground-state family and
-    n the raising step.  Families with two branches use kappa = 0 for the
-    separable branch and kappa >= 1 for the non-separable one."""
-    h0 = p.h0 if p is not None else 0.0
-    if tag == FamilyKind.FRACTIONAL:
-        return kappa * (p.beta0 - 1.0) + n + h0
-    if tag == FamilyKind.SU2:
-        if n > kappa:
-            raise LadderForgeError("the finite ladder ends at n = kappa")
-        return kappa * (p.beta0 - 1.0) / 2.0 + n + h0
-    if tag in (FamilyKind.BASIC21, FamilyKind.EXTENDED21, FamilyKind.GENERALIZED21):
-        return 2.0 * kappa + n + h0
-    if tag == FamilyKind.ISOTROPIC:
-        return kappa + n + h0
-    if tag == FamilyKind.LINEAR_ISO:
-        return kappa + n + h0 - (abs(p.gamma1) ** 2 + abs(p.gamma2) ** 2)
-    if tag == FamilyKind.APPENDIX_A:
-        # the displaced 2:1 family; constant shift from the removed couplings
-        return 2.0 * kappa + n + h0 - (abs(p.gamma1) ** 2 / 2.0 + abs(p.gamma2) ** 2)
-    if tag == FamilyKind.LINEAR_B2:
-        return n - kappa + h0
-    if tag == FamilyKind.LINEAR_FRACTIONAL:
-        w1, w2 = mode_frequencies(p)
-        return w1 * k1 + w2 * k2 + n + h0
-    raise LadderForgeError(f"no closed-form spectrum for tag {tag}")
 
 
 # A chain state pins the eigenvalue nearest its energy E at its Rayleigh

@@ -204,7 +204,7 @@ def test_criterion_4_normal_ordering(gen14a):
 # 5 ------------------------------------------------------------------------
 
 def _chain_vs_oracle(h, a, ground, expected, degree=3):
-    rep = raising_chain(h, a, ground, len(expected) - 1, degree=degree)
+    rep = raising_chain(h, a, ground, len(expected) - 1, expected[0], degree=degree)
     oracle = diagonalize_oracle(h, degree)
     worst = 0.0
     for e, target in zip(rep.entries, expected):
@@ -257,7 +257,7 @@ def test_criterion_5_spectra(gen14a):
         a = build_ladder(reps.coeffs[0], gen14a)
         ground = su2_ground(0.6, 1.1, kappa, gen14a)
         expected = [-kappa / 2.0 + n for n in range(kappa + 1)]
-        rep = raising_chain(h, a, ground, kappa + 3, degree=3)
+        rep = raising_chain(h, a, ground, kappa + 3, expected[0], degree=3)
         collapse_ok &= rep.collapse_at == kappa + 1
         oracle = diagonalize_oracle(h, rotation_safe_degree(gen14a.cutoff))
         for e, target in zip(rep.entries, expected):

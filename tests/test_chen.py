@@ -207,9 +207,9 @@ def test_tilde0_raising_chain(gen14):
     from ladderforge.spectra import raising_chain
     h = build_H_pq(pq, gen14)
     cal_a = build_calA_pq(pq, gen14)
-    rep = raising_chain(h, cal_a, tilde0_state(pq, gen14), 2, degree=max(pq.p, pq.q))
+    rep = raising_chain(h, cal_a, tilde0_state(pq, gen14), 2, 1.0, degree=max(pq.p, pq.q))
     for e in rep.entries:
-        assert abs(e.energy_chain - (e.n + 1.0)) < 1e-9
+        assert abs(e.energy_chain - (e.n + 1.0)) < 1e-9 and e.residual < 1e-9
 
 
 def test_alt_hamiltonian(gen20):

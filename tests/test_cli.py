@@ -147,11 +147,17 @@ def test_spectrum_scenario(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "spectrum.json").read_text())
     assert payload["report"]["passed"] is True
-    assert (tmp_path / "spectrum.csv").exists()
-    # fractional ladder: energies kappa*(beta0-1) + n
-    for entry in payload["report"]["entries"]:
+    entries = payload["report"]["entries"]
+    header, *rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert header == "family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"
+    assert len(rows) == len(entries) == 3 * 5
+    # fractional ladder: energies kappa*(beta0-1) + n, the closed form reported
+    for entry, row in zip(entries, rows):
         expected = entry["kappa"] * 1.5 + entry["n"]
+        assert abs(entry["energy_formula"] - expected) < 1e-14
         assert abs(entry["energy_chain"] - expected) < 1e-8
+        assert row.split(",")[1:4] == [str(entry["kappa"]), str(entry["n"]),
+                                       repr(entry["energy_formula"])]
 
 
 def test_eigenstate_scenario(tmp_path):

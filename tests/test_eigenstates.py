@@ -17,6 +17,7 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
 from ladderforge.transforms import UnitarySpec, build_chain, build_unitary
 from ladderforge import eigenstates, fock
 from ladderforge.eigenstates import reduced_eigenstate
+from ladderforge.reductions import reduction_frame
 from oracles import mix_spec, series_state
 
 
@@ -322,8 +323,9 @@ def test_closed_forms_match_the_reduction_frame(n):
         cases.append((p, lambda k, p=p: fractional_lambda_state(
             p, EigenstateRequest(tag=classify(p), kappa=k), g)))
     for p, closed_form in cases:
+        frame = reduction_frame(p)
         for kappa in range(4):
-            overlap = np.vdot(closed_form(kappa).amplitudes, chain_seed(p, kappa, g).amplitudes)
+            overlap = np.vdot(closed_form(kappa).amplitudes, chain_seed(frame, kappa, g).amplitudes)
             assert abs(abs(overlap) - 1.0) < 1e-12, (p, kappa)
 
 
@@ -522,7 +524,8 @@ def test_frame_states_match_the_csr_series(name, cutoff, monkeypatch):
     p = ORACLE_FAMILIES[name]
     g = build_generators(FockCutoff(*cutoff))
     rep = solve_ladder(p)
-    builds = [lambda kappa=kappa: chain_seed(p, kappa, g) for kappa in (0, 1, 2)]
+    frame = reduction_frame(p)
+    builds = [lambda kappa=kappa: chain_seed(frame, kappa, g) for kappa in (0, 1, 2)]
     for lam, branch, kappa in [(0.15 + 0.1j, 1, 0), (0.25 - 0.1j, 2, 1), (0.2j, 3, 2),
                                (0.3, 0, 1)]:
         req = EigenstateRequest(tag=classify(p), lam=lam, branch=branch, kappa=kappa,
@@ -595,7 +598,7 @@ def test_frame_states_build_no_operator(monkeypatch):
     for p in ORACLE_FAMILIES.values():
         rep = solve_ladder(p)
         for kappa in (0, 2):
-            chain_seed(p, kappa, g)
+            chain_seed(reduction_frame(p), kappa, g)
             try:
                 reduced_eigenstate(p, rep, EigenstateRequest(classify(p), lam=0.2, branch=1,
                                                              kappa=kappa), g)
@@ -616,7 +619,7 @@ def _refused(g, name):
 
 @pytest.mark.parametrize("build,code", [
     # su(2) seeds are d_other^kappa: degree 5 leaves the lower half of 8
-    (lambda g: chain_seed(gate_params(2.2, 0.3, 1.0), 5, g), "kappa-overflow"),
+    (lambda g: chain_seed(reduction_frame(gate_params(2.2, 0.3, 1.0)), 5, g), "kappa-overflow"),
     # the 2:1 prefactor is quadratic: kappa 3 reaches n2 = 6
     (lambda g: _basic21(g, branch=3, kappa=3), "kappa-overflow"),
     # the unit 2:1 ladder squeezes with |lam c1| < 1 only

@@ -250,10 +250,10 @@ def _low_shell_distance(got, want, g):
 def test_frame_carries_chain_seeds_like_the_dense_chain(name, n):
     p = FRAME_FAMILIES[name]
     g = build_generators(FockCutoff(n, n))
-    basic = reduction_frame(p).basic
+    frame = reduction_frame(p)
     for kappa in (0, 1, 2):
-        want = _dense_image(p, chain_seed(basic, kappa, g), g)
-        got = chain_seed(p, kappa, g).amplitudes
+        want = _dense_image(p, chain_seed(reduction_frame(frame.basic), kappa, g), g)
+        got = chain_seed(frame, kappa, g).amplitudes
         assert _low_shell_distance(got, want, g) < 1e-10, kappa
 
 

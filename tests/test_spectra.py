@@ -3,14 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ladderforge.catalogue import appendix_catalogue
 from ladderforge.errors import LadderForgeError
 from ladderforge.eigenstates import basic21_states, chain_seed, su2_ground
 from ladderforge.fock import (FockCutoff, build_generators, interior_indices,
                               interior_projector, vacuum_state)
-from ladderforge.params import (FamilyKind, HamiltonianParams, LadderCoeffs,
-                                build_hamiltonian, build_ladder, solve_ladder)
-from ladderforge.spectra import (closed_form_spectrum, diagonalize_oracle,
-                                 mode_frequencies, nearest_eigenvalues,
+from ladderforge.params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
+                                build_ladder, solve_ladder)
+from ladderforge.reductions import reduction_frame
+from ladderforge.spectra import (diagonalize_oracle, nearest_eigenvalues,
                                  normal_order_coeffs,
                                  normal_order_coeffs_recurrence,
                                  normal_order_power, raising_chain)
@@ -100,8 +101,8 @@ def chain_setup():
 
 def test_chain_from_vacuum(chain_setup):
     g, h, a, mu2, ap = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 9, degree=3, family="2:1")
-    assert rep.e0 == pytest.approx(0.0, abs=1e-12)
+    rep = raising_chain(h, a, vacuum_state(g.cutoff), 9, 0.0, degree=3, family="2:1")
+    assert rep.entries[0].energy_chain == pytest.approx(0.0, abs=1e-12)
     for e in rep.entries:
         assert e.certified
         assert e.residual < 1e-9
@@ -111,7 +112,7 @@ def test_chain_from_vacuum(chain_setup):
 def test_chain_states_match_closed_coefficients(chain_setup):
     import math
     g, h, a, mu2, ap = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 7, degree=3)
+    rep = raising_chain(h, a, vacuum_state(g.cutoff), 7, 0.0, degree=3)
     n = 5
     v = rep.states[n]
     z = np.conj(ap) / (2 * np.conj(mu2))
@@ -145,8 +146,8 @@ def test_chain_closed_norm_constant(chain_setup):
 def test_branch2_chain_offset(chain_setup):
     g, h, a, mu2, ap = chain_setup
     ground = basic21_states(mu2, ap, 0.0, 2, g)
-    rep = raising_chain(h, a, ground, 6, degree=3)
-    assert rep.e0 == pytest.approx(2.0, abs=1e-10)
+    rep = raising_chain(h, a, ground, 6, 2.0, degree=3)
+    assert rep.entries[0].energy_chain == pytest.approx(2.0, abs=1e-10)
     for e in rep.entries:
         assert e.residual < 1e-9
 
@@ -159,7 +160,7 @@ def test_degeneracy_coverage(chain_setup):
             ground = vacuum_state(g.cutoff)
         else:
             ground = basic21_states(mu2, ap, 0.0, 3, g, kappa=kappa)
-        rep = raising_chain(h, a, ground, 14, degree=3)
+        rep = raising_chain(h, a, ground, 14, 2.0 * kappa, degree=3)
         energies += [round(e.energy_formula, 7) for e in rep.entries
                      if e.certified and e.energy_formula <= 9.0 + 1e-9]
     oracle = [round(float(x), 7) for x in diagonalize_oracle(h, 3) if x <= 9.0 + 1e-9]
@@ -168,9 +169,9 @@ def test_degeneracy_coverage(chain_setup):
 
 def test_chain_orthogonality_across_energies(chain_setup):
     g, h, a, mu2, ap = chain_setup
-    rep0 = raising_chain(h, a, vacuum_state(g.cutoff), 6, degree=3)
+    rep0 = raising_chain(h, a, vacuum_state(g.cutoff), 6, 0.0, degree=3)
     ground = basic21_states(mu2, ap, 0.0, 3, g, kappa=2)
-    rep2 = raising_chain(h, a, ground, 6, degree=3)
+    rep2 = raising_chain(h, a, ground, 6, 4.0, degree=3)
     for e0, v0 in zip(rep0.entries, rep0.states):
         for e2, v2 in zip(rep2.entries, rep2.states):
             if abs(e0.energy_formula - e2.energy_formula) > 0.5:
@@ -185,7 +186,7 @@ def test_su2_chain_truncates(gen10):
     h = build_hamiltonian(p, gen10)
     kappa = 4
     ground = su2_ground(0.6, 1.1, kappa, gen10)
-    rep = raising_chain(h, a, ground, 8, degree=3, family="su2")
+    rep = raising_chain(h, a, ground, 8, -kappa / 2, degree=3, family="su2")
     assert rep.collapse_at == kappa + 1
     energies = [e.energy_chain for e in rep.entries]
     np.testing.assert_allclose(energies, [-kappa / 2 + n for n in range(kappa + 1)],
@@ -193,30 +194,27 @@ def test_su2_chain_truncates(gen10):
 
 
 def _checked_chain(h, a, g):
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, degree=3, family="2:1")
+    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, 0.0, degree=3, family="2:1")
     nearest, _ = nearest_eigenvalues(h, [e.energy_chain for e in rep.entries], 3)
     for e, x in zip(rep.entries, nearest):
         e.energy_oracle = float(x)
     return rep
 
 
-def test_chain_report_serialization(chain_setup):
+def test_chain_csv_rows(chain_setup):
     g, h, a, _, _ = chain_setup
     rep = _checked_chain(h, a, g)
-    payload = rep.to_json()
-    assert payload["family"] == "2:1"
-    assert len(payload["entries"]) == 4
-    assert all(e["energy_oracle"] is not None for e in payload["entries"])
-    csv = rep.to_csv(kappa=0)
-    assert csv.startswith("family,kappa,n,energy_formula,energy_chain,energy_oracle,residual")
-    assert len(csv.strip().split("\n")) == 5
+    assert rep.CSV_HEADER == "family,kappa,n,energy_formula,energy_chain,energy_oracle,residual"
+    rows = rep.csv_rows(kappa=0)
+    assert len(rows) == 4
+    assert all(len(row.split(",")) == 7 and row.split(",")[5] != "" for row in rows)
 
 
 def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
     g, h, a, _, _ = chain_setup
     rep = _checked_chain(h, a, g)
     dense = diagonalize_oracle(h, 3)
-    rows = rep.to_csv(kappa=0).strip().split("\n")[1:]
+    rows = rep.csv_rows(kappa=0)
     assert len(rows) == 4
     for row, e in zip(rows, rep.entries):
         family, kappa, n, *numbers = row.split(",")
@@ -225,33 +223,13 @@ def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
         assert oracle == e.energy_oracle
         assert abs(oracle - min(dense, key=lambda x: abs(x - chain))) <= 1e-11
     # an entry that was never checked leaves its oracle column empty
-    unchecked = raising_chain(h, a, vacuum_state(g.cutoff), 0, degree=3, family="2:1")
+    unchecked = raising_chain(h, a, vacuum_state(g.cutoff), 0, 0.0, degree=3, family="2:1")
     assert unchecked.csv_rows(kappa=0)[0].split(",")[5] == ""
 
 
 # ---------------------------------------------------------------------------
-# closed-form spectra and the diagonalization oracle
+# the diagonalization oracle
 # ---------------------------------------------------------------------------
-
-def test_closed_form_values():
-    p = HamiltonianParams(beta0=2.5)
-    assert closed_form_spectrum(FamilyKind.FRACTIONAL, p, kappa=2, n=3) == pytest.approx(6.0)
-    p0 = HamiltonianParams(beta0=0.0)
-    assert closed_form_spectrum(FamilyKind.SU2, p0, kappa=3, n=0) == pytest.approx(-1.5)
-    assert closed_form_spectrum(FamilyKind.BASIC21, HamiltonianParams(beta0=3.0),
-                                kappa=0, n=0) == 0.0
-    assert closed_form_spectrum(FamilyKind.ISOTROPIC, HamiltonianParams(beta0=2.0),
-                                kappa=2, n=1) == 3.0
-    with pytest.raises(LadderForgeError):
-        closed_form_spectrum(FamilyKind.SU2, p0, kappa=2, n=3)
-
-
-def test_mode_frequencies():
-    p = HamiltonianParams(beta0=3.0, beta_plus=0.4, beta3=0.6)
-    w1, w2 = mode_frequencies(p, 1)
-    assert w1 + w2 == pytest.approx(p.beta0)
-    assert w1 - w2 == pytest.approx(p.b)
-
 
 def test_oracle_diagonal(gen10):
     h = build_hamiltonian(HamiltonianParams(beta0=2.0), gen10)
@@ -306,7 +284,9 @@ def _chain_energies(p, g, certified_only=False, n_max=6):
     rep = solve_ladder(p)
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
-    chains = [raising_chain(h, a, chain_seed(p, kappa, g), n_max) for kappa in (0, 1, 2)]
+    frame = reduction_frame(p)
+    chains = [raising_chain(h, a, chain_seed(frame, kappa, g), n_max, frame.energy(kappa))
+              for kappa in (0, 1, 2)]
     pairs = [(e.energy_chain, v) for chain in chains for e, v in zip(chain.entries, chain.states)
              if e.certified or not certified_only]
     return h, np.array([e for e, _ in pairs]), [v for _, v in pairs]
@@ -385,3 +365,70 @@ def test_nearest_eigenvalues_report_a_shift_invert_failure(monkeypatch):
     with pytest.raises(LadderForgeError, match="did not converge"):
         nearest_eigenvalues(h, energies, 3)
     assert nearest_eigenvalues(h, [], 3)[0].shape == (0,)   # no energy, no solve
+
+
+# ---------------------------------------------------------------------------
+# the closed-form spectrum of the reduction frame
+# ---------------------------------------------------------------------------
+
+# (params, kappa, n, E) written out by hand, E = h0 + kappa omega_other + n
+# with h0 the displacement-shifted constant.  The first four are values a
+# per-family table got right; it got the others wrong: kappa (beta0 - 1) for
+# fractional nu, no displacement shift for linear fractional and the 1:2
+# Appendix A row, and no Appendix B branch at all.
+CLOSED_FORMS = {
+    "fractional mu": (gate_params(2.5, 0.3, 0.5), 2, 3, 6.0),
+    "su(2)": (gate_params(0.0, 0.6, 1.0, theta=1.1), 3, 0, -1.5),
+    "2:1": (HamiltonianParams(beta0=3.0, beta3=1.0), 0, 0, 0.0),
+    "isotropic": (HamiltonianParams(beta0=2.0), 2, 1, 3.0),
+    # omega = (-1, -1.5) after the mode swap; the seeds d2^kappa |0> are
+    # annihilated by the raiser a1, so each chain is its seed alone
+    "fractional nu": (HamiltonianParams(beta0=-2.5, beta3=-0.5), 2, 0, -1.5 * 2),
+    # omega = (1.5, 1)
+    "linear fractional": (HamiltonianParams(beta0=2.5, beta3=0.5, gamma1=0.3, gamma2=0.2j),
+                          1, 2, -(0.3 ** 2 / 1.5 + 0.2 ** 2) + 1.5 + 2),
+    # omega = (1, 2) before the mode swap to 2:1
+    "Appendix A 1:2": (HamiltonianParams(beta0=3.0, beta3=-1.0, gamma1=0.4, gamma2=0.3),
+                       1, 2, -(0.4 ** 2 + 0.3 ** 2 / 2) + 2 + 2),
+    # the rotation by pi/4 takes gamma = (0.2, 0.2) to (0.2 sqrt 2, 0), and
+    # beta3 to b = 1: omega = (1.75, 0.75)
+    "Appendix B4": (HamiltonianParams(beta0=2.5, beta_plus=0.5, gamma1=0.2, gamma2=0.2),
+                    2, 1, -2 * 0.2 ** 2 / 1.75 + 0.75 * 2 + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_frame_energy_is_the_closed_form(name, gen20):
+    p, kappa, n, want = CLOSED_FORMS[name]
+    frame = reduction_frame(p)
+    assert abs(frame.energy(kappa, n) - want) < 1e-14
+    # the chain from the frame's seed climbs to it
+    h = build_hamiltonian(p, gen20)
+    a = build_ladder(solve_ladder(p).combined(), gen20)
+    chain = raising_chain(h, a, chain_seed(frame, kappa, gen20), n, frame.energy(kappa))
+    entry = chain.entries[n]
+    assert entry.certified and abs(entry.energy_chain - want) < 1e-12
+
+
+def test_frame_frequencies_follow_the_rotation():
+    p = HamiltonianParams(beta0=3.0, beta_plus=0.4, beta3=0.6)
+    w1, w2 = reduction_frame(p).basic.omega
+    assert w1 + w2 == pytest.approx(p.beta0)
+    assert w1 - w2 == pytest.approx(p.b)
+
+
+def test_catalogue_chains_climb_the_frame_energy():
+    # every catalogue row with its own ladder, not the unit one
+    g = build_generators(FockCutoff(20, 20))
+    certified = Counter()
+    for row in appendix_catalogue():
+        frame = reduction_frame(row.params)
+        h, a = build_hamiltonian(row.params, g), build_ladder(row.coeffs, g)
+        for kappa in (0, 1, 2):
+            rep = raising_chain(h, a, chain_seed(frame, kappa, g), 3, frame.energy(kappa))
+            for e in rep.entries:
+                if e.certified:
+                    certified[row.label] += 1
+                    assert abs(e.energy_chain - frame.energy(kappa, e.n)) < 1e-12, \
+                        (row.label, kappa, e.n)
+    assert len(certified) == len(appendix_catalogue()) == 46
