@@ -325,6 +325,17 @@ class GeneratorSet:
             padded[name] = grid.ravel()
         return padded
 
+    @functools.cached_property
+    def _work(self) -> tuple[np.ndarray, np.ndarray]:
+        """commutator_residual's work arrays, kept from call to call so that
+        their pages stay mapped: the real and imaginary weight parts of its
+        three operands (3 x 2 x 7 x padded grid) and, flat, room for the two
+        products' parts over every padded grid row (2 x 2 x 19 x rows); a
+        smaller interior box uses the front."""
+        cut = self.cutoff
+        return (np.empty((3, 2, len(_SHIFTS), (cut.n1_max + 3) * (cut.n2_max + 3))),
+                np.empty(4 * len(_PRODUCT_SHIFTS) * (cut.n1_max + 1) * (cut.n2_max + 3)))
+
     @property
     def indptr(self) -> np.ndarray:
         return self._pattern[0]
@@ -410,32 +421,33 @@ def _interior_entries(cutoff: FockCutoff, degree: int) -> tuple[int, np.ndarray]
     return hi1 + 1, flat.T[inside.T]
 
 
-def _shift_weights(g: GeneratorSet, terms) -> tuple[list, np.ndarray, np.ndarray]:
+def _shift_weights(g: GeneratorSet, terms, out: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """sum_k c_k G_k as the shifts it uses and, per shift, the real and
-    imaginary parts of its weight on the flat padded grid; the terms are
-    added in combine's order.  The padding of a scaled weight may hold -0,
-    which leaves every nonzero entry of a product and the norm as they are."""
+    imaginary parts of its weight on the flat padded grid, written into the
+    front of `out` (2 x 7 x padded grid); the terms of a shift are added in
+    combine's order.  The padding of a scaled weight may hold -0, which
+    leaves every nonzero entry of a product and the norm as they are."""
     by_shift = {}
     for name, c in _in_order(terms):
         k, w = _SHIFT_OF[name], g._padded_weights[name] * complex(c)
         by_shift[k] = by_shift[k] + w if k in by_shift else w
     shifts = sorted(by_shift)
-    parts = np.empty((2, len(shifts), (g.cutoff.n1_max + 3) * (g.cutoff.n2_max + 3)))
     for row, k in enumerate(shifts):
-        parts[0, row], parts[1, row] = by_shift[k].real, by_shift[k].imag
-    return shifts, parts[0], parts[1]
+        out[0, row], out[1, row] = by_shift[k].real, by_shift[k].imag
+    return shifts, out[0, :len(shifts)], out[1, :len(shifts)]
 
 
-def _product(left, right, stride: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _product(left, right, stride: int, rows: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the product of two _shift_weights sums on
-    the padded rows 1..rows, per product shift (19 x rows * stride): row |m>
-    of L_i R_j holds L_i[m] R_j[m + s_i] in column |m + s_i + s_j>.  Each
-    entry is formed as a sparse row-by-row product forms it: summed over i
-    in column order, each term rounded as (ar br - ai bi, ar bi + ai br),
-    with no fused multiply-add."""
+    the padded rows 1..rows, per product shift, summed into `out`
+    (2 x 19 x rows * stride): row |m> of L_i R_j holds L_i[m] R_j[m + s_i]
+    in column |m + s_i + s_j>.  Each entry is formed as a sparse row-by-row
+    product forms it: summed over i in column order, each term rounded as
+    (ar br - ai bi, ar bi + ai br), with no fused multiply-add."""
     (li, l_re, l_im), (rj, r_re, r_im) = left, right
     start, stop = stride, stride * (rows + 1)
-    re, im = np.zeros((2, len(_PRODUCT_SHIFTS), stop - start))
+    re, im = out
+    out.fill(0.0)
     for row, i in enumerate(li):
         d1, d2 = _SHIFTS[i]
         at = d1 * stride + d2
@@ -464,11 +476,14 @@ def commutator_residual(g: GeneratorSet, x, y, z, degree: int) -> float:
     their columns in sorted order), the two agree to the last bit."""
     rows, kept = _interior_entries(g.cutoff, degree)
     stride = g.cutoff.n2_max + 3
-    x, y = _shift_weights(g, x), _shift_weights(g, y)
-    (re, im), (yx_re, yx_im) = _product(x, y, stride, rows), _product(y, x, stride, rows)
+    parts, products = g._work
+    xy, yx = products[:4 * len(_PRODUCT_SHIFTS) * rows * stride].reshape(
+        2, 2, len(_PRODUCT_SHIFTS), rows * stride)
+    x, y = _shift_weights(g, x, parts[0]), _shift_weights(g, y, parts[1])
+    (re, im), (yx_re, yx_im) = _product(x, y, stride, rows, xy), _product(y, x, stride, rows, yx)
     re -= yx_re
     im -= yx_im
-    zk, z_re, z_im = _shift_weights(g, z)
+    zk, z_re, z_im = _shift_weights(g, z, parts[2])
     own = [_OWN_SHIFT[k] for k in zk]
     re[own] += z_re[:, stride:stride * (rows + 1)]
     im[own] += z_im[:, stride:stride * (rows + 1)]

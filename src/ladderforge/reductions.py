@@ -20,6 +20,10 @@ column loses past the cutoff is measured, and S is the shells
 n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13, the
 region where the truncated identity holds.  The weight lost depends on the
 chain and the cutoff only, never on the closed form being certified.
+W' H W is formed on the rows where W is nonzero: a mixing rotation
+conserves n1 + n2, so a rotation-only frame's columns lie in the shells S
+and H and A are restricted to them; a displaced frame's columns reach the
+whole grid.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
 from .fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
-                   build_generators, coherent_state, shell_indices)
+                   coherent_state, shell_indices)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder)
 from .transforms import UnitarySpec, mixing_angle
@@ -127,7 +131,7 @@ class Frame:
     def prefix(self) -> CreationPoly:
         return CreationPoly({(1, 0): self.x[0], (0, 1): self.x[1]})
 
-    def columns(self, g: GeneratorSet, keep: np.ndarray) -> np.ndarray:
+    def columns(self, cut: FockCutoff, keep: np.ndarray) -> np.ndarray:
         """U[:, keep], exact on the truncated space:
             U|n1, n2> = d1^n1 d2^n2 U|0> / sqrt(n1! n2!),
             U|0> = e^{-|x|^2/2} exp(x . a')|0>,
@@ -137,7 +141,6 @@ class Frame:
         one at a time, then each n1 level at once from the one below.
         Nothing is renormalized: the weight a column has past the cutoff is
         truncation, and stays missing."""
-        cut = g.cutoff
         d1, d2 = (d.on(cut) for d in self.dags())
         n1, n2 = np.divmod(keep, cut.n2_max + 1)
         u = np.empty((cut.dim, keep.size), dtype=complex)
@@ -214,8 +217,8 @@ def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
     A column at a cutoff is the exact one restricted to the box, so the
     weight it loses only falls as N grows: double, then bisect."""
     def intact(n: int) -> bool:
-        g = build_generators(FockCutoff(n, n))
-        return bool(np.all(_lost(frame.columns(g, shell_indices(g.cutoff, 1))) <= _INTACT))
+        cut = FockCutoff(n, n)
+        return bool(np.all(_lost(frame.columns(cut, shell_indices(cut, 1))) <= _INTACT))
 
     lo, hi = failing, min(2 * failing, _SEARCH_MAX)
     while not intact(hi):
@@ -246,7 +249,7 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
     keep = shell_indices(g.cutoff, min(g.cutoff.n1_max, g.cutoff.n2_max) // 2)
-    w = frame.columns(g, keep)
+    w = frame.columns(g.cutoff, keep)
     shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
     lost = _lost(w)
     shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
@@ -259,10 +262,17 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
                       f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps them"))
     if shell_max < shells.max():
         keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
+    # the rows where W is zero add nothing to W' H W: a rotation-only frame
+    # keeps the shells S, a displaced one the whole grid (then left as it is)
+    rows = np.flatnonzero(w.any(axis=1))
+    whole = rows.size == w.shape[0]
+    if not whole:
+        w = w[rows]
+    wh = w.conj().T
 
     def residual(op: Operator, reduced: Operator) -> float:
-        return float(np.linalg.norm(w.conj().T @ (op.mat @ w)
-                                    - reduced.mat[keep][:, keep].toarray()))
+        mat = op.mat if whole else op.mat[rows][:, rows]
+        return float(np.linalg.norm(wh @ (mat @ w) - reduced.mat[keep][:, keep].toarray()))
 
     return Reduction(params=params, coeffs=coeffs, chain=chain,
                      h_residual=residual(build_hamiltonian(p, g), build_hamiltonian(params, g)),

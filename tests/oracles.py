@@ -5,7 +5,8 @@ restricted to the interior;
 for the closed-form reduction, coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
-and the mixing rotation named by (eps, b, beta3); for the eigenstates,
+the mixing rotation named by (eps, b, beta3), and reduce's residuals formed
+over the whole grid; for the eigenstates,
 creation polynomials as CSR operator products and the state
 exp(E) P^kappa |0> as a Taylor series of CSR mat-vecs on the whole exponent."""
 
@@ -22,6 +23,7 @@ from ladderforge.fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
                               vacuum_state)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder)
+from ladderforge.reductions import _compose
 from ladderforge.transforms import UnitarySpec, mixing_angle
 
 
@@ -192,6 +194,23 @@ def mix_spec(eps: int, b: float, beta3: float, theta: float) -> UnitarySpec:
     with su(2) invariant b and the given beta3 and phase theta."""
     r = np.sqrt(max(b * b - beta3 * beta3, 0.0)) / 2.0
     return UnitarySpec("mix_t", {"angle": mixing_angle(r, beta3, eps), "theta": theta})
+
+
+def full_grid_reduce_residuals(p: HamiltonianParams, c: LadderCoeffs, red,
+                               g: GeneratorSet) -> tuple[float, float]:
+    """reduce's residuals ||W' H W - H_red[S, S]||_F and the same for A,
+    with W = U[:, S] formed over the whole grid, zero rows included, and
+    the brute-force H and A unrestricted; S, the chain and the closed forms
+    are those of the Reduction `red`."""
+    keep = shell_indices(g.cutoff, red.shell_max)
+    w = _compose(red.chain, red.params).columns(g.cutoff, keep)
+
+    def residual(op: Operator, reduced: Operator) -> float:
+        return float(np.linalg.norm(w.conj().T @ (op.mat @ w)
+                                    - reduced.mat[keep][:, keep].toarray()))
+
+    return (residual(build_hamiltonian(p, g), build_hamiltonian(red.params, g)),
+            residual(build_ladder(c, g), build_ladder(red.coeffs, g)))
 
 
 def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:

@@ -696,6 +696,27 @@ def test_algebra_identities_match_their_csr_form(cut):
         assert commutator_residual(g, [(x, 1)], [(y, 1)], z, degree) == want, name
 
 
+@pytest.mark.parametrize("cut", [(5, 1), (12, 16), (24, 24)])
+def test_commutator_residual_reuses_its_work_arrays_exactly(cut, rng):
+    # one generator set's work arrays serve every call: interleaved operands
+    # of one to nine terms (and none), at every degree, the largest box after
+    # smaller ones, give the residual of a fresh set bit for bit
+    g = build_generators(FockCutoff(*cut))
+    names = list(fock._GENERATORS)
+
+    def terms():
+        picked = rng.choice(names, size=rng.integers(0, 10), replace=False)
+        return [(str(n), complex(*rng.normal(size=2))) for n in picked]
+
+    calls = [(terms(), terms(), terms(), int(degree))
+             for degree in [*rng.permutation(min(cut) + 1), 0, min(cut)] * 3]
+    calls += [(calls[0][0], calls[0][1], [], calls[0][3]), ([], calls[1][1], [], 0)]
+    for x, y, z, degree in calls:
+        got = commutator_residual(g, x, y, z, degree)
+        want = commutator_residual(build_generators(FockCutoff(*cut)), x, y, z, degree)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), degree
+
+
 def test_ladder_and_algebra_checks_build_no_csr_matrix(tmp_path, monkeypatch):
     built = []
     init = fock.Operator.__init__

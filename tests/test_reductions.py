@@ -15,7 +15,7 @@ from ladderforge.fock import (FockCutoff, Operator, build_generators,
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder,
                                 coeffs_from_json, params_from_json,
-                                solve_ladder, verify_ladder)
+                                params_to_json, solve_ladder, verify_ladder)
 from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
                                      reduced_eigenstate, verify_eigenstate)
 from ladderforge.params import classify
@@ -26,8 +26,8 @@ from ladderforge.spectra import diagonalize_oracle
 from ladderforge.transforms import (build_chain, build_unitary,
                                     rotation_safe_degree, similarity,
                                     unitary_spec_from_json)
-from oracles import (hamiltonian_params_from_matrix, ladder_coeffs_from_matrix,
-                     reduced_params, rotated_couplings)
+from oracles import (full_grid_reduce_residuals, hamiltonian_params_from_matrix,
+                     ladder_coeffs_from_matrix, reduced_params, rotated_couplings)
 
 
 def gate_params(beta0, beta3, b, theta=0.7, **kw):
@@ -292,7 +292,7 @@ def test_frame_columns_match_the_dense_chain(name, eps):
     g = build_generators(FockCutoff(20, 20))
     chain, basic = reduction_chain(p, eps)
     keep = shell_indices(g.cutoff, 10)
-    got = _compose(chain, basic).columns(g, keep)
+    got = _compose(chain, basic).columns(g.cutoff, keep)
     want = build_chain(chain, g).to_dense()[:, keep]
     assert np.max(np.abs(got[keep] - want[keep])) < 1e-10
 
@@ -341,11 +341,11 @@ def test_reduce_certifies_on_the_intact_shells(tmp_path, params, cutoff):
     shell_max = report["shell_max"]
     stops = params is B6_WIDE
     assert 1 <= shell_max and (shell_max < cutoff // 2) == stops
-    g = build_generators(FockCutoff(cutoff, cutoff))
-    keep = shell_indices(g.cutoff, shell_max + 1)
-    lost = 1 - np.linalg.norm(reduction_frame(params_from_json(params)).columns(g, keep),
+    cut = FockCutoff(cutoff, cutoff)
+    keep = shell_indices(cut, shell_max + 1)
+    lost = 1 - np.linalg.norm(reduction_frame(params_from_json(params)).columns(cut, keep),
                               axis=0) ** 2
-    inside = np.isin(keep, shell_indices(g.cutoff, shell_max))
+    inside = np.isin(keep, shell_indices(cut, shell_max))
     assert lost[inside].max() <= reductions._INTACT
     assert (lost[~inside].max() > reductions._INTACT) == stops
 
@@ -384,6 +384,62 @@ def test_reduce_says_when_no_searched_cutoff_certifies(tmp_path, capsys):
     cfg.write_text(json.dumps({"params": dict(B6_WIDE, gamma1=[30.0, 0.2])}))
     assert run(["reduce", "--config", str(cfg), "--cutoff", "8,8"]) == 65
     assert capsys.readouterr().err.endswith("no cutoff up to 256,256 keeps them\n")
+
+
+# a frame of each kind: a rotation alone, displacements alone, and both
+SUPPORT_FRAMES = {
+    "rotation": (gate_params(3.0, 0.5, 1.0), ["mix_t"]),
+    "displacement": (HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=-0.15j),
+                     ["displace1", "displace2"]),
+    "rotation and displacement": (gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j,
+                                              gamma2=0.1 - 0.06j),
+                                  ["mix_t", "displace1", "displace2"]),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 28])
+@pytest.mark.parametrize("kind", sorted(SUPPORT_FRAMES))
+def test_reduce_residuals_match_the_full_grid_sandwich(kind, cutoff):
+    # the residuals are formed on the rows where W is nonzero: the shells S
+    # of a rotation alone, the whole grid (taken as it is) once a
+    # displacement runs; only the summation order of W' H W may change
+    p, kinds = SUPPORT_FRAMES[kind]
+    c = combined_coeffs(solve_ladder(p))
+    g = build_generators(FockCutoff(cutoff, cutoff))
+    red = reduce_by_similarity(p, c, g)
+    assert [s.kind for s in red.chain] == kinds
+    keep = shell_indices(g.cutoff, red.shell_max)
+    rows = np.flatnonzero(_compose(red.chain, red.params).columns(g.cutoff, keep).any(axis=1))
+    np.testing.assert_array_equal(rows, keep if kind == "rotation" else np.arange(g.cutoff.dim))
+    want = full_grid_reduce_residuals(p, c, red, g)
+    assert max(want) < 1e-11
+    if kind == "rotation":
+        assert abs(red.h_residual - want[0]) <= 1e-14 and abs(red.a_residual - want[1]) <= 1e-14
+    else:
+        assert (red.h_residual, red.a_residual) == want
+
+
+@pytest.mark.parametrize("perturb", ["h0", "ladder"])
+def test_reduce_on_the_shells_refuses_a_false_closed_form(tmp_path, monkeypatch, perturb):
+    # a rotation-only frame at cutoff 28 forms its residuals on S alone; a
+    # reduced h0 or ladder coefficient off by 1e-6 still fails there
+    p, _ = SUPPORT_FRAMES["rotation"]
+    if perturb == "h0":
+        true_chain = reduction_chain
+        monkeypatch.setattr(reductions, "reduction_chain",
+                            lambda p, eps=1: _shift_h0(*true_chain(p, eps)))
+    else:
+        true_ladder = reductions.Frame.reduced_ladder
+
+        def off(frame, c):
+            coeffs = true_ladder(frame, c)
+            return replace(coeffs, alpha_minus=coeffs.alpha_minus + 1e-6)
+        monkeypatch.setattr(reductions.Frame, "reduced_ladder", off)
+    code, report = _reduce(tmp_path, params_to_json(p), 1, 28)
+    assert code == 1, report
+    assert report["shell_max"] == 14
+    residual = report["h_residual" if perturb == "h0" else "a_residual"]
+    assert 1e-8 < residual, report
 
 
 def test_reduce_loads_no_dense_linalg(tmp_path):
