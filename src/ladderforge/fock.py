@@ -437,7 +437,8 @@ def _shift_weights(g: GeneratorSet, terms, out: np.ndarray) -> tuple[list, np.nd
     return shifts, out[0, :len(shifts)], out[1, :len(shifts)]
 
 
-def _product(left, right, stride: int, rows: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _product(left, right, stride: int, rows: int,
+             out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the product of two _shift_weights sums on
     the padded rows 1..rows, per product shift, summed into `out`
     (2 x 19 x rows * stride): row |m> of L_i R_j holds L_i[m] R_j[m + s_i]
