@@ -12,12 +12,14 @@ generators' CSR forms), not at module level: the scenarios that only check
 identities on the grid weights never load scipy.
 
 Each of the nine generators moves the grid by one of seven shifts
-(dn1, dn2) with a closed-form weight, and GeneratorSet records them as
-those weights on the grid.  Commutator identities among elements of their
-span are checked on the weights themselves (commutator_residual), with no
-matrix formed; GeneratorSet.combine forms any linear combination of them (a
-Hamiltonian, a ladder) as one data vector on the sparsity pattern they
-share.
+(dn1, dn2) with a closed-form weight, and GeneratorSet records them once,
+as those weights on the grid padded by one zero layer, where a shift is a
+flat offset.  A linear combination of them (a Hamiltonian, a ladder) is
+summed shift by shift on those weights (_by_shift).  Commutator identities
+among elements of their span are checked on the sums themselves
+(commutator_residual), with no matrix formed; every CSR form, a single
+generator or GeneratorSet.combine, is assembled from them in one pass
+(_csr).
 
 States are built from polynomials in the commuting creation operators
 (CreationPoly), which act on amplitude vectors as weighted shifts of the
@@ -27,6 +29,7 @@ flat grid, and from the closed-form coherent state exp(x1 a1' + x2 a2')|0>
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -221,7 +224,7 @@ class TwoModeState:
 
 
 # the generators in the order combine adds them: only the diagonal ones
-# (n_op, j3, identity) share entries, and they come last in this order
+# (n_op, j3, identity) share a shift, and they come last in this order
 _GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
 
 # the seven shifts (dn1, dn2) of the generators, in column order: row
@@ -239,13 +242,6 @@ _PAIR_SHIFT = np.array([[_PRODUCT_SHIFTS.index((a + c, b + d)) for c, d in _SHIF
 _OWN_SHIFT = [_PRODUCT_SHIFTS.index(s) for s in _SHIFTS]
 
 
-def _in_order(terms) -> list:
-    """The (generator name, c_k) terms with c_k != 0, in the order combine
-    adds them."""
-    return [(name, c) for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0]))
-            if c != 0]
-
-
 def _inside(m1, m2, shift, n1_max: int, n2_max: int):
     """Where |m1 + dn1, m2 + dn2> lies in the box 0 <= n_i <= n_i_max."""
     d1, d2 = shift
@@ -259,12 +255,13 @@ class GeneratorSet:
 
     n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
     j_minus = a1 a2' (Schwinger realization built from the mode operators).
-    `weights[name]` is an (n1_max + 1, n2_max + 1) array: row |m> of the
-    generator holds weights[name][m] in the column one shift away, and the
-    weight is zero where that column leaves the grid.  The CSR forms are
-    built from it on first use: each generator as an Operator (`g.a1`, ...),
-    and the sorted pattern all nine share (`indptr`, `indices`), on which
-    `combine` forms their linear combinations.
+    `weights[name]` is the generator's weight on the grid padded by one zero
+    layer and flattened row-major (stride n2_max + 3), so that a shift is a
+    flat offset: row |m> of the generator holds the weight at |m> in the
+    column one shift away, and the weight is zero where that column leaves
+    the grid.  Every CSR form is assembled from these weights by _csr: each
+    generator as an Operator on first use (`g.a1`, ...), and any linear
+    combination of them by `combine`.
     """
 
     cutoff: FockCutoff
@@ -275,55 +272,9 @@ class GeneratorSet:
         # found in the instance dict
         if name not in _GENERATORS:
             raise AttributeError(name)
-        import scipy.sparse as sp
-
-        rows, _ = self._pattern[2][name]
-        d1, d2 = _SHIFTS[_SHIFT_OF[name]]
-        dim = self.cutoff.dim
-        op = Operator(self.cutoff, sp.csr_matrix(
-            (self.weights[name].ravel()[rows], rows + d1 * (self.cutoff.n2_max + 1) + d2,
-             np.searchsorted(rows, np.arange(dim + 1))), shape=(dim, dim)))
+        op = _csr(self.cutoff, {_SHIFT_OF[name]: self.weights[name]})
         object.__setattr__(self, name, op)
         return op
-
-    @functools.cached_property
-    def _pattern(self) -> tuple:
-        """(indptr, indices, {name: (rows, positions)}): the shared sorted
-        CSR pattern and, per generator, the rows of its stored (nonzero)
-        entries and where they sit in the pattern.  Taken in column order,
-        the seven shifts fill every row already sorted; two shifts with one
-        column offset (at n2_max = 1) never share a row."""
-        cut = self.cutoff
-        stride, dim = cut.n2_max + 1, cut.dim
-        row = np.arange(dim, dtype=np.int32)
-        m1, m2 = np.divmod(row, stride)
-        ons = [_inside(m1, m2, s, cut.n1_max, cut.n2_max) for s in _SHIFTS]
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(sum(on.astype(np.int32) for on in ons), out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        free = indptr[:-1].copy()   # the next unfilled slot of each row
-        entries = {}
-        for k, ((d1, d2), on) in enumerate(zip(_SHIFTS, ons)):
-            pos, rows = free[on], row[on]
-            free += on
-            indices[pos] = rows + d1 * stride + d2
-            for name in _GENERATORS:
-                if _SHIFT_OF[name] == k:
-                    keep = self.weights[name].ravel()[rows] != 0
-                    entries[name] = rows[keep], pos[keep]
-        return indptr, indices, entries
-
-    @functools.cached_property
-    def _padded_weights(self) -> dict:
-        """Each generator's weights on the grid padded by one zero layer,
-        flattened row-major (stride n2_max + 3): commutator_residual's
-        layout, where a shift is a flat offset."""
-        padded = {}
-        for name, w in self.weights.items():
-            grid = np.zeros((self.cutoff.n1_max + 3, self.cutoff.n2_max + 3), dtype=np.complex128)
-            grid[1:-1, 1:-1] = w
-            padded[name] = grid.ravel()
-        return padded
 
     @functools.cached_property
     def _work(self) -> tuple[np.ndarray, np.ndarray]:
@@ -336,33 +287,51 @@ class GeneratorSet:
         return (np.empty((3, 2, len(_SHIFTS), (cut.n1_max + 3) * (cut.n2_max + 3))),
                 np.empty(4 * len(_PRODUCT_SHIFTS) * (cut.n1_max + 1) * (cut.n2_max + 3)))
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._pattern[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._pattern[1]
-
     def combine(self, terms) -> Operator:
-        """sum_k c_k G_k over the (generator name, c_k) pairs, built as one
-        data vector on the shared pattern.  The diagonal generators are added
-        in the order n_op, j3, identity whatever the order of `terms`, so the
-        entries are those of the chained Operator sum written in that order.
-        The zeros are dropped into fresh arrays: the pattern stays intact."""
-        import scipy.sparse as sp
+        """sum_k c_k G_k over the (generator name, c_k) pairs.  The diagonal
+        generators are added in the order n_op, j3, identity whatever the
+        order of `terms`, and each shift's sum is added to zero, so the
+        entries are those of the chained Operator sum written in that order."""
+        return _csr(self.cutoff, {k: 0 + w for k, w in _by_shift(self, terms).items()})
 
-        indptr, indices, entries = self._pattern
-        data = np.zeros(indices.size, dtype=np.complex128)
-        for name, c in _in_order(terms):
-            rows, pos = entries[name]
-            data[pos] += self.weights[name].ravel()[rows] * complex(c)
-        nz = data != 0
-        kept = np.zeros(nz.size + 1, dtype=indptr.dtype)
-        np.cumsum(nz, out=kept[1:])
-        dim = self.cutoff.dim
-        return Operator(self.cutoff, sp.csr_matrix((data[nz], indices[nz], kept[indptr]),
-                                                   shape=(dim, dim)))
+
+def _by_shift(g: GeneratorSet, terms) -> dict:
+    """sum_k c_k G_k over the (generator name, c_k) terms with c_k != 0, as
+    {shift: its weight on the flat padded grid}; the terms of a shift are
+    added in combine's order.  The padding of a scaled weight may hold -0;
+    a non-finite c_k scales only the nonzero weights, as 0 c_k would put a
+    NaN where the column leaves the grid."""
+    by_shift = {}
+    for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
+        if c != 0:
+            k, w = _SHIFT_OF[name], g.weights[name] * complex(c)
+            if not cmath.isfinite(c):
+                w[g.weights[name] == 0] = 0
+            by_shift[k] = by_shift[k] + w if k in by_shift else w
+    return by_shift
+
+
+def _csr(cutoff: FockCutoff, by_shift: dict) -> Operator:
+    """The operator whose shift k has the flat padded weight by_shift[k], in
+    canonical CSR form, assembled in one pass: the dim x K weights stacked in
+    column order, the nonzero ones kept row by row.  Taken in column order,
+    the shifts fill every row already sorted; two shifts with one column
+    offset never both have a weight in one row."""
+    import scipy.sparse as sp
+
+    n1, n2, dim = cutoff.n1_max, cutoff.n2_max, cutoff.dim
+    shifts = sorted(by_shift)
+    data = np.empty((n1 + 1, n2 + 1, len(shifts)), dtype=np.complex128)
+    for j, k in enumerate(shifts):
+        data[..., j] = by_shift[k].reshape(n1 + 3, n2 + 3)[1:-1, 1:-1]
+    data = data.reshape(dim, len(shifts))
+    nz = data != 0
+    cols = (np.arange(dim, dtype=np.int32)[:, None]
+            + np.array([d1 * (n2 + 1) + d2 for d1, d2 in (_SHIFTS[k] for k in shifts)],
+                       dtype=np.int32))
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
+    return Operator(cutoff, sp.csr_matrix((data[nz], cols[nz], indptr), shape=(dim, dim)))
 
 
 def build_generators(cutoff: FockCutoff) -> GeneratorSet:
@@ -383,10 +352,13 @@ def build_generators(cutoff: FockCutoff) -> GeneratorSet:
                "a2_dag": np.conj(root2 + 0j), "j_plus": root1 * up2, "j_minus": up1 * root2,
                "n_op": (num1 + num2) / 2.0, "j3": (num1 - num2) / 2.0,
                "identity": np.ones(m1.shape)}
-    return GeneratorSet(cutoff, {
-        name: np.where(_inside(m1, m2, _SHIFTS[_SHIFT_OF[name]], cutoff.n1_max, cutoff.n2_max),
-                       w, 0).astype(np.complex128)
-        for name, w in weights.items()})
+    on = [_inside(m1, m2, s, cutoff.n1_max, cutoff.n2_max) for s in _SHIFTS]
+    padded = {}
+    for name, w in weights.items():
+        grid = np.zeros((cutoff.n1_max + 3, cutoff.n2_max + 3), dtype=np.complex128)
+        grid[1:-1, 1:-1] = np.where(on[_SHIFT_OF[name]], w, 0)
+        padded[name] = grid.ravel()
+    return GeneratorSet(cutoff, padded)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -421,16 +393,11 @@ def _interior_entries(cutoff: FockCutoff, degree: int) -> tuple[int, np.ndarray]
     return hi1 + 1, flat.T[inside.T]
 
 
-def _shift_weights(g: GeneratorSet, terms, out: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """sum_k c_k G_k as the shifts it uses and, per shift, the real and
-    imaginary parts of its weight on the flat padded grid, written into the
-    front of `out` (2 x 7 x padded grid); the terms of a shift are added in
-    combine's order.  The padding of a scaled weight may hold -0, which
-    leaves every nonzero entry of a product and the norm as they are."""
-    by_shift = {}
-    for name, c in _in_order(terms):
-        k, w = _SHIFT_OF[name], g._padded_weights[name] * complex(c)
-        by_shift[k] = by_shift[k] + w if k in by_shift else w
+def _parts(by_shift: dict, out: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """A _by_shift sum as the shifts it uses and, per shift, the real and
+    imaginary parts of its weight, written into the front of `out`
+    (2 x 7 x padded grid).  A -0 in the padding leaves every nonzero entry
+    of a product and the norm as they are."""
     shifts = sorted(by_shift)
     for row, k in enumerate(shifts):
         out[0, row], out[1, row] = by_shift[k].real, by_shift[k].imag
@@ -439,7 +406,7 @@ def _shift_weights(g: GeneratorSet, terms, out: np.ndarray) -> tuple[list, np.nd
 
 def _product(left, right, stride: int, rows: int,
              out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the product of two _shift_weights sums on
+    """Real and imaginary parts of the product of two _parts splits on
     the padded rows 1..rows, per product shift, summed into `out`
     (2 x 19 x rows * stride): row |m> of L_i R_j holds L_i[m] R_j[m + s_i]
     in column |m + s_i + s_j>.  Each entry is formed as a sparse row-by-row
@@ -480,11 +447,11 @@ def commutator_residual(g: GeneratorSet, x, y, z, degree: int) -> float:
     parts, products = g._work
     xy, yx = products[:4 * len(_PRODUCT_SHIFTS) * rows * stride].reshape(
         2, 2, len(_PRODUCT_SHIFTS), rows * stride)
-    x, y = _shift_weights(g, x, parts[0]), _shift_weights(g, y, parts[1])
+    x, y = _parts(_by_shift(g, x), parts[0]), _parts(_by_shift(g, y), parts[1])
     (re, im), (yx_re, yx_im) = _product(x, y, stride, rows, xy), _product(y, x, stride, rows, yx)
     re -= yx_re
     im -= yx_im
-    zk, z_re, z_im = _shift_weights(g, z, parts[2])
+    zk, z_re, z_im = _parts(_by_shift(g, z), parts[2])
     own = [_OWN_SHIFT[k] for k in zk]
     re[own] += z_re[:, stride:stride * (rows + 1)]
     im[own] += z_im[:, stride:stride * (rows + 1)]
@@ -556,9 +523,9 @@ def norm(v: TwoModeState) -> float:
     return float(np.linalg.norm(v.amplitudes))
 
 
-def normalize(v: TwoModeState, tol: float = DEFAULT_TOL.zero_state) -> TwoModeState:
+def normalize(v: TwoModeState) -> TwoModeState:
     n = norm(v)
-    if n < tol:
+    if n < DEFAULT_TOL.zero_state:
         raise LadderForgeError(f"cannot normalize state with norm {n:.3e}")
     return TwoModeState(v.cutoff, v.amplitudes / n)
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
-                   commutator_residual)
+from .fock import DEFAULT_TOL, GeneratorSet, Operator, commutator_residual
 
 __all__ = [
     "HamiltonianParams",
@@ -101,8 +100,8 @@ class HamiltonianParams:
         the diagonal of H's u(2) part, the frequencies once beta_plus = 0."""
         return (self.beta0 + self.beta3) / 2.0, (self.beta0 - self.beta3) / 2.0
 
-    def has_gamma(self, tol: float = _ZERO) -> bool:
-        return abs(self.gamma1) > tol or abs(self.gamma2) > tol
+    def has_gamma(self) -> bool:
+        return abs(self.gamma1) > _ZERO or abs(self.gamma2) > _ZERO
 
     def snapped(self) -> "HamiltonianParams":
         """Every linear coupling at or below _ZERO set to zero, as classify reads it."""
@@ -236,11 +235,10 @@ def _alpha_matrix(p: HamiltonianParams) -> np.ndarray:
                      [0.0, 1.0 + b3, -bm]], dtype=np.complex128)
 
 
-def solve_alpha_block(p: HamiltonianParams,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def solve_alpha_block(p: HamiltonianParams) -> list[np.ndarray]:
     """Null-space basis for (alpha_plus, alpha_minus, alpha3); empty unless
     b^2 is on the unit gate."""
-    return _nullspace(_alpha_matrix(p), tol.nullspace_rel)
+    return _nullspace(_alpha_matrix(p), DEFAULT_TOL.nullspace_rel)
 
 
 def _mu_matrix(p: HamiltonianParams) -> np.ndarray:
@@ -255,9 +253,9 @@ def _nu_matrix(p: HamiltonianParams) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def _solve_block(m: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig):
+def _solve_block(m: np.ndarray, rhs: np.ndarray):
     """Least-squares particular solution + null directions; None if inconsistent."""
-    null = _nullspace(m, tol.nullspace_rel)
+    null = _nullspace(m, DEFAULT_TOL.nullspace_rel)
     x, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     resid = np.linalg.norm(m @ x - rhs)
     if resid > 1e-9 * max(1.0, np.linalg.norm(rhs)):
@@ -265,8 +263,7 @@ def _solve_block(m: np.ndarray, rhs: np.ndarray, tol: ToleranceConfig):
     return x, null
 
 
-def solve_mu_nu_block(p: HamiltonianParams, alpha=None,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> MuNuSolution:
+def solve_mu_nu_block(p: HamiltonianParams, alpha=None) -> MuNuSolution:
     """Solve the two 2x2 blocks for (mu1, mu2) and (nu1, nu2).
 
     ``alpha`` is (alpha_plus, alpha_minus, alpha3) driving the right-hand
@@ -284,8 +281,8 @@ def solve_mu_nu_block(p: HamiltonianParams, alpha=None,
     rhs_nu = np.array([g1 / 2.0 * a3 + g2 * am,
                        -g2 / 2.0 * a3 + g1 * ap], dtype=np.complex128)
 
-    mu_part, mu_null = _solve_block(_mu_matrix(p), rhs_mu, tol)
-    nu_part, nu_null = _solve_block(_nu_matrix(p), rhs_nu, tol)
+    mu_part, mu_null = _solve_block(_mu_matrix(p), rhs_mu)
+    nu_part, nu_null = _solve_block(_nu_matrix(p), rhs_nu)
     if mu_part is None or nu_part is None:
         return MuNuSolution(particular=None, basis=[])
 
@@ -320,40 +317,39 @@ _A_TABLE_SLOTS = {
 }
 
 
-def _beta0_slot(beta0: float, tol: float) -> object:
+def _beta0_slot(beta0: float) -> object:
     for value in (1, 3, -1, -3):
-        if _close(beta0, value, tol):
+        if _close(beta0, value, DEFAULT_TOL.gate):
             return value
     return "gen"
 
 
-def appendix_a_label(beta0: float, beta3: float, gamma1: complex, gamma2: complex,
-                     tol: float = 1e-10) -> str:
+def appendix_a_label(beta0: float, beta3: float, gamma1: complex, gamma2: complex) -> str:
     """Stable row label of the beta_plus = 0, b = 1 catalogue; 'unlisted'
     detail when the gamma pattern admits no row at this beta0."""
     section = 1 if beta3 > 0 else 2
     item = 1 + (abs(gamma1) > _ZERO) + 2 * (abs(gamma2) > _ZERO) + 4 * (section - 1)
-    slot = _beta0_slot(beta0, tol)
+    slot = _beta0_slot(beta0)
     b0 = "gen" if slot == "gen" else str(slot)
     if slot not in _A_TABLE_SLOTS[item]:
         return f"A{section}.{item}-b0={b0}-unlisted"
     return f"A{section}.{item}-b0={b0}"
 
 
-def classify(p: HamiltonianParams, tol: ToleranceConfig = DEFAULT_TOL) -> CaseTag:
+def classify(p: HamiltonianParams) -> CaseTag:
     """Deterministic family tag; total over all real/complex inputs.
 
     Near-threshold parameters go to the nearest branch; the solver report
     carries the gate margins so callers can see how close the call was.
     """
     b2 = su2_invariant(p)
-    gate = tol.gate
+    gate = DEFAULT_TOL.gate
     has_g = p.has_gamma()
     bp_zero = abs(p.beta_plus) < _ZERO
 
     if _close(b2, 1.0, gate):
         if bp_zero:
-            slot = _beta0_slot(p.beta0, gate)
+            slot = _beta0_slot(p.beta0)
             if not has_g:
                 if slot in (1, 3):
                     variant = {(3, True): "2:1", (3, False): "1:2",
@@ -361,12 +357,12 @@ def classify(p: HamiltonianParams, tol: ToleranceConfig = DEFAULT_TOL) -> CaseTa
                     return CaseTag(FamilyKind.BASIC21, variant)
                 if slot in (-1, -3):
                     return CaseTag(FamilyKind.APPENDIX_A,
-                                   appendix_a_label(p.beta0, p.beta3, 0, 0, gate))
+                                   appendix_a_label(p.beta0, p.beta3, 0, 0))
                 return CaseTag(FamilyKind.SU2, "Jminus" if p.beta3 > 0 else "Jplus")
             return CaseTag(FamilyKind.APPENDIX_A,
-                           appendix_a_label(p.beta0, p.beta3, p.gamma1, p.gamma2, gate))
+                           appendix_a_label(p.beta0, p.beta3, p.gamma1, p.gamma2))
         # interacting case: |beta3| < 1
-        slot = _beta0_slot(p.beta0, gate)
+        slot = _beta0_slot(p.beta0)
         if not has_g:
             if slot in (1, 3):
                 kind = FamilyKind.EXTENDED21 if abs(p.beta3) < _ZERO else FamilyKind.GENERALIZED21
@@ -408,8 +404,7 @@ def _basis_name(direction: np.ndarray) -> str:
     return _COEFF_NAMES[int(np.argmax(np.abs(direction)))]
 
 
-def solve_ladder(p: HamiltonianParams,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> SolveReport:
+def solve_ladder(p: HamiltonianParams) -> SolveReport:
     """Full solution space of [H, A] = -A for the given parameters.
 
     Every returned LadderCoeffs is one basis element of the (linear) solution
@@ -419,7 +414,7 @@ def solve_ladder(p: HamiltonianParams,
     """
     p = p.snapped()
     b2 = su2_invariant(p)
-    tag = classify(p, tol)
+    tag = classify(p)
     margins = {
         "alpha_gate": abs(b2 - 1.0),
         "mu_gate": abs((2.0 - p.beta0) ** 2 - b2),
@@ -429,10 +424,10 @@ def solve_ladder(p: HamiltonianParams,
     coeffs: list[LadderCoeffs] = []
     names: list[str] = []
     normalizable: list[bool] = []
-    on_unit_gate = _close(b2, 1.0, tol.gate)
-    slot = _beta0_slot(p.beta0, tol.gate)
+    on_unit_gate = _close(b2, 1.0, DEFAULT_TOL.gate)
+    slot = _beta0_slot(p.beta0)
 
-    hom = solve_mu_nu_block(p, None, tol)
+    hom = solve_mu_nu_block(p, None)
     for direction in hom.basis:
         c = LadderCoeffs(*direction, 0j, 0j, 0j, 0j)
         c = replace(c, a0=compute_a0(p, c))
@@ -445,8 +440,8 @@ def solve_ladder(p: HamiltonianParams,
             # eigenstates away from eigenvalue zero
             normalizable.append(not (on_unit_gate and slot == 1))
 
-    for alpha in solve_alpha_block(p, tol):
-        driven = solve_mu_nu_block(p, alpha, tol)
+    for alpha in solve_alpha_block(p):
+        driven = solve_mu_nu_block(p, alpha)
         if not driven.consistent:
             continue
         c = LadderCoeffs(*driven.particular, alpha_plus=alpha[0],

@@ -24,8 +24,8 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import LadderForgeError
-from .fock import (DEFAULT_TOL, GeneratorSet, Operator, ToleranceConfig,
-                   TwoModeState, apply, interior_indices, normalize)
+from .fock import (DEFAULT_TOL, GeneratorSet, Operator, TwoModeState, apply,
+                   interior_indices, normalize)
 from .params import LadderCoeffs
 
 __all__ = [
@@ -166,8 +166,7 @@ class SpectrumReport:
 
 
 def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
-                  e0: float, degree: int = 3, family: str = "",
-                  tol: ToleranceConfig = DEFAULT_TOL) -> SpectrumReport:
+                  e0: float, degree: int = 3, family: str = "") -> SpectrumReport:
     """Normalize (A')^n |ground> step by step and check each state against
     the energy ladder e0 + n, e0 being the closed-form energy of `ground`.
 
@@ -197,7 +196,7 @@ def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
         mass_out = float(np.linalg.norm(v.amplitudes[outside]) ** 2)
         report.entries.append(ChainEntry(n=n, energy_formula=target,
                                          energy_chain=energy, residual=resid,
-                                         certified=mass_out < tol.chain_mass))
+                                         certified=mass_out < DEFAULT_TOL.chain_mass))
         report.states.append(v.copy())
     return report
 

@@ -28,8 +28,9 @@ from ladderforge.transforms import UnitarySpec, mixing_angle
 
 
 # cutoffs the one-pass build is checked at; at N2 = 1 the j_plus and a2_dag
-# shifts fall on one flat diagonal
-ORACLE_CUTOFFS = [(0, 0), (1, 1), (2, 5), (5, 1), (12, 16), (40, 40)]
+# shifts fall on one flat diagonal, and on the one-mode grids (N2 = 0 or
+# N1 = 0) several shifts fall on the diagonal's
+ORACLE_CUTOFFS = [(0, 0), (1, 1), (2, 5), (5, 1), (12, 16), (40, 40), (4, 0), (0, 4)]
 
 
 def assert_same_csr(op: Operator, ref: Operator) -> None:

@@ -344,13 +344,21 @@ def test_combine_is_the_chained_operator_sum_in_any_order(n1_max, n2_max):
              ("n_op", 0.75 + 0.5j), ("a2_dag", -0.3), ("j_plus", 0.0)]
     ref = (g.n_op * (0.75 + 0.5j) + g.j3 * -1.5 + g.identity * (0.25 - 1j)
            + g.a1 * 0.5j + g.j_minus * 2.0 + g.a2_dag * -0.3)
-    pattern = g.indptr.copy(), g.indices.copy()
     assert_same_csr(g.combine(terms), ref)
     assert_same_csr(g.combine(terms[::-1]), ref)
     # n_op - j3 = a2'a2 cancels to zero on n2 = 0: those entries are dropped
     assert g.combine([("n_op", 1.0), ("j3", -1.0)]).nnz == (n1_max + 1) * n2_max
-    np.testing.assert_array_equal(g.indptr, pattern[0])
-    np.testing.assert_array_equal(g.indices, pattern[1])
+
+
+def test_combine_with_a_non_finite_coefficient_stays_on_the_grid():
+    # 0 * inf is NaN: a non-finite c_k must not put entries where a shift
+    # leaves the grid
+    g = build_generators(FockCutoff(3, 2))
+    with np.errstate(invalid="ignore"):
+        op = g.combine([("a1", np.inf), ("j_plus", complex(np.nan, 1.0)), ("n_op", 1.0)])
+    ref = (g.a1 + g.j_plus + g.n_op).mat
+    np.testing.assert_array_equal(op.mat.indptr, ref.indptr)
+    np.testing.assert_array_equal(op.mat.indices, ref.indices)
 
 
 def test_operator_leaves_its_argument_unchanged():
