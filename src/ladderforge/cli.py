@@ -159,8 +159,10 @@ def _kappas(value) -> list[int]:
 
 def _params(value) -> HamiltonianParams:
     p = params_from_json(_object(value))
-    if not np.all(np.isfinite([p.beta0, p.beta_plus, p.beta3, p.gamma1, p.gamma2, p.h0])):
-        raise ValueError("Hamiltonian parameters must be finite")
+    with np.errstate(over="ignore"):   # the gates and the reduction square them
+        squares = np.abs([p.beta0, p.beta_plus, p.beta3, p.gamma1, p.gamma2, p.h0]) ** 2
+    if not np.all(np.isfinite(squares)):
+        raise ValueError("Hamiltonian parameters and their squares must be finite")
     return p
 
 

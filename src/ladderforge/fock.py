@@ -294,6 +294,25 @@ class GeneratorSet:
         entries are those of the chained Operator sum written in that order."""
         return _csr(self.cutoff, {k: 0 + w for k, w in _by_shift(self, terms).items()})
 
+    def block(self, terms, keep: np.ndarray) -> np.ndarray:
+        """combine(terms) restricted to the basis indices `keep`, as a dense
+        |keep| x |keep| array read off the weights: entry (i, j) is the
+        weight at keep[i] of the shift that reaches keep[j], added to zero as
+        combine adds it, so the array equals
+        combine(terms).mat[keep][:, keep].toarray() bit for bit."""
+        stride = self.cutoff.n2_max + 3
+        n1, n2 = np.divmod(keep, self.cutoff.n2_max + 1)
+        at = (n1 + 1) * stride + n2 + 1   # keep on the flat padded grid
+        where = np.full((self.cutoff.n1_max + 3) * stride, -1)
+        where[at] = np.arange(keep.size)
+        out = np.zeros((keep.size, keep.size), dtype=np.complex128)
+        for k, w in _by_shift(self, terms).items():
+            d1, d2 = _SHIFTS[k]
+            col = where[at + d1 * stride + d2]
+            row = np.flatnonzero(col >= 0)
+            out[row, col[row]] = 0 + w[at[row]]
+        return out
+
 
 def _by_shift(g: GeneratorSet, terms) -> dict:
     """sum_k c_k G_k over the (generator name, c_k) terms with c_k != 0, as

@@ -43,6 +43,8 @@ __all__ = [
     "compute_a0",
     "classify",
     "solve_ladder",
+    "hamiltonian_terms",
+    "ladder_terms",
     "build_hamiltonian",
     "build_ladder",
     "verify_ladder",
@@ -465,24 +467,27 @@ def solve_ladder(p: HamiltonianParams) -> SolveReport:
 # matrix construction and residuals
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_terms(p: HamiltonianParams) -> list:
+def hamiltonian_terms(p: HamiltonianParams) -> list:
+    """H as (generator name, coefficient) terms, as GeneratorSet.combine
+    takes them."""
     return [("n_op", p.beta0), ("j_minus", p.beta_plus), ("j_plus", p.beta_minus),
             ("j3", p.beta3), ("a1_dag", p.gamma1), ("a1", np.conj(p.gamma1)),
             ("a2_dag", p.gamma2), ("a2", np.conj(p.gamma2)), ("identity", p.h0)]
 
 
-def _ladder_terms(c: LadderCoeffs) -> list:
+def ladder_terms(c: LadderCoeffs) -> list:
+    """A as (generator name, coefficient) terms."""
     return [("a1", c.mu1), ("a2", c.mu2), ("a1_dag", c.nu1), ("a2_dag", c.nu2),
             ("j_plus", c.alpha_minus), ("j_minus", c.alpha_plus), ("j3", c.alpha3),
             ("identity", c.a0)]
 
 
 def build_hamiltonian(p: HamiltonianParams, g: GeneratorSet) -> Operator:
-    return g.combine(_hamiltonian_terms(p))
+    return g.combine(hamiltonian_terms(p))
 
 
 def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
-    return g.combine(_ladder_terms(c))
+    return g.combine(ladder_terms(c))
 
 
 def verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
@@ -494,8 +499,8 @@ def verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     on the generators' grid weights (fock.commutator_residual); no matrix is
     formed."""
     scale = c.scale
-    a = _ladder_terms(LadderCoeffs(*(c.as_array() / scale)) if scale else c)
-    return commutator_residual(g, _hamiltonian_terms(p), a, a, degree)
+    a = ladder_terms(LadderCoeffs(*(c.as_array() / scale)) if scale else c)
+    return commutator_residual(g, hamiltonian_terms(p), a, a, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ column loses past the cutoff is measured, and S is the shells
 n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13, the
 region where the truncated identity holds.  The weight lost depends on the
 chain and the cutoff only, never on the closed form being certified.
-W' H W is formed on the rows where W is nonzero: a mixing rotation
-conserves n1 + n2, so a rotation-only frame's columns lie in the shells S
-and H and A are restricted to them; a displaced frame's columns reach the
-whole grid.
+W is formed where it lives: a mixing rotation conserves n1 + n2, so a
+rotation-only frame's columns lie in the box n1, n2 <= min(N1, N2)//2, and
+the columns, the truncated H and A and their products H W, A W are formed
+on that box; a displaced frame's columns reach the whole grid, and are
+formed there.  W' (H W) takes the rows where W is nonzero, and the blocks
+R[S, S] of the reduced H and A are read off the generator weights
+(GeneratorSet.block): no reduced matrix is built.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
 from .fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
-                   coherent_state, shell_indices)
+                   build_generators, coherent_state, shell_indices)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
-                     build_ladder)
+                     build_ladder, hamiltonian_terms, ladder_terms)
 from .transforms import UnitarySpec, mixing_angle
 
 __all__ = ["Reduction", "Frame", "reduction_chain", "reduction_frame",
@@ -236,45 +239,50 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     """Return the basic-form parameters, coefficients and the transform chain.
 
     The chain lists the similarity steps in application order; composed
-    (``transforms.build_chain``) it is the U with  H_reduced = U' H U  and
-    |original> = U |reduced>.  The reduced parameters and coefficients are
-    the closed forms of `reduction_chain` and `Frame.reduced_ladder`; the
-    residuals compare them, on the shells S, with the truncated H and A
-    conjugated by the frame's exact columns W = U[:, S].  S is the shells up
-    to min(N1, N2)//2 below the first whose columns lose more than 1e-13 of
-    their norm past the cutoff; CutoffTooSmall, naming the least cutoff N,N
-    that keeps shell 1, when that leaves no shell 1.
+    it is the U with  H_reduced = U' H U  and |original> = U |reduced>.  The
+    reduced parameters and coefficients are the closed forms of
+    `reduction_chain` and `Frame.reduced_ladder`; the residuals compare them,
+    on the shells S, with the truncated H and A conjugated by the frame's
+    exact columns W = U[:, S].  S is the shells up to min(N1, N2)//2 below
+    the first whose columns lose more than 1e-13 of their norm past the
+    cutoff; CutoffTooSmall, naming the least cutoff N,N that keeps shell 1,
+    when that leaves no shell 1.
+
+    A frame with no displacement is a rotation alone: W, H W, A W and the
+    reduced blocks R[S, S] are formed on the box n1, n2 <= min(N1, N2)//2
+    that holds its columns; a displaced frame's on the whole grid of g.
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
-    keep = shell_indices(g.cutoff, min(g.cutoff.n1_max, g.cutoff.n2_max) // 2)
+    cut = g.cutoff
+    top = min(cut.n1_max, cut.n2_max) // 2
+    if not (frame.c.any() or frame.x.any()):   # n1 + n2 <= top on every column
+        g = build_generators(FockCutoff(top, top))
+    keep = shell_indices(g.cutoff, top)
     w = frame.columns(g.cutoff, keep)
     shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
     lost = _lost(w)
     shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
     if shell_max < 1:   # shell 1 is the least S that sees every coefficient
-        least = _least_intact_cutoff(frame, max(min(g.cutoff.n1_max, g.cutoff.n2_max), 1))
+        least = _least_intact_cutoff(frame, max(min(cut.n1_max, cut.n2_max), 1))
         raise CutoffTooSmall(
-            f"reduce cannot certify at cutoff {g.cutoff.n1_max},{g.cutoff.n2_max}: the "
+            f"reduce cannot certify at cutoff {cut.n1_max},{cut.n2_max}: the "
             f"frame's shell-1 columns lose {lost[shells <= 1].max():.1e} of their norm past "
             "it; " + (f"{least},{least} is the least cutoff that keeps them" if least else
                       f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps them"))
     if shell_max < shells.max():
         keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
-    # the rows where W is zero add nothing to W' H W: a rotation-only frame
-    # keeps the shells S, a displaced one the whole grid (then left as it is)
+    # the rows where W is zero add nothing to W' H W
     rows = np.flatnonzero(w.any(axis=1))
-    whole = rows.size == w.shape[0]
-    if not whole:
-        w = w[rows]
-    wh = w.conj().T
+    if rows.size == w.shape[0]:
+        rows = slice(None)
+    wh = w[rows].conj().T
 
-    def residual(op: Operator, reduced: Operator) -> float:
-        mat = op.mat if whole else op.mat[rows][:, rows]
-        return float(np.linalg.norm(wh @ (mat @ w) - reduced.mat[keep][:, keep].toarray()))
+    def residual(op: Operator, reduced: list) -> float:
+        return float(np.linalg.norm(wh @ (op.mat @ w)[rows] - g.block(reduced, keep)))
 
     return Reduction(params=params, coeffs=coeffs, chain=chain,
-                     h_residual=residual(build_hamiltonian(p, g), build_hamiltonian(params, g)),
-                     a_residual=residual(build_ladder(c, g), build_ladder(coeffs, g)),
+                     h_residual=residual(build_hamiltonian(p, g), hamiltonian_terms(params)),
+                     a_residual=residual(build_ladder(c, g), ladder_terms(coeffs)),
                      shell_max=shell_max)

@@ -537,6 +537,11 @@ _MALFORMED = [
     ("chen", {}, ["--kappa", "-1"]),
     ("chen", {"kappa": 2.7}, []),
     ("chen", {"alpha_minus": 0}, []),
+    # finite parameters whose squares overflow: the gates square beta3
+    # (su2_invariant) and the reduction the rotated couplings
+    ("solve-ladder", {"params": {"beta0": 1e300, "beta3": 1e300}}, []),
+    *[(s, {"params": {"beta0": 2, "gamma1": [1e300, 0]}}, [])
+      for s in ("spectrum", "eigenstate", "reduce")],
 ]
 
 

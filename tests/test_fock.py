@@ -361,6 +361,33 @@ def test_combine_with_a_non_finite_coefficient_stays_on_the_grid():
     np.testing.assert_array_equal(op.mat.indices, ref.indices)
 
 
+@pytest.mark.parametrize("n1_max,n2_max", ORACLE_CUTOFFS)
+def test_block_is_the_combined_csr_restricted(n1_max, n2_max, rng):
+    # shell and interior index sets from the least to the whole grid, each
+    # with random complex terms over all nine generators, some zero and some
+    # not finite
+    g = build_generators(FockCutoff(n1_max, n2_max))
+    top = min(n1_max, n2_max)
+    index_sets = ([shell_indices(g.cutoff, s) for s in sorted({0, 1, top // 2, top,
+                                                               n1_max + n2_max})]
+                  + [interior_indices(g.cutoff, d) for d in sorted({0, top // 2, top})])
+    names = ["a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity"]
+    odd = [0.0, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)]
+    for draw in range(8):
+        coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
+        coeffs[rng.random(9) < 0.3] = 0
+        if draw % 2:
+            coeffs[rng.integers(9)] = odd[rng.integers(len(odd))]
+        terms = list(zip(names, coeffs))
+        with np.errstate(invalid="ignore"):
+            full = g.combine(terms).mat
+            for keep in index_sets:
+                got = g.block(terms, keep)
+                want = full[keep][:, keep].toarray()
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_operator_leaves_its_argument_unchanged():
     arrays = (np.array([1.0, 0.0, 2.0, 3.0], dtype=complex), np.array([0, 1, 2, 3], dtype=np.int32),
               np.array([0, 1, 2, 3, 4], dtype=np.int32))

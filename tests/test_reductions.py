@@ -19,7 +19,7 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
 from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
                                      reduced_eigenstate, verify_eigenstate)
 from ladderforge.params import classify
-from ladderforge import reductions
+from ladderforge import fock, reductions
 from ladderforge.reductions import (_compose, reduce_by_similarity, reduction_chain,
                                     reduction_frame)
 from ladderforge.spectra import diagonalize_oracle
@@ -442,6 +442,23 @@ def test_reduce_on_the_shells_refuses_a_false_closed_form(tmp_path, monkeypatch,
     assert 1e-8 < residual, report
 
 
+@pytest.mark.parametrize("kind", sorted(SUPPORT_FRAMES))
+def test_reduce_forms_its_operators_on_the_frame_support(tmp_path, monkeypatch, kind):
+    # at cutoff 28 a rotation-only frame's columns lie in the (14, 14) box,
+    # and the truncated H and A are built on it; a displaced frame's reach
+    # the whole grid, and H and A are built there
+    built = []
+    true_csr = fock._csr
+
+    def counted(cutoff, by_shift):
+        built.append(cutoff)
+        return true_csr(cutoff, by_shift)
+    monkeypatch.setattr(fock, "_csr", counted)
+    code, report = _reduce(tmp_path, params_to_json(SUPPORT_FRAMES[kind][0]), 1, 28)
+    assert code == 0, report
+    assert built == [FockCutoff(14, 14) if kind == "rotation" else FockCutoff(28, 28)] * 2
+
+
 def test_reduce_loads_no_dense_linalg(tmp_path):
     # the reduce path builds no unitary: none of scipy's expm machinery, and
     # no sparse norm, is imported by a whole reduce run
@@ -580,3 +597,35 @@ def test_reduce_on_gate_surfaces_matches_the_closed_form(tmp_path_factory, param
     code, report = _reduce(tmp_path_factory.mktemp("reduce"), params, eps, 18)
     assert code == 0, (params, eps, report)
     _check_against_oracles(p, eps, report, 18)
+
+
+@st.composite
+def _asymmetric_rotation_points(draw):
+    """A point on b^2 = 1 with no linear coupling, so that its frame is a
+    rotation alone, and a cutoff N1 != N2 in 8-30."""
+    theta = draw(st.floats(0.0, 6.3))
+    params = gate_params(draw(st.floats(0.5, 4.0)), draw(st.floats(-0.99, 0.99)), 1.0, theta)
+    cutoff = draw(st.lists(st.integers(8, 30), min_size=2, max_size=2, unique=True))
+    return params, FockCutoff(*cutoff)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(_asymmetric_rotation_points())
+def test_reduce_on_asymmetric_cutoffs_matches_the_full_grid_sandwich(tmp_path_factory, point):
+    # the box is min(N1, N2)//2 on both modes, whichever mode is shorter
+    p, cut = point
+    c = combined_coeffs(solve_ladder(p))
+    g = build_generators(cut)
+    red = reduce_by_similarity(p, c, g)
+    assert [s.kind for s in red.chain] == ["mix_t"]
+    assert red.shell_max == min(cut.n1_max, cut.n2_max) // 2
+    want = full_grid_reduce_residuals(p, c, red, g)
+    assert max(want) < 1e-11
+    assert abs(red.h_residual - want[0]) <= 1e-14 and abs(red.a_residual - want[1]) <= 1e-14
+    out = tmp_path_factory.mktemp("reduce")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"params": params_to_json(p)}))
+    assert run(["reduce", "--config", str(cfg), "--cutoff", f"{cut.n1_max},{cut.n2_max}",
+                "--out", str(out)]) == 0
+    report = json.loads((out / "reduce.json").read_text())["report"]
+    assert (report["h_residual"], report["a_residual"]) == (red.h_residual, red.a_residual)
