@@ -29,7 +29,7 @@ r = np.sqrt(1 - 0.6 ** 2) / 2
 p = HamiltonianParams(beta0=2.5, beta_plus=r * np.exp(0.7j), beta3=0.6,
                       gamma1=0.12 + 0.09j, gamma2=0.10 - 0.06j, h0=0.3)
 rep = solve_ladder(p)
-red = reduce_by_similarity(p, rep.coeffs[0], g)
+red = reduce_by_similarity(p, rep.coeffs[0], g.cutoff)
 
 print(f"\nreducing {rep.tag}:")
 for step in red.chain:

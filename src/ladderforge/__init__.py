@@ -4,9 +4,8 @@ families they generate, all checked against brute-force truncated Fock-space
 linear algebra."""
 
 from .catalogue import Bindings, CatalogueRow, appendix_catalogue
-from .chen import (PQParams, alt_hamiltonian, build_A_pq_generalized,
-                   build_calA_pq, build_H_pq, chen_ground,
-                   degenerate_zero_states, louck_spectrum, tilde0_state)
+from .chen import (PQParams, build_A_pq_generalized, build_calA_pq, build_H_pq,
+                   chen_ground, degenerate_zero_states, louck_spectrum, tilde0_state)
 from .eigenstates import (EigenstateRequest, basic21_states,
                           fractional_lambda_state, fractional_separable_cs,
                           isotropic_states, linear_coupled_states, su2_ground,

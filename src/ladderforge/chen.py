@@ -6,18 +6,23 @@ stepping the spectrum by exactly one, together with a generalized mixed
 operator that commutes with the special raising operator and annihilates
 the vacuum.  Powers of the raising operator on the vacuum generate binomial
 superpositions over |q k, p (kappa - k)> with sharp energy kappa.
+
+The operators lie outside the algebra's span, but each moves the grid by at
+most two shifts.  They are weighted shifts (fock.Shifts), formed by the
+products and sums of the generators that define them with the roundings of
+the sparse matrix products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LadderForgeError
-from .fock import (GeneratorSet, Operator, TwoModeState, apply, basis_state,
-                   normalize, vacuum_state)
+from .errors import DomainError
+from .fock import GeneratorSet, Shifts, TwoModeState, basis_state, normalize
 
 __all__ = [
     "PQParams",
@@ -28,7 +33,6 @@ __all__ = [
     "degenerate_zero_states",
     "louck_spectrum",
     "tilde0_state",
-    "alt_hamiltonian",
 ]
 
 
@@ -50,34 +54,31 @@ class PQParams:
         object.__setattr__(self, "alpha_minus", complex(self.alpha_minus))
 
 
-def _op_power(op: Operator, n: int, ident: Operator) -> Operator:
-    # repeated sparse multiplication, keeping the brute-force character
-    out = ident
-    for _ in range(n):
-        out = out @ op
-    return out
+def _power(g: GeneratorSet, name: str, n: int) -> Shifts:
+    """I G^n for the generator `name`, multiplied out from the left."""
+    return functools.reduce(Shifts.__matmul__, [g.shift(name)] * n, g.shift("identity"))
 
 
-def build_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+def build_H_pq(pq: PQParams, g: GeneratorSet) -> Shifts:
     """Diagonal (p n1 + q n2)/(p q), i.e. n1/q + n2/p."""
-    num1 = g.a1_dag @ g.a1
-    num2 = g.a2_dag @ g.a2
+    num1 = g.shift("a1_dag") @ g.shift("a1")
+    num2 = g.shift("a2_dag") @ g.shift("a2")
     return (pq.p * num1 + pq.q * num2) / (pq.p * pq.q)
 
 
-def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Shifts:
     """Special lowering operator stepping the p:q spectrum down by one."""
-    a2p = _op_power(g.a2, pq.p, g.identity)
-    a1q = _op_power(g.a1, pq.q, g.identity)
+    a2p = _power(g, "a2", pq.p)
+    a1q = _power(g, "a1", pq.q)
     return (np.conj(pq.alpha_plus) * pq.q * a2p
             - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
 
 
-def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
+def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Shifts:
     """Mixed lowering operator alpha- a1'^(q-1) a2 + alpha+ a1 a2'^(p-1);
     annihilates the vacuum and commutes with the special raising operator."""
-    left = _op_power(g.a1_dag, pq.q - 1, g.identity) @ g.a2
-    right = g.a1 @ _op_power(g.a2_dag, pq.p - 1, g.identity)
+    left = _power(g, "a1_dag", pq.q - 1) @ g.shift("a2")
+    right = g.shift("a1") @ _power(g, "a2_dag", pq.p - 1)
     return pq.alpha_minus * left + pq.alpha_plus * right
 
 
@@ -153,25 +154,3 @@ def tilde0_state(pq: PQParams, g: GeneratorSet) -> TwoModeState:
     amps[g.cutoff.index(pq.q, 0)] = (pq.q * np.conj(alpha_plus)
                                      / math.sqrt(math.factorial(pq.q)))
     return normalize(TwoModeState(g.cutoff, amps))
-
-
-def alt_hamiltonian(pq: PQParams, g: GeneratorSet) -> Operator:
-    """(p n1 + q n2) / (1 - (p-1)(q-1)); the Chen grounds are its eigenstates
-    with energy p q kappa / (1 - (p-1)(q-1))."""
-    den = 1 - (pq.p - 1) * (pq.q - 1)
-    if den == 0:
-        raise DomainError("alt-denominator", "(p-1)(q-1) = 1 leaves the form undefined")
-    num1 = g.a1_dag @ g.a1
-    num2 = g.a2_dag @ g.a2
-    return (pq.p * num1 + pq.q * num2) / den
-
-
-def chen_ground_via_raising(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoModeState:
-    """Brute-force route: normalize((calA')^kappa |0,0>)."""
-    raiser = build_calA_pq(pq, g).dag()
-    v = vacuum_state(g.cutoff)
-    for _ in range(kappa):
-        v = apply(raiser, v)
-    if np.linalg.norm(v.amplitudes) < 1e-12:
-        raise LadderForgeError("raising chain collapsed below the requested kappa")
-    return normalize(v)

@@ -39,8 +39,7 @@ from .chen import (PQParams, _unit_amplitudes, build_A_pq_generalized, build_cal
 from .errors import CutoffTooSmall, DomainError, LadderForgeError
 from .eigenstates import (EigenstateRequest, chain_seed, reduced_eigenstate,
                           verify_eigenstate)
-from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator,
-                   commutator_residual, interior_indices, interior_residual,
+from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator_residual,
                    state_to_csv, state_to_json)
 from .params import (HamiltonianParams, build_hamiltonian, build_ladder, coeffs_to_json,
                      params_from_json, params_to_json, parse_complex, solve_ladder,
@@ -159,10 +158,12 @@ def _kappas(value) -> list[int]:
 
 def _params(value) -> HamiltonianParams:
     p = params_from_json(_object(value))
-    with np.errstate(over="ignore"):   # the gates and the reduction square them
+    with np.errstate(over="ignore"):   # the gates and the reduction sum their squares
         squares = np.abs([p.beta0, p.beta_plus, p.beta3, p.gamma1, p.gamma2, p.h0]) ** 2
-    if not np.all(np.isfinite(squares)):
-        raise ValueError("Hamiltonian parameters and their squares must be finite")
+        finite = (np.all(np.isfinite(squares))
+                  and np.all(np.isfinite([su2_invariant(p), squares[3] + squares[4]])))
+    if not finite:
+        raise ValueError("Hamiltonian parameters and their sums of squares must be finite")
     return p
 
 
@@ -265,9 +266,9 @@ def _require_cutoff(cutoff: FockCutoff, min_each: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each takes the checked inputs and the generators and returns
-# (exit_code, report_dict, {csv_name: function returning the csv text}); the
-# tables are only built when --format csv writes them
+# scenarios: each takes the checked inputs, builds the generator set it
+# uses, and returns (exit_code, report_dict, {csv_name: function returning
+# the csv text}); the tables are only built when --format csv writes them
 # ---------------------------------------------------------------------------
 
 def _verdict(report: dict, worst: float, tol: float, extras: dict | None = None):
@@ -309,16 +310,19 @@ _ALGEBRA_IDENTITIES = (
 )
 
 
-def _run_verify_algebra(inp, g):
-    checks = {name: commutator_residual(g, [(x, 1)], [(y, 1)], z, degree)
+def _run_verify_algebra(inp):
+    g = build_generators(inp.cutoff)
+    checks = {name: commutator_residual(g, g.shifts([(x, 1)]), g.shifts([(y, 1)]),
+                                        g.shifts(z), degree)
               for name, x, y, degree, z in _ALGEBRA_IDENTITIES}
     worst = max(checks.values())
     return _verdict({"checks": checks, "worst": worst}, worst, inp.tol_algebra)
 
 
-def _run_solve_ladder(inp, g):
+def _run_solve_ladder(inp):
     p, tol = inp.params, inp.tol_ladder
     rep = solve_ladder(p)
+    g = build_generators(inp.cutoff)
     residuals = [verify_ladder(p, c, g, 3) for c in rep.coeffs]
     report = {
         "params": params_to_json(p),
@@ -338,12 +342,12 @@ def _run_solve_ladder(inp, g):
     return (EXIT_OK if ok else EXIT_HARD), report, {}
 
 
-def _run_spectrum(inp, g):
+def _run_spectrum(inp):
     p = inp.params
     rep = solve_ladder(p)
     if not rep.exists:
         return _refuse(rep.tag, "no ladder")
-    tag = rep.tag
+    tag, g = rep.tag, build_generators(inp.cutoff)
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
     frame = reduction_frame(p)
@@ -372,12 +376,13 @@ def _run_spectrum(inp, g):
                     {"spectrum.csv": lambda: "\n".join(csv_lines) + "\n"})
 
 
-def _run_eigenstate(inp, g):
+def _run_eigenstate(inp):
     p = inp.params
     rep = solve_ladder(p)
     tag = rep.tag
     if not rep.exists:
         return _refuse(tag, "no ladder")
+    g = build_generators(inp.cutoff)
     try:
         state, ladder, lam = reduced_eigenstate(p, rep, EigenstateRequest(tag, **inp.request), g)
     except DomainError as exc:
@@ -388,8 +393,8 @@ def _run_eigenstate(inp, g):
     return _verdict(report, resid, inp.tol_eigen, {"state.csv": lambda: state_to_csv(state)})
 
 
-def _run_chen(inp, g):
-    pq, kappa, cutoff = inp.pq, inp.kappa, g.cutoff
+def _run_chen(inp):
+    pq, kappa, cutoff = inp.pq, inp.kappa, inp.cutoff
     degree = max(pq.p, pq.q)
     if (cutoff.n1_max < max(pq.q * kappa, 2 * degree)
             or cutoff.n2_max < max(pq.p * kappa, 2 * degree)):
@@ -402,28 +407,27 @@ def _run_chen(inp, g):
     if not all(alphas):
         return _refuse(f"{pq.p}:{pq.q}", "alpha_plus / alpha_minus is outside "
                                          "the double-precision range")
-    pq = PQParams(pq.p, pq.q, *alphas)
+    pq, g = PQParams(pq.p, pq.q, *alphas), build_generators(cutoff)
     h = build_H_pq(pq, g)
     cal_a = build_calA_pq(pq, g)
     a_gen = build_A_pq_generalized(pq, g)
     # the p:q ladder lies outside the algebra's span: its identities are
-    # checked on the truncated matrices
-    keep = interior_indices(cutoff, degree)
-    ladder_resid = interior_residual(commutator(h, cal_a) + cal_a, keep)
-    commute_resid = interior_residual(commutator(a_gen, cal_a.dag()), keep)
+    # checked on the weighted shifts of its operators
+    ladder_resid = commutator_residual(g, h, cal_a, cal_a, degree)
+    commute_resid = commutator_residual(g, a_gen, cal_a.dag(), g.shifts([]), degree)
 
     ground = chen_ground(pq, kappa, g)
-    h_resid = float(np.linalg.norm(h.mat @ ground.amplitudes - kappa * ground.amplitudes))
-    annih_resid = float(np.linalg.norm((a_gen.mat @ ground.amplitudes)))
+    h_resid = float(np.linalg.norm(h.matvec(ground.amplitudes) - kappa * ground.amplitudes))
+    annih_resid = float(np.linalg.norm(a_gen.matvec(ground.amplitudes)))
 
     zero_energies = [float(louck_spectrum(pq, 0, k1, k2))
                      for k1 in range(pq.q) for k2 in range(pq.p)]
-    zero_resid = max(float(np.linalg.norm(cal_a.mat @ z.amplitudes))
+    zero_resid = max(float(np.linalg.norm(cal_a.matvec(z.amplitudes)))
                      for z in degenerate_zero_states(pq, g))
 
     t0 = tilde0_state(pq, g)
-    t0_resid = max(float(np.linalg.norm(cal_a.mat @ t0.amplitudes)),
-                   float(np.linalg.norm(h.mat @ t0.amplitudes - t0.amplitudes)))
+    t0_resid = max(float(np.linalg.norm(cal_a.matvec(t0.amplitudes))),
+                   float(np.linalg.norm(h.matvec(t0.amplitudes) - t0.amplitudes)))
 
     worst = max(ladder_resid, commute_resid, h_resid, annih_resid, zero_resid, t0_resid)
     report = {
@@ -441,7 +445,8 @@ def _run_chen(inp, g):
     return _verdict(report, worst, inp.tol_chen, {"chen_state.csv": lambda: state_to_csv(ground)})
 
 
-def _run_catalogue_sweep(inp, g):
+def _run_catalogue_sweep(inp):
+    g = build_generators(inp.cutoff)
     table = []
     for row in appendix_catalogue(Bindings()):
         res = verify_ladder(row.params, row.coeffs, g, 3)
@@ -454,12 +459,12 @@ def _run_catalogue_sweep(inp, g):
                     inp.tol_ladder, {"catalogue.csv": lambda: "\n".join(csv_lines) + "\n"})
 
 
-def _run_reduce(inp, g):
+def _run_reduce(inp):
     p = inp.params
     rep = solve_ladder(p)
     if not rep.exists:
         return _refuse(rep.tag, "no ladder")
-    red = reduce_by_similarity(p, rep.combined(), g, eps=inp.eps)
+    red = reduce_by_similarity(p, rep.combined(), inp.cutoff, eps=inp.eps)
     report = {
         "params": params_to_json(p),
         "tag": str(rep.tag),
@@ -518,7 +523,7 @@ def run(argv=None) -> int:
         inp = _inputs(cfg)
         runner, min_cutoff = _RUNNERS[args.scenario]
         _require_cutoff(inp.cutoff, min_cutoff)
-        code, report, extras = runner(inp, build_generators(inp.cutoff))
+        code, report, extras = runner(inp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

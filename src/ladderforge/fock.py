@@ -5,21 +5,19 @@ The basis is the occupation grid {|n1, n2> : 0 <= n_i <= n_i_max}, stored
 row-major so that index(n1, n2) = n1 * (n2_max + 1) + n2.  Creation operators
 are hard-truncated: a_i^dag maps the top occupation level to the zero vector.
 Truncation artifacts are masked in all checks by restricting to interior
-index sets (interior_residual).
+index sets.
 
-scipy.sparse is imported where a CSR matrix is built (Operator, the
-generators' CSR forms), not at module level: the scenarios that only check
-identities on the grid weights never load scipy.
+scipy.sparse is imported where a CSR matrix is built (Operator, the CSR
+forms of the weighted shifts), not at module level: the scenarios that only
+check identities and mat-vecs on the grid weights never load scipy.
 
-Each of the nine generators moves the grid by one of seven shifts
-(dn1, dn2) with a closed-form weight, and GeneratorSet records them once,
-as those weights on the grid padded by one zero layer, where a shift is a
-flat offset.  A linear combination of them (a Hamiltonian, a ladder) is
-summed shift by shift on those weights (_by_shift).  Commutator identities
-among elements of their span are checked on the sums themselves
-(commutator_residual), with no matrix formed; every CSR form, a single
-generator or GeneratorSet.combine, is assembled from them in one pass
-(_csr).
+An operator that moves the grid by a few shifts (dn1, dn2) is held as its
+weights on the grid padded by one zero layer, where a shift is a flat offset
+(Shifts).  GeneratorSet records the nine generators, seven shifts with
+closed-form weights; their combinations (a Hamiltonian, a ladder) and
+products (chen's p:q operators) are formed shift by shift, commutator
+identities are checked on the weights with no matrix formed
+(commutator_residual), and CSR forms are assembled in one pass (_csr).
 
 States are built from polynomials in the commuting creation operators
 (CreationPoly), which act on amplitude vectors as weighted shifts of the
@@ -42,15 +40,14 @@ __all__ = [
     "ToleranceConfig",
     "FockCutoff",
     "Operator",
+    "Shifts",
     "TwoModeState",
     "GeneratorSet",
     "build_generators",
     "commutator",
     "commutator_residual",
-    "interior_projector",
     "interior_indices",
     "shell_indices",
-    "shell_projector",
     "interior_residual",
     "apply",
     "norm",
@@ -59,10 +56,7 @@ __all__ = [
     "vacuum_state",
     "CreationPoly",
     "coherent_state",
-    "operator_to_json",
-    "operator_from_json",
     "state_to_json",
-    "state_from_json",
     "state_to_csv",
 ]
 
@@ -178,10 +172,8 @@ class Operator:
         return self._result(self.mat @ other.mat)
 
     def norm(self) -> float:
-        """Frobenius norm, scipy's as in interior_residual."""
-        import scipy.sparse.linalg
-
-        return float(scipy.sparse.linalg.norm(self.mat, "fro"))
+        """Frobenius norm: that of the stored entries, as scipy takes it."""
+        return float(np.linalg.norm(self.mat.data))
 
     def to_dense(self) -> np.ndarray:
         return self.mat.toarray()
@@ -189,13 +181,6 @@ class Operator:
     @property
     def nnz(self) -> int:
         return self.mat.nnz
-
-    def entries(self) -> Iterator[tuple[int, int, complex]]:
-        """Stored entries in (row, col) order."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield int(coo.row[k]), int(coo.col[k]), complex(coo.data[k])
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.cutoff.dim}, nnz={self.nnz})"
@@ -227,25 +212,84 @@ class TwoModeState:
 # (n_op, j3, identity) share a shift, and they come last in this order
 _GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
 
-# the seven shifts (dn1, dn2) of the generators, in column order: row
-# |m1, m2> of a generator holds its weight in column |m1 + dn1, m2 + dn2>
-_SHIFTS = ((-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0))
-_SHIFT_OF = {"a1_dag": 0, "j_plus": 1, "a2_dag": 2, "n_op": 3, "j3": 3, "identity": 3,
-             "a2": 4, "j_minus": 5, "a1": 6}
-
-# a product of two shifts moves the grid by their sum, one of 19 shifts:
-# _PAIR_SHIFT[i, j] is where the pair of shifts i, j lands among them, and
-# _OWN_SHIFT[i] where shift i itself does
-_PRODUCT_SHIFTS = sorted({(a + c, b + d) for a, b in _SHIFTS for c, d in _SHIFTS})
-_PAIR_SHIFT = np.array([[_PRODUCT_SHIFTS.index((a + c, b + d)) for c, d in _SHIFTS]
-                        for a, b in _SHIFTS])
-_OWN_SHIFT = [_PRODUCT_SHIFTS.index(s) for s in _SHIFTS]
+# the shift (dn1, dn2) of each generator: row |m1, m2> of a generator holds
+# its weight in column |m1 + dn1, m2 + dn2>
+_SHIFT_OF = {"a1_dag": (-1, 0), "j_plus": (-1, 1), "a2_dag": (0, -1), "n_op": (0, 0),
+             "j3": (0, 0), "identity": (0, 0), "a2": (0, 1), "j_minus": (1, -1), "a1": (1, 0)}
+_SHIFTS = tuple(sorted(set(_SHIFT_OF.values())))
 
 
 def _inside(m1, m2, shift, n1_max: int, n2_max: int):
     """Where |m1 + dn1, m2 + dn2> lies in the box 0 <= n_i <= n_i_max."""
     d1, d2 = shift
     return (0 <= m1 + d1) & (m1 + d1 <= n1_max) & (0 <= m2 + d2) & (m2 + d2 <= n2_max)
+
+
+class Shifts:
+    """An operator as weighted shifts of the grid: `weights[(dn1, dn2)]` is
+    its weight on the grid padded by one zero layer, flattened row-major
+    (stride n2_max + 3); row |m> holds the weight at |m> in column
+    |m1 + dn1, m2 + dn2>, zero where that column leaves the grid.  Sums,
+    scalar multiples, products (`@`, summed by _product) and the adjoint form
+    each weight as Operator arithmetic forms the CSR entry, a missing shift
+    counting as zero, so `csr` gives that Operator bit for bit."""
+
+    __slots__ = ("cutoff", "weights")
+    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
+
+    def __init__(self, cutoff: FockCutoff, weights: dict):
+        self.cutoff, self.weights = cutoff, weights
+
+    def __add__(self, other: "Shifts") -> "Shifts":
+        return Shifts(self.cutoff, {k: self.weights.get(k, 0) + other.weights.get(k, 0)
+                                    for k in {*self.weights, *other.weights}})
+
+    def __sub__(self, other: "Shifts") -> "Shifts":
+        return Shifts(self.cutoff, {k: self.weights.get(k, 0) - other.weights.get(k, 0)
+                                    for k in {*self.weights, *other.weights}})
+
+    def __mul__(self, scalar) -> "Shifts":
+        return Shifts(self.cutoff, {k: w * complex(scalar) for k, w in self.weights.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "Shifts":
+        return self * (1 / complex(scalar))
+
+    def __matmul__(self, other: "Shifts") -> "Shifts":
+        stride, rows = self.cutoff.n2_max + 3, self.cutoff.n1_max + 1
+        shifts = tuple(sorted({*self.weights, *other.weights}))
+        products, pairs, _, margin = _products(shifts, stride)
+        size = (rows + 2) * stride
+        left, right = (_parts(shifts, op.weights, margin,
+                              np.zeros((2, len(op.weights), size + 2 * margin)))
+                       for op in (self, other))
+        re, im = _product(left, right, pairs, margin + stride, stride, rows,
+                          np.empty((2, len(products), rows * stride)))
+        out = {}
+        for t in np.flatnonzero(re.any(axis=1) | im.any(axis=1)):
+            w = out[products[t]] = np.zeros(size, dtype=np.complex128)
+            w.real[stride:-stride], w.imag[stride:-stride] = re[t], im[t]
+        return Shifts(self.cutoff, out)
+
+    def dag(self) -> "Shifts":
+        """The adjoint: shift -s, with weight conj(w_s[m]) at |m + s>."""
+        stride = self.cutoff.n2_max + 3
+        return Shifts(self.cutoff, {(-a, -b): np.conj(np.roll(w, a * stride + b))
+                                    for (a, b), w in self.weights.items()})
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The operator on the flat amplitudes v as scipy's mat-vec forms it:
+        row |m> sums w[m] v[m + shift] (a product with diag(v)) in column order."""
+        cut = self.cutoff
+        grid = np.zeros((cut.n1_max + 3, cut.n2_max + 3), dtype=np.complex128)
+        grid[1:-1, 1:-1] = v.reshape(cut.n1_max + 1, cut.n2_max + 1)
+        terms = (self @ Shifts(cut, {(0, 0): grid.ravel()})).weights
+        out = sum((terms[k] for k in sorted(terms)), np.zeros(grid.size, complex))
+        return out.reshape(grid.shape)[1:-1, 1:-1].ravel()
+
+    def csr(self) -> Operator:
+        return _csr(self.cutoff, self.weights)
 
 
 @dataclass(frozen=True)
@@ -255,13 +299,11 @@ class GeneratorSet:
 
     n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
     j_minus = a1 a2' (Schwinger realization built from the mode operators).
-    `weights[name]` is the generator's weight on the grid padded by one zero
-    layer and flattened row-major (stride n2_max + 3), so that a shift is a
-    flat offset: row |m> of the generator holds the weight at |m> in the
-    column one shift away, and the weight is zero where that column leaves
-    the grid.  Every CSR form is assembled from these weights by _csr: each
-    generator as an Operator on first use (`g.a1`, ...), and any linear
-    combination of them by `combine`.
+    `weights[name]` is the generator's weight in the layout of Shifts: on the
+    grid padded by one zero layer and flattened row-major (stride
+    n2_max + 3), so that its shift is a flat offset.  Every CSR form is
+    assembled from these weights by _csr: each generator as an Operator on
+    first use (`g.a1`, ...), and any linear combination of them by `combine`.
     """
 
     cutoff: FockCutoff
@@ -272,27 +314,45 @@ class GeneratorSet:
         # found in the instance dict
         if name not in _GENERATORS:
             raise AttributeError(name)
-        op = _csr(self.cutoff, {_SHIFT_OF[name]: self.weights[name]})
+        op = self.shift(name).csr()
         object.__setattr__(self, name, op)
         return op
 
     @functools.cached_property
     def _work(self) -> tuple[np.ndarray, np.ndarray]:
         """commutator_residual's work arrays, kept from call to call so that
-        their pages stay mapped: the real and imaginary weight parts of its
-        three operands (3 x 2 x 7 x padded grid) and, flat, room for the two
-        products' parts over every padded grid row (2 x 2 x 19 x rows); a
-        smaller interior box uses the front."""
+        their pages stay mapped: its three operands' weight parts (3 x 2 x 7 x
+        padded grid) and, flat, room for the parts of two products of
+        generator combinations on every row (2 x 2 x 19 x rows)."""
         cut = self.cutoff
         return (np.empty((3, 2, len(_SHIFTS), (cut.n1_max + 3) * (cut.n2_max + 3))),
-                np.empty(4 * len(_PRODUCT_SHIFTS) * (cut.n1_max + 1) * (cut.n2_max + 3)))
+                np.empty(4 * len(_products(_SHIFTS, cut.n2_max + 3)[0]) * (cut.n1_max + 1)
+                         * (cut.n2_max + 3)))
+
+    def shift(self, name: str) -> Shifts:
+        """The generator `name` as weighted shifts, its weights as built."""
+        return Shifts(self.cutoff, {_SHIFT_OF[name]: self.weights[name]})
+
+    def shifts(self, terms) -> Shifts:
+        """sum_k c_k G_k over the (generator name, c_k) terms with c_k != 0,
+        each shift's terms added in combine's order.  The padding of a scaled
+        weight may hold -0; a non-finite c_k scales only the nonzero weights,
+        as 0 c_k would put a NaN where the column leaves the grid."""
+        by_shift = {}
+        for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
+            if c != 0:
+                k, w = _SHIFT_OF[name], self.weights[name] * complex(c)
+                if not cmath.isfinite(c):
+                    w[self.weights[name] == 0] = 0
+                by_shift[k] = by_shift[k] + w if k in by_shift else w
+        return Shifts(self.cutoff, by_shift)
 
     def combine(self, terms) -> Operator:
         """sum_k c_k G_k over the (generator name, c_k) pairs.  The diagonal
         generators are added in the order n_op, j3, identity whatever the
         order of `terms`, and each shift's sum is added to zero, so the
         entries are those of the chained Operator sum written in that order."""
-        return _csr(self.cutoff, {k: 0 + w for k, w in _by_shift(self, terms).items()})
+        return _csr(self.cutoff, {k: 0 + w for k, w in self.shifts(terms).weights.items()})
 
     def block(self, terms, keep: np.ndarray) -> np.ndarray:
         """combine(terms) restricted to the basis indices `keep`, as a dense
@@ -306,36 +366,19 @@ class GeneratorSet:
         where = np.full((self.cutoff.n1_max + 3) * stride, -1)
         where[at] = np.arange(keep.size)
         out = np.zeros((keep.size, keep.size), dtype=np.complex128)
-        for k, w in _by_shift(self, terms).items():
-            d1, d2 = _SHIFTS[k]
+        for (d1, d2), w in self.shifts(terms).weights.items():
             col = where[at + d1 * stride + d2]
             row = np.flatnonzero(col >= 0)
             out[row, col[row]] = 0 + w[at[row]]
         return out
 
 
-def _by_shift(g: GeneratorSet, terms) -> dict:
-    """sum_k c_k G_k over the (generator name, c_k) terms with c_k != 0, as
-    {shift: its weight on the flat padded grid}; the terms of a shift are
-    added in combine's order.  The padding of a scaled weight may hold -0;
-    a non-finite c_k scales only the nonzero weights, as 0 c_k would put a
-    NaN where the column leaves the grid."""
-    by_shift = {}
-    for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
-        if c != 0:
-            k, w = _SHIFT_OF[name], g.weights[name] * complex(c)
-            if not cmath.isfinite(c):
-                w[g.weights[name] == 0] = 0
-            by_shift[k] = by_shift[k] + w if k in by_shift else w
-    return by_shift
-
-
 def _csr(cutoff: FockCutoff, by_shift: dict) -> Operator:
-    """The operator whose shift k has the flat padded weight by_shift[k], in
-    canonical CSR form, assembled in one pass: the dim x K weights stacked in
-    column order, the nonzero ones kept row by row.  Taken in column order,
-    the shifts fill every row already sorted; two shifts with one column
-    offset never both have a weight in one row."""
+    """The operator whose shift (dn1, dn2) has the flat padded weight
+    by_shift[(dn1, dn2)], in canonical CSR form, assembled in one pass: the
+    dim x K weights stacked in sorted order of the shifts, the nonzero ones
+    kept row by row.  That fills every row already sorted: the columns on
+    the grid of one row fall in the order of their shifts."""
     import scipy.sparse as sp
 
     n1, n2, dim = cutoff.n1_max, cutoff.n2_max, cutoff.dim
@@ -346,8 +389,7 @@ def _csr(cutoff: FockCutoff, by_shift: dict) -> Operator:
     data = data.reshape(dim, len(shifts))
     nz = data != 0
     cols = (np.arange(dim, dtype=np.int32)[:, None]
-            + np.array([d1 * (n2 + 1) + d2 for d1, d2 in (_SHIFTS[k] for k in shifts)],
-                       dtype=np.int32))
+            + np.array([d1 * (n2 + 1) + d2 for d1, d2 in shifts], dtype=np.int32))
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
     return Operator(cutoff, sp.csr_matrix((data[nz], cols[nz], indptr), shape=(dim, dim)))
@@ -371,11 +413,11 @@ def build_generators(cutoff: FockCutoff) -> GeneratorSet:
                "a2_dag": np.conj(root2 + 0j), "j_plus": root1 * up2, "j_minus": up1 * root2,
                "n_op": (num1 + num2) / 2.0, "j3": (num1 - num2) / 2.0,
                "identity": np.ones(m1.shape)}
-    on = [_inside(m1, m2, s, cutoff.n1_max, cutoff.n2_max) for s in _SHIFTS]
     padded = {}
     for name, w in weights.items():
         grid = np.zeros((cutoff.n1_max + 3, cutoff.n2_max + 3), dtype=np.complex128)
-        grid[1:-1, 1:-1] = np.where(on[_SHIFT_OF[name]], w, 0)
+        grid[1:-1, 1:-1] = np.where(_inside(m1, m2, _SHIFT_OF[name], cutoff.n1_max,
+                                            cutoff.n2_max), w, 0)
         padded[name] = grid.ravel()
     return GeneratorSet(cutoff, padded)
 
@@ -393,102 +435,108 @@ def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
     return (n1[:, None] * (cutoff.n2_max + 1) + n2).ravel()
 
 
-# The kernel below works on the grid padded by one zero layer and flattened
-# row-major (stride n2_max + 3), over the padded rows of the interior box
-# taken whole: a shift is then a flat offset, and every slice is contiguous.
-# The columns past the box in each row are formed too and never read.
+# The kernel below works in the layout of Shifts, over the padded rows of
+# the interior box taken whole: a shift is then a flat offset, and every
+# slice is contiguous.  The columns past the box in each row are formed too
+# and never read.
+
+@functools.lru_cache(maxsize=64)
+def _products(shifts: tuple, stride: int) -> tuple[tuple, np.ndarray, list, int]:
+    """The shifts products of two of `shifts` land on, and `shifts`, sorted;
+    where the product of shifts i and j lands among them; where shift i does;
+    and the zeros to lay on each side of the flat padded grid (of stride
+    `stride`) that keep any grid rows moved by one of `shifts` on the array."""
+    out = tuple(sorted({(a + c, b + d) for a, b in shifts for c, d in shifts} | set(shifts)))
+    return (out, np.array([[out.index((a + c, b + d)) for c, d in shifts] for a, b in shifts]),
+            [out.index(s) for s in shifts], max(0, *(abs(a * stride + b) - stride
+                                                     for a, b in shifts)))
+
 
 @functools.lru_cache(maxsize=32)
-def _interior_entries(cutoff: FockCutoff, degree: int) -> tuple[int, np.ndarray]:
-    """The number of grid rows the degree-`degree` interior box spans, and
-    the entries of a 19 x (those rows of the padded grid, flat) array of
-    entries per product shift whose row and column both lie in the box: as
-    flat indices into it, in row-major order of (row, column)."""
+def _interior_entries(cutoff: FockCutoff, degree: int, shifts: tuple) -> tuple[int, np.ndarray]:
+    """The number of grid rows the degree-`degree` interior box spans, and the
+    entries of a (products of `shifts`) x (those padded rows, flat) array whose
+    row and column lie in the box, as flat indices in row-major (row, column)
+    order."""
+    products = _products(shifts, cutoff.n2_max + 3)[0]
     m1, m2 = np.divmod(interior_indices(cutoff, degree), cutoff.n2_max + 1)
-    hi1, hi2 = cutoff.n1_max - degree, cutoff.n2_max - degree
-    inside = np.array([_inside(m1, m2, s, hi1, hi2) for s in _PRODUCT_SHIFTS])
-    at = m1 * (cutoff.n2_max + 3) + m2 + 1
-    flat = np.arange(len(_PRODUCT_SHIFTS))[:, None] * (hi1 + 1) * (cutoff.n2_max + 3) + at
+    hi1, hi2, stride = cutoff.n1_max - degree, cutoff.n2_max - degree, cutoff.n2_max + 3
+    inside = np.array([_inside(m1, m2, s, hi1, hi2) for s in products])
+    flat = np.arange(len(products))[:, None] * (hi1 + 1) * stride + m1 * stride + m2 + 1
     return hi1 + 1, flat.T[inside.T]
 
 
-def _parts(by_shift: dict, out: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """A _by_shift sum as the shifts it uses and, per shift, the real and
-    imaginary parts of its weight, written into the front of `out`
-    (2 x 7 x padded grid).  A -0 in the padding leaves every nonzero entry
-    of a product and the norm as they are."""
-    shifts = sorted(by_shift)
-    for row, k in enumerate(shifts):
-        out[0, row], out[1, row] = by_shift[k].real, by_shift[k].imag
-    return shifts, out[0, :len(shifts)], out[1, :len(shifts)]
+def _parts(shifts: tuple, by_shift: dict, margin: int, out: np.ndarray):
+    """An operand's shifts, sorted, which is the order of their columns on
+    the grid in each row, with their places among `shifts`, and the real and
+    imaginary parts of their weights, written into the front of `out`
+    (2 x shifts x (padded grid and a margin of zeros on each side))."""
+    keys, grid = sorted(by_shift), out[..., margin:out.shape[-1] - margin]
+    for row, k in enumerate(keys):
+        grid[0, row], grid[1, row] = by_shift[k].real, by_shift[k].imag
+    return list(map(shifts.index, keys)), keys, out[0, :len(keys)], out[1, :len(keys)]
 
 
-def _product(left, right, stride: int, rows: int,
+def _product(left, right, pairs: np.ndarray, start: int, stride: int, rows: int,
              out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the product of two _parts splits on
-    the padded rows 1..rows, per product shift, summed into `out`
-    (2 x 19 x rows * stride): row |m> of L_i R_j holds L_i[m] R_j[m + s_i]
-    in column |m + s_i + s_j>.  Each entry is formed as a sparse row-by-row
-    product forms it: summed over i in column order, each term rounded as
-    (ar br - ai bi, ar bi + ai br), with no fused multiply-add."""
-    (li, l_re, l_im), (rj, r_re, r_im) = left, right
-    start, stop = stride, stride * (rows + 1)
+    """Real and imaginary parts of the product of two _parts splits on `rows`
+    padded rows from flat index `start`, summed into `out` (2 x product
+    shifts x rows * stride): row |m> of L_i R_j holds L_i[m] R_j[m + s_i] in
+    column |m + s_i + s_j>, product shift pairs[i, j].  As a sparse product
+    forms it, the sum runs from zero over i in column order, each term
+    rounded as (ar br - ai bi, ar bi + ai br) with no fused multiply-add.  A
+    weight is zero where its column leaves the grid, so a slice reading past
+    the grid's edge (padding, margin or next row) adds nothing."""
+    (li, lk, l_re, l_im), (rj, _, r_re, r_im) = left, right
+    stop = start + stride * rows
     re, im = out
     out.fill(0.0)
-    for row, i in enumerate(li):
-        d1, d2 = _SHIFTS[i]
+    for row, (i, (d1, d2)) in enumerate(zip(li, lk)):
         at = d1 * stride + d2
         ar, ai = l_re[row, start:stop], l_im[row, start:stop]
         br, bi = r_re[:, start + at:stop + at], r_im[:, start + at:stop + at]
-        t = _PAIR_SHIFT[i, rj]
+        t = pairs[i, rj]
         re[t] += ar * br - ai * bi
         im[t] += ar * bi + ai * br
     return re, im
 
 
-def commutator_residual(g: GeneratorSet, x, y, z, degree: int) -> float:
-    """||P([X, Y] + Z)P||_F on the degree-`degree` interior, for X, Y and Z
-    in the span of the generators, each given as (generator name, c_k)
-    terms as combine takes them.
+def commutator_residual(g: GeneratorSet, x: Shifts, y: Shifts, z: Shifts,
+                        degree: int) -> float:
+    """||P([X, Y] + Z)P||_F on the degree-`degree` interior of g's cutoff, for
+    weighted shifts X, Y, Z: generator combinations (GeneratorSet.shifts,
+    sharing one table of product shifts) or others, such as chen's operators.
 
-    No matrix is formed: each operand is at most seven weighted shifts, a
-    product at most 49 products of shifted slices summed into the 19
-    product shifts, and only the rows of the box are formed; an entry counts
-    when its column is in the box too.  A weight is zero where its column
-    leaves the grid and the padding is zero, so every entry is that of the
-    truncated matrices, formed with the roundings of scipy's sparse product,
-    difference and sum, and the norm takes the nonzero entries in row-major
-    order as interior_residual does on the CSR matrices.  Where scipy rounds
-    without fused multiply-add and n2_max >= 4 (the 19 shifts then reach
-    their columns in sorted order), the two agree to the last bit."""
-    rows, kept = _interior_entries(g.cutoff, degree)
+    No matrix is formed: products of shifted slices are summed into the
+    shifts they land on, on the box's rows only; an entry counts when its
+    column is in the box too.  Entries get the roundings of scipy's sparse
+    product, difference and sum, and the norm takes the nonzero ones in
+    row-major order as interior_residual does on the CSR matrices: where
+    scipy rounds without fused multiply-add, the two agree to the last bit."""
+    used = {*x.weights, *y.weights, *z.weights}
+    shifts = _SHIFTS if used.issubset(_SHIFTS) else tuple(sorted(used))
     stride = g.cutoff.n2_max + 3
-    parts, products = g._work
-    xy, yx = products[:4 * len(_PRODUCT_SHIFTS) * rows * stride].reshape(
-        2, 2, len(_PRODUCT_SHIFTS), rows * stride)
-    x, y = _parts(_by_shift(g, x), parts[0]), _parts(_by_shift(g, y), parts[1])
-    (re, im), (yx_re, yx_im) = _product(x, y, stride, rows, xy), _product(y, x, stride, rows, yx)
+    products, pairs, own, margin = _products(shifts, stride)
+    rows, kept = _interior_entries(g.cutoff, degree, shifts)
+    parts, work = g._work if shifts is _SHIFTS else (   # the generators' need no margin
+        np.zeros((3, 2, len(shifts), (g.cutoff.n1_max + 3) * stride + 2 * margin)),
+        np.empty(4 * len(products) * rows * stride))
+    xy, yx = work[:4 * len(products) * rows * stride].reshape(2, 2, len(products), rows * stride)
+    x, y = _parts(shifts, x.weights, margin, parts[0]), _parts(shifts, y.weights, margin, parts[1])
+    start = margin + stride
+    (re, im), (yx_re, yx_im) = (_product(x, y, pairs, start, stride, rows, xy),
+                                _product(y, x, pairs, start, stride, rows, yx))
     re -= yx_re
     im -= yx_im
-    zk, z_re, z_im = _parts(_by_shift(g, z), parts[2])
-    own = [_OWN_SHIFT[k] for k in zk]
-    re[own] += z_re[:, stride:stride * (rows + 1)]
-    im[own] += z_im[:, stride:stride * (rows + 1)]
+    zk, _, z_re, z_im = _parts(shifts, z.weights, margin, parts[2])
+    at = [own[k] for k in zk]
+    re[at] += z_re[:, start:start + rows * stride]
+    im[at] += z_im[:, start:start + rows * stride]
     re, im = re.ravel()[kept], im.ravel()[kept]
     nonzero = (re != 0) | (im != 0)
     entries = np.empty(np.count_nonzero(nonzero), dtype=np.complex128)
     entries.real, entries.imag = re[nonzero], im[nonzero]
     return float(np.linalg.norm(entries))
-
-
-def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
-    """Diagonal 0/1 projector masking the outer `degree` occupation layers;
-    the reference that interior_residual is tested against."""
-    import scipy.sparse as sp
-
-    diag = np.zeros(cutoff.dim)
-    diag[interior_indices(cutoff, degree)] = 1.0
-    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
 
 
 def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
@@ -504,32 +552,15 @@ def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
     return np.flatnonzero(n1 + n2 <= s_max)
 
 
-def shell_projector(cutoff: FockCutoff, s_max: int) -> Operator:
-    """Diagonal 0/1 projector onto total occupation <= s_max; the reference
-    that interior_residual is tested against."""
-    import scipy.sparse as sp
-
-    diag = np.zeros(cutoff.dim)
-    diag[shell_indices(cutoff, s_max)] = 1.0
-    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
-
-
 def interior_residual(op: Operator, keep: np.ndarray) -> float:
     """Frobenius norm of `op` restricted to the sorted basis indices `keep`
     (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
     projector P onto them.  The restriction keeps the stored entries in
-    row-major order, so the sum runs in the same order as for P op P.
-
-    The norm is scipy.sparse.linalg.norm(sub, "fro"), though it equals
-    np.linalg.norm(sub.data): chen then always loads scipy.sparse.linalg
-    (about 10 MB with the scipy.linalg it imports), so whether a process
-    that runs chen loads it does not hang on whether some spectrum energy
-    took shift-invert, the only other path to it."""
-    import scipy.sparse.linalg
-
+    row-major order, so the sum runs in the same order as for P op P, and
+    the norm is that of the stored entries, as scipy takes it."""
     sub = op.mat[keep][:, keep]
     sub.sort_indices()
-    return float(scipy.sparse.linalg.norm(sub, "fro"))
+    return float(np.linalg.norm(sub.data))
 
 
 def apply(a: Operator, v: TwoModeState) -> TwoModeState:
@@ -656,40 +687,14 @@ def coherent_state(cutoff: FockCutoff, x1: complex, x2: complex) -> TwoModeState
 
 
 # ---------------------------------------------------------------------------
-# serialization: operators as sparse entry lists, states as dense re/im pairs
+# serialization: states as dense re/im pairs
 # ---------------------------------------------------------------------------
-
-def operator_to_json(a: Operator) -> dict:
-    return {
-        "cutoff": [a.cutoff.n1_max, a.cutoff.n2_max],
-        "entries": [[r, c, z.real, z.imag] for r, c, z in a.entries()],
-    }
-
-
-def operator_from_json(payload: dict) -> Operator:
-    import scipy.sparse as sp
-
-    cutoff = FockCutoff(*payload["cutoff"])
-    rows, cols, vals = [], [], []
-    for r, c, re, im in payload["entries"]:
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(re, im))
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(cutoff.dim, cutoff.dim), dtype=np.complex128)
-    return Operator(cutoff, m)
-
 
 def state_to_json(v: TwoModeState) -> dict:
     return {
         "cutoff": [v.cutoff.n1_max, v.cutoff.n2_max],
         "amplitudes": np.column_stack((v.amplitudes.real, v.amplitudes.imag)).tolist(),
     }
-
-
-def state_from_json(payload: dict) -> TwoModeState:
-    cutoff = FockCutoff(*payload["cutoff"])
-    amps = np.array([complex(re, im) for re, im in payload["amplitudes"]], dtype=np.complex128)
-    return TwoModeState(cutoff, amps)
 
 
 def state_to_csv(v: TwoModeState) -> str:

@@ -499,8 +499,8 @@ def verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     on the generators' grid weights (fock.commutator_residual); no matrix is
     formed."""
     scale = c.scale
-    a = ladder_terms(LadderCoeffs(*(c.as_array() / scale)) if scale else c)
-    return commutator_residual(g, hamiltonian_terms(p), a, a, degree)
+    a = g.shifts(ladder_terms(LadderCoeffs(*(c.as_array() / scale)) if scale else c))
+    return commutator_residual(g, g.shifts(hamiltonian_terms(p)), a, a, degree)
 
 
 # ---------------------------------------------------------------------------

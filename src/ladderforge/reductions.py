@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
-from .fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
-                   build_generators, coherent_state, shell_indices)
+from .fock import (CreationPoly, FockCutoff, Operator, build_generators, coherent_state,
+                   shell_indices)
 from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                      build_ladder, hamiltonian_terms, ladder_terms)
 from .transforms import UnitarySpec, mixing_angle
@@ -210,8 +210,10 @@ def reduction_frame(p: HamiltonianParams) -> Frame:
 
 
 def _lost(w: np.ndarray) -> np.ndarray:
-    """1 - ||w_j||^2: the weight each column has past the cutoff."""
-    return 1.0 - np.vecdot(w.T, w.T).real
+    """1 - ||w_j||^2: the weight each column has past the cutoff, inf for a
+    column that is not finite, which counts as lost."""
+    lost = 1.0 - np.vecdot(w.T, w.T).real
+    return np.where(np.isfinite(lost), lost, np.inf)
 
 
 def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
@@ -234,7 +236,7 @@ def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
     return hi
 
 
-def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
+def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
                          eps: int = 1) -> Reduction:
     """Return the basic-form parameters, coefficients and the transform chain.
 
@@ -250,15 +252,15 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
 
     A frame with no displacement is a rotation alone: W, H W, A W and the
     reduced blocks R[S, S] are formed on the box n1, n2 <= min(N1, N2)//2
-    that holds its columns; a displaced frame's on the whole grid of g.
+    that holds its columns; a displaced frame's on the whole grid.  The
+    generator set is built once, on that box or grid.
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
-    cut = g.cutoff
     top = min(cut.n1_max, cut.n2_max) // 2
-    if not (frame.c.any() or frame.x.any()):   # n1 + n2 <= top on every column
-        g = build_generators(FockCutoff(top, top))
+    # with no displacement, n1 + n2 <= top on every column
+    g = build_generators(cut if frame.c.any() or frame.x.any() else FockCutoff(top, top))
     keep = shell_indices(g.cutoff, top)
     w = frame.columns(g.cutoff, keep)
     shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)

@@ -1,7 +1,9 @@
-"""Independent references: the generators as Kronecker and matrix products
-of the one-mode annihilator, and H and A as chained Operator sums of them;
+"""Independent references: the interior and shell projectors that
+interior_residual restricts to; the generators as Kronecker and matrix
+products of the one-mode annihilator, and H and A as chained Operator sums of them;
 scipy's sparse Frobenius norm; the ladder identity as CSR products
-restricted to the interior;
+restricted to the interior; chen's p:q operators as chained products of the
+CSR generators, with their identities on those matrices;
 for the closed-form reduction, coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
@@ -16,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from ladderforge.errors import LadderForgeError
+from ladderforge.chen import PQParams
+from ladderforge.errors import DomainError, LadderForgeError
 from ladderforge.fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
                               TwoModeState, apply, commutator, interior_indices,
                               interior_residual, normalize, shell_indices,
@@ -40,6 +43,27 @@ def assert_same_csr(op: Operator, ref: Operator) -> None:
     np.testing.assert_array_equal(op.mat.indices, ref.mat.indices)
     assert op.mat.data.shape == ref.mat.data.shape
     np.testing.assert_array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+
+
+def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
+    """Diagonal 0/1 projector masking the outer `degree` occupation layers."""
+    diag = np.zeros(cutoff.dim)
+    diag[interior_indices(cutoff, degree)] = 1.0
+    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
+
+
+def shell_projector(cutoff: FockCutoff, s_max: int) -> Operator:
+    """Diagonal 0/1 projector onto total occupation <= s_max."""
+    diag = np.zeros(cutoff.dim)
+    diag[shell_indices(cutoff, s_max)] = 1.0
+    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
+
+
+def zero_signed_bits(z) -> np.ndarray:
+    """The float64 bits of the real and imaginary parts of z, -0 read as +0:
+    two paths that round alike but add a zero in another place differ only
+    in the sign of a zero."""
+    return (np.asarray(z, dtype=np.complex128).view(float) + 0.0).view(np.uint64)
 
 
 def csr_frobenius(op: Operator) -> float:
@@ -94,6 +118,66 @@ def csr_verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
     its scale."""
     a = build_ladder(LadderCoeffs(*(c.as_array() / c.scale)), g)
     return csr_ladder_residual(build_hamiltonian(p, g), a, degree)
+
+
+def _op_power(op: Operator, n: int, ident: Operator) -> Operator:
+    out = ident
+    for _ in range(n):
+        out = out @ op
+    return out
+
+
+def csr_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+    """chen.build_H_pq as CSR products and sums of the generators."""
+    num1 = g.a1_dag @ g.a1
+    num2 = g.a2_dag @ g.a2
+    return (pq.p * num1 + pq.q * num2) / (pq.p * pq.q)
+
+
+def csr_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+    """chen.build_calA_pq from CSR powers of a2 and a1."""
+    a2p = _op_power(g.a2, pq.p, g.identity)
+    a1q = _op_power(g.a1, pq.q, g.identity)
+    return (np.conj(pq.alpha_plus) * pq.q * a2p
+            - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
+
+
+def csr_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
+    """chen.build_A_pq_generalized from CSR powers of a1' and a2'."""
+    left = _op_power(g.a1_dag, pq.q - 1, g.identity) @ g.a2
+    right = g.a1 @ _op_power(g.a2_dag, pq.p - 1, g.identity)
+    return pq.alpha_minus * left + pq.alpha_plus * right
+
+
+def csr_chen_residuals(pq: PQParams, g: GeneratorSet, degree: int) -> tuple[float, float]:
+    """chen's ladder_residual ||P([H, calA] + calA)P|| and
+    generalized_commutes_residual ||P[A_gen, calA']P|| on the CSR products."""
+    h, cal_a, a_gen = csr_H_pq(pq, g), csr_calA_pq(pq, g), csr_A_pq_generalized(pq, g)
+    keep = interior_indices(g.cutoff, degree)
+    return (interior_residual(commutator(h, cal_a) + cal_a, keep),
+            interior_residual(commutator(a_gen, cal_a.dag()), keep))
+
+
+def alt_hamiltonian(pq: PQParams, g: GeneratorSet) -> Operator:
+    """(p n1 + q n2) / (1 - (p-1)(q-1)); the Chen grounds are its eigenstates
+    with energy p q kappa / (1 - (p-1)(q-1))."""
+    den = 1 - (pq.p - 1) * (pq.q - 1)
+    if den == 0:
+        raise DomainError("alt-denominator", "(p-1)(q-1) = 1 leaves the form undefined")
+    num1 = g.a1_dag @ g.a1
+    num2 = g.a2_dag @ g.a2
+    return (pq.p * num1 + pq.q * num2) / den
+
+
+def chen_ground_via_raising(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoModeState:
+    """Brute-force route: normalize((calA')^kappa |0,0>) with CSR mat-vecs."""
+    raiser = csr_calA_pq(pq, g).dag()
+    v = vacuum_state(g.cutoff)
+    for _ in range(kappa):
+        v = apply(raiser, v)
+    if np.linalg.norm(v.amplitudes) < 1e-12:
+        raise LadderForgeError("raising chain collapsed below the requested kappa")
+    return normalize(v)
 
 
 def _me(op: Operator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:

@@ -17,8 +17,7 @@ from ladderforge.eigenstates import (EigenstateRequest, basic21_states,
                                      linear_coupled_states, su2_ground,
                                      verify_eigenstate)
 from ladderforge.fock import (FockCutoff, build_generators, commutator,
-                              interior_indices, interior_projector,
-                              shell_projector, vacuum_state)
+                              interior_indices, vacuum_state)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 compute_a0, solve_alpha_block, solve_ladder,
@@ -29,7 +28,7 @@ from ladderforge.spectra import (diagonalize_oracle, normal_order_coeffs,
                                  normal_order_power, raising_chain)
 from ladderforge.transforms import (build_chain, build_unitary,
                                     rotation_safe_degree, similarity)
-from oracles import mix_spec, rotated_couplings
+from oracles import interior_projector, mix_spec, rotated_couplings, shell_projector
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -297,7 +296,7 @@ def test_criterion_6_similarity_reductions(gen14a):
     worst = max(worst, entrywise(similarity(t, build_hamiltonian(p, g)), 2.0 * g.j3))
     # composite rotation + displacement chain with the printed constant shift
     p = gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.10 - 0.06j, h0=0.3)
-    red = reduce_by_similarity(p, solve_ladder(p).coeffs[0], g)
+    red = reduce_by_similarity(p, solve_ladder(p).coeffs[0], g.cutoff)
     g1, g2 = rotated_couplings(p)
     h0_target = p.h0 - 2 * abs(g1) ** 2 / (p.beta0 + 1) - 2 * abs(g2) ** 2 / (p.beta0 - 1)
     sproj = shell_projector(g.cutoff, red.shell_max)
@@ -311,7 +310,7 @@ def test_criterion_6_similarity_reductions(gen14a):
     p = gate_params(3.0, 0.6, 1.0)
     rep = solve_ladder(p)
     combined = rep.coeffs[0].plus(rep.coeffs[1])
-    red = reduce_by_similarity(p, combined, g)
+    red = reduce_by_similarity(p, combined, g.cutoff)
     u = build_chain(red.chain, g)
     e1 = diagonalize_oracle(build_hamiltonian(p, g), deg)
     e2 = diagonalize_oracle(similarity(u, build_hamiltonian(p, g)), deg)
@@ -454,7 +453,7 @@ def test_criterion_8_chen_louck(gen20a):
     worst = 0.0
     for p_int, q_int in coprime:
         pq = PQParams(p_int, q_int, 0.7 + 0.2j, 0.9 - 0.5j)
-        h = build_H_pq(pq, gen20a)
+        h = build_H_pq(pq, gen20a).csr()
         for kappa in range(5):
             if pq.q * kappa > 20 or pq.p * kappa > 20:
                 continue
@@ -467,7 +466,7 @@ def test_criterion_8_chen_louck(gen20a):
     multiset_ok = True
     for p_int, q_int in coprime:
         pq = PQParams(p_int, q_int)
-        oracle = diagonalize_oracle(build_H_pq(pq, g12), 0)
+        oracle = diagonalize_oracle(build_H_pq(pq, g12).csr(), 0)
         expected = []
         for n1, n2 in cut.states():
             expected.append(louck_spectrum(pq, n1 // pq.q + n2 // pq.p,

@@ -1,16 +1,21 @@
+import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import csr_ladder_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (alt_hamiltonian, assert_same_csr, chen_ground_via_raising,
+                     csr_A_pq_generalized, csr_calA_pq, csr_chen_residuals, csr_H_pq,
+                     csr_ladder_residual, interior_projector, zero_signed_bits)
 
-from ladderforge.chen import (PQParams, alt_hamiltonian, build_A_pq_generalized,
-                              build_calA_pq, build_H_pq, chen_ground,
-                              chen_ground_via_raising, degenerate_zero_states,
+from ladderforge import cli
+from ladderforge.chen import (PQParams, build_A_pq_generalized, build_calA_pq,
+                              build_H_pq, chen_ground, degenerate_zero_states,
                               louck_spectrum, tilde0_state)
 from ladderforge.errors import DomainError
-from ladderforge.fock import (FockCutoff, build_generators, commutator,
-                              interior_projector)
+from ladderforge.fock import FockCutoff, build_generators, commutator, commutator_residual
 from ladderforge.spectra import diagonalize_oracle
 
 COPRIME = [(1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (2, 3), (4, 1), (4, 3),
@@ -26,22 +31,22 @@ def test_coprimality_enforced():
 
 def test_h_diagonal_values(gen10):
     cut = gen10.cutoff
-    h = build_H_pq(PQParams(2, 1), gen10)
+    h = build_H_pq(PQParams(2, 1), gen10).csr()
     assert abs(h.mat[cut.index(1, 1), cut.index(1, 1)] - 1.5) < 1e-12
-    h = build_H_pq(PQParams(3, 2), gen10)
+    h = build_H_pq(PQParams(3, 2), gen10).csr()
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 2.0) < 1e-12
-    h = build_H_pq(PQParams(1, 1), gen10)
+    h = build_H_pq(PQParams(1, 1), gen10).csr()
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 5.0) < 1e-12
 
 
 def test_special_lowering_simple_forms(gen10):
     pq = PQParams(1, 1, 0.7 + 0.2j, 0.9 - 0.5j)
-    a = build_calA_pq(pq, gen10)
+    a = build_calA_pq(pq, gen10).csr()
     expected = (np.conj(pq.alpha_plus) * gen10.a2
                 - np.conj(pq.alpha_minus) * gen10.a1)
     assert (a - expected).norm() < 1e-13
     pq21 = PQParams(2, 1, 0.7 + 0.2j, 0.9 - 0.5j)
-    a21 = build_calA_pq(pq21, gen10)
+    a21 = build_calA_pq(pq21, gen10).csr()
     expected = (np.conj(pq21.alpha_plus) * (gen10.a2 @ gen10.a2)
                 - 2 * np.conj(pq21.alpha_minus) * gen10.a1) / 2.0
     assert (a21 - expected).norm() < 1e-13
@@ -49,11 +54,11 @@ def test_special_lowering_simple_forms(gen10):
 
 def test_generalized_simple_forms(gen10):
     pq = PQParams(1, 1, 0.7, 0.9)
-    a = build_A_pq_generalized(pq, gen10)
+    a = build_A_pq_generalized(pq, gen10).csr()
     expected = pq.alpha_minus * gen10.a2 + pq.alpha_plus * gen10.a1
     assert (a - expected).norm() < 1e-13
     pq21 = PQParams(2, 1, 0.7, 0.9)
-    a21 = build_A_pq_generalized(pq21, gen10)
+    a21 = build_A_pq_generalized(pq21, gen10).csr()
     expected = pq21.alpha_minus * gen10.a2 + pq21.alpha_plus * gen10.j_minus
     assert (a21 - expected).norm() < 1e-13
 
@@ -61,9 +66,9 @@ def test_generalized_simple_forms(gen10):
 @pytest.mark.parametrize("p,q", COPRIME)
 def test_ladder_and_commuting_invariants(gen14, p, q):
     pq = PQParams(p, q, 0.7 + 0.2j, 0.9 - 0.5j)
-    h = build_H_pq(pq, gen14)
-    cal_a = build_calA_pq(pq, gen14)
-    a_gen = build_A_pq_generalized(pq, gen14)
+    h = build_H_pq(pq, gen14).csr()
+    cal_a = build_calA_pq(pq, gen14).csr()
+    a_gen = build_A_pq_generalized(pq, gen14).csr()
     degree = max(p, q)
     assert csr_ladder_residual(h, cal_a, degree) < 1e-10
     proj = interior_projector(gen14.cutoff, degree)
@@ -75,8 +80,8 @@ def test_ladder_and_commuting_invariants(gen14, p, q):
 
 def test_chen_grounds(gen20):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
-    h = build_H_pq(pq, gen20)
-    a_gen = build_A_pq_generalized(pq, gen20)
+    h = build_H_pq(pq, gen20).csr()
+    a_gen = build_A_pq_generalized(pq, gen20).csr()
     for kappa in range(5):
         v = chen_ground(pq, kappa, gen20)
         w = chen_ground_via_raising(pq, kappa, gen20)
@@ -126,8 +131,8 @@ def test_degenerate_zero_subspace(gen14):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
     zeros = degenerate_zero_states(pq, gen14)
     assert len(zeros) == 6
-    cal_a = build_calA_pq(pq, gen14)
-    h = build_H_pq(pq, gen14)
+    cal_a = build_calA_pq(pq, gen14).csr()
+    h = build_H_pq(pq, gen14).csr()
     for k1 in range(pq.q):
         for k2 in range(pq.p):
             v = zeros[k1 * pq.p + k2]
@@ -152,7 +157,7 @@ def test_louck_multiset_matches_oracle():
     cut = FockCutoff(12, 12)
     g = build_generators(cut)
     pq = PQParams(3, 2)
-    h = build_H_pq(pq, g)
+    h = build_H_pq(pq, g).csr()
     oracle = diagonalize_oracle(h, 0)
     expected = []
     for n1, n2 in cut.states():
@@ -167,8 +172,8 @@ def test_tilde0(gen14):
     for (p, q) in [(1, 1), (3, 2), (5, 4)]:
         pq = PQParams(p, q, 0.7 + 0.2j, 0.9 - 0.5j)
         v = tilde0_state(pq, gen14)
-        h = build_H_pq(pq, gen14)
-        cal_a = build_calA_pq(pq, gen14)
+        h = build_H_pq(pq, gen14).csr()
+        cal_a = build_calA_pq(pq, gen14).csr()
         assert np.linalg.norm(cal_a.mat @ v.amplitudes) < 1e-10
         assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
 
@@ -181,8 +186,8 @@ def test_tilde0_subnormal_amplitude(gen14):
         v = tilde0_state(pq, gen14)
         assert np.all(np.isfinite(v.amplitudes))
         assert abs(np.linalg.norm(v.amplitudes) - 1.0) < 1e-14
-        cal_a = build_calA_pq(pq, gen14)
-        h = build_H_pq(pq, gen14)
+        cal_a = build_calA_pq(pq, gen14).csr()
+        h = build_H_pq(pq, gen14).csr()
         assert np.linalg.norm(cal_a.mat @ v.amplitudes) < 1e-10
         assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
     # same ray as the quotient form p/(alpha+* sqrt(p!)), q/(alpha-* sqrt(q!))
@@ -205,8 +210,8 @@ def test_tilde0_11_form(gen14):
 def test_tilde0_raising_chain(gen14):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
     from ladderforge.spectra import raising_chain
-    h = build_H_pq(pq, gen14)
-    cal_a = build_calA_pq(pq, gen14)
+    h = build_H_pq(pq, gen14).csr()
+    cal_a = build_calA_pq(pq, gen14).csr()
     rep = raising_chain(h, cal_a, tilde0_state(pq, gen14), 2, 1.0, degree=max(pq.p, pq.q))
     for e in rep.entries:
         assert abs(e.energy_chain - (e.n + 1.0)) < 1e-9 and e.residual < 1e-9
@@ -214,7 +219,7 @@ def test_tilde0_raising_chain(gen14):
 
 def test_alt_hamiltonian(gen20):
     assert (alt_hamiltonian(PQParams(1, 1), gen20)
-            - build_H_pq(PQParams(1, 1), gen20)).norm() < 1e-12
+            - build_H_pq(PQParams(1, 1), gen20).csr()).norm() < 1e-12
     pq = PQParams(4, 1)
     h = alt_hamiltonian(pq, gen20)
     v = chen_ground(pq, 2, gen20)
@@ -233,3 +238,65 @@ def test_alt_hamiltonian_rejects_degenerate(gen10):
     object.__setattr__(pq, "alpha_minus", 1.0 + 0j)
     with pytest.raises(DomainError):
         alt_hamiltonian(pq, gen10)
+
+
+# ---------------------------------------------------------------------------
+# the operators as weighted shifts against their CSR product chain
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _chen_cases(draw):
+    p, q = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (5, 3)]))
+    kappa, degree = draw(st.integers(0, 3)), max(p, q)
+    n1 = draw(st.integers(max(2 * degree, q * kappa), 60))
+    n2 = draw(st.integers(max(2 * degree, p * kappa), 60))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=2))
+    pq = PQParams(p, q, *(complex(math.cos(t), math.sin(t)) for t in phases))
+    return pq, kappa, FockCutoff(n1, n2)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_chen_cases())
+def test_chen_shifts_equal_the_csr_product_chain(case):
+    # every check the chen scenario makes, bit for bit: the two identities
+    # through commutator_residual, the mat-vecs on its states, and the
+    # operators assembled from their shifts
+    pq, kappa, cut = case
+    g = build_generators(cut)
+    h, cal_a, a_gen = build_H_pq(pq, g), build_calA_pq(pq, g), build_A_pq_generalized(pq, g)
+    ref = csr_H_pq(pq, g), csr_calA_pq(pq, g), csr_A_pq_generalized(pq, g)
+    for op, want in zip((h, cal_a, a_gen), ref):
+        assert_same_csr(op.csr(), want)
+    assert_same_csr(cal_a.dag().csr(), ref[1].dag())
+    degree = max(pq.p, pq.q)
+    got = (commutator_residual(g, h, cal_a, cal_a, degree),
+           commutator_residual(g, a_gen, cal_a.dag(), g.shifts([]), degree))
+    assert (zero_signed_bits(got) == zero_signed_bits(csr_chen_residuals(pq, g, degree))).all()
+    states = [chen_ground(pq, kappa, g), tilde0_state(pq, g), *degenerate_zero_states(pq, g)]
+    for v in (s.amplitudes for s in states):
+        for op, want in zip((h, cal_a, a_gen), ref):
+            assert (zero_signed_bits(op.matvec(v)) == zero_signed_bits(want.mat @ v)).all()
+
+
+def _perturbed_calA(pq, g):
+    # one of the two shifts scaled by 1 + 1e-9: each shift alone steps the
+    # energy by one, but the ratio of the two is what A_gen commutes with
+    # and what the zero mode tilde0 is annihilated by
+    cal_a = build_calA_pq(pq, g)
+    k = min(cal_a.weights)
+    cal_a.weights[k] = cal_a.weights[k] * (1 + 1e-9)
+    return cal_a
+
+
+@pytest.mark.parametrize("patch, failing", [
+    (("build_calA_pq", _perturbed_calA),
+     ["generalized_commutes_residual", "tilde0_residual"]),
+    (("build_H_pq", lambda pq, g: build_H_pq(PQParams(5, pq.q), g)),
+     ["ladder_residual", "ground_energy_residual", "tilde0_residual"]),
+])
+def test_chen_still_fails_a_false_identity(tmp_path, monkeypatch, patch, failing):
+    monkeypatch.setattr(cli, *patch)
+    assert cli.run(["chen", "--p", "3", "--q", "2", "--kappa", "2", "--cutoff", "12,12",
+                    "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "chen.json").read_text())["report"]
+    assert [k for k in failing if report[k] > report["tolerance"]] == failing

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csr_verify_ladder
 
-from ladderforge import cli, fock
+from ladderforge import cli, fock, reductions
 from ladderforge.cli import _ALGEBRA_IDENTITIES, _json_text, build_parser, run
 from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator,
                               commutator_residual, interior_indices, interior_residual)
@@ -410,17 +410,56 @@ def test_gate_scenarios_load_no_scipy(tmp_path):
     assert out.stdout.split("\n")[:2] == ["[0, 0, 0]", "[]"]
 
 
-def test_chen_loads_sparse_linalg(tmp_path):
-    # chen's interior residuals are scipy.sparse.linalg.norm, so a process
-    # that runs chen has it loaded whether or not a spectrum energy later
-    # takes shift-invert, and its footprint does not hang on that
+def test_chen_loads_no_scipy(tmp_path):
+    # chen checks its identities on the weighted shifts of its operators and
+    # applies them to states as shift mat-vecs: no CSR matrix is built
+    calls = [["chen", "--p", "3", "--q", "2", "--cutoff", "12,12"],
+             ["chen", "--p", "2", "--q", "1", "--cutoff", "40,40"]]
     probe = ("import sys; from ladderforge.cli import run; "
-             f"code = run(['chen', '--p', '3', '--q', '2', '--cutoff', '12,12', "
-             f"'--out', {str(tmp_path)!r}]); "
-             "print(code, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+             f"print([run(argv + ['--out', {str(tmp_path)!r}]) for argv in {calls!r}]); "
+             f"print({_SCIPY_LOADED})")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["0", "True", "True"]
+    assert out.stdout.split("\n")[:2] == ["[0, 0]", "[]"]
+
+
+def test_chen_assembles_no_csr_matrix(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chen assembled a CSR matrix")
+
+    monkeypatch.setattr(fock, "_csr", refuse)
+    for argv in (["--p", "3", "--q", "2", "--kappa", "2", "--cutoff", "12,12"],
+                 ["--p", "2", "--q", "1", "--cutoff", "40,40"]):
+        assert run(["chen", *argv, "--out", str(tmp_path)]) == 0, argv
+
+
+@pytest.mark.parametrize("scenario, params, built", [
+    ("verify-algebra", None, [(14, 14)]),
+    ("solve-ladder", GENERALIZED_21, [(14, 14)]),
+    ("spectrum", GENERALIZED_21, [(14, 14)]),
+    ("eigenstate", GENERALIZED_21, [(14, 14)]),
+    ("chen", None, [(14, 14)]),
+    ("catalogue-sweep", None, [(14, 14)]),
+    # a rotation alone is certified on the box n1, n2 <= 7 that holds its
+    # columns, a displaced frame on the whole grid
+    ("reduce", GENERALIZED_21, [(7, 7)]),
+    ("reduce", {"beta0": 3.0, "beta3": 1.0, "gamma1": [0.15, 0.0]}, [(14, 14)]),
+])
+def test_each_scenario_builds_one_generator_set(tmp_path, monkeypatch, scenario, params,
+                                                built):
+    cutoffs = []
+
+    def counted(cutoff):
+        cutoffs.append((cutoff.n1_max, cutoff.n2_max))
+        return build_generators(cutoff)
+
+    monkeypatch.setattr(cli, "build_generators", counted)
+    monkeypatch.setattr(reductions, "build_generators", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params} if params else {}))
+    assert run([scenario, "--config", str(cfg), "--cutoff", "14,14",
+                "--out", str(tmp_path)]) == 0
+    assert cutoffs == built
 
 
 LINEAR_ISO = {"beta0": 2.0, "gamma1": [0.2, 0.1], "gamma2": [0.0, -0.15]}
@@ -542,6 +581,10 @@ _MALFORMED = [
     ("solve-ladder", {"params": {"beta0": 1e300, "beta3": 1e300}}, []),
     *[(s, {"params": {"beta0": 2, "gamma1": [1e300, 0]}}, [])
       for s in ("spectrum", "eigenstate", "reduce")],
+    # finite squares whose sums overflow: b^2 = 4|beta_plus|^2 + beta3^2
+    # and |gamma1|^2 + |gamma2|^2
+    ("solve-ladder", {"params": {"beta0": 2.5, "beta_plus": [1e154, 0], "beta3": 1e154}}, []),
+    ("reduce", {"params": {"beta0": 2, "gamma1": [1e154, 0], "gamma2": [1e154, 0]}}, []),
 ]
 
 
@@ -698,7 +741,8 @@ def test_algebra_identities_match_their_csr_form(cut):
     for name, x, y, degree, z in _ALGEBRA_IDENTITIES:
         csr = commutator(getattr(g, x), getattr(g, y)) + g.combine(z)
         want = interior_residual(csr, interior_indices(g.cutoff, degree))
-        assert commutator_residual(g, [(x, 1)], [(y, 1)], z, degree) == want, name
+        got = commutator_residual(g, g.shifts([(x, 1)]), g.shifts([(y, 1)]), g.shifts(z), degree)
+        assert got == want, name
 
 
 @pytest.mark.parametrize("cut", [(5, 1), (12, 16), (24, 24)])
@@ -717,8 +761,10 @@ def test_commutator_residual_reuses_its_work_arrays_exactly(cut, rng):
              for degree in [*rng.permutation(min(cut) + 1), 0, min(cut)] * 3]
     calls += [(calls[0][0], calls[0][1], [], calls[0][3]), ([], calls[1][1], [], 0)]
     for x, y, z, degree in calls:
-        got = commutator_residual(g, x, y, z, degree)
-        want = commutator_residual(build_generators(FockCutoff(*cut)), x, y, z, degree)
+        got = commutator_residual(g, g.shifts(x), g.shifts(y), g.shifts(z), degree)
+        fresh = build_generators(FockCutoff(*cut))
+        want = commutator_residual(fresh, fresh.shifts(x), fresh.shifts(y), fresh.shifts(z),
+                                   degree)
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), degree
 
 

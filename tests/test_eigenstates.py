@@ -412,7 +412,8 @@ def test_b2_family(gen20):
                          nu2=-2 * p.beta_plus / (2 - b3) * nu1 / scale)
     a = build_ladder(coeff, gen20)
     h = build_hamiltonian(p, gen20)
-    from ladderforge.fock import commutator, interior_projector
+    from ladderforge.fock import commutator
+    from oracles import interior_projector
     proj = interior_projector(gen20.cutoff, 2)
     assert (proj @ (commutator(a, a.dag()) - gen20.identity) @ proj).norm() < 1e-10
     for lam, branch in [(0.0, 1), (0.6 + 0.2j, 1), (0.0, 2), (0.5 - 0.7j, 2)]:

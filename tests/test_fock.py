@@ -6,18 +6,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (ORACLE_CUTOFFS, apply_creation_series, assert_same_csr,
-                     csr_frobenius, csr_poly, kron_generators)
+                     csr_frobenius, csr_poly, interior_projector, kron_generators,
+                     shell_projector, zero_signed_bits)
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, LadderForgeError
 from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff,
                               Operator, TwoModeState, apply, basis_state,
                               build_generators, coherent_state, commutator,
-                              interior_indices, interior_projector,
-                              interior_residual, norm, normalize,
-                              operator_from_json, operator_to_json,
-                              shell_indices, shell_projector,
-                              state_from_json, state_to_csv,
+                              commutator_residual,
+                              interior_indices, interior_residual, norm,
+                              normalize, shell_indices, state_to_csv,
                               state_to_json, vacuum_state)
 from ladderforge.params import build_hamiltonian, build_ladder
 
@@ -230,17 +229,12 @@ def test_creation_poly_acts_as_its_csr_operator(cutoff, rng):
     assert np.array_equal(act(vs[1]), act(vs)[1])
 
 
-def test_operator_json_roundtrip(gen8):
-    op = gen8.j_plus + 0.3j * gen8.a1
-    back = operator_from_json(json.loads(json.dumps(operator_to_json(op))))
-    assert (back - op).norm() < 1e-14
-
-
 def test_state_json_and_csv(gen8):
     v = normalize(TwoModeState(gen8.cutoff,
                                np.arange(gen8.cutoff.dim, dtype=float) + 0.5j))
-    back = state_from_json(json.loads(json.dumps(state_to_json(v))))
-    assert np.linalg.norm(back.amplitudes - v.amplitudes) < 1e-14
+    payload = json.loads(json.dumps(state_to_json(v)))
+    assert payload["cutoff"] == [gen8.cutoff.n1_max, gen8.cutoff.n2_max]
+    assert payload["amplitudes"] == [[z.real, z.imag] for z in v.amplitudes.tolist()]
     csv = state_to_csv(v)
     lines = csv.strip().split("\n")
     assert lines[0] == "n1,n2,re,im,probability"
@@ -439,3 +433,47 @@ def test_operator_sums_duplicate_entries():
     assert op.norm() == 7.0 == np.linalg.norm(op.to_dense())
     for arr, kept in zip(arrays, before):
         np.testing.assert_array_equal(arr, kept)
+
+
+# ---------------------------------------------------------------------------
+# weighted shifts: products, mat-vecs, adjoints and the commutator kernel on
+# operators beyond the generators' seven shifts, against their CSR forms
+# ---------------------------------------------------------------------------
+
+def _random_terms(rng):
+    picked = rng.choice(GENERATOR_NAMES, size=rng.integers(1, 6), replace=False)
+    return [(str(n), complex(*rng.normal(size=2))) for n in picked]
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(1, 1), (2, 5), (5, 1), (6, 6), (12, 16)])
+def test_shift_products_are_the_sparse_products(n1_max, n2_max, rng):
+    # products of combinations with up to seven shifts each, several pairs
+    # landing on one product shift, and a product of three
+    g = build_generators(FockCutoff(n1_max, n2_max))
+    for _ in range(12):
+        x, y, z = (_random_terms(rng) for _ in range(3))
+        xs, ys, zs = g.shifts(x), g.shifts(y), g.shifts(z)
+        xy = g.combine(x) @ g.combine(y)
+        assert_same_csr((xs @ ys).csr(), xy)
+        assert_same_csr((xs @ ys @ zs).csr(), xy @ g.combine(z))
+        v = [1, 1j] @ rng.normal(size=(2, g.cutoff.dim))
+        assert (zero_signed_bits((xs @ ys).matvec(v)) == zero_signed_bits(xy.mat @ v)).all()
+        assert (zero_signed_bits((xs @ ys).dag().csr().to_dense())
+                == zero_signed_bits(xy.dag().to_dense())).all()
+
+
+@pytest.mark.parametrize("n1_max,n2_max", [(8, 8), (9, 13), (16, 12)])
+def test_commutator_residual_on_any_shifts_is_the_csr_one(n1_max, n2_max, rng):
+    # operands that are products of combinations move the grid by up to two
+    # in each mode, so each shift set gets its own product table, and the
+    # identity is formed on boxes down to degree 0, where the shifted slices
+    # run off the padded grid
+    cut = FockCutoff(n1_max, n2_max)
+    g = build_generators(cut)
+    for degree in [0, 1, 2, 4]:
+        x, y, z = (g.shifts(_random_terms(rng)) @ g.shifts(_random_terms(rng))
+                   for _ in range(3))
+        got = commutator_residual(g, x, y, z, degree)
+        xc, yc, zc = x.csr(), y.csr(), z.csr()
+        want = interior_residual(commutator(xc, yc) + zc, interior_indices(cut, degree))
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), degree

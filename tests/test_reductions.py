@@ -53,7 +53,7 @@ def test_fractional_reduction_signs(gen14, beta0, eps, target_beta3):
     b = abs(2.0 - beta0)
     p = gate_params(beta0, 0.5, b)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, rep.coeffs[0], gen14, eps=eps)
+    red = reduce_by_similarity(p, rep.coeffs[0], gen14.cutoff, eps=eps)
     assert red.h_residual < 1e-8
     assert red.a_residual < 1e-8
     assert abs(red.params.beta_plus) < 1e-10
@@ -67,7 +67,7 @@ def test_fractional_reduction_signs(gen14, beta0, eps, target_beta3):
 def test_extended_21_reduction(gen14):
     p = gate_params(3.0, 0.0, 1.0, theta=0.4)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, combined_coeffs(rep), gen14)
+    red = reduce_by_similarity(p, combined_coeffs(rep), gen14.cutoff)
     assert abs(red.params.beta0 - 3.0) < 1e-9
     assert abs(red.params.beta3 - 1.0) < 1e-9
     assert red.h_residual < 1e-8
@@ -80,7 +80,7 @@ def test_extended_21_reduction(gen14):
 def test_generalized_21_reduction(gen14):
     p = gate_params(3.0, 0.6, 1.0)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, combined_coeffs(rep), gen14)
+    red = reduce_by_similarity(p, combined_coeffs(rep), gen14.cutoff)
     assert abs(red.params.beta3 - 1.0) < 1e-9
     # printed su(2) amplitude of the reduced ladder: -alpha3 e^{i theta}/(2R)
     expected_ap = -1.0 * np.exp(1j * p.theta) / (2 * abs(p.beta_plus))
@@ -89,7 +89,7 @@ def test_generalized_21_reduction(gen14):
 
 def test_b2_reduction_to_j3(gen14):
     p = gate_params(0.0, 0.8, 2.0, theta=1.1)
-    red = reduce_by_similarity(p, LadderCoeffs(mu1=1.0), gen14)
+    red = reduce_by_similarity(p, LadderCoeffs(mu1=1.0), gen14.cutoff)
     assert abs(red.params.beta0) < 1e-9
     assert abs(red.params.beta3 - 2.0) < 1e-9
     assert red.h_residual < 1e-8
@@ -98,7 +98,7 @@ def test_b2_reduction_to_j3(gen14):
 def test_composite_reduction_with_couplings(gen14):
     p = gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.10 - 0.06j, h0=0.3)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, rep.coeffs[0], gen14)
+    red = reduce_by_similarity(p, rep.coeffs[0], gen14.cutoff)
     assert [s.kind for s in red.chain] == ["mix_t", "displace1", "displace2"]
     assert red.h_residual < 1e-8
     assert abs(red.params.gamma1) < 1e-9 and abs(red.params.gamma2) < 1e-9
@@ -110,7 +110,7 @@ def test_composite_reduction_with_couplings(gen14):
 def test_displaced_iso_reduction(gen14):
     p = HamiltonianParams(beta0=2.0, gamma1=0.2 + 0.1j, gamma2=0.15 - 0.05j)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, rep.coeffs[0], gen14)
+    red = reduce_by_similarity(p, rep.coeffs[0], gen14.cutoff)
     assert [s.kind for s in red.chain] == ["displace1", "displace2"]
     assert abs(red.params.h0 - (-(abs(p.gamma1) ** 2 + abs(p.gamma2) ** 2))) < 1e-9
     # displacement amplitudes are -gamma_i for unit frequencies
@@ -122,7 +122,7 @@ def test_displaced_21_reduction(gen14):
     p = HamiltonianParams(beta0=3.0, beta3=1.0, gamma1=0.12 + 0.09j,
                           gamma2=0.10 - 0.06j)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, combined_coeffs(rep), gen14)
+    red = reduce_by_similarity(p, combined_coeffs(rep), gen14.cutoff)
     assert [s.kind for s in red.chain] == ["displace1", "displace2"]
     assert abs(complex(red.chain[0].params["alpha"]) + p.gamma1 / 2.0) < 1e-12
     assert abs(complex(red.chain[1].params["alpha"]) + p.gamma2) < 1e-12
@@ -135,7 +135,7 @@ def test_resonant_refusal(gen14):
     # mode-2 frequency (beta0 - beta3)/2 vanishes with a surviving coupling
     p = HamiltonianParams(beta0=2.0, beta3=2.0, gamma2=0.3)
     with pytest.raises(DomainError) as err:
-        reduce_by_similarity(p, LadderCoeffs(mu1=1.0), gen14)
+        reduce_by_similarity(p, LadderCoeffs(mu1=1.0), gen14.cutoff)
     assert err.value.code == "resonant"
 
 
@@ -144,7 +144,7 @@ def test_interior_spectra_invariant(gen14):
     # below the truncation frontier
     p = gate_params(3.0, 0.6, 1.0)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, combined_coeffs(rep), gen14)
+    red = reduce_by_similarity(p, combined_coeffs(rep), gen14.cutoff)
     h = build_hamiltonian(p, gen14)
     u = build_chain(red.chain, gen14)
     h_rot = similarity(u, h)
@@ -165,7 +165,7 @@ def test_reduction_chain_maps_states(gen14):
     # U|reduced ground> is the ground state of the original family
     p = gate_params(2.5, 0.6, 1.0)
     rep = solve_ladder(p)
-    red = reduce_by_similarity(p, rep.coeffs[0], gen14)
+    red = reduce_by_similarity(p, rep.coeffs[0], gen14.cutoff)
     u = build_chain(red.chain, gen14)
     from ladderforge.fock import apply, basis_state
     kappa = 2
@@ -188,7 +188,7 @@ def test_stepwise_conjugation_matches_composed_chain(kinds, cutoff, p):
     # by the composed U of build_chain
     g = build_generators(FockCutoff(cutoff, cutoff))
     c = combined_coeffs(solve_ladder(p))
-    red = reduce_by_similarity(p, c, g)
+    red = reduce_by_similarity(p, c, g.cutoff)
     assert [s.kind for s in red.chain] == kinds
     u = build_chain(red.chain, g)
     h_ref = similarity(u, build_hamiltonian(p, g))
@@ -386,6 +386,32 @@ def test_reduce_says_when_no_searched_cutoff_certifies(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("no cutoff up to 256,256 keeps them\n")
 
 
+@pytest.mark.parametrize("gamma1", [1e20, 1e100])
+def test_reduce_counts_a_column_that_is_not_finite_as_lost(tmp_path, capsys, gamma1):
+    # a displacement this large leaves the columns NaN, not merely lossy:
+    # no shell is intact, at 14,14 or at any searched cutoff
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2, "gamma1": [gamma1, 0]}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["reduce", "--config", str(cfg), "--cutoff", "14,14",
+                    "--out", str(tmp_path)]) == 65
+    assert capsys.readouterr().err.endswith("no cutoff up to 256,256 keeps them\n")
+    assert not (tmp_path / "reduce.json").exists()
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("solve-ladder", {"beta0": 2.5, "beta_plus": [1e154, 0], "beta3": 1e154}),
+    ("reduce", {"beta0": 2, "gamma1": [1e154, 0], "gamma2": [1e154, 0]}),
+])
+def test_parameters_whose_sums_of_squares_overflow_exit_64(tmp_path, scenario, params):
+    # each square is finite; b^2 or |gamma1|^2 + |gamma2|^2 is not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    assert run([scenario, "--config", str(cfg), "--cutoff", "14,14",
+                "--out", str(tmp_path)]) == 64
+    assert not (tmp_path / f"{scenario}.json").exists()
+
+
 # a frame of each kind: a rotation alone, displacements alone, and both
 SUPPORT_FRAMES = {
     "rotation": (gate_params(3.0, 0.5, 1.0), ["mix_t"]),
@@ -406,7 +432,7 @@ def test_reduce_residuals_match_the_full_grid_sandwich(kind, cutoff):
     p, kinds = SUPPORT_FRAMES[kind]
     c = combined_coeffs(solve_ladder(p))
     g = build_generators(FockCutoff(cutoff, cutoff))
-    red = reduce_by_similarity(p, c, g)
+    red = reduce_by_similarity(p, c, g.cutoff)
     assert [s.kind for s in red.chain] == kinds
     keep = shell_indices(g.cutoff, red.shell_max)
     rows = np.flatnonzero(_compose(red.chain, red.params).columns(g.cutoff, keep).any(axis=1))
@@ -488,7 +514,7 @@ def _conjugated(chain, op: Operator, g) -> Operator:
 def test_reduced_ladder_matches_the_conjugated_matrix(gen14, name):
     p = FRAME_FAMILIES[name]
     c = combined_coeffs(solve_ladder(p))
-    red = reduce_by_similarity(p, c, gen14)
+    red = reduce_by_similarity(p, c, gen14.cutoff)
     assert red.chain == reduction_chain(p)[0]
     want = ladder_coeffs_from_matrix(_conjugated(red.chain, build_ladder(c, gen14), gen14),
                                      gen14, shell_max=6)
@@ -616,7 +642,7 @@ def test_reduce_on_asymmetric_cutoffs_matches_the_full_grid_sandwich(tmp_path_fa
     p, cut = point
     c = combined_coeffs(solve_ladder(p))
     g = build_generators(cut)
-    red = reduce_by_similarity(p, c, g)
+    red = reduce_by_similarity(p, c, g.cutoff)
     assert [s.kind for s in red.chain] == ["mix_t"]
     assert red.shell_max == min(cut.n1_max, cut.n2_max) // 2
     want = full_grid_reduce_residuals(p, c, red, g)

@@ -2,12 +2,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import interior_projector
 
 from ladderforge.catalogue import appendix_catalogue
 from ladderforge.errors import LadderForgeError
 from ladderforge.eigenstates import basic21_states, chain_seed, su2_ground
-from ladderforge.fock import (FockCutoff, build_generators, interior_indices,
-                              interior_projector, vacuum_state)
+from ladderforge.fock import FockCutoff, build_generators, interior_indices, vacuum_state
 from ladderforge.params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                                 build_ladder, solve_ladder)
 from ladderforge.reductions import reduction_frame

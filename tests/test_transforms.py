@@ -5,14 +5,13 @@ import pytest
 import scipy.linalg
 
 from ladderforge.errors import DomainError
-from ladderforge.fock import (FockCutoff, apply, build_generators,
-                             interior_projector, vacuum_state)
+from ladderforge.fock import FockCutoff, apply, build_generators, vacuum_state
 from ladderforge.transforms import (UnitarySpec, build_chain, build_unitary,
                                     expm, mixing_angle, rotation_safe_degree,
                                     similarity, unitary_generator,
                                     unitary_spec_from_json,
                                     unitary_spec_to_json, verify_disentangled_T)
-from oracles import mix_spec
+from oracles import interior_projector, mix_spec
 
 
 def safe_proj(g):
