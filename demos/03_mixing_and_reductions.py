@@ -3,26 +3,30 @@ reduce a fully coupled Hamiltonian to its basic anisotropic form."""
 
 import numpy as np
 
-from ladderforge import (FockCutoff, HamiltonianParams, UnitarySpec,
-                         build_generators, similarity, build_unitary,
-                         reduce_by_similarity, solve_ladder,
-                         verify_disentangled_T)
-from ladderforge.fock import interior_indices, interior_residual
-from ladderforge.transforms import rotation_safe_degree
+from ladderforge import (FockCutoff, HamiltonianParams, build_generators,
+                         reduce_by_similarity, solve_ladder)
+from ladderforge.fock import shell_indices
+from ladderforge.reductions import reduction_frame
 
 cutoff = FockCutoff(14, 14)
 g = build_generators(cutoff)
-deg = rotation_safe_degree(cutoff)
-keep = interior_indices(cutoff, deg)
 
-# the quarter-turn case: a1 -> (a1 - a2)/sqrt(2)
-t = build_unitary(UnitarySpec("mix_t", {"angle": np.pi / 4, "theta": 0.0}), g)
-rotated = similarity(t, g.a1)
-target = (g.a1 - g.a2) / np.sqrt(2)
-print(f"rotated a1 vs (a1 - a2)/sqrt2:  {interior_residual(rotated - target, keep):.2e}")
-print(f"unitarity defect:               {(t.dag() @ t - g.identity).norm():.2e}")
-print(f"disentangled product form:      "
-      f"{verify_disentangled_T(1, 1.0, 0.0, 0.0, cutoff, g):.2e}")
+# the quarter-turn case: beta3 = 0 and |beta+| = 1/2 reduce by the rotation
+# of angle pi/4, which takes a1 -> (a1 - a2)/sqrt(2)
+frame = reduction_frame(HamiltonianParams(beta0=2.5, beta_plus=0.5))
+d1, d2 = frame.dags()
+print("the rotation on the creation operators, U a_i' U':")
+for name, d in (("a1'", d1), ("a2'", d2)):
+    print(f"  {name} -> {d.coeffs[1, 0].real:+.4f} a1' {d.coeffs[0, 1].real:+.4f} a2'")
+
+# its columns U[:, S] on the shells n1 + n2 <= 7, exact on the truncated
+# space: the rotation keeps n1 + n2, so they never reach the cutoff
+keep = shell_indices(cutoff, 7)
+w = frame.columns(cutoff, keep)
+rotated = w.conj().T @ (g.a1.mat @ w)
+target = ((g.a1 - g.a2) / np.sqrt(2)).mat[keep][:, keep].toarray()
+print(f"rotated a1 vs (a1 - a2)/sqrt2:  {np.linalg.norm(rotated - target):.2e}")
+print(f"unitarity defect on the shells: {np.linalg.norm(w.conj().T @ w - np.eye(keep.size)):.2e}")
 
 # a fully coupled system: su(2) part + both linear couplings
 r = np.sqrt(1 - 0.6 ** 2) / 2

@@ -7,7 +7,9 @@ import numpy as np
 from ladderforge import (EigenstateRequest, FockCutoff, HamiltonianParams,
                          LadderCoeffs, basic21_states, build_generators,
                          build_ladder, classify, isotropic_states,
-                         linear_coupled_states, su2_ground, verify_eigenstate)
+                         linear_coupled_states, verify_eigenstate)
+from ladderforge.eigenstates import chain_seed
+from ladderforge.reductions import reduction_frame
 
 g = build_generators(FockCutoff(20, 20))
 cut = g.cutoff
@@ -41,7 +43,10 @@ v = basic21_states(mu2, ap, 0.0, 3, g, kappa=2)
 print(f"kappa = 2 ground:         {leading(v, 3)}")
 
 print("\n== su(2) binomial ground ==")
-v = su2_ground(0.6, 1.1, 3, g)
+# the rotated |0, kappa>: the seed of the su(2) family's reduction frame
+r = np.sqrt(1 - 0.6 ** 2) / 2
+p = HamiltonianParams(beta0=0.0, beta_plus=r * np.exp(1.1j), beta3=0.6)
+v = chain_seed(reduction_frame(p), 3, g)
 print(f"kappa = 3:                {leading(v, 4)}")
 
 print("\n== pair-creation family on the b = 2 surface ==")

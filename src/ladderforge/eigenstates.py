@@ -25,12 +25,17 @@ prefixes are absorbed exactly through
 with d1, d2 polynomials of degree one, so every family below stays within
 polynomial arithmetic.  No operator matrix is built here; the checks
 (verify_eigenstate) run on the brute-force truncated matrices.
+
+The scenarios build every state through `reduced_eigenstate` and
+`chain_seed`, on the unit ladder of the basic family.  `isotropic_states`
+and `basic21_states` take any ladder amplitudes; `fractional_separable_cs`
+and `linear_coupled_states` build the two families that path does not
+reach, the separable fractional branch and the b = 2 squeezed branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -44,11 +49,9 @@ from .reductions import Frame, reduction_frame
 
 __all__ = [
     "EigenstateRequest",
-    "fractional_lambda_state",
     "fractional_separable_cs",
     "isotropic_states",
     "basic21_states",
-    "su2_ground",
     "linear_coupled_states",
     "chain_seed",
     "reduced_eigenstate",
@@ -60,14 +63,16 @@ _TINY = 1e-14
 
 @dataclass
 class EigenstateRequest:
-    """Which member of a family to build.
+    """Which member of a family to build, for reduced_eigenstate and
+    linear_coupled_states.
 
     Isotropic and 2:1 bases read `branch`: 1 is the separable solution, 2
     the non-separable one, 3 (2:1 only) the kappa-indexed polynomial family.
-    Fractional, su(2) and b = 2 bases ignore it and give the kappa family
-    (linear_coupled_states's b = 2 constructor, which no scenario calls,
-    reads 1, squeezed, and 2, pair).  Free constants left as None take the
-    defaults c1 = 1, c2 = conj(mu2), lambda2 = lam / 2.
+    Fractional, su(2) and b = 2 bases ignore it and give the kappa family,
+    except in linear_coupled_states's b = 2 constructor, which no scenario
+    calls: it reads 1, squeezed, and 2, pair.  Free constants left as None
+    take the defaults c1 = 1, c2 = conj(mu2) and, on that squeezed branch
+    alone, lambda2 = lam / 2.
     """
 
     tag: CaseTag
@@ -163,16 +168,6 @@ def _fractional_ratio(p: HamiltonianParams) -> complex:
     return 2.0 * p.beta_minus / den
 
 
-def fractional_lambda_state(p: HamiltonianParams, req: EigenstateRequest,
-                            g: GeneratorSet, mu1: complex = 1.0) -> TwoModeState:
-    """Eigenstate exp[(lam/mu1) a1'] (a2' - r a1')^kappa |0,0> of the
-    one-direction annihilator mu1 (a1 + r a2)."""
-    if req.kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    r = _fractional_ratio(p)
-    return _exp_poly_vac(g.cutoff, (req.lam / mu1) * A1_DAG, A2_DAG - r * A1_DAG, req.kappa)
-
-
 def fractional_separable_cs(p: HamiltonianParams, lam: complex, c1: complex,
                             g: GeneratorSet, mu1: complex = 1.0) -> TwoModeState:
     """Separable two-mode coherent eigenstate of mu1 (a1 + r a2)."""
@@ -214,29 +209,6 @@ def basic21_states(mu2: complex, alpha_plus: complex, lam: complex, branch: int,
     """
     return _exp_poly_vac(g.cutoff, *_kernel21_terms(A1_DAG, A2_DAG, mu2, alpha_plus, lam,
                                                     branch, c1, kappa))
-
-
-# ---------------------------------------------------------------------------
-# pure su(2) ladder ground states
-# ---------------------------------------------------------------------------
-
-def su2_ground(beta3: float, theta: float, kappa: int, g: GeneratorSet) -> TwoModeState:
-    """Binomial ground state of the interacting unit-gate family; equals the
-    mixing rotation applied to |0, kappa>."""
-    if abs(beta3) >= 1.0:
-        raise DomainError("beta3-domain", "|beta3| < 1 required")
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    if kappa > min(g.cutoff.n1_max, g.cutoff.n2_max):
-        raise DomainError("kappa-overflow", "kappa exceeds the cutoff")
-    beta_minus = (np.sqrt(1.0 - beta3 ** 2) / 2.0) * np.exp(-1j * theta)
-    amps = np.zeros(g.cutoff.dim, dtype=np.complex128)
-    pref = ((1.0 + beta3) / 2.0) ** (kappa / 2.0)
-    for k in range(kappa + 1):
-        amps[g.cutoff.index(k, kappa - k)] = (
-            pref * (-1) ** k * np.sqrt(comb(kappa, k))
-            * (2.0 * beta_minus / (1.0 + beta3)) ** k)
-    return normalize(TwoModeState(g.cutoff, amps))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ closed-form weights; their combinations (a Hamiltonian, a ladder) and
 products (chen's p:q operators) are formed shift by shift, commutator
 identities are checked on the weights with no matrix formed
 (commutator_residual), and CSR forms are assembled in one pass (_csr).
+The CSR products and restricted norms these match bit for bit are the
+test suite's oracle; no scenario forms them.
 
 States are built from polynomials in the commuting creation operators
 (CreationPoly), which act on amplitude vectors as weighted shifts of the
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .errors import CutoffMismatch, LadderForgeError
+from .errors import CutoffMismatch, CutoffTooSmall, LadderForgeError
 
 __all__ = [
     "ToleranceConfig",
@@ -44,16 +47,13 @@ __all__ = [
     "TwoModeState",
     "GeneratorSet",
     "build_generators",
-    "commutator",
     "commutator_residual",
     "interior_indices",
     "shell_indices",
-    "interior_residual",
     "apply",
     "norm",
     "normalize",
     "basis_state",
-    "vacuum_state",
     "CreationPoly",
     "coherent_state",
     "state_to_json",
@@ -280,13 +280,28 @@ class Shifts:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """The operator on the flat amplitudes v as scipy's mat-vec forms it:
-        row |m> sums w[m] v[m + shift] (a product with diag(v)) in column order."""
+        row |m> sums w_s[m] v[m + s] from zero over the shifts s in sorted
+        order, which is the column order of a CSR row, each product rounded
+        as (ar br - ai bi, ar bi + ai br) with no fused multiply-add.  v is
+        laid on the padded grid with the zeros _products lays on each side,
+        and a weight is zero where its column leaves the grid."""
         cut = self.cutoff
-        grid = np.zeros((cut.n1_max + 3, cut.n2_max + 3), dtype=np.complex128)
-        grid[1:-1, 1:-1] = v.reshape(cut.n1_max + 1, cut.n2_max + 1)
-        terms = (self @ Shifts(cut, {(0, 0): grid.ravel()})).weights
-        out = sum((terms[k] for k in sorted(terms)), np.zeros(grid.size, complex))
-        return out.reshape(grid.shape)[1:-1, 1:-1].ravel()
+        stride, rows = cut.n2_max + 3, cut.n1_max + 1
+        shifts = tuple(sorted(self.weights))
+        margin = _products(shifts, stride)[3]
+        start, stop = margin + stride, margin + stride * (rows + 1)
+        grid = np.zeros((2, stop + stride + margin))
+        inner = grid[:, start:stop].reshape(2, rows, stride)[..., 1:-1]
+        inner[0], inner[1] = (part.reshape(rows, -1) for part in (v.real, v.imag))
+        re, im = np.zeros((2, rows * stride))
+        for d1, d2 in shifts:
+            w, at = self.weights[d1, d2][stride:-stride], d1 * stride + d2
+            br, bi = grid[:, start + at:stop + at]
+            re += w.real * br - w.imag * bi
+            im += w.real * bi + w.imag * br
+        out = np.empty((rows, stride), dtype=np.complex128)
+        out.real, out.imag = re.reshape(rows, stride), im.reshape(rows, stride)
+        return out[:, 1:-1].ravel()
 
     def csr(self) -> Operator:
         return _csr(self.cutoff, self.weights)
@@ -422,10 +437,6 @@ def build_generators(cutoff: FockCutoff) -> GeneratorSet:
     return GeneratorSet(cutoff, padded)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
 def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
     """Basis indices with n1 <= n1_max - degree and n2 <= n2_max - degree."""
     if degree < 0 or degree > min(cutoff.n1_max, cutoff.n2_max):
@@ -448,8 +459,8 @@ def _products(shifts: tuple, stride: int) -> tuple[tuple, np.ndarray, list, int]
     `stride`) that keep any grid rows moved by one of `shifts` on the array."""
     out = tuple(sorted({(a + c, b + d) for a, b in shifts for c, d in shifts} | set(shifts)))
     return (out, np.array([[out.index((a + c, b + d)) for c, d in shifts] for a, b in shifts]),
-            [out.index(s) for s in shifts], max(0, *(abs(a * stride + b) - stride
-                                                     for a, b in shifts)))
+            [out.index(s) for s in shifts], max([0, *(abs(a * stride + b) - stride
+                                                      for a, b in shifts)]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -511,8 +522,9 @@ def commutator_residual(g: GeneratorSet, x: Shifts, y: Shifts, z: Shifts,
     shifts they land on, on the box's rows only; an entry counts when its
     column is in the box too.  Entries get the roundings of scipy's sparse
     product, difference and sum, and the norm takes the nonzero ones in
-    row-major order as interior_residual does on the CSR matrices: where
-    scipy rounds without fused multiply-add, the two agree to the last bit."""
+    row-major order, as scipy's norm of the stored entries of the CSR
+    matrices restricted to the box does: where scipy rounds without fused
+    multiply-add, the two agree to the last bit."""
     used = {*x.weights, *y.weights, *z.weights}
     shifts = _SHIFTS if used.issubset(_SHIFTS) else tuple(sorted(used))
     stride = g.cutoff.n2_max + 3
@@ -552,17 +564,6 @@ def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
     return np.flatnonzero(n1 + n2 <= s_max)
 
 
-def interior_residual(op: Operator, keep: np.ndarray) -> float:
-    """Frobenius norm of `op` restricted to the sorted basis indices `keep`
-    (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
-    projector P onto them.  The restriction keeps the stored entries in
-    row-major order, so the sum runs in the same order as for P op P, and
-    the norm is that of the stored entries, as scipy takes it."""
-    sub = op.mat[keep][:, keep]
-    sub.sort_indices()
-    return float(np.linalg.norm(sub.data))
-
-
 def apply(a: Operator, v: TwoModeState) -> TwoModeState:
     if a.cutoff != v.cutoff:
         raise CutoffMismatch(f"{a.cutoff} vs {v.cutoff}")
@@ -584,10 +585,6 @@ def basis_state(cutoff: FockCutoff, n1: int, n2: int) -> TwoModeState:
     amps = np.zeros(cutoff.dim, dtype=np.complex128)
     amps[cutoff.index(n1, n2)] = 1.0
     return TwoModeState(cutoff, amps)
-
-
-def vacuum_state(cutoff: FockCutoff) -> TwoModeState:
-    return basis_state(cutoff, 0, 0)
 
 
 class CreationPoly:
@@ -678,12 +675,31 @@ def _coherent_factor(n_max: int, x: complex) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0 + 0j], x / np.sqrt(np.arange(1.0, n_max + 1)))))
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _log_peak(n_max: int, r: float) -> float:
+    """The log of the largest r^n / sqrt(n!) over n = 0..n_max: the terms
+    grow while n <= r^2."""
+    n = int(min(n_max, r * r))
+    return n * math.log(r) - math.lgamma(n + 1) / 2 if n else 0.0
+
+
 def coherent_state(cutoff: FockCutoff, x1: complex, x2: complex) -> TwoModeState:
     """exp(x1 a1' + x2 a2')|0> on the truncated space, unnormalized: the
     amplitude of |n1, n2> is x1^n1 / sqrt(n1!) * x2^n2 / sqrt(n2!), which
-    the truncated series gives exactly."""
-    return TwoModeState(cutoff, np.outer(_coherent_factor(cutoff.n1_max, complex(x1)),
-                                         _coherent_factor(cutoff.n2_max, complex(x2))))
+    the truncated series gives exactly.  CutoffTooSmall when an amplitude,
+    or the sum of their squares that a norm takes, would overflow; the
+    state's weight lies near n_i = |x_i|^2, which is then in the hundreds
+    or more."""
+    x1, x2 = complex(x1), complex(x2)
+    peak = _log_peak(cutoff.n1_max, abs(x1)) + _log_peak(cutoff.n2_max, abs(x2))
+    if 2 * peak + math.log(cutoff.dim) > _LOG_MAX:
+        raise CutoffTooSmall(f"exp(x1 a1' + x2 a2')|0> with |x1|, |x2| = {abs(x1):.1e}, "
+                             f"{abs(x2):.1e} overflows on cutoff {cutoff.n1_max},"
+                             f"{cutoff.n2_max}: its weight lies near n_i = |x_i|^2")
+    return TwoModeState(cutoff, np.outer(_coherent_factor(cutoff.n1_max, x1),
+                                         _coherent_factor(cutoff.n2_max, x2)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "params_to_json",
     "params_from_json",
     "coeffs_to_json",
-    "coeffs_from_json",
 ]
 
 _ZERO = 1e-12
@@ -542,8 +541,3 @@ def coeffs_to_json(c: LadderCoeffs) -> dict:
             "alpha_plus": _c(c.alpha_plus), "alpha_minus": _c(c.alpha_minus),
             "alpha3": _c(c.alpha3), "a0": _c(c.a0)}
 
-
-def coeffs_from_json(d: dict) -> LadderCoeffs:
-    return LadderCoeffs(**{k: parse_complex(d.get(k, 0)) for k in
-                           ("mu1", "mu2", "nu1", "nu2",
-                            "alpha_plus", "alpha_minus", "alpha3", "a0")})

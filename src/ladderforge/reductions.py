@@ -209,11 +209,15 @@ def reduction_frame(p: HamiltonianParams) -> Frame:
     return f
 
 
-def _lost(w: np.ndarray) -> np.ndarray:
-    """1 - ||w_j||^2: the weight each column has past the cutoff, inf for a
-    column that is not finite, which counts as lost."""
-    lost = 1.0 - np.vecdot(w.T, w.T).real
-    return np.where(np.isfinite(lost), lost, np.inf)
+def _columns(frame: Frame, cut: FockCutoff, keep: np.ndarray):
+    """The frame's columns U[:, keep] on `cut` and the weight 1 - ||w_j||^2
+    each has past it; no columns, and every one lost whole, when the
+    vacuum's coherent amplitudes overflow there (fock.coherent_state)."""
+    try:
+        w = frame.columns(cut, keep)
+    except CutoffTooSmall:
+        return None, np.ones(keep.size)
+    return w, 1.0 - np.vecdot(w.T, w.T).real
 
 
 def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
@@ -223,7 +227,7 @@ def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
     weight it loses only falls as N grows: double, then bisect."""
     def intact(n: int) -> bool:
         cut = FockCutoff(n, n)
-        return bool(np.all(_lost(frame.columns(cut, shell_indices(cut, 1))) <= _INTACT))
+        return bool(np.all(_columns(frame, cut, shell_indices(cut, 1))[1] <= _INTACT))
 
     lo, hi = failing, min(2 * failing, _SEARCH_MAX)
     while not intact(hi):
@@ -262,9 +266,8 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
     # with no displacement, n1 + n2 <= top on every column
     g = build_generators(cut if frame.c.any() or frame.x.any() else FockCutoff(top, top))
     keep = shell_indices(g.cutoff, top)
-    w = frame.columns(g.cutoff, keep)
+    w, lost = _columns(frame, g.cutoff, keep)
     shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
-    lost = _lost(w)
     shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
     if shell_max < 1:   # shell 1 is the least S that sees every coefficient
         least = _least_intact_cutoff(frame, max(min(cut.n1_max, cut.n2_max), 1))

@@ -1,5 +1,5 @@
-"""Energy chains from raising powers, normal ordering of those powers, and
-the eigenvalue oracle the chains are checked against.
+"""Energy chains from raising powers, and the eigenvalues of the truncated
+Hamiltonian the chains are checked against.
 
 A chain climbs from a seed of known energy E0 (in the `spectrum` scenario
 the reduction frame's closed form E(kappa, 0), `reductions.Frame.energy`)
@@ -12,122 +12,24 @@ there pin the nearest eigenvalue to within 1e-12 by the Hermitian residual
 bound.  Only the energies their states do not pin take the block's
 structure: the u(2) part of H conserves n1 + n2, so a block without linear
 couplings is diagonalized shell by shell; a block whose couplings join
-shells gets one sparse shift-invert solve per energy.
-`diagonalize_oracle` is the dense eigvalsh of the same block, kept as the
-test oracle."""
+shells gets one sparse shift-invert solve per energy.  The dense eigvalsh
+of the whole block is the test suite's oracle for these eigenvalues."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
 
 import numpy as np
 
 from .errors import LadderForgeError
-from .fock import (DEFAULT_TOL, GeneratorSet, Operator, TwoModeState, apply,
-                   interior_indices, normalize)
-from .params import LadderCoeffs
+from .fock import DEFAULT_TOL, Operator, TwoModeState, apply, interior_indices, normalize
 
 __all__ = [
-    "NormalOrderCoeff",
-    "normal_order_coeffs",
-    "normal_order_coeffs_recurrence",
-    "normal_order_power",
     "ChainEntry",
     "SpectrumReport",
     "raising_chain",
     "nearest_eigenvalues",
-    "diagonalize_oracle",
 ]
-
-
-# ---------------------------------------------------------------------------
-# normal ordering of (mu2* a2' + alpha+* a1' a2)^n
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalOrderCoeff:
-    """Integer weight of the k-th contraction in the n-th raising power."""
-
-    n: int
-    k: int
-    value: int
-
-
-def normal_order_coeffs(n: int) -> list[NormalOrderCoeff]:
-    """Closed form n! / ((n-2k)! 2^k k!) for k = 0 .. floor(n/2)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = []
-    for k in range(n // 2 + 1):
-        value = factorial(n) // (factorial(n - 2 * k) * (2 ** k) * factorial(k))
-        out.append(NormalOrderCoeff(n=n, k=k, value=value))
-    return out
-
-
-def normal_order_coeffs_recurrence(n: int) -> list[int]:
-    """Same integers generated from the recurrence
-    c(n, k) = (n+1-2k) c(n-1, k-1) + c(n-1, k),  c(n, 0) = 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    prev = [1]
-    for m in range(1, n + 1):
-        cur = []
-        for k in range(m // 2 + 1):
-            left = prev[k - 1] if 1 <= k <= (m - 1) // 2 + 1 and k - 1 < len(prev) else 0
-            right = prev[k] if k < len(prev) else 0
-            cur.append((m + 1 - 2 * k) * left + right)
-        prev = cur
-    return prev
-
-
-def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
-                       gamma1: complex = 0j, gamma2: complex = 0j) -> Operator:
-    """n-th power of the raising operator assembled from its normal-ordered
-    expansion rather than by repeated multiplication.
-
-    The lowering operator must have the commensurate 2:1 shape
-    mu2 a2 + alpha+ J- , optionally dressed by the linear-coupling terms
-    mu1 = conj(gamma2) alpha+, nu2 = gamma1 alpha+ / 2 and the matching
-    identity constant.  Anything else is rejected.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    tol = 1e-9
-    if abs(c.mu2) < 1e-14 or abs(c.alpha_plus) < 1e-14:
-        raise LadderForgeError("normal ordering needs mu2 != 0 and alpha_plus != 0")
-    if (abs(c.nu1) > tol or abs(c.alpha_minus) > tol or abs(c.alpha3) > tol
-            or abs(c.mu1 - np.conj(gamma2) * c.alpha_plus) > tol
-            or abs(c.nu2 - gamma1 * c.alpha_plus / 2.0) > tol):
-        raise LadderForgeError("wrong ladder shape for the normal-ordered expansion")
-
-    ident = g.identity
-    mu2c = np.conj(c.mu2)
-    apc = np.conj(c.alpha_plus)
-    a0c = np.conj(c.a0)
-    # creation-only and mixed parts of the raising operator
-    delta1 = a0c * ident + gamma2 * apc * g.a1_dag + mu2c * g.a2_dag
-    delta2 = apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident) @ g.a2
-    contraction = mu2c * apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident)
-
-    # cache powers
-    d1_pow = [ident]
-    d2_pow = [ident]
-    x_pow = [ident]
-    for _ in range(n):
-        d1_pow.append(d1_pow[-1] @ delta1)
-        d2_pow.append(d2_pow[-1] @ delta2)
-        x_pow.append(x_pow[-1] @ contraction)
-
-    zero = g.combine([])
-    result = zero
-    for nk in normal_order_coeffs(n):
-        m = n - 2 * nk.k
-        ordered = zero
-        for j in range(m + 1):
-            ordered = ordered + comb(m, j) * (d1_pow[j] @ d2_pow[m - j])
-        result = result + nk.value * (x_pow[nk.k] @ ordered)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +166,8 @@ def _nearest_from_structure(sub, keep: np.ndarray, n2_max: int,
 def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
                         states=None) -> tuple[np.ndarray, np.ndarray]:
     """For each energy, the eigenvalue of the interior block K = H[keep, keep]
-    nearest it: what diagonalize_oracle's spectrum gives, without a dense
-    dim x dim matrix.  Returns those eigenvalues and a mask of the energies
+    nearest it, as the block's full eigvalsh spectrum gives it, without
+    forming a dim x dim matrix.  Returns those eigenvalues and a mask of the energies
     that took the per-shell or shift-invert path.
 
     `states`, when given, holds one state per energy (the chain state the
@@ -292,9 +194,3 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
         nearest[left] = _nearest_from_structure(sub, keep, h.cutoff.n2_max, energies[left])
     return nearest, left
 
-
-def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:
-    """Eigenvalues of the Hamiltonian restricted to the interior subspace,
-    sorted ascending, by dense eigvalsh of the whole block; rejects visibly
-    non-Hermitian input."""
-    return np.linalg.eigvalsh(_hermitian_interior(h, degree).toarray())

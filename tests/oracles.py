@@ -1,32 +1,58 @@
-"""Independent references: the interior and shell projectors that
-interior_residual restricts to; the generators as Kronecker and matrix
-products of the one-mode annihilator, and H and A as chained Operator sums of them;
-scipy's sparse Frobenius norm; the ladder identity as CSR products
-restricted to the interior; chen's p:q operators as chained products of the
-CSR generators, with their identities on those matrices;
-for the closed-form reduction, coefficient readers that take an operator's
+"""Independent references, and the dense paths the package's closed forms
+replaced.
+
+For the generators: the interior and shell projectors, the commutator as
+CSR products and interior_residual, the Frobenius norm of a CSR matrix
+restricted to an index set, which commutator_residual must match bit for
+bit; the generators as Kronecker and matrix products of the one-mode
+annihilator, and H and A as chained Operator sums of them; scipy's sparse
+Frobenius norm; the ladder identity as CSR products restricted to the
+interior; chen's p:q operators as chained products of the CSR generators,
+with their identities on those matrices.
+
+For the closed-form reduction: coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
-the mixing rotation named by (eps, b, beta3), and reduce's residuals formed
-over the whole grid; for the eigenstates,
-creation polynomials as CSR operator products and the state
-exp(E) P^kappa |0> as a Taylor series of CSR mat-vecs on the whole exponent."""
+the mixing rotation named by (eps, b, beta3), reduce's residuals formed
+over the whole grid, and the built unitaries: scipy's Pade-13 expm per
+invariant block of a truncated generator (expm, build_unitary,
+build_chain), similarity, the product form of the mixing rotation
+(verify_disentangled_T) on the shell-safe interior (rotation_safe_degree),
+and the JSON reader of a chain step.
 
+For the spectra: the raising power from its normal-ordered expansion
+(normal_order_power, with the contraction counts in closed form and by
+recurrence) and the dense eigvalsh of the interior block
+(diagonalize_oracle), which nearest_eigenvalues must reproduce.
+
+For the eigenstates: creation polynomials as CSR operator products, the
+state exp(E) P^kappa |0> as a Taylor series of CSR mat-vecs on the whole
+exponent, the su(2) binomial ground in closed form (su2_ground), and the
+fractional kappa family from its own formula (fractional_lambda_state).
+"""
+
+import math
+from dataclasses import dataclass
+from math import comb, factorial
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse import csgraph
 
+from ladderforge import eigenstates
 from ladderforge.chen import PQParams
+from ladderforge.eigenstates import EigenstateRequest
 from ladderforge.errors import DomainError, LadderForgeError
-from ladderforge.fock import (CreationPoly, FockCutoff, GeneratorSet, Operator,
-                              TwoModeState, apply, commutator, interior_indices,
-                              interior_residual, normalize, shell_indices,
-                              vacuum_state)
+from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
+                              Operator, TwoModeState, apply, basis_state, build_generators,
+                              interior_indices, normalize, shell_indices)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
-                                build_hamiltonian, build_ladder)
+                                build_hamiltonian, build_ladder, parse_complex)
 from ladderforge.reductions import _compose
+from ladderforge.spectra import _hermitian_interior
 from ladderforge.transforms import UnitarySpec, mixing_angle
 
 
@@ -43,6 +69,32 @@ def assert_same_csr(op: Operator, ref: Operator) -> None:
     np.testing.assert_array_equal(op.mat.indices, ref.mat.indices)
     assert op.mat.data.shape == ref.mat.data.shape
     np.testing.assert_array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    return a @ b - b @ a
+
+
+def interior_residual(op: Operator, keep: np.ndarray) -> float:
+    """Frobenius norm of `op` restricted to the sorted basis indices `keep`
+    (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
+    projector P onto them.  The restriction keeps the stored entries in
+    row-major order, so the sum runs in the same order as for P op P, and
+    the norm is that of the stored entries, as scipy takes it."""
+    sub = op.mat[keep][:, keep]
+    sub.sort_indices()
+    return float(np.linalg.norm(sub.data))
+
+
+def vacuum_state(cutoff: FockCutoff) -> TwoModeState:
+    return basis_state(cutoff, 0, 0)
+
+
+def coeffs_from_json(d: dict) -> LadderCoeffs:
+    """The reader of params.coeffs_to_json's records."""
+    return LadderCoeffs(**{k: parse_complex(d.get(k, 0)) for k in
+                           ("mu1", "mu2", "nu1", "nu2",
+                            "alpha_plus", "alpha_minus", "alpha3", "a0")})
 
 
 def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
@@ -345,3 +397,239 @@ def series_state(g: GeneratorSet, exponent: CreationPoly | None,
         v = apply_creation_series(csr_poly(CreationPoly(
             {k: c for k, c in exponent.coeffs.items() if k != (0, 0)}), g), v)
     return normalize(v)
+
+
+# ---------------------------------------------------------------------------
+# built unitaries: truncated matrix exponentials of the chain steps
+# ---------------------------------------------------------------------------
+
+def expm(a: Operator) -> Operator:
+    """exp(a), one scipy Pade-13 expm per connected component of the
+    sparsity graph of a; the components are the invariant blocks."""
+    n_blocks, labels = csgraph.connected_components(abs(a.mat), directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    u = sp.block_diag([scipy.linalg.expm(a.mat[i][:, i].toarray()) for i in blocks],
+                      format="csr")
+    back = np.argsort(order)  # block order back to the grid order
+    return Operator(a.cutoff, u[back][:, back])
+
+
+def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+    """Anti-Hermitian generator G of the spec's unitary exp(G)."""
+    p = spec.params
+    if spec.kind == "displace1":
+        alpha = complex(p["alpha"])
+        return alpha * g.a1_dag - np.conj(alpha) * g.a1
+    elif spec.kind == "displace2":
+        alpha = complex(p["alpha"])
+        return alpha * g.a2_dag - np.conj(alpha) * g.a2
+    elif spec.kind == "squeeze2":
+        chi = complex(p["chi"])
+        return -0.5 * (chi * (g.a2_dag @ g.a2_dag) - np.conj(chi) * (g.a2 @ g.a2))
+    elif spec.kind == "squeeze_two_mode":
+        th = float(p["theta_tilde"])
+        ph = float(p["phi_tilde"])
+        return -0.5 * th * (np.exp(-1j * ph) * (g.a1_dag @ g.a2_dag)
+                             - np.exp(1j * ph) * (g.a1 @ g.a2))
+    elif spec.kind == "mix_t":
+        phi, theta = float(p["angle"]), float(p["theta"])
+        return -phi * (np.exp(-1j * theta) * g.j_plus - np.exp(1j * theta) * g.j_minus)
+    else:  # pragma: no cover - guarded in UnitarySpec
+        raise ValueError(spec.kind)
+
+
+def build_unitary(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+    return expm(unitary_generator(spec, g))
+
+
+def build_chain(chain: list[UnitarySpec], g: GeneratorSet) -> Operator:
+    """Compose a similarity chain into one unitary.
+
+    Specs are successive similarity transformations (first spec first), so
+    the returned U satisfies  reduced = U' O U  and maps reduced-frame kets
+    to original-frame kets as  |orig> = U |reduced>.
+    """
+    u = g.identity
+    for spec in chain:
+        u = u @ build_unitary(spec, g)
+    return u
+
+
+def similarity(u: Operator, o: Operator) -> Operator:
+    """U' O U; CutoffMismatch if the two were built over different cutoffs."""
+    return u.dag() @ o @ u
+
+
+def rotation_safe_degree(cutoff: FockCutoff) -> int:
+    """Smallest interior degree whose box only contains complete
+    total-occupation shells.
+
+    A mixing rotation preserves n1 + n2, so it is exact on states whose whole
+    shell fits inside the truncation; a box with n_i <= n_i_max - degree
+    reaches shell n1 + n2 = (n1_max - degree) + (n2_max - degree), which must
+    not exceed min(n1_max, n2_max).  Identities involving built unitaries are
+    meaningless on shallower interiors, where truncation junk dominates.
+    """
+    need = cutoff.n1_max + cutoff.n2_max - min(cutoff.n1_max, cutoff.n2_max)
+    return (need + 1) // 2
+
+
+def verify_disentangled_T(eps: int, b: float, beta3: float, theta: float,
+                          cutoff: FockCutoff, g: GeneratorSet | None = None,
+                          degree: int | None = None) -> float:
+    """Frobenius distance on the shell-safe interior between the
+    single-exponential mixing rotation and its raising/diagonal/lowering
+    product factorization."""
+    if g is None:
+        g = build_generators(cutoff)
+    if degree is None:
+        degree = rotation_safe_degree(cutoff)
+    lo = b - eps * beta3
+    hi = b + eps * beta3
+    if abs(hi) < 1e-12:
+        raise DomainError("disentangle-domain", "product form requires b + eps*beta3 > 0")
+    tau = eps * math.sqrt(max(lo, 0.0) / hi)
+    t_exp = build_unitary(UnitarySpec("mix_t", {"angle": math.atan(tau), "theta": theta}), g)
+    t_prod = (expm(-tau * np.exp(-1j * theta) * g.j_plus)
+              @ expm(math.log(2.0 * b / hi) * g.j3)
+              @ expm(tau * np.exp(1j * theta) * g.j_minus))
+    return interior_residual(t_exp - t_prod, interior_indices(cutoff, degree))
+
+
+def unitary_spec_from_json(payload: dict) -> UnitarySpec:
+    params = {}
+    for key, value in payload["params"].items():
+        params[key] = complex(value[0], value[1]) if isinstance(value, list) else value
+    return UnitarySpec(payload["kind"], params)
+
+
+# ---------------------------------------------------------------------------
+# normal ordering of (mu2* a2' + alpha+* a1' a2)^n, and the dense spectrum
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NormalOrderCoeff:
+    """Integer weight of the k-th contraction in the n-th raising power."""
+
+    n: int
+    k: int
+    value: int
+
+
+def normal_order_coeffs(n: int) -> list[NormalOrderCoeff]:
+    """Closed form n! / ((n-2k)! 2^k k!) for k = 0 .. floor(n/2)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    out = []
+    for k in range(n // 2 + 1):
+        value = factorial(n) // (factorial(n - 2 * k) * (2 ** k) * factorial(k))
+        out.append(NormalOrderCoeff(n=n, k=k, value=value))
+    return out
+
+
+def normal_order_coeffs_recurrence(n: int) -> list[int]:
+    """Same integers generated from the recurrence
+    c(n, k) = (n+1-2k) c(n-1, k-1) + c(n-1, k),  c(n, 0) = 1."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    prev = [1]
+    for m in range(1, n + 1):
+        cur = []
+        for k in range(m // 2 + 1):
+            left = prev[k - 1] if 1 <= k <= (m - 1) // 2 + 1 and k - 1 < len(prev) else 0
+            right = prev[k] if k < len(prev) else 0
+            cur.append((m + 1 - 2 * k) * left + right)
+        prev = cur
+    return prev
+
+
+def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
+                       gamma1: complex = 0j, gamma2: complex = 0j) -> Operator:
+    """n-th power of the raising operator assembled from its normal-ordered
+    expansion rather than by repeated multiplication.
+
+    The lowering operator must have the commensurate 2:1 shape
+    mu2 a2 + alpha+ J- , optionally dressed by the linear-coupling terms
+    mu1 = conj(gamma2) alpha+, nu2 = gamma1 alpha+ / 2 and the matching
+    identity constant.  Anything else is rejected.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    tol = 1e-9
+    if abs(c.mu2) < 1e-14 or abs(c.alpha_plus) < 1e-14:
+        raise LadderForgeError("normal ordering needs mu2 != 0 and alpha_plus != 0")
+    if (abs(c.nu1) > tol or abs(c.alpha_minus) > tol or abs(c.alpha3) > tol
+            or abs(c.mu1 - np.conj(gamma2) * c.alpha_plus) > tol
+            or abs(c.nu2 - gamma1 * c.alpha_plus / 2.0) > tol):
+        raise LadderForgeError("wrong ladder shape for the normal-ordered expansion")
+
+    ident = g.identity
+    mu2c = np.conj(c.mu2)
+    apc = np.conj(c.alpha_plus)
+    a0c = np.conj(c.a0)
+    # creation-only and mixed parts of the raising operator
+    delta1 = a0c * ident + gamma2 * apc * g.a1_dag + mu2c * g.a2_dag
+    delta2 = apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident) @ g.a2
+    contraction = mu2c * apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident)
+
+    # cache powers
+    d1_pow = [ident]
+    d2_pow = [ident]
+    x_pow = [ident]
+    for _ in range(n):
+        d1_pow.append(d1_pow[-1] @ delta1)
+        d2_pow.append(d2_pow[-1] @ delta2)
+        x_pow.append(x_pow[-1] @ contraction)
+
+    zero = g.combine([])
+    result = zero
+    for nk in normal_order_coeffs(n):
+        m = n - 2 * nk.k
+        ordered = zero
+        for j in range(m + 1):
+            ordered = ordered + comb(m, j) * (d1_pow[j] @ d2_pow[m - j])
+        result = result + nk.value * (x_pow[nk.k] @ ordered)
+    return result
+
+
+def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:
+    """Eigenvalues of the Hamiltonian restricted to the interior subspace,
+    sorted ascending, by dense eigvalsh of the whole block; rejects visibly
+    non-Hermitian input."""
+    return np.linalg.eigvalsh(_hermitian_interior(h, degree).toarray())
+
+
+# ---------------------------------------------------------------------------
+# eigenstates from their own closed forms
+# ---------------------------------------------------------------------------
+
+def su2_ground(beta3: float, theta: float, kappa: int, g: GeneratorSet) -> TwoModeState:
+    """Binomial ground state of the interacting unit-gate family; equals the
+    mixing rotation applied to |0, kappa>."""
+    if abs(beta3) >= 1.0:
+        raise DomainError("beta3-domain", "|beta3| < 1 required")
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
+    if kappa > min(g.cutoff.n1_max, g.cutoff.n2_max):
+        raise DomainError("kappa-overflow", "kappa exceeds the cutoff")
+    beta_minus = (np.sqrt(1.0 - beta3 ** 2) / 2.0) * np.exp(-1j * theta)
+    amps = np.zeros(g.cutoff.dim, dtype=np.complex128)
+    pref = ((1.0 + beta3) / 2.0) ** (kappa / 2.0)
+    for k in range(kappa + 1):
+        amps[g.cutoff.index(k, kappa - k)] = (
+            pref * (-1) ** k * np.sqrt(comb(kappa, k))
+            * (2.0 * beta_minus / (1.0 + beta3)) ** k)
+    return normalize(TwoModeState(g.cutoff, amps))
+
+
+def fractional_lambda_state(p: HamiltonianParams, req: EigenstateRequest,
+                            g: GeneratorSet, mu1: complex = 1.0) -> TwoModeState:
+    """Eigenstate exp[(lam/mu1) a1'] (a2' - r a1')^kappa |0,0> of the
+    one-direction annihilator mu1 (a1 + r a2), built by the package's
+    exp(E) P^kappa |0> (looked up on the module, so that a test may swap it)."""
+    if req.kappa < 0:
+        raise ValueError("kappa must be non-negative")
+    r = eigenstates._fractional_ratio(p)
+    return eigenstates._exp_poly_vac(g.cutoff, (req.lam / mu1) * A1_DAG,
+                                     A2_DAG - r * A1_DAG, req.kappa)

@@ -12,23 +12,20 @@ import pytest
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.chen import PQParams, build_H_pq, chen_ground, louck_spectrum
 from ladderforge.eigenstates import (EigenstateRequest, basic21_states,
-                                     fractional_lambda_state,
                                      fractional_separable_cs, isotropic_states,
-                                     linear_coupled_states, su2_ground,
-                                     verify_eigenstate)
-from ladderforge.fock import (FockCutoff, build_generators, commutator,
-                              interior_indices, vacuum_state)
+                                     linear_coupled_states, verify_eigenstate)
+from ladderforge.fock import FockCutoff, build_generators, interior_indices
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 compute_a0, solve_alpha_block, solve_ladder,
                                 solve_mu_nu_block, su2_invariant, verify_ladder)
 from ladderforge.reductions import reduce_by_similarity
-from ladderforge.spectra import (diagonalize_oracle, normal_order_coeffs,
-                                 normal_order_coeffs_recurrence,
-                                 normal_order_power, raising_chain)
-from ladderforge.transforms import (build_chain, build_unitary,
-                                    rotation_safe_degree, similarity)
-from oracles import interior_projector, mix_spec, rotated_couplings, shell_projector
+from ladderforge.spectra import raising_chain
+from oracles import (build_chain, build_unitary, commutator, diagonalize_oracle,
+                     fractional_lambda_state, interior_projector, mix_spec,
+                     normal_order_coeffs, normal_order_coeffs_recurrence,
+                     normal_order_power, rotated_couplings, rotation_safe_degree,
+                     shell_projector, similarity, su2_ground, vacuum_state)
 
 
 def report(name: str, ok: bool, detail: str = ""):

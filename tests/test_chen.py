@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (alt_hamiltonian, assert_same_csr, chen_ground_via_raising,
+from oracles import (alt_hamiltonian, assert_same_csr, chen_ground_via_raising, commutator,
                      csr_A_pq_generalized, csr_calA_pq, csr_chen_residuals, csr_H_pq,
-                     csr_ladder_residual, interior_projector, zero_signed_bits)
+                     csr_ladder_residual, diagonalize_oracle, interior_projector,
+                     zero_signed_bits)
 
 from ladderforge import cli
 from ladderforge.chen import (PQParams, build_A_pq_generalized, build_calA_pq,
                               build_H_pq, chen_ground, degenerate_zero_states,
                               louck_spectrum, tilde0_state)
 from ladderforge.errors import DomainError
-from ladderforge.fock import FockCutoff, build_generators, commutator, commutator_residual
-from ladderforge.spectra import diagonalize_oracle
+from ladderforge.fock import FockCutoff, build_generators, commutator_residual
 
 COPRIME = [(1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (2, 3), (4, 1), (4, 3),
            (5, 1), (5, 2), (5, 3), (5, 4)]

@@ -9,12 +9,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import csr_verify_ladder
+from oracles import commutator, csr_verify_ladder, interior_residual
 
 from ladderforge import cli, fock, reductions
 from ladderforge.cli import _ALGEBRA_IDENTITIES, _json_text, build_parser, run
-from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator,
-                              commutator_residual, interior_indices, interior_residual)
+from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator_residual,
+                              interior_indices)
 from ladderforge.params import params_from_json, solve_ladder, verify_ladder
 
 BASE = [sys.executable, "-m", "ladderforge.cli"]
@@ -385,9 +385,9 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_leaves_dense_linalg_unloaded():
-    # scipy is imported where a CSR matrix is built, transforms.expm's dense
-    # linalg and spectra's shift-invert only on their own paths; at module
-    # level scipy.sparse alone would add about 0.2 s to every scenario's start
+    # scipy is imported where a CSR matrix is built, and spectra's
+    # shift-invert only on its own path; at module level scipy.sparse alone
+    # would add about 0.2 s to every scenario's start
     probe = (f"import sys, ladderforge; print({_SCIPY_LOADED}); "
              f"import ladderforge.cli; print({_SCIPY_LOADED})")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -486,7 +486,7 @@ def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp
     # the uncertified ones past it are not looked up
     from ladderforge.fock import FockCutoff, build_generators
     from ladderforge.params import build_hamiltonian, params_from_json
-    from ladderforge.spectra import diagonalize_oracle
+    from oracles import diagonalize_oracle
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": LINEAR_ISO, "n_max": 40}))

@@ -5,20 +5,20 @@ import pytest
 
 from ladderforge.errors import DomainError
 from ladderforge.eigenstates import (EigenstateRequest, basic21_states,
-                                     chain_seed, fractional_lambda_state,
-                                     fractional_separable_cs, isotropic_states,
-                                     linear_coupled_states, su2_ground,
+                                     chain_seed, fractional_separable_cs,
+                                     isotropic_states, linear_coupled_states,
                                      verify_eigenstate)
 from ladderforge.fock import (FockCutoff, apply, basis_state, build_generators,
-                              interior_indices, norm, vacuum_state)
+                              interior_indices, norm)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 solve_ladder)
-from ladderforge.transforms import UnitarySpec, build_chain, build_unitary
+from ladderforge.transforms import UnitarySpec
 from ladderforge import eigenstates, fock
 from ladderforge.eigenstates import reduced_eigenstate
 from ladderforge.reductions import reduction_frame
-from oracles import mix_spec, series_state
+from oracles import (build_chain, build_unitary, fractional_lambda_state, mix_spec,
+                     series_state, su2_ground, vacuum_state)
 
 
 def gate_params(beta0, beta3, b, theta=0.3, **kw):
@@ -412,8 +412,7 @@ def test_b2_family(gen20):
                          nu2=-2 * p.beta_plus / (2 - b3) * nu1 / scale)
     a = build_ladder(coeff, gen20)
     h = build_hamiltonian(p, gen20)
-    from ladderforge.fock import commutator
-    from oracles import interior_projector
+    from oracles import commutator, interior_projector
     proj = interior_projector(gen20.cutoff, 2)
     assert (proj @ (commutator(a, a.dag()) - gen20.identity) @ proj).norm() < 1e-10
     for lam, branch in [(0.0, 1), (0.6 + 0.2j, 1), (0.0, 2), (0.5 - 0.7j, 2)]:

@@ -5,19 +5,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (ORACLE_CUTOFFS, apply_creation_series, assert_same_csr,
-                     csr_frobenius, csr_poly, interior_projector, kron_generators,
-                     shell_projector, zero_signed_bits)
+from oracles import (ORACLE_CUTOFFS, apply_creation_series, assert_same_csr, commutator,
+                     csr_frobenius, csr_poly, interior_projector, interior_residual,
+                     kron_generators, shell_projector, vacuum_state, zero_signed_bits)
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
-from ladderforge.errors import CutoffMismatch, LadderForgeError
+from ladderforge.errors import CutoffMismatch, CutoffTooSmall, LadderForgeError
 from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff,
                               Operator, TwoModeState, apply, basis_state,
-                              build_generators, coherent_state, commutator,
-                              commutator_residual,
-                              interior_indices, interior_residual, norm,
+                              build_generators, coherent_state,
+                              commutator_residual, interior_indices, norm,
                               normalize, shell_indices, state_to_csv,
-                              state_to_json, vacuum_state)
+                              state_to_json)
 from ladderforge.params import build_hamiltonian, build_ladder
 
 
@@ -214,6 +213,23 @@ def test_creation_polys_multiply_as_their_csr_operators(rng):
         assert np.max(np.abs(csr_poly(got, g).to_dense() - want.to_dense())) < 1e-12
     assert (x - x).coeffs == {} and (x - x).degrees is None
     assert (A1_DAG @ A1_DAG @ A2_DAG).degrees == (2, 1)
+
+
+@pytest.mark.parametrize("cutoff", [(14, 14), (40, 0), (0, 256), (256, 256)])
+def test_coherent_state_refuses_amplitudes_that_overflow(cutoff):
+    # either every amplitude and the norm are finite, or CutoffTooSmall;
+    # the refusals are the largest amplitudes, 1e300 among them
+    cut = FockCutoff(*cutoff)
+    radii = [1.0, 10.0, 30.0, 1e3, 1e8, 1e20, 1e100, 1e300]
+    refused = []
+    for r in radii:
+        try:
+            v = coherent_state(cut, r * np.exp(0.3j), 0.5 * r)
+        except CutoffTooSmall:
+            refused.append(r)
+            continue
+        assert np.isfinite(norm(v))
+    assert refused and refused == radii[len(radii) - len(refused):]
 
 
 @pytest.mark.parametrize("cutoff", ORACLE_CUTOFFS)
@@ -445,19 +461,22 @@ def _random_terms(rng):
     return [(str(n), complex(*rng.normal(size=2))) for n in picked]
 
 
-@pytest.mark.parametrize("n1_max,n2_max", [(1, 1), (2, 5), (5, 1), (6, 6), (12, 16)])
+@pytest.mark.parametrize("n1_max,n2_max", [*ORACLE_CUTOFFS, (6, 6)])
 def test_shift_products_are_the_sparse_products(n1_max, n2_max, rng):
     # products of combinations with up to seven shifts each, several pairs
-    # landing on one product shift, and a product of three
+    # landing on one product shift, and a product of three; their mat-vecs
+    # are scipy's bit for bit, the sign of zero included
     g = build_generators(FockCutoff(n1_max, n2_max))
     for _ in range(12):
         x, y, z = (_random_terms(rng) for _ in range(3))
         xs, ys, zs = g.shifts(x), g.shifts(y), g.shifts(z)
         xy = g.combine(x) @ g.combine(y)
+        xyz = xy @ g.combine(z)
         assert_same_csr((xs @ ys).csr(), xy)
-        assert_same_csr((xs @ ys @ zs).csr(), xy @ g.combine(z))
+        assert_same_csr((xs @ ys @ zs).csr(), xyz)
         v = [1, 1j] @ rng.normal(size=(2, g.cutoff.dim))
-        assert (zero_signed_bits((xs @ ys).matvec(v)) == zero_signed_bits(xy.mat @ v)).all()
+        for op, ref in ((xs, g.combine(x)), (xs @ ys, xy), (xs @ ys @ zs, xyz)):
+            assert np.array_equal(op.matvec(v).view(np.uint64), (ref.mat @ v).view(np.uint64))
         assert (zero_signed_bits((xs @ ys).dag().csr().to_dense())
                 == zero_signed_bits(xy.dag().to_dense())).all()
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (ORACLE_CUTOFFS, assert_same_csr, csr_verify_ladder, kron_generators,
-                     sum_hamiltonian, sum_ladder)
+from oracles import (ORACLE_CUTOFFS, assert_same_csr, coeffs_from_json, csr_verify_ladder,
+                     kron_generators, sum_hamiltonian, sum_ladder)
 
 from ladderforge import fock
 from ladderforge.catalogue import appendix_catalogue
@@ -14,7 +14,7 @@ from ladderforge.cli import run
 from ladderforge.fock import FockCutoff, build_generators
 from ladderforge.params import (CaseTag, FamilyKind, HamiltonianParams,
                                 LadderCoeffs, build_hamiltonian, build_ladder,
-                                classify, coeffs_from_json, coeffs_to_json,
+                                classify, coeffs_to_json,
                                 compute_a0, params_from_json,
                                 params_to_json, solve_alpha_block, solve_ladder,
                                 solve_mu_nu_block, su2_invariant, verify_ladder)

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from ladderforge.cli import run
 from ladderforge.errors import DomainError, LadderForgeError
-from ladderforge.fock import (FockCutoff, Operator, build_generators,
-                             interior_residual, shell_indices)
+from ladderforge.fock import FockCutoff, Operator, build_generators, shell_indices
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
-                                build_hamiltonian, build_ladder,
-                                coeffs_from_json, params_from_json,
+                                build_hamiltonian, build_ladder, params_from_json,
                                 params_to_json, solve_ladder, verify_ladder)
 from ladderforge.eigenstates import (EigenstateRequest, chain_seed,
                                      reduced_eigenstate, verify_eigenstate)
@@ -22,12 +20,11 @@ from ladderforge.params import classify
 from ladderforge import fock, reductions
 from ladderforge.reductions import (_compose, reduce_by_similarity, reduction_chain,
                                     reduction_frame)
-from ladderforge.spectra import diagonalize_oracle
-from ladderforge.transforms import (build_chain, build_unitary,
-                                    rotation_safe_degree, similarity,
-                                    unitary_spec_from_json)
-from oracles import (full_grid_reduce_residuals, hamiltonian_params_from_matrix,
-                     ladder_coeffs_from_matrix, reduced_params, rotated_couplings)
+from oracles import (build_chain, build_unitary, coeffs_from_json, diagonalize_oracle,
+                     full_grid_reduce_residuals, hamiltonian_params_from_matrix,
+                     interior_residual, ladder_coeffs_from_matrix, reduced_params,
+                     rotated_couplings, rotation_safe_degree, similarity,
+                     unitary_spec_from_json)
 
 
 def gate_params(beta0, beta3, b, theta=0.7, **kw):
@@ -388,15 +385,28 @@ def test_reduce_says_when_no_searched_cutoff_certifies(tmp_path, capsys):
 
 @pytest.mark.parametrize("gamma1", [1e20, 1e100])
 def test_reduce_counts_a_column_that_is_not_finite_as_lost(tmp_path, capsys, gamma1):
-    # a displacement this large leaves the columns NaN, not merely lossy:
-    # no shell is intact, at 14,14 or at any searched cutoff
+    # a displacement this large overflows the vacuum column's coherent
+    # amplitudes, at 14,14 or at a searched cutoff: that column is lost,
+    # no shell is intact, and no RuntimeWarning is raised on the way
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"beta0": 2, "gamma1": [gamma1, 0]}}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["reduce", "--config", str(cfg), "--cutoff", "14,14",
-                    "--out", str(tmp_path)]) == 65
+    assert run(["reduce", "--config", str(cfg), "--cutoff", "14,14",
+                "--out", str(tmp_path)]) == 65
     assert capsys.readouterr().err.endswith("no cutoff up to 256,256 keeps them\n")
     assert not (tmp_path / "reduce.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["eigenstate", "spectrum"])
+def test_states_whose_coherent_amplitudes_overflow_exit_65(tmp_path, capsys, scenario):
+    # the frame displaces the vacuum by about 1e20: x^n / sqrt(n!) overflows
+    # on the grid, and the state's weight lies near n = 1e40
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2, "gamma1": [1e20, 0]},
+                               "request": {"lambda": 0.5}}))
+    assert run([scenario, "--config", str(cfg), "--cutoff", "14,14",
+                "--out", str(tmp_path)]) == 65
+    assert "overflows on cutoff 14,14" in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}.json").exists()
 
 
 @pytest.mark.parametrize("scenario, params", [

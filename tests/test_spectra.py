@@ -2,19 +2,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import interior_projector
+from oracles import (diagonalize_oracle, interior_projector, normal_order_coeffs,
+                     normal_order_coeffs_recurrence, normal_order_power, su2_ground,
+                     vacuum_state)
 
 from ladderforge.catalogue import appendix_catalogue
 from ladderforge.errors import LadderForgeError
-from ladderforge.eigenstates import basic21_states, chain_seed, su2_ground
-from ladderforge.fock import FockCutoff, build_generators, interior_indices, vacuum_state
+from ladderforge.eigenstates import basic21_states, chain_seed
+from ladderforge.fock import FockCutoff, build_generators, interior_indices
 from ladderforge.params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
                                 build_ladder, solve_ladder)
 from ladderforge.reductions import reduction_frame
-from ladderforge.spectra import (diagonalize_oracle, nearest_eigenvalues,
-                                 normal_order_coeffs,
-                                 normal_order_coeffs_recurrence,
-                                 normal_order_power, raising_chain)
+from ladderforge.spectra import nearest_eigenvalues, raising_chain
 
 
 # ---------------------------------------------------------------------------

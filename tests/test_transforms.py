@@ -5,13 +5,11 @@ import pytest
 import scipy.linalg
 
 from ladderforge.errors import DomainError
-from ladderforge.fock import FockCutoff, apply, build_generators, vacuum_state
-from ladderforge.transforms import (UnitarySpec, build_chain, build_unitary,
-                                    expm, mixing_angle, rotation_safe_degree,
-                                    similarity, unitary_generator,
-                                    unitary_spec_from_json,
-                                    unitary_spec_to_json, verify_disentangled_T)
-from oracles import interior_projector, mix_spec
+from ladderforge.fock import FockCutoff, apply, build_generators
+from ladderforge.transforms import UnitarySpec, mixing_angle, unitary_spec_to_json
+from oracles import (build_chain, build_unitary, expm, interior_projector, mix_spec,
+                     rotation_safe_degree, similarity, unitary_generator,
+                     unitary_spec_from_json, vacuum_state, verify_disentangled_T)
 
 
 def safe_proj(g):
