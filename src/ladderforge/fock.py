@@ -387,6 +387,31 @@ class GeneratorSet:
             out[row, col[row]] = 0 + w[at[row]]
         return out
 
+    def shell_blocks(self, terms) -> dict:
+        """sum_k c_k G_k on the shells n1 + n2 = s <= top = min(n1_max, n2_max)
+        as its blocks between shells: out[delta][s] is the block from shell s
+        to shell s + delta, rows and columns indexed by n1 (the column
+        |k, s - k>) in a (top + 1) x (top + 1) array, zero past the shells.
+        A shift (dn1, dn2) moves the shell by delta = -(dn1 + dn2), and its
+        weights are read off in one gather; rows past shell top are left out."""
+        top, stride = min(self.cutoff.n1_max, self.cutoff.n2_max), self.cutoff.n2_max + 3
+        s, k = _shell_columns(top)
+        out = {}
+        for (d1, d2), w in self.shifts(terms).weights.items():
+            j = k - d1   # row |k - dn1, s - k - dn2>
+            on = (0 <= j) & (j <= top)
+            block = out.setdefault(-d1 - d2, np.zeros((top + 1,) * 3, dtype=np.complex128))
+            block[s[on], j[on], k[on]] = w[(j[on] + 1) * stride + s[on] - k[on] - d2 + 1]
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _shell_columns(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, k) of every column |k, s - k> on the shells s <= top, in shell order."""
+    s, k = np.tril_indices(top + 1)
+    s.flags.writeable = k.flags.writeable = False
+    return s, k
+
 
 def _csr(cutoff: FockCutoff, by_shift: dict) -> Operator:
     """The operator whose shift (dn1, dn2) has the flat padded weight

@@ -12,25 +12,31 @@ frame without building a unitary.
 
 The closed form is certified against the brute-force truncated H and A:
 the frame also gives the columns W = U[:, S] of the chain's unitary exactly
-on the truncated space (creation polynomials on a closed-form coherent
-state, no matrix exponential),
-and the residuals are ||W' H W - H_red[S, S]||_F and the same for A.  The
-columns are not renormalized: the weight 1 - ||W[:, j]||^2 a displaced
-column loses past the cutoff is measured, and S is the shells
-n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13, the
-region where the truncated identity holds.  The weight lost depends on the
-chain and the cutoff only, never on the closed form being certified.
-W is formed where it lives: a mixing rotation conserves n1 + n2, so a
-rotation-only frame's columns lie in the box n1, n2 <= min(N1, N2)//2, and
-the columns, the truncated H and A and their products H W, A W are formed
-on that box; a displaced frame's columns reach the whole grid, and are
-formed there.  W' (H W) takes the rows where W is nonzero, and the blocks
-R[S, S] of the reduced H and A are read off the generator weights
-(GeneratorSet.block): no reduced matrix is built.
+on the truncated space, and the residuals are ||W' H W - H_red[S, S]||_F
+and the same for A.  The columns are not renormalized: the weight
+1 - ||W[:, j]||^2 a column loses past the cutoff is measured, and S is the
+shells n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13,
+the region where the truncated identity holds.  The weight lost depends on
+the chain and the cutoff only, never on the closed form being certified.
+
+A frame with no displacement is a mixing rotation, which conserves
+n1 + n2: U is one (s+1) x (s+1) block D_s per shell s, the exponential of
+i(J+ - J-) on that shell taken through its exact eigenvalues -s, -s+2, ..., s
+and its eigenvectors (cached per top shell), and the residuals are summed
+block by block: H and A move n1 + n2 by at most one, so block (t, s) of
+W' H W is D_t' H[t, s] D_s with |t - s| <= 1, and the blocks of H, A and
+the reduced H_red, A_red are read off the generator weights
+(GeneratorSet.shell_blocks).  No CSR matrix and no dense W is formed.  A
+displaced frame's columns reach the whole grid: they are stepped there from
+U|0> (creation polynomials on a closed-form coherent state), W' (H W) takes
+the rows where W is nonzero, and R[S, S] is read off the weights
+(GeneratorSet.block).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,8 +140,39 @@ class Frame:
     def prefix(self) -> CreationPoly:
         return CreationPoly({(1, 0): self.x[0], (0, 1): self.x[1]})
 
+    @property
+    def rotation_only(self) -> bool:
+        """No displacement: U is a mixing rotation (the identity included),
+        with or without the closing mode swap, and conserves n1 + n2."""
+        return not (self.c.any() or self.x.any())
+
+    def rotation_blocks(self, top: int) -> np.ndarray:
+        """The blocks D[s][j, k] = <j, s - j| U |k, s - k> of a rotation-only
+        frame on the shells s = 0..top, stacked and zero-padded to
+        (top + 1)^3.  With m = [[cos phi, e^{i theta} sin phi], ...],
+        U = P exp(phi (J- - J+)) P' for P = diag(e^{-ik theta}) over n1 = k,
+        and i(J+ - J-) = Q T_s Q' on shell s, Q = diag(i^k), so that
+            D_s = P Q V_s e^{i phi mu} V_s' Q' P',
+        V_s the eigenvectors of T_s (_shell_eigenvectors) and mu exactly
+        -s, -s+2, ..., s.  After the mode swap, U|k, s - k> is the unswapped
+        frame's U|s - k, k>: each block's columns reversed."""
+        swap = np.linalg.det(self.m).real < 0
+        m = self.m[::-1] if swap else self.m
+        phi, theta = math.atan2(abs(m[0, 1]), m[0, 0].real), np.angle(m[0, 1])
+        v = _shell_eigenvectors(top)
+        n = np.arange(top + 1)
+        d = (v * np.exp(1j * phi * (2 * n - n[:, None]))[:, None, :]) @ v.transpose(0, 2, 1)
+        phase = np.exp(1j * (np.pi / 2 - theta) * n)
+        d *= phase[:, None] * phase.conj()
+        if swap:   # column k of shell s from column s - k; past s, the zero padding
+            d = np.take_along_axis(d, ((n[:, None] - n) % (top + 1))[:, None, :], axis=2)
+        return d
+
     def columns(self, cut: FockCutoff, keep: np.ndarray) -> np.ndarray:
-        """U[:, keep], exact on the truncated space:
+        """U[:, keep], exact on the truncated space.  A rotation-only frame
+        conserves n1 + n2: column |k, s - k> is column k of the block D_s
+        (rotation_blocks) on the states of shell s that lie on the grid.
+        Otherwise
             U|n1, n2> = d1^n1 d2^n2 U|0> / sqrt(n1! n2!),
             U|0> = e^{-|x|^2/2} exp(x . a')|0>,
         each column one creation step from a lower one, so `keep` (sorted)
@@ -144,8 +181,17 @@ class Frame:
         one at a time, then each n1 level at once from the one below.
         Nothing is renormalized: the weight a column has past the cutoff is
         truncation, and stays missing."""
-        d1, d2 = (d.on(cut) for d in self.dags())
         n1, n2 = np.divmod(keep, cut.n2_max + 1)
+        if self.rotation_only:
+            shell = n1 + n2
+            d = self.rotation_blocks(int(shell.max(initial=0)))
+            j = np.arange(d.shape[1])
+            col, row = np.nonzero((j <= shell[:, None]) & (j <= cut.n1_max)
+                                  & (shell[:, None] - j <= cut.n2_max))
+            u = np.zeros((cut.dim, keep.size), dtype=complex)
+            u[row * (cut.n2_max + 1) + shell[col] - row, col] = d[shell[col], row, n1[col]]
+            return u
+        d1, d2 = (d.on(cut) for d in self.dags())
         u = np.empty((cut.dim, keep.size), dtype=complex)
         w = u.T   # w[j] is column j
         vac = coherent_state(cut, *self.x).amplitudes
@@ -176,6 +222,22 @@ class Frame:
         return LadderCoeffs(mu1=t[0, 1], mu2=t[0, 2], nu1=t[0, 3], nu2=t[0, 4],
                             alpha_plus=t[1, 4], alpha_minus=t[2, 3],
                             alpha3=t[1, 3] - t[2, 4], a0=q[0, 0] + q[1, 3] + q[2, 4])
+
+
+@functools.lru_cache(maxsize=8)
+def _shell_eigenvectors(top: int) -> np.ndarray:
+    """V[s] for the shells s = 0..top, stacked and zero-padded to (top + 1)^3:
+    the eigenvectors of the real symmetric tridiagonal T_s with
+    T_s[k + 1, k] = sqrt((k + 1)(s - k)), i(J+ - J-) on shell s with the
+    phases i^k taken out, whose eigenvalues are -s, -s+2, ..., s in eigh's
+    ascending order.  They depend on top alone, so one array serves every
+    frame; it is read-only."""
+    v = np.zeros((top + 1,) * 3)
+    for s in range(top + 1):
+        k = np.arange(s)
+        v[s, :s + 1, :s + 1] = np.linalg.eigh(np.diag(np.sqrt((k + 1.0) * (s - k)), -1))[1]
+    v.flags.writeable = False
+    return v
 
 
 def _affine(spec: UnitarySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,21 +316,27 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
     cutoff; CutoffTooSmall, naming the least cutoff N,N that keeps shell 1,
     when that leaves no shell 1.
 
-    A frame with no displacement is a rotation alone: W, H W, A W and the
-    reduced blocks R[S, S] are formed on the box n1, n2 <= min(N1, N2)//2
-    that holds its columns; a displaced frame's on the whole grid.  The
-    generator set is built once, on that box or grid.
+    A frame with no displacement is a rotation alone, and W is its shell
+    blocks D_s (Frame.rotation_blocks): each residual is summed block by
+    block over the (s, s) and (s +/- 1, s) blocks, as batched products of
+    the blocks read off the generator weights on the box n1, n2 <= shell_max
+    (_shell_residual), and the norm a column keeps is that of its block
+    column.  A displaced frame's W is stepped on the whole grid
+    (Frame.columns) and sandwiched with the CSR H and A there.
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
     top = min(cut.n1_max, cut.n2_max) // 2
-    # with no displacement, n1 + n2 <= top on every column
-    g = build_generators(cut if frame.c.any() or frame.x.any() else FockCutoff(top, top))
-    keep = shell_indices(g.cutoff, top)
-    w, lost = _columns(frame, g.cutoff, keep)
-    shells = np.sum(np.divmod(keep, g.cutoff.n2_max + 1), axis=0)
-    shell_max = int(np.min(shells[lost > _INTACT], initial=shells.max() + 1)) - 1
+    if frame.rotation_only:
+        d = frame.rotation_blocks(top)
+        shells, k = np.tril_indices(top + 1)   # column |k, s - k> is D_s's column k
+        lost = 1.0 - np.vecdot(d, d, axis=1).real[shells, k]
+    else:
+        keep = shell_indices(cut, top)
+        w, lost = _columns(frame, cut, keep)
+        shells = np.sum(np.divmod(keep, cut.n2_max + 1), axis=0)
+    shell_max = int(np.min(shells[lost > _INTACT], initial=top + 1)) - 1
     if shell_max < 1:   # shell 1 is the least S that sees every coefficient
         least = _least_intact_cutoff(frame, max(min(cut.n1_max, cut.n2_max), 1))
         raise CutoffTooSmall(
@@ -276,18 +344,45 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
             f"frame's shell-1 columns lose {lost[shells <= 1].max():.1e} of their norm past "
             "it; " + (f"{least},{least} is the least cutoff that keeps them" if least else
                       f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps them"))
-    if shell_max < shells.max():
-        keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
-    # the rows where W is zero add nothing to W' H W
-    rows = np.flatnonzero(w.any(axis=1))
-    if rows.size == w.shape[0]:
-        rows = slice(None)
-    wh = w[rows].conj().T
+    if frame.rotation_only:
+        g = build_generators(FockCutoff(shell_max, shell_max))
+        d = d[:shell_max + 1, :shell_max + 1, :shell_max + 1]
+        h_residual, a_residual = (
+            _shell_residual(d, g.shell_blocks(op), g.shell_blocks(red))
+            for op, red in ((hamiltonian_terms(p), hamiltonian_terms(params)),
+                            (ladder_terms(c), ladder_terms(coeffs))))
+    else:
+        g = build_generators(cut)
+        if shell_max < top:
+            keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
+        # the rows where W is zero add nothing to W' H W
+        rows = np.flatnonzero(w.any(axis=1))
+        if rows.size == w.shape[0]:
+            rows = slice(None)
+        wh = w[rows].conj().T
 
-    def residual(op: Operator, reduced: list) -> float:
-        return float(np.linalg.norm(wh @ (op.mat @ w)[rows] - g.block(reduced, keep)))
+        def residual(op: Operator, reduced: list) -> float:
+            return float(np.linalg.norm(wh @ (op.mat @ w)[rows] - g.block(reduced, keep)))
 
-    return Reduction(params=params, coeffs=coeffs, chain=chain,
-                     h_residual=residual(build_hamiltonian(p, g), hamiltonian_terms(params)),
-                     a_residual=residual(build_ladder(c, g), ladder_terms(coeffs)),
-                     shell_max=shell_max)
+        h_residual = residual(build_hamiltonian(p, g), hamiltonian_terms(params))
+        a_residual = residual(build_ladder(c, g), ladder_terms(coeffs))
+    return Reduction(params=params, coeffs=coeffs, chain=chain, h_residual=h_residual,
+                     a_residual=a_residual, shell_max=shell_max)
+
+
+def _shell_residual(d: np.ndarray, op: dict, reduced: dict) -> float:
+    """||D' X D - R||_F over the shells s = 0..len(d) - 1, for the rotation
+    blocks d (Frame.rotation_blocks) and the shell blocks of X and of the
+    reduced R (GeneratorSet.shell_blocks): block (s + delta, s) of D' X D
+    is D_{s+delta}' X[s + delta, s] D_s, formed for every s at once where
+    both shells are in range."""
+    dh = d.conj().transpose(0, 2, 1)
+    squares = 0.0
+    for delta in sorted({*op, *reduced}):
+        cols = slice(max(0, -delta), len(d) - max(0, delta))
+        rows = slice(cols.start + delta, cols.stop + delta)
+        e = -reduced[delta][cols] if delta in reduced else 0.0
+        if delta in op:
+            e = e + dh[rows] @ op[delta][cols] @ d[cols]
+        squares += np.vdot(e, e).real
+    return math.sqrt(squares)

@@ -455,34 +455,37 @@ def test_reduce_residuals_match_the_full_grid_sandwich(kind, cutoff):
         assert (red.h_residual, red.a_residual) == want
 
 
-@pytest.mark.parametrize("perturb", ["h0", "ladder"])
+@pytest.mark.parametrize("perturb", ["h0", "ladder", "rotation"])
 def test_reduce_on_the_shells_refuses_a_false_closed_form(tmp_path, monkeypatch, perturb):
-    # a rotation-only frame at cutoff 28 forms its residuals on S alone; a
-    # reduced h0 or ladder coefficient off by 1e-6 still fails there
+    # a rotation-only frame forms its residuals on the shell blocks of S
+    # alone; a reduced h0 or ladder coefficient off by 1e-6, or a rotation
+    # turned by 1e-6, still fails there, at cutoff 28 and at 160
     p, _ = SUPPORT_FRAMES["rotation"]
-    if perturb == "h0":
-        true_chain = reduction_chain
-        monkeypatch.setattr(reductions, "reduction_chain",
-                            lambda p, eps=1: _shift_h0(*true_chain(p, eps)))
-    else:
+    if perturb == "ladder":
         true_ladder = reductions.Frame.reduced_ladder
 
         def off(frame, c):
             coeffs = true_ladder(frame, c)
             return replace(coeffs, alpha_minus=coeffs.alpha_minus + 1e-6)
         monkeypatch.setattr(reductions.Frame, "reduced_ladder", off)
-    code, report = _reduce(tmp_path, params_to_json(p), 1, 28)
-    assert code == 1, report
-    assert report["shell_max"] == 14
-    residual = report["h_residual" if perturb == "h0" else "a_residual"]
-    assert 1e-8 < residual, report
+    else:
+        true_chain = reduction_chain
+        wrong = _shift_h0 if perturb == "h0" else _turn_rotation
+        monkeypatch.setattr(reductions, "reduction_chain",
+                            lambda p, eps=1: wrong(*true_chain(p, eps)))
+    for cutoff in (28, 160):
+        code, report = _reduce(tmp_path, params_to_json(p), 1, cutoff)
+        assert code == 1, report
+        assert report["shell_max"] == cutoff // 2
+        residual = report["a_residual" if perturb == "ladder" else "h_residual"]
+        assert 1e-8 < residual, report
 
 
 @pytest.mark.parametrize("kind", sorted(SUPPORT_FRAMES))
 def test_reduce_forms_its_operators_on_the_frame_support(tmp_path, monkeypatch, kind):
-    # at cutoff 28 a rotation-only frame's columns lie in the (14, 14) box,
-    # and the truncated H and A are built on it; a displaced frame's reach
-    # the whole grid, and H and A are built there
+    # at cutoff 28 a rotation-only frame is certified on its shell blocks
+    # and builds no CSR matrix; a displaced frame's columns reach the whole
+    # grid, and the truncated H and A are built there
     built = []
     true_csr = fock._csr
 
@@ -492,7 +495,55 @@ def test_reduce_forms_its_operators_on_the_frame_support(tmp_path, monkeypatch, 
     monkeypatch.setattr(fock, "_csr", counted)
     code, report = _reduce(tmp_path, params_to_json(SUPPORT_FRAMES[kind][0]), 1, 28)
     assert code == 0, report
-    assert built == [FockCutoff(14, 14) if kind == "rotation" else FockCutoff(28, 28)] * 2
+    assert built == ([] if kind == "rotation" else [FockCutoff(28, 28)] * 2)
+
+
+# a request whose frame is a rotation alone: b^2 = 1, no linear coupling
+ROTATION_ONLY = {"beta0": 2.5, "beta_plus": [0.4, 0.0], "beta3": 0.6}
+
+
+def test_rotation_blocks_stay_unitary_on_every_shell():
+    # at cutoff 240,240 reduce certifies the shells up to 120; each block
+    # comes from one eigendecomposition of its shell, so its rounding does
+    # not grow with the shell as that of columns built by creation steps does
+    d = reduction_frame(params_from_json(ROTATION_ONLY)).rotation_blocks(120)
+    for s in range(121):
+        block = d[s, :s + 1, :s + 1]
+        assert np.max(np.abs(block.conj().T @ block - np.eye(s + 1))) <= 1e-14, s
+        assert not d[s, s + 1:].any() and not d[s, :, s + 1:].any()
+
+
+def test_rotation_blocks_follow_the_closing_mode_swap():
+    # beta3 < 0 with no rotation ends the frame with the mode swap: U|k, s - k>
+    # is |s - k, k>, as the stepped columns give it
+    frame = reduction_frame(HamiltonianParams(beta0=2.0, beta3=-1.0))
+    assert frame.rotation_only and np.linalg.det(frame.m).real < 0
+    d = frame.rotation_blocks(6)
+    for s in range(7):
+        np.testing.assert_allclose(d[s, :s + 1, :s + 1], np.eye(s + 1)[::-1], atol=1e-15)
+
+
+def test_reduce_reaches_cutoff_160_on_a_rotation_alone(tmp_path):
+    # the shell blocks keep the residuals at rounding level on the shells up
+    # to 80, where columns built by creation steps lose unitarity by 1e-7
+    code, report = _reduce(tmp_path, ROTATION_ONLY, 1, 160)
+    assert code == 0, report
+    assert report["shell_max"] == 80
+    assert max(report["h_residual"], report["a_residual"]) < 1e-9
+
+
+def test_rotation_only_reduce_loads_no_scipy(tmp_path):
+    # a rotation-only frame is certified on the generators' grid weights:
+    # no CSR matrix is built, so no scipy module is imported
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": ROTATION_ONLY}))
+    probe = ("import sys; from ladderforge.cli import run; "
+             "print(run(['reduce', '--config', sys.argv[1], '--cutoff', '28,28', "
+             "'--out', sys.argv[2]])); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["0", "[]"]
 
 
 def test_reduce_loads_no_dense_linalg(tmp_path):
