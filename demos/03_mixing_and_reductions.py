@@ -5,7 +5,6 @@ import numpy as np
 
 from ladderforge import (FockCutoff, HamiltonianParams, build_generators,
                          reduce_by_similarity, solve_ladder)
-from ladderforge.fock import shell_indices
 from ladderforge.reductions import reduction_frame
 
 cutoff = FockCutoff(14, 14)
@@ -21,7 +20,8 @@ for name, d in (("a1'", d1), ("a2'", d2)):
 
 # its columns U[:, S] on the shells n1 + n2 <= 7, exact on the truncated
 # space: the rotation keeps n1 + n2, so they never reach the cutoff
-keep = shell_indices(cutoff, 7)
+n1, n2 = np.divmod(np.arange(cutoff.dim), cutoff.n2_max + 1)
+keep = np.flatnonzero(n1 + n2 <= 7)
 w = frame.columns(cutoff, keep)
 rotated = w.conj().T @ (g.a1.mat @ w)
 target = ((g.a1 - g.a2) / np.sqrt(2)).mat[keep][:, keep].toarray()

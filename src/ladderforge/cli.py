@@ -44,7 +44,7 @@ from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator_residua
 from .params import (HamiltonianParams, build_hamiltonian, build_ladder, coeffs_to_json,
                      params_from_json, params_to_json, parse_complex, solve_ladder,
                      su2_invariant, verify_ladder)
-from .reductions import reduce_by_similarity, reduction_frame
+from .reductions import cutoff_advice, reduce_by_similarity, reduction_frame
 from .spectra import SpectrumReport, nearest_eigenvalues, raising_chain
 from .transforms import unitary_spec_to_json
 
@@ -359,6 +359,18 @@ def _run_spectrum(inp):
     certified = [(e, s) for _, chain in chains for e, s in zip(chain.entries, chain.states)
                  if e.certified]
     if not certified:
+        # the chains live on the degree-3 interior; a frame whose vacuum U|0>
+        # already lies past it leaves none certified: a truncation limit
+        def lost(n1: int, n2: int) -> float:
+            return frame.vacuum_lost(n1 - 3, n2 - 3)
+
+        cut, bound = inp.cutoff, DEFAULT_TOL.chain_mass
+        if lost(cut.n1_max, cut.n2_max) > bound:
+            raise CutoffTooSmall(
+                f"spectrum cannot certify at cutoff {cut.n1_max},{cut.n2_max}: the frame's "
+                f"vacuum loses {lost(cut.n1_max, cut.n2_max):.1e} of its norm past the degree-3 "
+                "interior; " + cutoff_advice(lambda n: lost(n, n) <= bound,
+                                             min(cut.n1_max, cut.n2_max), "it"))
         return _refuse(tag, "no certified chain entries")
     nearest, fell_back = nearest_eigenvalues(h, [e.energy_chain for e, _ in certified], 3,
                                              [s for _, s in certified])

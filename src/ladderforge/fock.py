@@ -49,7 +49,6 @@ __all__ = [
     "build_generators",
     "commutator_residual",
     "interior_indices",
-    "shell_indices",
     "apply",
     "norm",
     "normalize",
@@ -369,24 +368,6 @@ class GeneratorSet:
         entries are those of the chained Operator sum written in that order."""
         return _csr(self.cutoff, {k: 0 + w for k, w in self.shifts(terms).weights.items()})
 
-    def block(self, terms, keep: np.ndarray) -> np.ndarray:
-        """combine(terms) restricted to the basis indices `keep`, as a dense
-        |keep| x |keep| array read off the weights: entry (i, j) is the
-        weight at keep[i] of the shift that reaches keep[j], added to zero as
-        combine adds it, so the array equals
-        combine(terms).mat[keep][:, keep].toarray() bit for bit."""
-        stride = self.cutoff.n2_max + 3
-        n1, n2 = np.divmod(keep, self.cutoff.n2_max + 1)
-        at = (n1 + 1) * stride + n2 + 1   # keep on the flat padded grid
-        where = np.full((self.cutoff.n1_max + 3) * stride, -1)
-        where[at] = np.arange(keep.size)
-        out = np.zeros((keep.size, keep.size), dtype=np.complex128)
-        for (d1, d2), w in self.shifts(terms).weights.items():
-            col = where[at + d1 * stride + d2]
-            row = np.flatnonzero(col >= 0)
-            out[row, col[row]] = 0 + w[at[row]]
-        return out
-
     def shell_blocks(self, terms) -> dict:
         """sum_k c_k G_k on the shells n1 + n2 = s <= top = min(n1_max, n2_max)
         as its blocks between shells: out[delta][s] is the block from shell s
@@ -400,7 +381,9 @@ class GeneratorSet:
         for (d1, d2), w in self.shifts(terms).weights.items():
             j = k - d1   # row |k - dn1, s - k - dn2>
             on = (0 <= j) & (j <= top)
-            block = out.setdefault(-d1 - d2, np.zeros((top + 1,) * 3, dtype=np.complex128))
+            if -d1 - d2 not in out:
+                out[-d1 - d2] = np.zeros((top + 1,) * 3, dtype=np.complex128)
+            block = out[-d1 - d2]
             block[s[on], j[on], k[on]] = w[(j[on] + 1) * stride + s[on] - k[on] - d2 + 1]
         return out
 
@@ -574,19 +557,6 @@ def commutator_residual(g: GeneratorSet, x: Shifts, y: Shifts, z: Shifts,
     entries = np.empty(np.count_nonzero(nonzero), dtype=np.complex128)
     entries.real, entries.imag = re[nonzero], im[nonzero]
     return float(np.linalg.norm(entries))
-
-
-def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
-    """Basis indices with n1 + n2 <= s_max.
-
-    Mixing rotations preserve the total occupation, so identities involving
-    them are exact on complete shells; combined with displacement steps the
-    junk from the truncation corner leaks a few shells inward, and retreating
-    in total occupation (rather than per mode) is the masking that matches
-    the error geometry.
-    """
-    n1, n2 = np.divmod(np.arange(cutoff.dim, dtype=np.intp), cutoff.n2_max + 1)
-    return np.flatnonzero(n1 + n2 <= s_max)
 
 
 def apply(a: Operator, v: TwoModeState) -> TwoModeState:

@@ -10,31 +10,36 @@ chain composes into one map (`Frame`): it gives the reduced ladder in
 closed form and carries the basic system's states back to the original
 frame without building a unitary.
 
-The closed form is certified against the brute-force truncated H and A:
-the frame also gives the columns W = U[:, S] of the chain's unitary exactly
-on the truncated space, and the residuals are ||W' H W - H_red[S, S]||_F
-and the same for A.  The columns are not renormalized: the weight
-1 - ||W[:, j]||^2 a column loses past the cutoff is measured, and S is the
-shells n1 + n2 <= min(N1, N2)//2 whose columns keep their norm to 1e-13,
-the region where the truncated identity holds.  The weight lost depends on
-the chain and the cutoff only, never on the closed form being certified.
+The closed form is certified against the brute-force truncated H and A,
+conjugated by the chain's unitary U on the shells S of its columns U[:, S].
+Nothing is renormalized: the weight 1 - ||U|j>||^2 a column loses past the
+cutoff is measured, and S is the shells n1 + n2 <= min(N1, N2)//2 whose
+columns keep their norm to 1e-13, the region where the truncated identity
+holds.  The weight lost depends on the chain and the cutoff only, never on
+the closed form being certified.  No CSR matrix and no dense column of U
+is formed.
 
-A frame with no displacement is a mixing rotation, which conserves
-n1 + n2: U is one (s+1) x (s+1) block D_s per shell s, the exponential of
-i(J+ - J-) on that shell taken through its exact eigenvalues -s, -s+2, ..., s
-and its eigenvectors (cached per top shell), and the residuals are summed
-block by block: H and A move n1 + n2 by at most one, so block (t, s) of
-W' H W is D_t' H[t, s] D_s with |t - s| <= 1, and the blocks of H, A and
-the reduced H_red, A_red are read off the generator weights
-(GeneratorSet.shell_blocks).  No CSR matrix and no dense W is formed.  A
-displaced frame's columns reach the whole grid: they are stepped there from
-U|0> (creation polynomials on a closed-form coherent state), W' (H W) takes
-the rows where W is nonzero, and R[S, S] is read off the weights
-(GeneratorSet.block).
+The mixing rotation R conserves n1 + n2: it is one (s+1) x (s+1) block D_s
+per shell s, the exponential of i(J+ - J-) on that shell taken through its
+exact eigenvalues -s, -s+2, ..., s and its eigenvectors (cached per top
+shell).  H and A move n1 + n2 by at most one, so block (t, s) of R' H R is
+D_t' H[t, s] D_s with |t - s| <= 1, and the blocks of H, A and of the
+closed forms are read off the generator weights (GeneratorSet.shell_blocks):
+a rotation's residual is summed block by block.  The displacements act on
+one mode each, and after the rotation they are displacements of the
+original modes, R D(alpha) R' = D(x) with x = r^T alpha: the displaced
+number states of a mode are formed on that mode alone (stepped, or along
+their diagonals for a large displacement), every term of H and A is a
+product of one-mode operators, and D(x)' X D(x) is a sum of Kronecker
+products of one-mode sandwiches.  A frame U = D(x) R is
+certified in those two steps: D(x) against the closed form once the
+couplings are absorbed, then R against the reduced one, both on S
+(reduce_by_similarity).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -42,14 +47,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
-from .fock import (CreationPoly, FockCutoff, Operator, build_generators, coherent_state,
-                   shell_indices)
-from .params import (HamiltonianParams, LadderCoeffs, build_hamiltonian,
-                     build_ladder, hamiltonian_terms, ladder_terms)
+from .fock import CreationPoly, FockCutoff, build_generators
+from .params import HamiltonianParams, LadderCoeffs, hamiltonian_terms, ladder_terms
 from .transforms import UnitarySpec, mixing_angle
 
 __all__ = ["Reduction", "Frame", "reduction_chain", "reduction_frame",
-           "reduce_by_similarity"]
+           "reduce_by_similarity", "cutoff_advice"]
 
 _ZERO = 1e-12
 # the norm a certified column may lose past the cutoff: far above the roundoff
@@ -67,7 +70,7 @@ class Reduction:
     params: HamiltonianParams
     coeffs: LadderCoeffs
     chain: list[UnitarySpec]
-    h_residual: float   # ||W' H W - H_red[S, S]||_F, W = U[:, S] from the frame
+    h_residual: float   # bounds ||U' H U - H_red||_F on S (reduce_by_similarity)
     a_residual: float   # the same for A and the reduced ladder
     shell_max: int      # S: n1 + n2 <= shell_max, the shells whose columns are intact
 
@@ -169,39 +172,29 @@ class Frame:
         return d
 
     def columns(self, cut: FockCutoff, keep: np.ndarray) -> np.ndarray:
-        """U[:, keep], exact on the truncated space.  A rotation-only frame
-        conserves n1 + n2: column |k, s - k> is column k of the block D_s
-        (rotation_blocks) on the states of shell s that lie on the grid.
-        Otherwise
-            U|n1, n2> = d1^n1 d2^n2 U|0> / sqrt(n1! n2!),
-            U|0> = e^{-|x|^2/2} exp(x . a')|0>,
-        each column one creation step from a lower one, so `keep` (sorted)
-        must hold the lower neighbour of each of its states, as shell and
-        interior index sets do.  The columns with n1 = 0 are stepped up in n2
-        one at a time, then each n1 level at once from the one below.
-        Nothing is renormalized: the weight a column has past the cutoff is
-        truncation, and stays missing."""
+        """U[:, keep] of a rotation-only frame, exact on the truncated space:
+        U conserves n1 + n2, so column |k, s - k> is column k of the block
+        D_s (rotation_blocks) on the states of shell s that lie on the grid.
+        A displaced frame's columns reach the whole grid; reduce certifies it
+        through its one-mode factors instead (reduce_by_similarity)."""
+        if not self.rotation_only:
+            raise ValueError("columns of a displaced frame are not formed")
         n1, n2 = np.divmod(keep, cut.n2_max + 1)
-        if self.rotation_only:
-            shell = n1 + n2
-            d = self.rotation_blocks(int(shell.max(initial=0)))
-            j = np.arange(d.shape[1])
-            col, row = np.nonzero((j <= shell[:, None]) & (j <= cut.n1_max)
-                                  & (shell[:, None] - j <= cut.n2_max))
-            u = np.zeros((cut.dim, keep.size), dtype=complex)
-            u[row * (cut.n2_max + 1) + shell[col] - row, col] = d[shell[col], row, n1[col]]
-            return u
-        d1, d2 = (d.on(cut) for d in self.dags())
-        u = np.empty((cut.dim, keep.size), dtype=complex)
-        w = u.T   # w[j] is column j
-        vac = coherent_state(cut, *self.x).amplitudes
-        w[0] = np.exp(-np.vdot(self.x, self.x).real / 2.0) * vac
-        for j in range(1, np.count_nonzero(n1 == 0)):
-            w[j] = d2(w[j - 1]) / np.sqrt(n2[j])
-        for level in range(1, n1.max(initial=0) + 1):
-            rows = np.flatnonzero(n1 == level)
-            w[rows] = d1(w[np.searchsorted(keep, keep[rows] - cut.n2_max - 1)]) / np.sqrt(level)
+        shell = n1 + n2
+        d = self.rotation_blocks(int(shell.max(initial=0)))
+        j = np.arange(d.shape[1])
+        col, row = np.nonzero((j <= shell[:, None]) & (j <= cut.n1_max)
+                              & (shell[:, None] - j <= cut.n2_max))
+        u = np.zeros((cut.dim, keep.size), dtype=complex)
+        u[row * (cut.n2_max + 1) + shell[col] - row, col] = d[shell[col], row, n1[col]]
         return u
+
+    def vacuum_lost(self, n1_max: int, n2_max: int) -> float:
+        """The weight U|0> has past the box n1 <= n1_max, n2 <= n2_max:
+        U|0> is the normalized coherent state at x, a product of one-mode
+        displaced vacua (_displaced)."""
+        m1, m2 = (_displaced(x, n, 0) for x, n in zip(self.x, (n1_max, n2_max)))
+        return 1.0 - float(_kept(m1, m2, None)[0, 0])
 
     def reduced_ladder(self, c: LadderCoeffs) -> LadderCoeffs:
         """Coefficients of U' A U, with A built from c.
@@ -224,7 +217,7 @@ class Frame:
                             alpha3=t[1, 3] - t[2, 4], a0=q[0, 0] + q[1, 3] + q[2, 4])
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _shell_eigenvectors(top: int) -> np.ndarray:
     """V[s] for the shells s = 0..top, stacked and zero-padded to (top + 1)^3:
     the eigenvectors of the real symmetric tridiagonal T_s with
@@ -271,35 +264,93 @@ def reduction_frame(p: HamiltonianParams) -> Frame:
     return f
 
 
-def _columns(frame: Frame, cut: FockCutoff, keep: np.ndarray):
-    """The frame's columns U[:, keep] on `cut` and the weight 1 - ||w_j||^2
-    each has past it; no columns, and every one lost whole, when the
-    vacuum's coherent amplitudes overflow there (fock.coherent_state)."""
-    try:
-        w = frame.columns(cut, keep)
-    except CutoffTooSmall:
-        return None, np.ones(keep.size)
-    return w, 1.0 - np.vecdot(w.T, w.T).real
+def _displaced(alpha: complex, n_max: int, k_max: int) -> np.ndarray:
+    """M[n, k] = <n| D |k> for the levels n <= n_max and k <= k_max, D the
+    one-mode displacement with D a' D' = a' - conj(alpha):
+        D|0> = e^{-|alpha|^2/2} sum_n alpha^n / sqrt(n!) |n>,
+        D|k> = (a' - conj(alpha)) D|k - 1> / sqrt(k).
+    a' only raises, so each column is the exact one restricted to the
+    levels, and nothing is renormalized: the weight a column has past n_max
+    is truncation, and stays missing.  The vacuum's amplitudes are taken
+    through their logarithms, so that a displacement whose weight lies far
+    past n_max leaves columns that underflow to zero (lost whole) and none
+    overflows.
+
+    The stepping's rounding grows as e^{2|alpha| sqrt(k)}.  Past
+    |alpha| sqrt(k_max) = 4, where it would pass about 1e-13, each diagonal
+    n - k = +/-a is taken instead through the three-term recurrence of the
+    Laguerre polynomials in j = min(n, k), scaled to the entries
+        f[j, a] = sqrt(j! / (j + a)!) |alpha|^a e^{-|alpha|^2/2} L_j^(a)(|alpha|^2),
+        <j + a| D |j> = e^{ia arg(alpha)} f[j, a],
+        <j| D |j + a> = (-1)^a e^{-ia arg(alpha)} f[j, a],
+    which keeps the columns orthonormal to about 1e-13 at any |alpha|."""
+    r, phase = abs(alpha), cmath.phase(alpha)
+    if r * math.sqrt(k_max) <= 4:
+        n = np.arange(n_max + 1)
+        m = np.zeros((n_max + 1, k_max + 1), dtype=complex)
+        if r == 0:
+            m[0, 0] = 1.0
+        else:
+            m[:, 0] = np.exp(_log_coherent(r, n_max) + 1j * phase * n)
+        root = np.sqrt(n[1:])
+        for k in range(1, k_max + 1):
+            m[:, k] = -np.conj(alpha) * m[:, k - 1]
+            m[1:, k] += root * m[:-1, k - 1]
+            m[:, k] /= math.sqrt(k)
+        return m
+    a = np.arange(max(n_max, k_max) + 1)
+    f = np.zeros((k_max + 1, a.size))
+    f[0] = np.exp(_log_coherent(r, a[-1]))
+    if f[0].any():   # else every entry underflows: lost whole
+        x = r * r
+        f[1] = (1 + a - x) * f[0] / np.sqrt(1 + a)
+        for j in range(1, k_max):
+            f[j + 1] = (((2 * j + 1 + a - x) * f[j] - np.sqrt(j * (j + a)) * f[j - 1])
+                        / np.sqrt((j + 1) * (j + 1 + a)))
+    n, k = np.ogrid[:n_max + 1, :k_max + 1]
+    sign = np.where((n < k) & ((k - n) % 2 == 1), -1.0, 1.0)
+    return sign * f[np.minimum(n, k), abs(n - k)] * np.exp(1j * phase * (n - k))
 
 
-def _least_intact_cutoff(frame: Frame, failing: int) -> int | None:
-    """The least N whose cutoff N,N keeps the frame's shell-1 columns within
-    _INTACT, given that `failing` does not; None when _SEARCH_MAX does not.
-    A column at a cutoff is the exact one restricted to the box, so the
-    weight it loses only falls as N grows: double, then bisect."""
-    def intact(n: int) -> bool:
-        cut = FockCutoff(n, n)
-        return bool(np.all(_columns(frame, cut, shell_indices(cut, 1))[1] <= _INTACT))
+def _log_coherent(r: float, n_max: int) -> np.ndarray:
+    """log |<n|D|0>| = n log r - log(n!)/2 - r^2/2 for n <= n_max and r > 0:
+    the levels past double range underflow to zero once exponentiated."""
+    n = np.arange(n_max + 1)
+    return n * math.log(r) - np.cumsum(np.log(np.maximum(n, 1))) / 2 - r * r / 2
 
+
+def _kept(m1: np.ndarray, m2: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """kept[s, k]: the weight on the grid of the column |k, s - k> of
+    U = (D1 (x) D2) R, for D_i's columns m_i on the grid's levels
+    (_displaced, as many as the shells) and R's shell blocks d
+    (Frame.rotation_blocks), or no rotation.  With G_i = m_i' m_i, a state v
+    on shell s keeps v' G_s v, G_s[i, j] = G1[i, j] G2[s - i, s - j]: for
+    v = |k, s - k>, G1[k, k] G2[s - k, s - k]."""
+    t = m1.shape[1]
+    if d is None:
+        w1, w2 = (np.sum(m.real ** 2 + m.imag ** 2, axis=0) for m in (m1, m2))
+        s, k = np.ogrid[:t, :t]
+        return np.where(k <= s, w1[k] * w2[(s - k) % t], 0)
+    g1, g2 = (m.conj().T @ m for m in (m1, m2))
+    s, i, j = np.ogrid[:t, :t, :t]
+    gs = np.where((i <= s) & (j <= s), g1[i, j] * g2[(s - i) % t, (s - j) % t], 0)
+    return np.vecdot(d, gs @ d, axis=1).real
+
+
+def cutoff_advice(intact, failing: int, what: str = "them") -> str:
+    """Names the least N whose cutoff N,N passes `intact(N)`, given that
+    `failing` does not, or says that no N up to _SEARCH_MAX does.  A state
+    on a cutoff is the exact one restricted to the box, so the weight it
+    loses only falls as N grows: double, then bisect."""
     lo, hi = failing, min(2 * failing, _SEARCH_MAX)
     while not intact(hi):
         if hi == _SEARCH_MAX:
-            return None
+            return f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps {what}"
         lo, hi = hi, min(2 * hi, _SEARCH_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if intact(mid) else (mid, hi)
-    return hi
+    return f"{hi},{hi} is the least cutoff that keeps {what}"
 
 
 def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
@@ -311,63 +362,134 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
     reduced parameters and coefficients are the closed forms of
     `reduction_chain` and `Frame.reduced_ladder`; the residuals compare them,
     on the shells S, with the truncated H and A conjugated by the frame's
-    exact columns W = U[:, S].  S is the shells up to min(N1, N2)//2 below
-    the first whose columns lose more than 1e-13 of their norm past the
-    cutoff; CutoffTooSmall, naming the least cutoff N,N that keeps shell 1,
-    when that leaves no shell 1.
+    exact columns.  S is the shells up to min(N1, N2)//2 below the first
+    whose columns lose more than 1e-13 of their norm past the cutoff;
+    CutoffTooSmall, naming the least cutoff N,N that keeps shell 1, when
+    that leaves no shell 1.
 
-    A frame with no displacement is a rotation alone, and W is its shell
-    blocks D_s (Frame.rotation_blocks): each residual is summed block by
-    block over the (s, s) and (s +/- 1, s) blocks, as batched products of
-    the blocks read off the generator weights on the box n1, n2 <= shell_max
-    (_shell_residual), and the norm a column keeps is that of its block
-    column.  A displaced frame's W is stepped on the whole grid
-    (Frame.columns) and sandwiched with the CSR H and A there.
+    A frame with no displacement is a rotation alone, and its columns are
+    its shell blocks D_s (Frame.rotation_blocks): each residual is summed
+    block by block over the (s, s) and (s +/- 1, s) blocks, as batched
+    products of the blocks read off the generator weights on the box
+    n1, n2 <= shell_max (_shell_residual), and the norm a column keeps is
+    that of its block column.
+
+    A displaced frame is U = D(x) R: the rotation R (if any), then the
+    displacement D(x) = D1(x1) (x) D2(x2) of the original modes, x the
+    frame's coherent vacuum, which is the chain's D(alpha) taken through
+    the rotation.  Each residual is the sum of two exact steps, which
+    bounds ||U' X U - X_red||_F on S:
+      1. ||D(x)' X D(x) - X'||_F on S, X' the closed form once the couplings
+         are absorbed: H without its couplings and with the reduced h0, A
+         with a_i -> a_i + x_i (the reduced forms themselves without a
+         rotation).  Every term of X is a product of one-mode operators and
+         D(x)'s columns on S are m1 (x) m2 for the one-mode displaced number
+         states m_i (_displaced), so D(x)' X D(x) is a sum of Kronecker
+         products of (shell_max + 1)^2 one-mode sandwiches (_kron_residual);
+      2. ||R' X' R - X_red||_F on S, block by block as for a rotation alone.
+    The weight a column of U keeps on the grid is a closed sum over the
+    one-mode states and R's blocks (_kept).
     """
     chain, params = reduction_chain(p, eps)
     frame = _compose(chain, params)
     coeffs = frame.reduced_ladder(c)
-    top = min(cut.n1_max, cut.n2_max) // 2
+    rotates = bool(chain) and chain[0].kind == "mix_t"
+    grid = (cut.n1_max, cut.n2_max)
+    top = min(grid) // 2
+    shells, k = np.tril_indices(top + 1)   # column |k, s - k>
+    # R's shell blocks; a frame with no displacement is R alone, the identity included
+    d = frame.rotation_blocks(top) if rotates or frame.rotation_only else None
     if frame.rotation_only:
-        d = frame.rotation_blocks(top)
-        shells, k = np.tril_indices(top + 1)   # column |k, s - k> is D_s's column k
-        lost = 1.0 - np.vecdot(d, d, axis=1).real[shells, k]
+        kept = np.vecdot(d, d, axis=1).real
     else:
-        keep = shell_indices(cut, top)
-        w, lost = _columns(frame, cut, keep)
-        shells = np.sum(np.divmod(keep, cut.n2_max + 1), axis=0)
+        m = [_displaced(x, n, top) for x, n in zip(frame.x, grid)]
+        kept = _kept(*m, d)
+    lost = 1.0 - kept[shells, k]
     shell_max = int(np.min(shells[lost > _INTACT], initial=top + 1)) - 1
     if shell_max < 1:   # shell 1 is the least S that sees every coefficient
-        least = _least_intact_cutoff(frame, max(min(cut.n1_max, cut.n2_max), 1))
+        def intact(n: int) -> bool:
+            m = [_displaced(x, n, 1) for x in frame.x]
+            d1 = None if d is None else d[:2, :2, :2]
+            return bool(np.all(1.0 - _kept(*m, d1)[[0, 1, 1], [0, 0, 1]] <= _INTACT))
+
         raise CutoffTooSmall(
-            f"reduce cannot certify at cutoff {cut.n1_max},{cut.n2_max}: the "
+            f"reduce cannot certify at cutoff {grid[0]},{grid[1]}: the "
             f"frame's shell-1 columns lose {lost[shells <= 1].max():.1e} of their norm past "
-            "it; " + (f"{least},{least} is the least cutoff that keeps them" if least else
-                      f"no cutoff up to {_SEARCH_MAX},{_SEARCH_MAX} keeps them"))
-    if frame.rotation_only:
+            f"it; {cutoff_advice(intact, max(min(grid), 1))}")
+    terms = [(hamiltonian_terms(p), hamiltonian_terms(params)),
+             (ladder_terms(c), ladder_terms(coeffs))]
+    residuals = [0.0, 0.0]
+    if not frame.rotation_only:
+        # step 1: D(x) against H and A with their couplings absorbed
+        mid = [red for _, red in terms]
+        if rotates:
+            shift = Frame(params, np.eye(2), -np.conj(frame.x), frame.x)
+            mid = [hamiltonian_terms(replace(p, gamma1=0j, gamma2=0j, h0=params.h0)),
+                   ladder_terms(shift.reduced_ladder(c))]
+        sides = [_sandwiches(x) for x in (*(x[:, :shell_max + 1] for x in m),
+                                          np.eye(shell_max + 1))]
+        residuals = [_kron_residual(*sides, x, y) for (x, _), y in zip(terms, mid)]
+        terms = [(y, red) for y, (_, red) in zip(mid, terms)]
+    if d is not None:
+        # step 2, the whole certificate of a rotation alone: R against the reduced forms
         g = build_generators(FockCutoff(shell_max, shell_max))
         d = d[:shell_max + 1, :shell_max + 1, :shell_max + 1]
-        h_residual, a_residual = (
-            _shell_residual(d, g.shell_blocks(op), g.shell_blocks(red))
-            for op, red in ((hamiltonian_terms(p), hamiltonian_terms(params)),
-                            (ladder_terms(c), ladder_terms(coeffs))))
-    else:
-        g = build_generators(cut)
-        if shell_max < top:
-            keep, w = keep[shells <= shell_max], w[:, shells <= shell_max]
-        # the rows where W is zero add nothing to W' H W
-        rows = np.flatnonzero(w.any(axis=1))
-        if rows.size == w.shape[0]:
-            rows = slice(None)
-        wh = w[rows].conj().T
+        residuals = [r + _shell_residual(d, g.shell_blocks(x), g.shell_blocks(red))
+                     for r, (x, red) in zip(residuals, terms)]
+    return Reduction(params=params, coeffs=coeffs, chain=chain, h_residual=residuals[0],
+                     a_residual=residuals[1], shell_max=shell_max)
 
-        def residual(op: Operator, reduced: list) -> float:
-            return float(np.linalg.norm(wh @ (op.mat @ w)[rows] - g.block(reduced, keep)))
 
-        h_residual = residual(build_hamiltonian(p, g), hamiltonian_terms(params))
-        a_residual = residual(build_ladder(c, g), ladder_terms(coeffs))
-    return Reduction(params=params, coeffs=coeffs, chain=chain, h_residual=h_residual,
-                     a_residual=a_residual, shell_max=shell_max)
+# each generator as products x1 (x) x2 of the one-mode operators 1, a, a'
+# and n: (x1, x2, weight) terms
+_FACTORS = {"a1": (("a", "1", 1.0),), "a2": (("1", "a", 1.0),),
+            "a1_dag": (("a'", "1", 1.0),), "a2_dag": (("1", "a'", 1.0),),
+            "j_plus": (("a'", "a", 1.0),), "j_minus": (("a", "a'", 1.0),),
+            "n_op": (("n", "1", 0.5), ("1", "n", 0.5)),
+            "j3": (("n", "1", 0.5), ("1", "n", -0.5)),
+            "identity": (("1", "1", 1.0),)}
+
+
+def _sandwiches(m: np.ndarray) -> dict:
+    """{x: M' x M} for the one-mode operators x = 1, a, a', n, truncated to
+    the levels of M's rows; for M the identity, their matrices."""
+    root, mh = np.sqrt(np.arange(1.0, len(m)))[:, None], m.conj().T
+    lowered, raised = np.zeros_like(m), np.zeros_like(m)
+    lowered[:-1], raised[1:] = root * m[1:], root * m[:-1]
+    return {"1": mh @ m, "a": mh @ lowered, "a'": mh @ raised,
+            "n": mh @ (np.arange(len(m))[:, None] * m)}
+
+
+def _kron_residual(x1: dict, x2: dict, unit: dict, terms: list, reduced: list) -> float:
+    """||M' X M - R||_F on the shells n1 + n2 <= K, M = m1 (x) m2 with K + 1
+    columns each, for X and R given as (generator, coefficient) terms and
+    the one-mode sandwiches x_i of m_i and `unit` of the identity
+    (_sandwiches).  Each side is sum_t f_t (x) g_t with f_t, g_t
+    (K + 1) x (K + 1): X's terms grouped by their mode-2 operator o2,
+    f = sum c m1' o1 m1 and g = m2' o2 m2, and R's the same on the truncated
+    one-mode matrices.  Entry ((i, j), (k, l)) is sum_t f_t[i, k] g_t[j, l],
+    formed one mode-1 row i at a time."""
+    left, right = [], []
+    for ones, twos, sign, side in ((x1, x2, 1.0, terms), (unit, unit, -1.0, reduced)):
+        by_mode2 = {}
+        for name, coeff in side:
+            if coeff != 0:
+                for o1, o2, w in _FACTORS[name]:
+                    f = (sign * w * coeff) * ones[o1]
+                    by_mode2[o2] = by_mode2[o2] + f if o2 in by_mode2 else f
+        left += by_mode2.values()
+        right += [twos[o2] for o2 in by_mode2]
+    size = len(unit["1"])
+    f = np.moveaxis(np.array(left), 0, -1)                    # [i, k, t]
+    g = np.array(right)                                       # [t, j, l]
+    n = np.arange(size)
+    on = (n[:, None] + n <= size - 1).astype(float)           # (k, l) on the shells
+    squares = 0.0
+    for i in range(size):   # rows (i, j), j <= K - i: products small enough for one thread
+        e = f[i] @ g[:, :size - i].reshape(len(right), -1)    # [k, (j, l)]
+        e = (e.real ** 2 + e.imag ** 2).reshape(size, size - i, size).sum(axis=1)
+        squares += float(np.vdot(e, on))
+    return math.sqrt(squares)
 
 
 def _shell_residual(d: np.ndarray, op: dict, reduced: dict) -> float:

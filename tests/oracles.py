@@ -13,8 +13,11 @@ with their identities on those matrices.
 For the closed-form reduction: coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
 written out from the rotation's cosine and sine rather than from its angle,
-the mixing rotation named by (eps, b, beta3), reduce's residuals formed
-over the whole grid, and the built unitaries: scipy's Pade-13 expm per
+the mixing rotation named by (eps, b, beta3), the frame's columns stepped
+by creation steps on the whole grid (stepped_columns), reduce's shells and
+residuals formed from them there (full_grid_shell_max,
+full_grid_reduce_residuals), a generator combination restricted to an
+index set (block), and the built unitaries: scipy's Pade-13 expm per
 invariant block of a truncated generator (expm, build_unitary,
 build_chain), similarity, the product form of the mixing rotation
 (verify_disentangled_T) on the shell-safe interior (rotation_safe_degree),
@@ -45,13 +48,13 @@ from scipy.sparse import csgraph
 from ladderforge import eigenstates
 from ladderforge.chen import PQParams
 from ladderforge.eigenstates import EigenstateRequest
-from ladderforge.errors import DomainError, LadderForgeError
+from ladderforge.errors import CutoffTooSmall, DomainError, LadderForgeError
 from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
                               Operator, TwoModeState, apply, basis_state, build_generators,
-                              interior_indices, normalize, shell_indices)
+                              coherent_state, interior_indices, normalize)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, parse_complex)
-from ladderforge.reductions import _compose
+from ladderforge.reductions import Frame, _compose
 from ladderforge.spectra import _hermitian_interior
 from ladderforge.transforms import UnitarySpec, mixing_angle
 
@@ -95,6 +98,19 @@ def coeffs_from_json(d: dict) -> LadderCoeffs:
     return LadderCoeffs(**{k: parse_complex(d.get(k, 0)) for k in
                            ("mu1", "mu2", "nu1", "nu2",
                             "alpha_plus", "alpha_minus", "alpha3", "a0")})
+
+
+def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
+    """Basis indices with n1 + n2 <= s_max.
+
+    Mixing rotations preserve the total occupation, so identities involving
+    them are exact on complete shells; combined with displacement steps the
+    junk from the truncation corner leaks a few shells inward, and retreating
+    in total occupation (rather than per mode) is the masking that matches
+    the error geometry.
+    """
+    n1, n2 = np.divmod(np.arange(cutoff.dim, dtype=np.intp), cutoff.n2_max + 1)
+    return np.flatnonzero(n1 + n2 <= s_max)
 
 
 def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
@@ -333,6 +349,55 @@ def mix_spec(eps: int, b: float, beta3: float, theta: float) -> UnitarySpec:
     return UnitarySpec("mix_t", {"angle": mixing_angle(r, beta3, eps), "theta": theta})
 
 
+def stepped_columns(frame: Frame, cut: FockCutoff, keep: np.ndarray) -> np.ndarray:
+    """U[:, keep] of any frame, exact on the truncated space, each column one
+    creation step from a lower one:
+        U|n1, n2> = d1^n1 d2^n2 U|0> / sqrt(n1! n2!),
+        U|0> = e^{-|x|^2/2} exp(x . a')|0>,
+    so `keep` (sorted) must hold the lower neighbour of each of its states,
+    as shell and interior index sets do.  The columns with n1 = 0 are stepped
+    up in n2 one at a time, then each n1 level at once from the one below.
+    Nothing is renormalized: the weight a column has past the cutoff is
+    truncation, and stays missing."""
+    n1, n2 = np.divmod(keep, cut.n2_max + 1)
+    d1, d2 = (d.on(cut) for d in frame.dags())
+    u = np.empty((cut.dim, keep.size), dtype=complex)
+    w = u.T   # w[j] is column j
+    vac = coherent_state(cut, *frame.x).amplitudes
+    w[0] = np.exp(-np.vdot(frame.x, frame.x).real / 2.0) * vac
+    for j in range(1, np.count_nonzero(n1 == 0)):
+        w[j] = d2(w[j - 1]) / np.sqrt(n2[j])
+    for level in range(1, n1.max(initial=0) + 1):
+        rows = np.flatnonzero(n1 == level)
+        w[rows] = d1(w[np.searchsorted(keep, keep[rows] - cut.n2_max - 1)]) / np.sqrt(level)
+    return u
+
+
+def frame_columns(frame: Frame, cut: FockCutoff, keep: np.ndarray) -> np.ndarray:
+    """U[:, keep]: a rotation alone's shell blocks placed on the grid
+    (Frame.columns), any other frame's stepped columns."""
+    if frame.rotation_only:
+        return frame.columns(cut, keep)
+    return stepped_columns(frame, cut, keep)
+
+
+def full_grid_shell_max(frame: Frame, cut: FockCutoff) -> int:
+    """The shells S of the frame's columns on the whole grid: up to
+    min(N1, N2)//2, below the first whose columns lose more than 1e-13 of
+    their norm past the cutoff (a column that is not finite, or whose
+    coherent amplitudes overflow, is lost whole); -1 when shell 0 is lost."""
+    top = min(cut.n1_max, cut.n2_max) // 2
+    keep = shell_indices(cut, top)
+    try:
+        w = frame_columns(frame, cut, keep)
+        lost = 1.0 - np.vecdot(w.T, w.T).real
+    except CutoffTooSmall:
+        lost = np.ones(keep.size)
+    shells = np.sum(np.divmod(keep, cut.n2_max + 1), axis=0)
+    lost[~np.isfinite(lost)] = 1.0
+    return int(np.min(shells[lost > 1e-13], initial=top + 1)) - 1
+
+
 def full_grid_reduce_residuals(p: HamiltonianParams, c: LadderCoeffs, red,
                                g: GeneratorSet) -> tuple[float, float]:
     """reduce's residuals ||W' H W - H_red[S, S]||_F and the same for A,
@@ -340,7 +405,7 @@ def full_grid_reduce_residuals(p: HamiltonianParams, c: LadderCoeffs, red,
     the brute-force H and A unrestricted; S, the chain and the closed forms
     are those of the Reduction `red`."""
     keep = shell_indices(g.cutoff, red.shell_max)
-    w = _compose(red.chain, red.params).columns(g.cutoff, keep)
+    w = frame_columns(_compose(red.chain, red.params), g.cutoff, keep)
 
     def residual(op: Operator, reduced: Operator) -> float:
         return float(np.linalg.norm(w.conj().T @ (op.mat @ w)
@@ -348,6 +413,25 @@ def full_grid_reduce_residuals(p: HamiltonianParams, c: LadderCoeffs, red,
 
     return (residual(build_hamiltonian(p, g), build_hamiltonian(red.params, g)),
             residual(build_ladder(c, g), build_ladder(red.coeffs, g)))
+
+
+def block(g: GeneratorSet, terms, keep: np.ndarray) -> np.ndarray:
+    """g.combine(terms) restricted to the basis indices `keep`, as a dense
+    |keep| x |keep| array read off the weights: entry (i, j) is the weight
+    at keep[i] of the shift that reaches keep[j], added to zero as combine
+    adds it, so the array equals combine(terms).mat[keep][:, keep].toarray()
+    bit for bit."""
+    stride = g.cutoff.n2_max + 3
+    n1, n2 = np.divmod(keep, g.cutoff.n2_max + 1)
+    at = (n1 + 1) * stride + n2 + 1   # keep on the flat padded grid
+    where = np.full((g.cutoff.n1_max + 3) * stride, -1)
+    where[at] = np.arange(keep.size)
+    out = np.zeros((keep.size, keep.size), dtype=np.complex128)
+    for (d1, d2), w in g.shifts(terms).weights.items():
+        col = where[at + d1 * stride + d2]
+        row = np.flatnonzero(col >= 0)
+        out[row, col[row]] = 0 + w[at[row]]
+    return out
 
 
 def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:

@@ -207,12 +207,44 @@ B6_PARAMS = {"beta0": 2.5, "beta_plus": [0.4 * np.cos(0.7), 0.4 * np.sin(0.7)],
              "beta3": 0.6, "gamma1": [0.4, 0.3], "gamma2": "0.25 - 0.15j"}
 
 
-def test_spectrum_without_chain_entries_is_refused(tmp_path):
-    # at cutoff 8 every chain state of the displaced seeds leaks past the
-    # certified interior, so nothing would be checked
+@pytest.mark.parametrize("gamma1,cutoff", [(30.0, 14), (3.0, 10)])
+def test_spectrum_names_the_cutoff_that_keeps_the_vacuum(tmp_path, capsys, gamma1, cutoff):
+    # the frame displaces the vacuum to |x|^2 = gamma1^2: past the degree-3
+    # interior every chain entry is uncertified, a truncation limit (exit 65,
+    # as reduce gives), and the message names the least cutoff N,N that keeps
+    # the vacuum, where spectrum certifies and exits 0, or says none up to 256
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"beta0": 2, "gamma1": [gamma1, 0]}}))
+
+    def spectrum_at(n):
+        return run(["spectrum", "--config", str(cfg), "--cutoff", f"{n},{n}",
+                    "--out", str(tmp_path / str(n))])
+
+    assert spectrum_at(cutoff) == 65
+    message = capsys.readouterr().err
+    assert not (tmp_path / str(cutoff) / "spectrum.json").exists()
+    if gamma1 == 30.0:
+        assert message.endswith("no cutoff up to 256,256 keeps it\n")
+        return
+    n, n2 = map(int, message.split("; ")[-1].split()[0].split(","))
+    assert n == n2 > cutoff and message.endswith("is the least cutoff that keeps it\n")
+    assert spectrum_at(n) == 0
+    assert spectrum_at(n - 1) == 65
+
+
+def test_spectrum_without_chain_entries_is_refused(tmp_path, capsys):
+    # at cutoff 8 the frame's displaced vacuum already leaks past the degree-3
+    # interior, so no chain state is certified: a truncation limit, exit 65
+    # naming the least cutoff that keeps the vacuum; seeds kappa = 6 past an
+    # intact vacuum leave nothing to check either, which is refused
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": B6_PARAMS}))
-    code = run(["spectrum", "--config", str(cfg), "--cutoff", "8,8",
+    assert run(["spectrum", "--config", str(cfg), "--cutoff", "8,8",
+                "--out", str(tmp_path)]) == 65
+    assert capsys.readouterr().err.endswith("is the least cutoff that keeps it\n")
+    assert not (tmp_path / "spectrum.json").exists()
+    cfg.write_text(json.dumps({"params": B6_PARAMS, "kappas": [6]}))
+    code = run(["spectrum", "--config", str(cfg), "--cutoff", "12,12",
                 "--out", str(tmp_path)])
     assert code == 2
     payload = json.loads((tmp_path / "spectrum.json").read_text())
@@ -440,10 +472,10 @@ def test_chen_assembles_no_csr_matrix(tmp_path, monkeypatch):
     ("eigenstate", GENERALIZED_21, [(14, 14)]),
     ("chen", None, [(14, 14)]),
     ("catalogue-sweep", None, [(14, 14)]),
-    # a rotation alone is certified on the box n1, n2 <= 7 that holds its
-    # columns, a displaced frame on the whole grid
+    # a rotation is certified on the box n1, n2 <= 7 that holds its
+    # columns; a displacement alone on one-mode factors, with no set
     ("reduce", GENERALIZED_21, [(7, 7)]),
-    ("reduce", {"beta0": 3.0, "beta3": 1.0, "gamma1": [0.15, 0.0]}, [(14, 14)]),
+    ("reduce", {"beta0": 3.0, "beta3": 1.0, "gamma1": [0.15, 0.0]}, []),
 ])
 def test_each_scenario_builds_one_generator_set(tmp_path, monkeypatch, scenario, params,
                                                 built):
@@ -703,7 +735,7 @@ def _gate_params(draw):
 def test_spectrum_on_gate_surfaces_certifies_every_entry(params, cutoff):
     from ladderforge.errors import DomainError
     from ladderforge.params import params_from_json
-    from ladderforge.reductions import reduction_chain
+    from ladderforge.reductions import reduction_chain, reduction_frame
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -713,6 +745,10 @@ def test_spectrum_on_gate_surfaces_certifies_every_entry(params, cutoff):
                     "--out", tmp])
         if code == 0:
             return      # exit 0: some entries certified and every one passed
+        if code == 65:  # the frame's vacuum lies past the degree-3 interior
+            frame = reduction_frame(params_from_json(params))
+            assert frame.vacuum_lost(cutoff - 3, cutoff - 3) > 1e-10, (params, cutoff)
+            return
         assert code == 2, (params, cutoff, code)
         try:
             reduction_chain(params_from_json(params))

@@ -51,3 +51,13 @@ def test_no_dense_scipy_module_is_imported():
                 continue
             found += [(module, n) for n in names if n.startswith(dense)]
     assert not found
+
+
+def test_reductions_imports_no_scipy():
+    # reduce certifies on shell blocks and one-mode factors: no CSR matrix
+    found = [ast.dump(node) for node in ast.walk(TREES["reductions.py"])
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any(name.startswith("scipy") for name in
+                     ([a.name for a in node.names] if isinstance(node, ast.Import)
+                      else [node.module or ""]))]
+    assert not found
