@@ -23,8 +23,8 @@ for name, d in (("a1'", d1), ("a2'", d2)):
 n1, n2 = np.divmod(np.arange(cutoff.dim), cutoff.n2_max + 1)
 keep = np.flatnonzero(n1 + n2 <= 7)
 w = frame.columns(cutoff, keep)
-rotated = w.conj().T @ (g.a1.mat @ w)
-target = ((g.a1 - g.a2) / np.sqrt(2)).mat[keep][:, keep].toarray()
+rotated = w.conj().T @ (g.shift("a1").csr() @ w)
+target = ((g.shift("a1") - g.shift("a2")) / np.sqrt(2)).csr()[keep][:, keep].toarray()
 print(f"rotated a1 vs (a1 - a2)/sqrt2:  {np.linalg.norm(rotated - target):.2e}")
 print(f"unitarity defect on the shells: {np.linalg.norm(w.conj().T @ w - np.eye(keep.size)):.2e}")
 

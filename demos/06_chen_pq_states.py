@@ -51,7 +51,7 @@ print(f"\nnon-separable zero mode: annihilation residual "
 # a CSR matrix from its weighted shifts and diagonalized whole
 cut12 = FockCutoff(12, 12)
 g12 = build_generators(cut12)
-oracle = np.linalg.eigvalsh(build_H_pq(pq, g12).csr().to_dense())
+oracle = np.linalg.eigvalsh(build_H_pq(pq, g12).csr().toarray())
 predicted = sorted(louck_spectrum(pq, n1 // pq.q + n2 // pq.p, n1 % pq.q, n2 % pq.p)
                    for n1, n2 in cut12.states())
 match = Counter(np.round(oracle * pq.p * pq.q).astype(int).tolist()) == \

@@ -11,7 +11,7 @@ from .eigenstates import (EigenstateRequest, basic21_states,
                           linear_coupled_states, verify_eigenstate)
 from .errors import CutoffMismatch, CutoffTooSmall, DomainError, LadderForgeError
 from .fock import (DEFAULT_TOL, FockCutoff, GeneratorSet, Operator,
-                   ToleranceConfig, TwoModeState, apply, build_generators,
+                   ToleranceConfig, TwoModeState, build_generators,
                    interior_indices, normalize, basis_state)
 from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      SolveReport, build_hamiltonian, build_ladder, classify,

@@ -8,7 +8,7 @@ the vacuum.  Powers of the raising operator on the vacuum generate binomial
 superpositions over |q k, p (kappa - k)> with sharp energy kappa.
 
 The operators lie outside the algebra's span, but each moves the grid by at
-most two shifts.  They are weighted shifts (fock.Shifts), formed by the
+most two shifts.  They are weighted shifts (fock.Operator), formed by the
 products and sums of the generators that define them with the roundings of
 the sparse matrix products.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import GeneratorSet, Shifts, TwoModeState, basis_state, normalize
+from .fock import GeneratorSet, Operator, TwoModeState, basis_state, normalize
 
 __all__ = [
     "PQParams",
@@ -54,19 +54,19 @@ class PQParams:
         object.__setattr__(self, "alpha_minus", complex(self.alpha_minus))
 
 
-def _power(g: GeneratorSet, name: str, n: int) -> Shifts:
+def _power(g: GeneratorSet, name: str, n: int) -> Operator:
     """I G^n for the generator `name`, multiplied out from the left."""
-    return functools.reduce(Shifts.__matmul__, [g.shift(name)] * n, g.shift("identity"))
+    return functools.reduce(Operator.__matmul__, [g.shift(name)] * n, g.shift("identity"))
 
 
-def build_H_pq(pq: PQParams, g: GeneratorSet) -> Shifts:
+def build_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
     """Diagonal (p n1 + q n2)/(p q), i.e. n1/q + n2/p."""
     num1 = g.shift("a1_dag") @ g.shift("a1")
     num2 = g.shift("a2_dag") @ g.shift("a2")
     return (pq.p * num1 + pq.q * num2) / (pq.p * pq.q)
 
 
-def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Shifts:
+def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
     """Special lowering operator stepping the p:q spectrum down by one."""
     a2p = _power(g, "a2", pq.p)
     a1q = _power(g, "a1", pq.q)
@@ -74,7 +74,7 @@ def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Shifts:
             - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
 
 
-def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Shifts:
+def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
     """Mixed lowering operator alpha- a1'^(q-1) a2 + alpha+ a1 a2'^(p-1);
     annihilates the vacuum and commutes with the special raising operator."""
     left = _power(g, "a1_dag", pq.q - 1) @ g.shift("a2")

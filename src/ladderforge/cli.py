@@ -348,10 +348,12 @@ def _run_spectrum(inp):
     if not rep.exists:
         return _refuse(rep.tag, "no ladder")
     tag, g = rep.tag, build_generators(inp.cutoff)
-    h = build_hamiltonian(p, g)
-    a = build_ladder(rep.combined(), g)
+    # H and A' as CSR matrices, formed once for every chain and the oracle:
+    # scipy's mat-vec is faster here than the shift mat-vec
+    h = build_hamiltonian(p, g).csr()
+    raiser = build_ladder(rep.combined(), g).dag().csr()
     frame = reduction_frame(p)
-    chains = [(kappa, raising_chain(h, a, chain_seed(frame, kappa, g), inp.n_max,
+    chains = [(kappa, raising_chain(h, raiser, chain_seed(frame, kappa, g), inp.n_max,
                                     frame.energy(kappa), degree=3, family=str(tag.kind.value)))
               for kappa in inp.kappas]
     # only truncation-safe states count toward the verdict, so only their
@@ -372,8 +374,8 @@ def _run_spectrum(inp):
                 "interior; " + cutoff_advice(lambda n: lost(n, n) <= bound,
                                              min(cut.n1_max, cut.n2_max), "it"))
         return _refuse(tag, "no certified chain entries")
-    nearest, fell_back = nearest_eigenvalues(h, [e.energy_chain for e, _ in certified], 3,
-                                             [s for _, s in certified])
+    nearest, fell_back = nearest_eigenvalues(h, g.cutoff, [e.energy_chain for e, _ in certified],
+                                             3, [s for _, s in certified])
     for (e, _), x in zip(certified, nearest):
         e.energy_oracle = float(x)
     # the paper's spectrum: each certified energy against the closed form and the oracle

@@ -23,8 +23,10 @@ prefixes are absorbed exactly through
     U f(a1', a2') |0>  =  const * exp(x . a') f(d1, d2) |0>,   d_i = U a_i' U',
 
 with d1, d2 polynomials of degree one, so every family below stays within
-polynomial arithmetic.  No operator matrix is built here; the checks
-(verify_eigenstate) run on the brute-force truncated matrices.
+polynomial arithmetic.  No operator matrix is built here, and none for
+the check either: verify_eigenstate applies the brute-force truncated A as
+its weighted shifts (fock.Operator.matvec), which sum as scipy's CSR
+mat-vec does.
 
 The scenarios build every state through `reduced_eigenstate` and
 `chain_seed`, on the unit ladder of the basic family.  `isotropic_states`
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, LadderForgeError
 from .fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
-                   Operator, TwoModeState, apply, coherent_state,
+                   Operator, TwoModeState, coherent_state,
                    interior_indices, normalize)
 from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      SolveReport, classify)
@@ -374,6 +376,6 @@ def reduced_eigenstate(p: HamiltonianParams, rep: SolveReport, req: EigenstateRe
 def verify_eigenstate(a: Operator, v: TwoModeState, lam: complex,
                       degree: int = 3) -> float:
     """|| P (A v - lam v) || / ||v|| on the degree-`degree` interior."""
-    resid = apply(a, v).amplitudes - complex(lam) * v.amplitudes
+    resid = a.matvec(v.amplitudes) - complex(lam) * v.amplitudes
     keep = interior_indices(a.cutoff, degree)
     return float(np.linalg.norm(resid[keep]) / np.linalg.norm(v.amplitudes))

@@ -1,5 +1,6 @@
-"""Truncated two-mode bosonic Fock space: basis bookkeeping, sparse operators,
-states, and the generator set every other module is built from.
+"""Truncated two-mode bosonic Fock space: basis bookkeeping, operators as
+weighted shifts of the grid, states, and the generator set every other
+module is built from.
 
 The basis is the occupation grid {|n1, n2> : 0 <= n_i <= n_i_max}, stored
 row-major so that index(n1, n2) = n1 * (n2_max + 1) + n2.  Creation operators
@@ -7,19 +8,18 @@ are hard-truncated: a_i^dag maps the top occupation level to the zero vector.
 Truncation artifacts are masked in all checks by restricting to interior
 index sets.
 
-scipy.sparse is imported where a CSR matrix is built (Operator, the CSR
-forms of the weighted shifts), not at module level: the scenarios that only
-check identities and mat-vecs on the grid weights never load scipy.
-
-An operator that moves the grid by a few shifts (dn1, dn2) is held as its
+An operator moves the grid by a few shifts (dn1, dn2) and is held as its
 weights on the grid padded by one zero layer, where a shift is a flat offset
-(Shifts).  GeneratorSet records the nine generators, seven shifts with
+(Operator).  GeneratorSet records the nine generators, seven shifts with
 closed-form weights; their combinations (a Hamiltonian, a ladder) and
 products (chen's p:q operators) are formed shift by shift, commutator
 identities are checked on the weights with no matrix formed
-(commutator_residual), and CSR forms are assembled in one pass (_csr).
-The CSR products and restricted norms these match bit for bit are the
-test suite's oracle; no scenario forms them.
+(commutator_residual), and operators act on states by shift mat-vecs
+(Operator.matvec).  Each of these rounds as scipy's sparse arithmetic does
+on the CSR matrix of the operator, which the test suite holds as its oracle.
+The one CSR form built here, Operator.csr, is the matrix `spectrum`
+multiplies by, where scipy's mat-vec is the faster; scipy.sparse is imported
+there, not at module level, so the other scenarios never load scipy.
 
 States are built from polynomials in the commuting creation operators
 (CreationPoly), which act on amplitude vectors as weighted shifts of the
@@ -43,13 +43,11 @@ __all__ = [
     "ToleranceConfig",
     "FockCutoff",
     "Operator",
-    "Shifts",
     "TwoModeState",
     "GeneratorSet",
     "build_generators",
     "commutator_residual",
     "interior_indices",
-    "apply",
     "norm",
     "normalize",
     "basis_state",
@@ -107,84 +105,6 @@ class FockCutoff:
                 yield n1, n2
 
 
-class Operator:
-    """Sparse complex matrix over a fixed truncated basis, stored in canonical
-    CSR form (sorted indices, no duplicate entries, no stored zeros).  The
-    argument is never modified: a CSR matrix or (data, indices, indptr) tuple
-    may lend its arrays, and when they are not canonical the canonical form
-    is made on a copy of them."""
-
-    __slots__ = ("cutoff", "mat")
-
-    def __init__(self, cutoff: FockCutoff, mat):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(mat, dtype=np.complex128)
-        if m.shape != (cutoff.dim, cutoff.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dimension {cutoff.dim}")
-        if not (m.has_canonical_format and m.data.all()):
-            lent = (mat if isinstance(mat, tuple)
-                    else [getattr(mat, k, None) for k in ("data", "indices", "indptr")])
-            if any(np.may_share_memory(x, a) for x in (m.data, m.indices, m.indptr)
-                   for a in lent):
-                m = m.copy()
-            m.sum_duplicates()
-            m.eliminate_zeros()
-        self.cutoff = cutoff
-        self.mat = m
-
-    def _check(self, other: "Operator") -> None:
-        if self.cutoff != other.cutoff:
-            raise CutoffMismatch(f"{self.cutoff} vs {other.cutoff}")
-
-    def _result(self, m) -> "Operator":
-        """Wrap a CSR matrix scipy has just made: nobody else holds it, so
-        it is made canonical in place."""
-        m.eliminate_zeros()
-        m.sort_indices()
-        return Operator(self.cutoff, m)
-
-    def dag(self) -> "Operator":
-        return Operator(self.cutoff, self.mat.conj().T)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return self._result(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return self._result(self.mat - other.mat)
-
-    def __neg__(self) -> "Operator":
-        return self._result(-self.mat)
-
-    def __mul__(self, scalar) -> "Operator":
-        return self._result(self.mat * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Operator":
-        return self._result(self.mat / complex(scalar))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return self._result(self.mat @ other.mat)
-
-    def norm(self) -> float:
-        """Frobenius norm: that of the stored entries, as scipy takes it."""
-        return float(np.linalg.norm(self.mat.data))
-
-    def to_dense(self) -> np.ndarray:
-        return self.mat.toarray()
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
-
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.cutoff.dim}, nnz={self.nnz})"
-
-
 @dataclass
 class TwoModeState:
     """Dense complex amplitude vector over the occupation grid."""
@@ -207,8 +127,8 @@ class TwoModeState:
         return TwoModeState(self.cutoff, self.amplitudes.copy())
 
 
-# the generators in the order combine adds them: only the diagonal ones
-# (n_op, j3, identity) share a shift, and they come last in this order
+# the generators in the order GeneratorSet.shifts adds them: only the
+# diagonal ones (n_op, j3, identity) share a shift, and they come last
 _GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
 
 # the shift (dn1, dn2) of each generator: row |m1, m2> of a generator holds
@@ -224,14 +144,15 @@ def _inside(m1, m2, shift, n1_max: int, n2_max: int):
     return (0 <= m1 + d1) & (m1 + d1 <= n1_max) & (0 <= m2 + d2) & (m2 + d2 <= n2_max)
 
 
-class Shifts:
+class Operator:
     """An operator as weighted shifts of the grid: `weights[(dn1, dn2)]` is
     its weight on the grid padded by one zero layer, flattened row-major
     (stride n2_max + 3); row |m> holds the weight at |m> in column
     |m1 + dn1, m2 + dn2>, zero where that column leaves the grid.  Sums,
     scalar multiples, products (`@`, summed by _product) and the adjoint form
-    each weight as Operator arithmetic forms the CSR entry, a missing shift
-    counting as zero, so `csr` gives that Operator bit for bit."""
+    each weight as scipy's sparse arithmetic forms the entry of the CSR
+    matrix, a missing shift counting as zero, so `csr` gives that matrix bit
+    for bit."""
 
     __slots__ = ("cutoff", "weights")
     __array_ufunc__ = None   # numpy scalars defer to the reflected operators
@@ -239,23 +160,23 @@ class Shifts:
     def __init__(self, cutoff: FockCutoff, weights: dict):
         self.cutoff, self.weights = cutoff, weights
 
-    def __add__(self, other: "Shifts") -> "Shifts":
-        return Shifts(self.cutoff, {k: self.weights.get(k, 0) + other.weights.get(k, 0)
-                                    for k in {*self.weights, *other.weights}})
+    def __add__(self, other: "Operator") -> "Operator":
+        return Operator(self.cutoff, {k: self.weights.get(k, 0) + other.weights.get(k, 0)
+                                      for k in {*self.weights, *other.weights}})
 
-    def __sub__(self, other: "Shifts") -> "Shifts":
-        return Shifts(self.cutoff, {k: self.weights.get(k, 0) - other.weights.get(k, 0)
-                                    for k in {*self.weights, *other.weights}})
+    def __sub__(self, other: "Operator") -> "Operator":
+        return Operator(self.cutoff, {k: self.weights.get(k, 0) - other.weights.get(k, 0)
+                                      for k in {*self.weights, *other.weights}})
 
-    def __mul__(self, scalar) -> "Shifts":
-        return Shifts(self.cutoff, {k: w * complex(scalar) for k, w in self.weights.items()})
+    def __mul__(self, scalar) -> "Operator":
+        return Operator(self.cutoff, {k: w * complex(scalar) for k, w in self.weights.items()})
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "Shifts":
+    def __truediv__(self, scalar) -> "Operator":
         return self * (1 / complex(scalar))
 
-    def __matmul__(self, other: "Shifts") -> "Shifts":
+    def __matmul__(self, other: "Operator") -> "Operator":
         stride, rows = self.cutoff.n2_max + 3, self.cutoff.n1_max + 1
         shifts = tuple(sorted({*self.weights, *other.weights}))
         products, pairs, _, margin = _products(shifts, stride)
@@ -269,13 +190,22 @@ class Shifts:
         for t in np.flatnonzero(re.any(axis=1) | im.any(axis=1)):
             w = out[products[t]] = np.zeros(size, dtype=np.complex128)
             w.real[stride:-stride], w.imag[stride:-stride] = re[t], im[t]
-        return Shifts(self.cutoff, out)
+        return Operator(self.cutoff, out)
 
-    def dag(self) -> "Shifts":
+    def dag(self) -> "Operator":
         """The adjoint: shift -s, with weight conj(w_s[m]) at |m + s>."""
         stride = self.cutoff.n2_max + 3
-        return Shifts(self.cutoff, {(-a, -b): np.conj(np.roll(w, a * stride + b))
-                                    for (a, b), w in self.weights.items()})
+        return Operator(self.cutoff, {(-a, -b): np.conj(np.roll(w, a * stride + b))
+                                      for (a, b), w in self.weights.items()})
+
+    def _grid(self, w: np.ndarray) -> np.ndarray:
+        """A weight on the grid itself, its padding dropped."""
+        return w.reshape(self.cutoff.n1_max + 3, self.cutoff.n2_max + 3)[1:-1, 1:-1]
+
+    @property
+    def nnz(self) -> int:
+        """The number of nonzero weights on the grid: the stored entries of csr()."""
+        return sum(np.count_nonzero(self._grid(w)) for w in self.weights.values())
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """The operator on the flat amplitudes v as scipy's mat-vec forms it:
@@ -302,8 +232,26 @@ class Shifts:
         out.real, out.imag = re.reshape(rows, stride), im.reshape(rows, stride)
         return out[:, 1:-1].ravel()
 
-    def csr(self) -> Operator:
-        return _csr(self.cutoff, self.weights)
+    def csr(self):
+        """The operator as a scipy CSR matrix in canonical form (sorted
+        indices, no duplicate entries, no stored zeros), assembled in one
+        pass: the dim x K weights stacked in sorted order of the shifts, the
+        nonzero ones kept row by row.  That fills every row already sorted:
+        the columns on the grid of one row fall in the order of their
+        shifts."""
+        import scipy.sparse as sp
+
+        n2, dim = self.cutoff.n2_max, self.cutoff.dim
+        shifts = sorted(self.weights)
+        data = np.empty((dim, len(shifts)), dtype=np.complex128)
+        for j, k in enumerate(shifts):
+            data[:, j] = self._grid(self.weights[k]).ravel()
+        nz = data != 0
+        cols = (np.arange(dim, dtype=np.int32)[:, None]
+                + np.array([d1 * (n2 + 1) + d2 for d1, d2 in shifts], dtype=np.int32))
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
+        return sp.csr_matrix((data[nz], cols[nz], indptr), shape=(dim, dim))
 
 
 @dataclass(frozen=True)
@@ -313,24 +261,14 @@ class GeneratorSet:
 
     n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
     j_minus = a1 a2' (Schwinger realization built from the mode operators).
-    `weights[name]` is the generator's weight in the layout of Shifts: on the
-    grid padded by one zero layer and flattened row-major (stride
-    n2_max + 3), so that its shift is a flat offset.  Every CSR form is
-    assembled from these weights by _csr: each generator as an Operator on
-    first use (`g.a1`, ...), and any linear combination of them by `combine`.
+    `weights[name]` is the generator's weight in the layout of Operator: on
+    the grid padded by one zero layer and flattened row-major (stride
+    n2_max + 3), so that its shift is a flat offset.  Each generator is an
+    Operator (`shift`), and so is any linear combination of them (`shifts`).
     """
 
     cutoff: FockCutoff
     weights: dict = field(repr=False, compare=False)
-
-    def __getattr__(self, name: str) -> Operator:
-        # reached only for a generator not built yet: once built, it is
-        # found in the instance dict
-        if name not in _GENERATORS:
-            raise AttributeError(name)
-        op = self.shift(name).csr()
-        object.__setattr__(self, name, op)
-        return op
 
     @functools.cached_property
     def _work(self) -> tuple[np.ndarray, np.ndarray]:
@@ -343,30 +281,25 @@ class GeneratorSet:
                 np.empty(4 * len(_products(_SHIFTS, cut.n2_max + 3)[0]) * (cut.n1_max + 1)
                          * (cut.n2_max + 3)))
 
-    def shift(self, name: str) -> Shifts:
-        """The generator `name` as weighted shifts, its weights as built."""
-        return Shifts(self.cutoff, {_SHIFT_OF[name]: self.weights[name]})
+    def shift(self, name: str) -> Operator:
+        """The generator `name` as an Operator, its weights as built."""
+        return Operator(self.cutoff, {_SHIFT_OF[name]: self.weights[name]})
 
-    def shifts(self, terms) -> Shifts:
+    def shifts(self, terms) -> Operator:
         """sum_k c_k G_k over the (generator name, c_k) terms with c_k != 0,
-        each shift's terms added in combine's order.  The padding of a scaled
-        weight may hold -0; a non-finite c_k scales only the nonzero weights,
-        as 0 c_k would put a NaN where the column leaves the grid."""
+        each shift's terms summed from zero in the order of _GENERATORS
+        whatever the order of `terms`: the weights are the entries of the
+        chained sum of the scaled generators' CSR matrices written in that
+        order.  A non-finite c_k scales only the nonzero weights, as 0 c_k
+        would put a NaN where the column leaves the grid."""
         by_shift = {}
         for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
             if c != 0:
                 k, w = _SHIFT_OF[name], self.weights[name] * complex(c)
                 if not cmath.isfinite(c):
                     w[self.weights[name] == 0] = 0
-                by_shift[k] = by_shift[k] + w if k in by_shift else w
-        return Shifts(self.cutoff, by_shift)
-
-    def combine(self, terms) -> Operator:
-        """sum_k c_k G_k over the (generator name, c_k) pairs.  The diagonal
-        generators are added in the order n_op, j3, identity whatever the
-        order of `terms`, and each shift's sum is added to zero, so the
-        entries are those of the chained Operator sum written in that order."""
-        return _csr(self.cutoff, {k: 0 + w for k, w in self.shifts(terms).weights.items()})
+                by_shift[k] = by_shift.get(k, 0) + w
+        return Operator(self.cutoff, by_shift)
 
     def shell_blocks(self, terms) -> dict:
         """sum_k c_k G_k on the shells n1 + n2 = s <= top = min(n1_max, n2_max)
@@ -394,28 +327,6 @@ def _shell_columns(top: int) -> tuple[np.ndarray, np.ndarray]:
     s, k = np.tril_indices(top + 1)
     s.flags.writeable = k.flags.writeable = False
     return s, k
-
-
-def _csr(cutoff: FockCutoff, by_shift: dict) -> Operator:
-    """The operator whose shift (dn1, dn2) has the flat padded weight
-    by_shift[(dn1, dn2)], in canonical CSR form, assembled in one pass: the
-    dim x K weights stacked in sorted order of the shifts, the nonzero ones
-    kept row by row.  That fills every row already sorted: the columns on
-    the grid of one row fall in the order of their shifts."""
-    import scipy.sparse as sp
-
-    n1, n2, dim = cutoff.n1_max, cutoff.n2_max, cutoff.dim
-    shifts = sorted(by_shift)
-    data = np.empty((n1 + 1, n2 + 1, len(shifts)), dtype=np.complex128)
-    for j, k in enumerate(shifts):
-        data[..., j] = by_shift[k].reshape(n1 + 3, n2 + 3)[1:-1, 1:-1]
-    data = data.reshape(dim, len(shifts))
-    nz = data != 0
-    cols = (np.arange(dim, dtype=np.int32)[:, None]
-            + np.array([d1 * (n2 + 1) + d2 for d1, d2 in shifts], dtype=np.int32))
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
-    return Operator(cutoff, sp.csr_matrix((data[nz], cols[nz], indptr), shape=(dim, dim)))
 
 
 def build_generators(cutoff: FockCutoff) -> GeneratorSet:
@@ -454,7 +365,7 @@ def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
     return (n1[:, None] * (cutoff.n2_max + 1) + n2).ravel()
 
 
-# The kernel below works in the layout of Shifts, over the padded rows of
+# The kernel below works in the layout of Operator, over the padded rows of
 # the interior box taken whole: a shift is then a flat offset, and every
 # slice is contiguous.  The columns past the box in each row are formed too
 # and never read.
@@ -520,7 +431,7 @@ def _product(left, right, pairs: np.ndarray, start: int, stride: int, rows: int,
     return re, im
 
 
-def commutator_residual(g: GeneratorSet, x: Shifts, y: Shifts, z: Shifts,
+def commutator_residual(g: GeneratorSet, x: Operator, y: Operator, z: Operator,
                         degree: int) -> float:
     """||P([X, Y] + Z)P||_F on the degree-`degree` interior of g's cutoff, for
     weighted shifts X, Y, Z: generator combinations (GeneratorSet.shifts,
@@ -557,12 +468,6 @@ def commutator_residual(g: GeneratorSet, x: Shifts, y: Shifts, z: Shifts,
     entries = np.empty(np.count_nonzero(nonzero), dtype=np.complex128)
     entries.real, entries.imag = re[nonzero], im[nonzero]
     return float(np.linalg.norm(entries))
-
-
-def apply(a: Operator, v: TwoModeState) -> TwoModeState:
-    if a.cutoff != v.cutoff:
-        raise CutoffMismatch(f"{a.cutoff} vs {v.cutoff}")
-    return TwoModeState(v.cutoff, a.mat @ v.amplitudes)
 
 
 def norm(v: TwoModeState) -> float:

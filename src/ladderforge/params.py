@@ -467,7 +467,7 @@ def solve_ladder(p: HamiltonianParams) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 def hamiltonian_terms(p: HamiltonianParams) -> list:
-    """H as (generator name, coefficient) terms, as GeneratorSet.combine
+    """H as (generator name, coefficient) terms, as GeneratorSet.shifts
     takes them."""
     return [("n_op", p.beta0), ("j_minus", p.beta_plus), ("j_plus", p.beta_minus),
             ("j3", p.beta3), ("a1_dag", p.gamma1), ("a1", np.conj(p.gamma1)),
@@ -482,11 +482,11 @@ def ladder_terms(c: LadderCoeffs) -> list:
 
 
 def build_hamiltonian(p: HamiltonianParams, g: GeneratorSet) -> Operator:
-    return g.combine(hamiltonian_terms(p))
+    return g.shifts(hamiltonian_terms(p))
 
 
 def build_ladder(c: LadderCoeffs, g: GeneratorSet) -> Operator:
-    return g.combine(ladder_terms(c))
+    return g.shifts(ladder_terms(c))
 
 
 def verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,

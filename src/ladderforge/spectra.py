@@ -4,7 +4,10 @@ Hamiltonian the chains are checked against.
 A chain climbs from a seed of known energy E0 (in the `spectrum` scenario
 the reduction frame's closed form E(kappa, 0), `reductions.Frame.energy`)
 and holds entry n to E0 + n.  The oracle is the brute-force truncated
-interior block K = H[keep, keep].
+interior block K = H[keep, keep].  Both take H, and the chain takes A', as
+the scipy CSR matrices of their weighted shifts (fock.Operator.csr), formed
+once per request: scipy's mat-vec is several times faster than the shift
+mat-vec on the chain's repeated products.
 `nearest_eigenvalues` gives the eigenvalue of that block nearest each chain
 energy without forming a dim x dim matrix.  Each chain state is first
 taken as its own witness: its Rayleigh quotient on K and the residual
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LadderForgeError
-from .fock import DEFAULT_TOL, Operator, TwoModeState, apply, interior_indices, normalize
+from .fock import DEFAULT_TOL, FockCutoff, TwoModeState, interior_indices, normalize
 
 __all__ = [
     "ChainEntry",
@@ -67,31 +70,33 @@ class SpectrumReport:
         return rows
 
 
-def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
+def raising_chain(h, raiser, ground: TwoModeState, n_max: int,
                   e0: float, degree: int = 3, family: str = "") -> SpectrumReport:
     """Normalize (A')^n |ground> step by step and check each state against
-    the energy ladder e0 + n, e0 being the closed-form energy of `ground`.
+    the energy ladder e0 + n, e0 being the closed-form energy of `ground`;
+    `h` and `raiser` are the CSR matrices of H and A' on ground's cutoff
+    (Operator.csr).
 
     A state is certified while its amplitude mass outside the degree-safe
     interior stays negligible; past that point entries are still reported
     but flagged, and chain collapse (the expected finite-ladder behavior)
     ends the walk.
     """
-    keep = interior_indices(h.cutoff, degree)
-    outside = np.ones(h.cutoff.dim, dtype=bool)
+    cut = ground.cutoff
+    keep = interior_indices(cut, degree)
+    outside = np.ones(cut.dim, dtype=bool)
     outside[keep] = False
-    raiser = a.dag()
 
     v = normalize(ground)
     report = SpectrumReport(family=family)
     for n in range(n_max + 1):
         if n > 0:
-            nxt = apply(raiser, v)
-            if np.linalg.norm(nxt.amplitudes) < 1e-12:
+            nxt = raiser @ v.amplitudes
+            if np.linalg.norm(nxt) < 1e-12:
                 report.collapse_at = n
                 break
-            v = normalize(nxt)
-        hv = h.mat @ v.amplitudes
+            v = normalize(TwoModeState(cut, nxt))
+        hv = h @ v.amplitudes
         energy = float(np.real(np.vdot(v.amplitudes, hv)))
         target = e0 + n
         resid = float(np.linalg.norm((hv - target * v.amplitudes)[keep]))
@@ -111,11 +116,10 @@ def raising_chain(h: Operator, a: Operator, ground: TwoModeState, n_max: int,
 _PINNED = 1e-12
 
 
-def _hermitian_interior(h: Operator, degree: int):
-    """The interior block H[keep, keep] as a CSR matrix, symmetrized;
-    rejects visibly non-Hermitian input."""
-    keep = interior_indices(h.cutoff, degree)
-    sub = h.mat[keep][:, keep]
+def _hermitian_interior(h, keep: np.ndarray):
+    """The block H[keep, keep] of the CSR matrix h, symmetrized; rejects
+    visibly non-Hermitian input."""
+    sub = h[keep][:, keep]
     herm_defect = np.linalg.norm((sub - sub.conj().T).data)
     if herm_defect > 1e-10 * max(1.0, np.linalg.norm(sub.data)):
         raise LadderForgeError(f"interior block is not Hermitian (defect {herm_defect:.3e})")
@@ -163,12 +167,13 @@ def _nearest_from_structure(sub, keep: np.ndarray, n2_max: int,
     return np.array(nearest, dtype=float)
 
 
-def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
+def nearest_eigenvalues(h, cutoff: FockCutoff, energies, degree: int = 3,
                         states=None) -> tuple[np.ndarray, np.ndarray]:
     """For each energy, the eigenvalue of the interior block K = H[keep, keep]
-    nearest it, as the block's full eigvalsh spectrum gives it, without
-    forming a dim x dim matrix.  Returns those eigenvalues and a mask of the energies
-    that took the per-shell or shift-invert path.
+    of H's CSR matrix `h` on `cutoff` nearest it, as the block's full
+    eigvalsh spectrum gives it, without forming a dim x dim matrix.  Returns
+    those eigenvalues and a mask of the energies that took the per-shell or
+    shift-invert path.
 
     `states`, when given, holds one state per energy (the chain state the
     energy was measured on).  An energy E whose state x pins the eigenvalue,
@@ -181,8 +186,8 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
     eigsh hands it to eigs (Arnoldi, ncv 20).  Neither runs when the states
     pin every energy.  Rejects visibly non-Hermitian input.
     """
-    sub = _hermitian_interior(h, degree)
-    keep = interior_indices(h.cutoff, degree)
+    keep = interior_indices(cutoff, degree)
+    sub = _hermitian_interior(h, keep)
     energies = np.asarray(energies, dtype=float)
     nearest = np.empty_like(energies)
     left = np.ones(energies.shape, dtype=bool)
@@ -191,6 +196,6 @@ def nearest_eigenvalues(h: Operator, energies, degree: int = 3,
         nearest[pinned] = rho[pinned]
         left = ~pinned
     if left.any():
-        nearest[left] = _nearest_from_structure(sub, keep, h.cutoff.n2_max, energies[left])
+        nearest[left] = _nearest_from_structure(sub, keep, cutoff.n2_max, energies[left])
     return nearest, left
 

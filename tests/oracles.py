@@ -1,14 +1,18 @@
 """Independent references, and the dense paths the package's closed forms
 replaced.
 
-For the generators: the interior and shell projectors, the commutator as
-CSR products and interior_residual, the Frobenius norm of a CSR matrix
-restricted to an index set, which commutator_residual must match bit for
-bit; the generators as Kronecker and matrix products of the one-mode
-annihilator, and H and A as chained Operator sums of them; scipy's sparse
-Frobenius norm; the ladder identity as CSR products restricted to the
-interior; chen's p:q operators as chained products of the CSR generators,
-with their identities on those matrices.
+For the generators: the CSR operator the package's weighted shifts
+(fock.Operator) are checked against (CsrOperator: scipy's canonical CSR
+matrix with scipy's sums, products and adjoint), the generators and their
+combinations as such (csr_generators, combine), and its mat-vec (apply);
+the interior and shell projectors, the commutator as CSR products and
+interior_residual, the Frobenius norm of a CSR matrix restricted to an
+index set, which commutator_residual must match bit for bit; the
+generators as Kronecker and matrix products of the one-mode annihilator,
+and H and A as chained CsrOperator sums of them; scipy's sparse Frobenius
+norm; the ladder identity as CSR products restricted to the interior;
+chen's p:q operators as chained products of the CSR generators, with their
+identities on those matrices.
 
 For the closed-form reduction: coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
@@ -48,10 +52,10 @@ from scipy.sparse import csgraph
 from ladderforge import eigenstates
 from ladderforge.chen import PQParams
 from ladderforge.eigenstates import EigenstateRequest
-from ladderforge.errors import CutoffTooSmall, DomainError, LadderForgeError
-from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
-                              Operator, TwoModeState, apply, basis_state, build_generators,
-                              coherent_state, interior_indices, normalize)
+from ladderforge.errors import CutoffMismatch, CutoffTooSmall, DomainError, LadderForgeError
+from ladderforge.fock import (_GENERATORS, A1_DAG, A2_DAG, CreationPoly, FockCutoff,
+                              GeneratorSet, Operator, TwoModeState, basis_state,
+                              build_generators, coherent_state, interior_indices, normalize)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, parse_complex)
 from ladderforge.reductions import Frame, _compose
@@ -65,7 +69,104 @@ from ladderforge.transforms import UnitarySpec, mixing_angle
 ORACLE_CUTOFFS = [(0, 0), (1, 1), (2, 5), (5, 1), (12, 16), (40, 40), (4, 0), (0, 4)]
 
 
-def assert_same_csr(op: Operator, ref: Operator) -> None:
+class CsrOperator:
+    """Sparse complex matrix over a fixed truncated basis, stored in canonical
+    CSR form (sorted indices, no duplicate entries, no stored zeros), with
+    scipy's sums, scalar multiples, products and adjoint.  The argument is
+    never modified: a CSR matrix or (data, indices, indptr) tuple may lend
+    its arrays, and when they are not canonical the canonical form is made
+    on a copy of them."""
+
+    __slots__ = ("cutoff", "mat")
+
+    def __init__(self, cutoff: FockCutoff, mat):
+        m = sp.csr_matrix(mat, dtype=np.complex128)
+        if m.shape != (cutoff.dim, cutoff.dim):
+            raise ValueError(f"matrix shape {m.shape} does not match dimension {cutoff.dim}")
+        if not (m.has_canonical_format and m.data.all()):
+            lent = (mat if isinstance(mat, tuple)
+                    else [getattr(mat, k, None) for k in ("data", "indices", "indptr")])
+            if any(np.may_share_memory(x, a) for x in (m.data, m.indices, m.indptr)
+                   for a in lent):
+                m = m.copy()
+            m.sum_duplicates()
+            m.eliminate_zeros()
+        self.cutoff = cutoff
+        self.mat = m
+
+    def _check(self, other: "CsrOperator") -> None:
+        if self.cutoff != other.cutoff:
+            raise CutoffMismatch(f"{self.cutoff} vs {other.cutoff}")
+
+    def _result(self, m) -> "CsrOperator":
+        """Wrap a CSR matrix scipy has just made: nobody else holds it, so
+        it is made canonical in place."""
+        m.eliminate_zeros()
+        m.sort_indices()
+        return CsrOperator(self.cutoff, m)
+
+    def dag(self) -> "CsrOperator":
+        return CsrOperator(self.cutoff, self.mat.conj().T)
+
+    def __add__(self, other: "CsrOperator") -> "CsrOperator":
+        self._check(other)
+        return self._result(self.mat + other.mat)
+
+    def __sub__(self, other: "CsrOperator") -> "CsrOperator":
+        self._check(other)
+        return self._result(self.mat - other.mat)
+
+    def __neg__(self) -> "CsrOperator":
+        return self._result(-self.mat)
+
+    def __mul__(self, scalar) -> "CsrOperator":
+        return self._result(self.mat * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "CsrOperator":
+        return self._result(self.mat / complex(scalar))
+
+    def __matmul__(self, other: "CsrOperator") -> "CsrOperator":
+        self._check(other)
+        return self._result(self.mat @ other.mat)
+
+    def norm(self) -> float:
+        """Frobenius norm: that of the stored entries, as scipy takes it."""
+        return float(np.linalg.norm(self.mat.data))
+
+    def to_dense(self) -> np.ndarray:
+        return self.mat.toarray()
+
+    @property
+    def nnz(self) -> int:
+        return self.mat.nnz
+
+
+def csr(op: Operator) -> CsrOperator:
+    """The weighted shifts' CSR matrix (Operator.csr) as a CsrOperator."""
+    return CsrOperator(op.cutoff, op.csr())
+
+
+def csr_generators(g: GeneratorSet) -> SimpleNamespace:
+    """The nine generators as CsrOperators, each assembled from its grid
+    weights (GeneratorSet.shift, Operator.csr)."""
+    return SimpleNamespace(cutoff=g.cutoff, **{name: csr(g.shift(name)) for name in _GENERATORS})
+
+
+def combine(g: GeneratorSet, terms) -> CsrOperator:
+    """sum_k c_k G_k over the (generator name, c_k) terms as a CsrOperator."""
+    return csr(g.shifts(terms))
+
+
+def apply(a: CsrOperator, v: TwoModeState) -> TwoModeState:
+    """scipy's CSR mat-vec of a on v."""
+    if a.cutoff != v.cutoff:
+        raise CutoffMismatch(f"{a.cutoff} vs {v.cutoff}")
+    return TwoModeState(v.cutoff, a.mat @ v.amplitudes)
+
+
+def assert_same_csr(op: CsrOperator, ref: CsrOperator) -> None:
     """Identical CSR arrays, the data bit for bit (the sign of zero included)."""
     assert op.mat.indptr.dtype == ref.mat.indptr.dtype
     np.testing.assert_array_equal(op.mat.indptr, ref.mat.indptr)
@@ -74,11 +175,11 @@ def assert_same_csr(op: Operator, ref: Operator) -> None:
     np.testing.assert_array_equal(op.mat.data.view(np.uint64), ref.mat.data.view(np.uint64))
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
+def commutator(a: CsrOperator, b: CsrOperator) -> CsrOperator:
     return a @ b - b @ a
 
 
-def interior_residual(op: Operator, keep: np.ndarray) -> float:
+def interior_residual(op: CsrOperator, keep: np.ndarray) -> float:
     """Frobenius norm of `op` restricted to the sorted basis indices `keep`
     (interior_indices or shell_indices), i.e. ||P op P||_F for the diagonal
     projector P onto them.  The restriction keeps the stored entries in
@@ -113,18 +214,18 @@ def shell_indices(cutoff: FockCutoff, s_max: int) -> np.ndarray:
     return np.flatnonzero(n1 + n2 <= s_max)
 
 
-def interior_projector(cutoff: FockCutoff, degree: int) -> Operator:
+def interior_projector(cutoff: FockCutoff, degree: int) -> CsrOperator:
     """Diagonal 0/1 projector masking the outer `degree` occupation layers."""
     diag = np.zeros(cutoff.dim)
     diag[interior_indices(cutoff, degree)] = 1.0
-    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
+    return CsrOperator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
 
 
-def shell_projector(cutoff: FockCutoff, s_max: int) -> Operator:
+def shell_projector(cutoff: FockCutoff, s_max: int) -> CsrOperator:
     """Diagonal 0/1 projector onto total occupation <= s_max."""
     diag = np.zeros(cutoff.dim)
     diag[shell_indices(cutoff, s_max)] = 1.0
-    return Operator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
+    return CsrOperator(cutoff, sp.diags(diag, format="csr", dtype=np.complex128))
 
 
 def zero_signed_bits(z) -> np.ndarray:
@@ -134,7 +235,7 @@ def zero_signed_bits(z) -> np.ndarray:
     return (np.asarray(z, dtype=np.complex128).view(float) + 0.0).view(np.uint64)
 
 
-def csr_frobenius(op: Operator) -> float:
+def csr_frobenius(op: CsrOperator) -> float:
     """scipy.sparse.linalg.norm(mat, "fro") of the operator's CSR matrix."""
     return float(scipy.sparse.linalg.norm(op.mat, "fro"))
 
@@ -142,15 +243,15 @@ def csr_frobenius(op: Operator) -> float:
 def kron_generators(cutoff: FockCutoff) -> SimpleNamespace:
     """The generators as products: a1 = a (x) I and a2 = I (x) a of the
     one-mode annihilator a, their adjoints, and n_op, j3, j_plus, j_minus
-    as Operator products and sums of those."""
+    as CsrOperator products and sums of those."""
     def lower(n_max: int):
         return sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, shape=(n_max + 1, n_max + 1))
 
-    a1 = Operator(cutoff, sp.kron(lower(cutoff.n1_max), sp.identity(cutoff.n2_max + 1)))
-    a2 = Operator(cutoff, sp.kron(sp.identity(cutoff.n1_max + 1), lower(cutoff.n2_max)))
+    a1 = CsrOperator(cutoff, sp.kron(lower(cutoff.n1_max), sp.identity(cutoff.n2_max + 1)))
+    a2 = CsrOperator(cutoff, sp.kron(sp.identity(cutoff.n1_max + 1), lower(cutoff.n2_max)))
     a1_dag = a1.dag()
     a2_dag = a2.dag()
-    identity = Operator(cutoff, sp.identity(cutoff.dim, dtype=np.complex128, format="csr"))
+    identity = CsrOperator(cutoff, sp.identity(cutoff.dim, dtype=np.complex128, format="csr"))
     num1 = a1_dag @ a1
     num2 = a2_dag @ a2
     return SimpleNamespace(cutoff=cutoff, a1=a1, a2=a2, a1_dag=a1_dag, a2_dag=a2_dag,
@@ -158,8 +259,8 @@ def kron_generators(cutoff: FockCutoff) -> SimpleNamespace:
                            j3=(num1 - num2) / 2.0, j_plus=a1_dag @ a2, j_minus=a1 @ a2_dag)
 
 
-def sum_hamiltonian(p: HamiltonianParams, g) -> Operator:
-    """H as the chained Operator sum of scaled generators."""
+def sum_hamiltonian(p: HamiltonianParams, g) -> CsrOperator:
+    """H as the chained CsrOperator sum of scaled generators."""
     return (p.beta0 * g.n_op
             + p.beta_plus * g.j_minus + p.beta_minus * g.j_plus + p.beta3 * g.j3
             + p.gamma1 * g.a1_dag + np.conj(p.gamma1) * g.a1
@@ -167,14 +268,14 @@ def sum_hamiltonian(p: HamiltonianParams, g) -> Operator:
             + p.h0 * g.identity)
 
 
-def sum_ladder(c: LadderCoeffs, g) -> Operator:
-    """A as the chained Operator sum of scaled generators."""
+def sum_ladder(c: LadderCoeffs, g) -> CsrOperator:
+    """A as the chained CsrOperator sum of scaled generators."""
     return (c.mu1 * g.a1 + c.mu2 * g.a2 + c.nu1 * g.a1_dag + c.nu2 * g.a2_dag
             + c.alpha_minus * g.j_plus + c.alpha_plus * g.j_minus + c.alpha3 * g.j3
             + c.a0 * g.identity)
 
 
-def csr_ladder_residual(h: Operator, a: Operator, degree: int = 3) -> float:
+def csr_ladder_residual(h: CsrOperator, a: CsrOperator, degree: int = 3) -> float:
     """|| P ([H, A] + A) P ||_F on the degree-`degree` interior, from the CSR
     products on the whole truncated space."""
     return interior_residual(commutator(h, a) + a, interior_indices(h.cutoff, degree))
@@ -184,36 +285,39 @@ def csr_verify_ladder(p: HamiltonianParams, c: LadderCoeffs, g: GeneratorSet,
                       degree: int = 3) -> float:
     """verify_ladder from the CSR matrices: H against the ladder divided by
     its scale."""
-    a = build_ladder(LadderCoeffs(*(c.as_array() / c.scale)), g)
-    return csr_ladder_residual(build_hamiltonian(p, g), a, degree)
+    a = csr(build_ladder(LadderCoeffs(*(c.as_array() / c.scale)), g))
+    return csr_ladder_residual(csr(build_hamiltonian(p, g)), a, degree)
 
 
-def _op_power(op: Operator, n: int, ident: Operator) -> Operator:
+def _op_power(op: CsrOperator, n: int, ident: CsrOperator) -> CsrOperator:
     out = ident
     for _ in range(n):
         out = out @ op
     return out
 
 
-def csr_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+def csr_H_pq(pq: PQParams, g: GeneratorSet) -> CsrOperator:
     """chen.build_H_pq as CSR products and sums of the generators."""
-    num1 = g.a1_dag @ g.a1
-    num2 = g.a2_dag @ g.a2
+    ops = csr_generators(g)
+    num1 = ops.a1_dag @ ops.a1
+    num2 = ops.a2_dag @ ops.a2
     return (pq.p * num1 + pq.q * num2) / (pq.p * pq.q)
 
 
-def csr_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
+def csr_calA_pq(pq: PQParams, g: GeneratorSet) -> CsrOperator:
     """chen.build_calA_pq from CSR powers of a2 and a1."""
-    a2p = _op_power(g.a2, pq.p, g.identity)
-    a1q = _op_power(g.a1, pq.q, g.identity)
+    ops = csr_generators(g)
+    a2p = _op_power(ops.a2, pq.p, ops.identity)
+    a1q = _op_power(ops.a1, pq.q, ops.identity)
     return (np.conj(pq.alpha_plus) * pq.q * a2p
             - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
 
 
-def csr_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
+def csr_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> CsrOperator:
     """chen.build_A_pq_generalized from CSR powers of a1' and a2'."""
-    left = _op_power(g.a1_dag, pq.q - 1, g.identity) @ g.a2
-    right = g.a1 @ _op_power(g.a2_dag, pq.p - 1, g.identity)
+    ops = csr_generators(g)
+    left = _op_power(ops.a1_dag, pq.q - 1, ops.identity) @ ops.a2
+    right = ops.a1 @ _op_power(ops.a2_dag, pq.p - 1, ops.identity)
     return pq.alpha_minus * left + pq.alpha_plus * right
 
 
@@ -226,14 +330,15 @@ def csr_chen_residuals(pq: PQParams, g: GeneratorSet, degree: int) -> tuple[floa
             interior_residual(commutator(a_gen, cal_a.dag()), keep))
 
 
-def alt_hamiltonian(pq: PQParams, g: GeneratorSet) -> Operator:
+def alt_hamiltonian(pq: PQParams, g: GeneratorSet) -> CsrOperator:
     """(p n1 + q n2) / (1 - (p-1)(q-1)); the Chen grounds are its eigenstates
     with energy p q kappa / (1 - (p-1)(q-1))."""
+    ops = csr_generators(g)
     den = 1 - (pq.p - 1) * (pq.q - 1)
     if den == 0:
         raise DomainError("alt-denominator", "(p-1)(q-1) = 1 leaves the form undefined")
-    num1 = g.a1_dag @ g.a1
-    num2 = g.a2_dag @ g.a2
+    num1 = ops.a1_dag @ ops.a1
+    num2 = ops.a2_dag @ ops.a2
     return (pq.p * num1 + pq.q * num2) / den
 
 
@@ -248,12 +353,12 @@ def chen_ground_via_raising(pq: PQParams, kappa: int, g: GeneratorSet) -> TwoMod
     return normalize(v)
 
 
-def _me(op: Operator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
+def _me(op: CsrOperator, bra: tuple[int, int], ket: tuple[int, int]) -> complex:
     cut = op.cutoff
     return complex(op.mat[cut.index(*bra), cut.index(*ket)])
 
 
-def hamiltonian_params_from_matrix(h: Operator, g: GeneratorSet,
+def hamiltonian_params_from_matrix(h: CsrOperator, g: GeneratorSet,
                                    residual_tol: float = 1e-8,
                                    degree: int = 1,
                                    shell_max: int | None = None) -> HamiltonianParams:
@@ -279,13 +384,13 @@ def hamiltonian_params_from_matrix(h: Operator, g: GeneratorSet,
                           gamma1=gamma1, gamma2=gamma2, h0=h0.real)
     keep = (interior_indices(h.cutoff, degree) if shell_max is None
             else shell_indices(h.cutoff, shell_max))
-    resid = interior_residual(h - build_hamiltonian(p, g), keep)
+    resid = interior_residual(h - csr(build_hamiltonian(p, g)), keep)
     if resid > residual_tol:
         raise LadderForgeError(f"matrix is not in the Hamiltonian span (residual {resid:.3e})")
     return p
 
 
-def ladder_coeffs_from_matrix(a: Operator, g: GeneratorSet,
+def ladder_coeffs_from_matrix(a: CsrOperator, g: GeneratorSet,
                               residual_tol: float = 1e-8,
                               degree: int = 1,
                               shell_max: int | None = None) -> LadderCoeffs:
@@ -304,7 +409,7 @@ def ladder_coeffs_from_matrix(a: Operator, g: GeneratorSet,
     )
     keep = (interior_indices(a.cutoff, degree) if shell_max is None
             else shell_indices(a.cutoff, shell_max))
-    resid = interior_residual(a - build_ladder(c, g), keep)
+    resid = interior_residual(a - csr(build_ladder(c, g)), keep)
     if resid > residual_tol:
         raise LadderForgeError(f"matrix is not in the ladder span (residual {resid:.3e})")
     return c
@@ -408,19 +513,18 @@ def full_grid_reduce_residuals(p: HamiltonianParams, c: LadderCoeffs, red,
     w = frame_columns(_compose(red.chain, red.params), g.cutoff, keep)
 
     def residual(op: Operator, reduced: Operator) -> float:
-        return float(np.linalg.norm(w.conj().T @ (op.mat @ w)
-                                    - reduced.mat[keep][:, keep].toarray()))
+        return float(np.linalg.norm(w.conj().T @ (op.csr() @ w)
+                                    - reduced.csr()[keep][:, keep].toarray()))
 
     return (residual(build_hamiltonian(p, g), build_hamiltonian(red.params, g)),
             residual(build_ladder(c, g), build_ladder(red.coeffs, g)))
 
 
 def block(g: GeneratorSet, terms, keep: np.ndarray) -> np.ndarray:
-    """g.combine(terms) restricted to the basis indices `keep`, as a dense
+    """g.shifts(terms) restricted to the basis indices `keep`, as a dense
     |keep| x |keep| array read off the weights: entry (i, j) is the weight
-    at keep[i] of the shift that reaches keep[j], added to zero as combine
-    adds it, so the array equals combine(terms).mat[keep][:, keep].toarray()
-    bit for bit."""
+    at keep[i] of the shift that reaches keep[j], so the array equals
+    g.shifts(terms).csr()[keep][:, keep].toarray() bit for bit."""
     stride = g.cutoff.n2_max + 3
     n1, n2 = np.divmod(keep, g.cutoff.n2_max + 1)
     at = (n1 + 1) * stride + n2 + 1   # keep on the flat padded grid
@@ -430,11 +534,11 @@ def block(g: GeneratorSet, terms, keep: np.ndarray) -> np.ndarray:
     for (d1, d2), w in g.shifts(terms).weights.items():
         col = where[at + d1 * stride + d2]
         row = np.flatnonzero(col >= 0)
-        out[row, col[row]] = 0 + w[at[row]]
+        out[row, col[row]] = w[at[row]]
     return out
 
 
-def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:
+def apply_creation_series(a: CsrOperator, v: TwoModeState, tol: float = 1e-300) -> TwoModeState:
     """Apply exp(a) to v by Taylor series.
 
     Intended for polynomials in creation operators, which are nilpotent on the
@@ -454,12 +558,13 @@ def apply_creation_series(a: Operator, v: TwoModeState, tol: float = 1e-300) -> 
     return TwoModeState(v.cutoff, out)
 
 
-def csr_poly(poly: CreationPoly, g: GeneratorSet) -> Operator:
+def csr_poly(poly: CreationPoly, g: GeneratorSet) -> CsrOperator:
     """sum c_pq a1'^p a2'^q as CSR products of the truncated generators."""
-    out = g.combine([])
+    ops = csr_generators(g)
+    out = combine(g, [])
     for (p, q), c in poly.coeffs.items():
-        term = g.identity
-        for op in [g.a1_dag] * p + [g.a2_dag] * q:
+        term = ops.identity
+        for op in [ops.a1_dag] * p + [ops.a2_dag] * q:
             term = term @ op
         out = out + c * term
     return out
@@ -487,7 +592,7 @@ def series_state(g: GeneratorSet, exponent: CreationPoly | None,
 # built unitaries: truncated matrix exponentials of the chain steps
 # ---------------------------------------------------------------------------
 
-def expm(a: Operator) -> Operator:
+def expm(a: CsrOperator) -> CsrOperator:
     """exp(a), one scipy Pade-13 expm per connected component of the
     sparsity graph of a; the components are the invariant blocks."""
     n_blocks, labels = csgraph.connected_components(abs(a.mat), directed=False)
@@ -496,51 +601,53 @@ def expm(a: Operator) -> Operator:
     u = sp.block_diag([scipy.linalg.expm(a.mat[i][:, i].toarray()) for i in blocks],
                       format="csr")
     back = np.argsort(order)  # block order back to the grid order
-    return Operator(a.cutoff, u[back][:, back])
+    return CsrOperator(a.cutoff, u[back][:, back])
 
 
-def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+def unitary_generator(spec: UnitarySpec, g: GeneratorSet) -> CsrOperator:
     """Anti-Hermitian generator G of the spec's unitary exp(G)."""
+    ops = csr_generators(g)
     p = spec.params
     if spec.kind == "displace1":
         alpha = complex(p["alpha"])
-        return alpha * g.a1_dag - np.conj(alpha) * g.a1
+        return alpha * ops.a1_dag - np.conj(alpha) * ops.a1
     elif spec.kind == "displace2":
         alpha = complex(p["alpha"])
-        return alpha * g.a2_dag - np.conj(alpha) * g.a2
+        return alpha * ops.a2_dag - np.conj(alpha) * ops.a2
     elif spec.kind == "squeeze2":
         chi = complex(p["chi"])
-        return -0.5 * (chi * (g.a2_dag @ g.a2_dag) - np.conj(chi) * (g.a2 @ g.a2))
+        return -0.5 * (chi * (ops.a2_dag @ ops.a2_dag) - np.conj(chi) * (ops.a2 @ ops.a2))
     elif spec.kind == "squeeze_two_mode":
         th = float(p["theta_tilde"])
         ph = float(p["phi_tilde"])
-        return -0.5 * th * (np.exp(-1j * ph) * (g.a1_dag @ g.a2_dag)
-                             - np.exp(1j * ph) * (g.a1 @ g.a2))
+        return -0.5 * th * (np.exp(-1j * ph) * (ops.a1_dag @ ops.a2_dag)
+                             - np.exp(1j * ph) * (ops.a1 @ ops.a2))
     elif spec.kind == "mix_t":
         phi, theta = float(p["angle"]), float(p["theta"])
-        return -phi * (np.exp(-1j * theta) * g.j_plus - np.exp(1j * theta) * g.j_minus)
+        return -phi * (np.exp(-1j * theta) * ops.j_plus - np.exp(1j * theta) * ops.j_minus)
     else:  # pragma: no cover - guarded in UnitarySpec
         raise ValueError(spec.kind)
 
 
-def build_unitary(spec: UnitarySpec, g: GeneratorSet) -> Operator:
+def build_unitary(spec: UnitarySpec, g: GeneratorSet) -> CsrOperator:
     return expm(unitary_generator(spec, g))
 
 
-def build_chain(chain: list[UnitarySpec], g: GeneratorSet) -> Operator:
+def build_chain(chain: list[UnitarySpec], g: GeneratorSet) -> CsrOperator:
     """Compose a similarity chain into one unitary.
 
     Specs are successive similarity transformations (first spec first), so
     the returned U satisfies  reduced = U' O U  and maps reduced-frame kets
     to original-frame kets as  |orig> = U |reduced>.
     """
-    u = g.identity
+    ops = csr_generators(g)
+    u = ops.identity
     for spec in chain:
         u = u @ build_unitary(spec, g)
     return u
 
 
-def similarity(u: Operator, o: Operator) -> Operator:
+def similarity(u: CsrOperator, o: CsrOperator) -> CsrOperator:
     """U' O U; CutoffMismatch if the two were built over different cutoffs."""
     return u.dag() @ o @ u
 
@@ -567,6 +674,7 @@ def verify_disentangled_T(eps: int, b: float, beta3: float, theta: float,
     product factorization."""
     if g is None:
         g = build_generators(cutoff)
+    ops = csr_generators(g)
     if degree is None:
         degree = rotation_safe_degree(cutoff)
     lo = b - eps * beta3
@@ -575,9 +683,9 @@ def verify_disentangled_T(eps: int, b: float, beta3: float, theta: float,
         raise DomainError("disentangle-domain", "product form requires b + eps*beta3 > 0")
     tau = eps * math.sqrt(max(lo, 0.0) / hi)
     t_exp = build_unitary(UnitarySpec("mix_t", {"angle": math.atan(tau), "theta": theta}), g)
-    t_prod = (expm(-tau * np.exp(-1j * theta) * g.j_plus)
-              @ expm(math.log(2.0 * b / hi) * g.j3)
-              @ expm(tau * np.exp(1j * theta) * g.j_minus))
+    t_prod = (expm(-tau * np.exp(-1j * theta) * ops.j_plus)
+              @ expm(math.log(2.0 * b / hi) * ops.j3)
+              @ expm(tau * np.exp(1j * theta) * ops.j_minus))
     return interior_residual(t_exp - t_prod, interior_indices(cutoff, degree))
 
 
@@ -629,7 +737,7 @@ def normal_order_coeffs_recurrence(n: int) -> list[int]:
 
 
 def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
-                       gamma1: complex = 0j, gamma2: complex = 0j) -> Operator:
+                       gamma1: complex = 0j, gamma2: complex = 0j) -> CsrOperator:
     """n-th power of the raising operator assembled from its normal-ordered
     expansion rather than by repeated multiplication.
 
@@ -638,6 +746,7 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
     mu1 = conj(gamma2) alpha+, nu2 = gamma1 alpha+ / 2 and the matching
     identity constant.  Anything else is rejected.
     """
+    ops = csr_generators(g)
     if n < 0:
         raise ValueError("n must be non-negative")
     tol = 1e-9
@@ -648,14 +757,14 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
             or abs(c.nu2 - gamma1 * c.alpha_plus / 2.0) > tol):
         raise LadderForgeError("wrong ladder shape for the normal-ordered expansion")
 
-    ident = g.identity
+    ident = ops.identity
     mu2c = np.conj(c.mu2)
     apc = np.conj(c.alpha_plus)
     a0c = np.conj(c.a0)
     # creation-only and mixed parts of the raising operator
-    delta1 = a0c * ident + gamma2 * apc * g.a1_dag + mu2c * g.a2_dag
-    delta2 = apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident) @ g.a2
-    contraction = mu2c * apc * (g.a1_dag + (np.conj(gamma1) / 2.0) * ident)
+    delta1 = a0c * ident + gamma2 * apc * ops.a1_dag + mu2c * ops.a2_dag
+    delta2 = apc * (ops.a1_dag + (np.conj(gamma1) / 2.0) * ident) @ ops.a2
+    contraction = mu2c * apc * (ops.a1_dag + (np.conj(gamma1) / 2.0) * ident)
 
     # cache powers
     d1_pow = [ident]
@@ -666,7 +775,7 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
         d2_pow.append(d2_pow[-1] @ delta2)
         x_pow.append(x_pow[-1] @ contraction)
 
-    zero = g.combine([])
+    zero = combine(g, [])
     result = zero
     for nk in normal_order_coeffs(n):
         m = n - 2 * nk.k
@@ -677,11 +786,12 @@ def normal_order_power(c: LadderCoeffs, n: int, g: GeneratorSet,
     return result
 
 
-def diagonalize_oracle(h: Operator, degree: int = 3) -> np.ndarray:
+def diagonalize_oracle(h: CsrOperator, degree: int = 3) -> np.ndarray:
     """Eigenvalues of the Hamiltonian restricted to the interior subspace,
     sorted ascending, by dense eigvalsh of the whole block; rejects visibly
     non-Hermitian input."""
-    return np.linalg.eigvalsh(_hermitian_interior(h, degree).toarray())
+    keep = interior_indices(h.cutoff, degree)
+    return np.linalg.eigvalsh(_hermitian_interior(h.mat, keep).toarray())
 
 
 # ---------------------------------------------------------------------------

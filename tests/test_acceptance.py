@@ -21,7 +21,8 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 solve_mu_nu_block, su2_invariant, verify_ladder)
 from ladderforge.reductions import reduce_by_similarity
 from ladderforge.spectra import raising_chain
-from oracles import (build_chain, build_unitary, commutator, diagonalize_oracle,
+from oracles import (build_chain, build_unitary, commutator, csr, csr_generators,
+                     diagonalize_oracle,
                      fractional_lambda_state, interior_projector, mix_spec,
                      normal_order_coeffs, normal_order_coeffs_recurrence,
                      normal_order_power, rotated_couplings, rotation_safe_degree,
@@ -55,7 +56,7 @@ def gen20a():
 # 1 ------------------------------------------------------------------------
 
 def test_criterion_1_algebra_suite(gen14a):
-    g = gen14a
+    g = csr_generators(gen14a)
     proj = interior_projector(g.cutoff, 2)
     ident = g.identity
 
@@ -185,8 +186,8 @@ def test_criterion_4_normal_ordering(gen14a):
         c = LadderCoeffs(mu2=mu2, alpha_plus=ap)
         n = int(rng.integers(1, 8))
         ordered = normal_order_power(c, n, gen14a)
-        brute = gen14a.identity
-        a_dag = build_ladder(c, gen14a).dag()
+        brute = csr(gen14a.shift("identity"))
+        a_dag = csr(build_ladder(c, gen14a)).dag()
         for _ in range(n):
             brute = brute @ a_dag
         proj = interior_projector(gen14a.cutoff, n + 1)
@@ -200,8 +201,9 @@ def test_criterion_4_normal_ordering(gen14a):
 # 5 ------------------------------------------------------------------------
 
 def _chain_vs_oracle(h, a, ground, expected, degree=3):
-    rep = raising_chain(h, a, ground, len(expected) - 1, expected[0], degree=degree)
-    oracle = diagonalize_oracle(h, degree)
+    rep = raising_chain(h.csr(), a.dag().csr(), ground, len(expected) - 1, expected[0],
+                        degree=degree)
+    oracle = diagonalize_oracle(csr(h), degree)
     worst = 0.0
     for e, target in zip(rep.entries, expected):
         if not e.certified:
@@ -253,9 +255,9 @@ def test_criterion_5_spectra(gen14a):
         a = build_ladder(reps.coeffs[0], gen14a)
         ground = su2_ground(0.6, 1.1, kappa, gen14a)
         expected = [-kappa / 2.0 + n for n in range(kappa + 1)]
-        rep = raising_chain(h, a, ground, kappa + 3, expected[0], degree=3)
+        rep = raising_chain(h.csr(), a.dag().csr(), ground, kappa + 3, expected[0], degree=3)
         collapse_ok &= rep.collapse_at == kappa + 1
-        oracle = diagonalize_oracle(h, rotation_safe_degree(gen14a.cutoff))
+        oracle = diagonalize_oracle(csr(h), rotation_safe_degree(gen14a.cutoff))
         for e, target in zip(rep.entries, expected):
             worst = max(worst, e.residual, abs(e.energy_chain - target),
                         float(np.min(np.abs(oracle - target))))
@@ -280,17 +282,19 @@ def test_criterion_6_similarity_reductions(gen14a):
         b = abs(2.0 - beta0)
         p = gate_params(beta0, 0.5, b)
         t = build_unitary(mix_spec(eps, b, p.beta3, p.theta), g)
-        reduced = similarity(t, build_hamiltonian(p, g))
-        target = build_hamiltonian(HamiltonianParams(beta0=beta0, beta3=eps * b), g)
+        reduced = similarity(t, csr(build_hamiltonian(p, g)))
+        target = csr(build_hamiltonian(HamiltonianParams(beta0=beta0, beta3=eps * b), g))
         worst = max(worst, entrywise(reduced, target))
     # extended 2:1 (quarter-turn) and the b = 2 difference form
     p = gate_params(3.0, 0.0, 1.0, theta=0.4)
     t = build_unitary(mix_spec(1, 1.0, 0.0, 0.4), g)
-    worst = max(worst, entrywise(similarity(t, build_hamiltonian(p, g)),
-                                 build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0), g)))
+    worst = max(worst, entrywise(similarity(t, csr(build_hamiltonian(p, g))),
+                                 csr(build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0),
+                                                       g))))
     p = gate_params(0.0, 0.8, 2.0, theta=1.1)
     t = build_unitary(mix_spec(1, 2.0, 0.8, 1.1), g)
-    worst = max(worst, entrywise(similarity(t, build_hamiltonian(p, g)), 2.0 * g.j3))
+    worst = max(worst, entrywise(similarity(t, csr(build_hamiltonian(p, g))),
+                                 2.0 * csr(g.shift("j3"))))
     # composite rotation + displacement chain with the printed constant shift
     p = gate_params(2.5, 0.6, 1.0, gamma1=0.12 + 0.09j, gamma2=0.10 - 0.06j, h0=0.3)
     red = reduce_by_similarity(p, solve_ladder(p).coeffs[0], g.cutoff)
@@ -298,9 +302,9 @@ def test_criterion_6_similarity_reductions(gen14a):
     h0_target = p.h0 - 2 * abs(g1) ** 2 / (p.beta0 + 1) - 2 * abs(g2) ** 2 / (p.beta0 - 1)
     sproj = shell_projector(g.cutoff, red.shell_max)
     u = build_chain(red.chain, g)
-    reduced = similarity(u, build_hamiltonian(p, g))
-    target = build_hamiltonian(HamiltonianParams(beta0=p.beta0, beta3=1.0,
-                                                 h0=h0_target), g)
+    reduced = similarity(u, csr(build_hamiltonian(p, g)))
+    target = csr(build_hamiltonian(HamiltonianParams(beta0=p.beta0, beta3=1.0,
+                                                     h0=h0_target), g))
     worst = max(worst, (sproj @ (reduced - target) @ sproj).norm())
 
     # spectra invariance below the truncation frontier
@@ -309,8 +313,8 @@ def test_criterion_6_similarity_reductions(gen14a):
     combined = rep.coeffs[0].plus(rep.coeffs[1])
     red = reduce_by_similarity(p, combined, g.cutoff)
     u = build_chain(red.chain, g)
-    e1 = diagonalize_oracle(build_hamiltonian(p, g), deg)
-    e2 = diagonalize_oracle(similarity(u, build_hamiltonian(p, g)), deg)
+    e1 = diagonalize_oracle(csr(build_hamiltonian(p, g)), deg)
+    e2 = diagonalize_oracle(similarity(u, csr(build_hamiltonian(p, g))), deg)
     e_cut = (g.cutoff.n1_max - deg + 1) * 1.0  # slow mode frequency 1
     f1 = e1[e1 < e_cut - 1e-9]
     f2 = e2[e2 < e_cut - 1e-9]
@@ -332,7 +336,7 @@ def test_criterion_7_eigenstate_residuals(gen20a):
     keep = interior_indices(g.cutoff, 4)
 
     def h_resid(h, v, energy):
-        return float(np.linalg.norm((h.mat @ v.amplitudes
+        return float(np.linalg.norm((h.csr() @ v.amplitudes
                                      - energy * v.amplitudes)[keep]))
 
     # fractional
@@ -456,14 +460,14 @@ def test_criterion_8_chen_louck(gen20a):
                 continue
             v = chen_ground(pq, kappa, gen20a)
             worst = max(worst, float(np.linalg.norm(
-                h.mat @ v.amplitudes - kappa * v.amplitudes)))
+                h @ v.amplitudes - kappa * v.amplitudes)))
     # Louck multiset, exact after rational rounding
     cut = FockCutoff(12, 12)
     g12 = build_generators(cut)
     multiset_ok = True
     for p_int, q_int in coprime:
         pq = PQParams(p_int, q_int)
-        oracle = diagonalize_oracle(build_H_pq(pq, g12).csr(), 0)
+        oracle = diagonalize_oracle(csr(build_H_pq(pq, g12)), 0)
         expected = []
         for n1, n2 in cut.states():
             expected.append(louck_spectrum(pq, n1 // pq.q + n2 // pq.p,

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (alt_hamiltonian, assert_same_csr, chen_ground_via_raising, commutator,
-                     csr_A_pq_generalized, csr_calA_pq, csr_chen_residuals, csr_H_pq,
+from oracles import (alt_hamiltonian, assert_same_csr, chen_ground_via_raising, commutator, csr,
+                     csr_A_pq_generalized, csr_calA_pq, csr_chen_residuals, csr_generators,
+                     csr_H_pq,
                      csr_ladder_residual, diagonalize_oracle, interior_projector,
                      zero_signed_bits)
 
@@ -31,44 +32,46 @@ def test_coprimality_enforced():
 
 def test_h_diagonal_values(gen10):
     cut = gen10.cutoff
-    h = build_H_pq(PQParams(2, 1), gen10).csr()
+    h = csr(build_H_pq(PQParams(2, 1), gen10))
     assert abs(h.mat[cut.index(1, 1), cut.index(1, 1)] - 1.5) < 1e-12
-    h = build_H_pq(PQParams(3, 2), gen10).csr()
+    h = csr(build_H_pq(PQParams(3, 2), gen10))
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 2.0) < 1e-12
-    h = build_H_pq(PQParams(1, 1), gen10).csr()
+    h = csr(build_H_pq(PQParams(1, 1), gen10))
     assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 5.0) < 1e-12
 
 
 def test_special_lowering_simple_forms(gen10):
     pq = PQParams(1, 1, 0.7 + 0.2j, 0.9 - 0.5j)
-    a = build_calA_pq(pq, gen10).csr()
-    expected = (np.conj(pq.alpha_plus) * gen10.a2
-                - np.conj(pq.alpha_minus) * gen10.a1)
+    g = csr_generators(gen10)
+    a = csr(build_calA_pq(pq, gen10))
+    expected = (np.conj(pq.alpha_plus) * g.a2
+                - np.conj(pq.alpha_minus) * g.a1)
     assert (a - expected).norm() < 1e-13
     pq21 = PQParams(2, 1, 0.7 + 0.2j, 0.9 - 0.5j)
-    a21 = build_calA_pq(pq21, gen10).csr()
-    expected = (np.conj(pq21.alpha_plus) * (gen10.a2 @ gen10.a2)
-                - 2 * np.conj(pq21.alpha_minus) * gen10.a1) / 2.0
+    a21 = csr(build_calA_pq(pq21, gen10))
+    expected = (np.conj(pq21.alpha_plus) * (g.a2 @ g.a2)
+                - 2 * np.conj(pq21.alpha_minus) * g.a1) / 2.0
     assert (a21 - expected).norm() < 1e-13
 
 
 def test_generalized_simple_forms(gen10):
     pq = PQParams(1, 1, 0.7, 0.9)
-    a = build_A_pq_generalized(pq, gen10).csr()
-    expected = pq.alpha_minus * gen10.a2 + pq.alpha_plus * gen10.a1
+    g = csr_generators(gen10)
+    a = csr(build_A_pq_generalized(pq, gen10))
+    expected = pq.alpha_minus * g.a2 + pq.alpha_plus * g.a1
     assert (a - expected).norm() < 1e-13
     pq21 = PQParams(2, 1, 0.7, 0.9)
-    a21 = build_A_pq_generalized(pq21, gen10).csr()
-    expected = pq21.alpha_minus * gen10.a2 + pq21.alpha_plus * gen10.j_minus
+    a21 = csr(build_A_pq_generalized(pq21, gen10))
+    expected = pq21.alpha_minus * g.a2 + pq21.alpha_plus * g.j_minus
     assert (a21 - expected).norm() < 1e-13
 
 
 @pytest.mark.parametrize("p,q", COPRIME)
 def test_ladder_and_commuting_invariants(gen14, p, q):
     pq = PQParams(p, q, 0.7 + 0.2j, 0.9 - 0.5j)
-    h = build_H_pq(pq, gen14).csr()
-    cal_a = build_calA_pq(pq, gen14).csr()
-    a_gen = build_A_pq_generalized(pq, gen14).csr()
+    h = csr(build_H_pq(pq, gen14))
+    cal_a = csr(build_calA_pq(pq, gen14))
+    a_gen = csr(build_A_pq_generalized(pq, gen14))
     degree = max(p, q)
     assert csr_ladder_residual(h, cal_a, degree) < 1e-10
     proj = interior_projector(gen14.cutoff, degree)
@@ -80,8 +83,8 @@ def test_ladder_and_commuting_invariants(gen14, p, q):
 
 def test_chen_grounds(gen20):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
-    h = build_H_pq(pq, gen20).csr()
-    a_gen = build_A_pq_generalized(pq, gen20).csr()
+    h = csr(build_H_pq(pq, gen20))
+    a_gen = csr(build_A_pq_generalized(pq, gen20))
     for kappa in range(5):
         v = chen_ground(pq, kappa, gen20)
         w = chen_ground_via_raising(pq, kappa, gen20)
@@ -131,8 +134,8 @@ def test_degenerate_zero_subspace(gen14):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
     zeros = degenerate_zero_states(pq, gen14)
     assert len(zeros) == 6
-    cal_a = build_calA_pq(pq, gen14).csr()
-    h = build_H_pq(pq, gen14).csr()
+    cal_a = csr(build_calA_pq(pq, gen14))
+    h = csr(build_H_pq(pq, gen14))
     for k1 in range(pq.q):
         for k2 in range(pq.p):
             v = zeros[k1 * pq.p + k2]
@@ -157,7 +160,7 @@ def test_louck_multiset_matches_oracle():
     cut = FockCutoff(12, 12)
     g = build_generators(cut)
     pq = PQParams(3, 2)
-    h = build_H_pq(pq, g).csr()
+    h = csr(build_H_pq(pq, g))
     oracle = diagonalize_oracle(h, 0)
     expected = []
     for n1, n2 in cut.states():
@@ -172,8 +175,8 @@ def test_tilde0(gen14):
     for (p, q) in [(1, 1), (3, 2), (5, 4)]:
         pq = PQParams(p, q, 0.7 + 0.2j, 0.9 - 0.5j)
         v = tilde0_state(pq, gen14)
-        h = build_H_pq(pq, gen14).csr()
-        cal_a = build_calA_pq(pq, gen14).csr()
+        h = csr(build_H_pq(pq, gen14))
+        cal_a = csr(build_calA_pq(pq, gen14))
         assert np.linalg.norm(cal_a.mat @ v.amplitudes) < 1e-10
         assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
 
@@ -186,8 +189,8 @@ def test_tilde0_subnormal_amplitude(gen14):
         v = tilde0_state(pq, gen14)
         assert np.all(np.isfinite(v.amplitudes))
         assert abs(np.linalg.norm(v.amplitudes) - 1.0) < 1e-14
-        cal_a = build_calA_pq(pq, gen14).csr()
-        h = build_H_pq(pq, gen14).csr()
+        cal_a = csr(build_calA_pq(pq, gen14))
+        h = csr(build_H_pq(pq, gen14))
         assert np.linalg.norm(cal_a.mat @ v.amplitudes) < 1e-10
         assert np.linalg.norm(h.mat @ v.amplitudes - v.amplitudes) < 1e-10
     # same ray as the quotient form p/(alpha+* sqrt(p!)), q/(alpha-* sqrt(q!))
@@ -211,15 +214,15 @@ def test_tilde0_raising_chain(gen14):
     pq = PQParams(3, 2, 0.7 + 0.2j, 0.9 - 0.5j)
     from ladderforge.spectra import raising_chain
     h = build_H_pq(pq, gen14).csr()
-    cal_a = build_calA_pq(pq, gen14).csr()
-    rep = raising_chain(h, cal_a, tilde0_state(pq, gen14), 2, 1.0, degree=max(pq.p, pq.q))
+    raiser = build_calA_pq(pq, gen14).dag().csr()
+    rep = raising_chain(h, raiser, tilde0_state(pq, gen14), 2, 1.0, degree=max(pq.p, pq.q))
     for e in rep.entries:
         assert abs(e.energy_chain - (e.n + 1.0)) < 1e-9 and e.residual < 1e-9
 
 
 def test_alt_hamiltonian(gen20):
     assert (alt_hamiltonian(PQParams(1, 1), gen20)
-            - build_H_pq(PQParams(1, 1), gen20).csr()).norm() < 1e-12
+            - csr(build_H_pq(PQParams(1, 1), gen20))).norm() < 1e-12
     pq = PQParams(4, 1)
     h = alt_hamiltonian(pq, gen20)
     v = chen_ground(pq, 2, gen20)
@@ -266,8 +269,9 @@ def test_chen_shifts_equal_the_csr_product_chain(case):
     h, cal_a, a_gen = build_H_pq(pq, g), build_calA_pq(pq, g), build_A_pq_generalized(pq, g)
     ref = csr_H_pq(pq, g), csr_calA_pq(pq, g), csr_A_pq_generalized(pq, g)
     for op, want in zip((h, cal_a, a_gen), ref):
-        assert_same_csr(op.csr(), want)
-    assert_same_csr(cal_a.dag().csr(), ref[1].dag())
+        assert_same_csr(csr(op), want)
+        assert op.nnz == want.nnz
+    assert_same_csr(csr(cal_a.dag()), ref[1].dag())
     degree = max(pq.p, pq.q)
     got = (commutator_residual(g, h, cal_a, cal_a, degree),
            commutator_residual(g, a_gen, cal_a.dag(), g.shifts([]), degree))

@@ -9,12 +9,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import commutator, csr_verify_ladder, interior_residual
+from oracles import combine, commutator, csr_generators, csr_verify_ladder, interior_residual
 
 from ladderforge import cli, fock, reductions
 from ladderforge.cli import _ALGEBRA_IDENTITIES, _json_text, build_parser, run
-from ladderforge.fock import (FockCutoff, Operator, build_generators, commutator_residual,
-                              interior_indices)
+from ladderforge.fock import FockCutoff, build_generators, commutator_residual, interior_indices
 from ladderforge.params import params_from_json, solve_ladder, verify_ladder
 
 BASE = [sys.executable, "-m", "ladderforge.cli"]
@@ -429,17 +428,26 @@ def test_cli_import_leaves_dense_linalg_unloaded():
 
 def test_gate_scenarios_load_no_scipy(tmp_path):
     # solve-ladder, catalogue-sweep and verify-algebra check identities on
-    # the generators' grid weights and build no CSR matrix
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": GENERALIZED_21}))
-    calls = [["solve-ladder", "--config", str(cfg), "--cutoff", "12,12"],
-             ["catalogue-sweep", "--cutoff", "12,16"], ["verify-algebra", "--cutoff", "12,12"]]
+    # the generators' grid weights and build no CSR matrix; eigenstate
+    # builds its states from creation polynomials and checks them with the
+    # ladder's shift mat-vec, here on an isotropic state and a displaced one
+    configs = {"ladder": {"params": GENERALIZED_21},
+               "isotropic": {"params": {"beta0": 2.0}, "request": {"kappa": 1}},
+               "displaced": {"params": {"beta0": 3.0, "beta3": 1.0, "gamma1": [0.3, 0.1],
+                                        "gamma2": [0.0, -0.2]},
+                             "request": {"lambda": [0.4, -0.2], "kappa": 1}}}
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    calls = [["solve-ladder", "--config", str(tmp_path / "ladder.json"), "--cutoff", "12,12"],
+             ["catalogue-sweep", "--cutoff", "12,16"], ["verify-algebra", "--cutoff", "12,12"],
+             ["eigenstate", "--config", str(tmp_path / "isotropic.json"), "--cutoff", "20,20"],
+             ["eigenstate", "--config", str(tmp_path / "displaced.json"), "--cutoff", "24,24"]]
     probe = ("import sys; from ladderforge.cli import run; "
              f"print([run(argv + ['--out', {str(tmp_path)!r}]) for argv in {calls!r}]); "
              f"print({_SCIPY_LOADED})")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[0, 0, 0]", "[]"]
+    assert out.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0]", "[]"]
 
 
 def test_chen_loads_no_scipy(tmp_path):
@@ -459,7 +467,7 @@ def test_chen_assembles_no_csr_matrix(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("chen assembled a CSR matrix")
 
-    monkeypatch.setattr(fock, "_csr", refuse)
+    monkeypatch.setattr(fock.Operator, "csr", refuse)
     for argv in (["--p", "3", "--q", "2", "--kappa", "2", "--cutoff", "12,12"],
                  ["--p", "2", "--q", "1", "--cutoff", "40,40"]):
         assert run(["chen", *argv, "--out", str(tmp_path)]) == 0, argv
@@ -518,7 +526,7 @@ def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp
     # the uncertified ones past it are not looked up
     from ladderforge.fock import FockCutoff, build_generators
     from ladderforge.params import build_hamiltonian, params_from_json
-    from oracles import diagonalize_oracle
+    from oracles import csr, diagonalize_oracle
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": LINEAR_ISO, "n_max": 40}))
@@ -526,7 +534,7 @@ def test_spectrum_verdict_matches_the_dense_oracle_where_witnesses_fall_back(tmp
     report = json.loads((tmp_path / "spectrum.json").read_text())["report"]
     assert report["oracle_fallbacks"] > 0
     h = build_hamiltonian(params_from_json(LINEAR_ISO), build_generators(FockCutoff(20, 20)))
-    dense = diagonalize_oracle(h, 3)
+    dense = diagonalize_oracle(csr(h), 3)
     worst = 0.0
     assert not all(e["certified"] for e in report["entries"])
     for e in report["entries"]:
@@ -556,16 +564,12 @@ def test_spectrum_forms_no_dense_matrix_beyond_a_shell(tmp_path, monkeypatch, pa
     shell = cutoff - 3 + 1   # the most states of one shell of the degree-3 interior
     shapes = {"eigvalsh": [], "toarray": []}
 
-    def dense_operator(self):
-        raise AssertionError(f"dense {self.cutoff.dim} x {self.cutoff.dim} operator")
-
     def recorded(name, method):
         def wrapper(m, *args, **kwargs):
             shapes[name].append(m.shape)
             return method(m, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(Operator, "to_dense", dense_operator)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(sp.csr_matrix, "toarray", recorded("toarray", sp.csr_matrix.toarray))
     cfg = tmp_path / "cfg.json"
@@ -774,9 +778,10 @@ def test_algebra_identities_match_their_csr_form(cut):
     # single generators with coefficients +/-1, +/-0.5 and -2: the entries are
     # products and sums of real numbers, rounded alike on both paths
     g = build_generators(FockCutoff(*cut))
+    c = csr_generators(g)
     for name, x, y, degree, z in _ALGEBRA_IDENTITIES:
-        csr = commutator(getattr(g, x), getattr(g, y)) + g.combine(z)
-        want = interior_residual(csr, interior_indices(g.cutoff, degree))
+        op = commutator(getattr(c, x), getattr(c, y)) + combine(g, z)
+        want = interior_residual(op, interior_indices(g.cutoff, degree))
         got = commutator_residual(g, g.shifts([(x, 1)]), g.shifts([(y, 1)]), g.shifts(z), degree)
         assert got == want, name
 
@@ -806,13 +811,13 @@ def test_commutator_residual_reuses_its_work_arrays_exactly(cut, rng):
 
 def test_ladder_and_algebra_checks_build_no_csr_matrix(tmp_path, monkeypatch):
     built = []
-    init = fock.Operator.__init__
+    assemble = fock.Operator.csr
 
-    def counting(self, *args):
+    def counting(self):
         built.append(1)
-        init(self, *args)
+        return assemble(self)
 
-    monkeypatch.setattr(fock.Operator, "__init__", counting)
+    monkeypatch.setattr(fock.Operator, "csr", counting)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"beta0": 2.5, "beta_plus": 0.4, "beta3": 0.6,
                                           "gamma1": [0.2, 0.1], "gamma2": 0.1}}))

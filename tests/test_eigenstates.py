@@ -8,8 +8,8 @@ from ladderforge.eigenstates import (EigenstateRequest, basic21_states,
                                      chain_seed, fractional_separable_cs,
                                      isotropic_states, linear_coupled_states,
                                      verify_eigenstate)
-from ladderforge.fock import (FockCutoff, apply, basis_state, build_generators,
-                              interior_indices, norm)
+from ladderforge.fock import (FockCutoff, basis_state, build_generators, interior_indices,
+                              norm)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, classify,
                                 solve_ladder)
@@ -17,8 +17,8 @@ from ladderforge.transforms import UnitarySpec
 from ladderforge import eigenstates, fock
 from ladderforge.eigenstates import reduced_eigenstate
 from ladderforge.reductions import reduction_frame
-from oracles import (build_chain, build_unitary, fractional_lambda_state, mix_spec,
-                     series_state, su2_ground, vacuum_state)
+from oracles import (apply, build_chain, build_unitary, csr_generators, fractional_lambda_state,
+                     mix_spec, series_state, su2_ground, vacuum_state)
 
 
 def gate_params(beta0, beta3, b, theta=0.3, **kw):
@@ -29,7 +29,7 @@ def gate_params(beta0, beta3, b, theta=0.3, **kw):
 
 def h_residual(h, v, energy, degree=4):
     keep = interior_indices(h.cutoff, degree)
-    return np.linalg.norm((h.mat @ v.amplitudes - energy * v.amplitudes)[keep])
+    return np.linalg.norm((h.csr() @ v.amplitudes - energy * v.amplitudes)[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,8 @@ def test_basic21_branch2_closed_norm(basic21, gen20):
     lam = 0.8 - 0.2j
     raw = vacuum_state(gen20.cutoff)
     d2 = build_unitary(UnitarySpec("displace2", {"alpha": lam / mu2}), gen20)
-    shifted = gen20.a2_dag + (np.conj(lam) / np.conj(mu2)) * gen20.identity
+    c = csr_generators(gen20)
+    shifted = c.a2_dag + (np.conj(lam) / np.conj(mu2)) * c.identity
     w = apply(shifted @ shifted, raw).amplitudes / 2.0 \
         - (mu2 / ap) * basis_state(gen20.cutoff, 1, 0).amplitudes
     normalization = np.linalg.norm(w)
@@ -412,9 +413,11 @@ def test_b2_family(gen20):
                          nu2=-2 * p.beta_plus / (2 - b3) * nu1 / scale)
     a = build_ladder(coeff, gen20)
     h = build_hamiltonian(p, gen20)
-    from oracles import commutator, interior_projector
+    from oracles import commutator, csr, interior_projector
     proj = interior_projector(gen20.cutoff, 2)
-    assert (proj @ (commutator(a, a.dag()) - gen20.identity) @ proj).norm() < 1e-10
+    ac = csr(a)
+    assert (proj @ (commutator(ac, ac.dag()) - csr_generators(gen20).identity) @ proj).norm() \
+        < 1e-10
     for lam, branch in [(0.0, 1), (0.6 + 0.2j, 1), (0.0, 2), (0.5 - 0.7j, 2)]:
         req = EigenstateRequest(tag=tag, lam=lam, branch=branch, kappa=1)
         v = linear_coupled_states(p, req, gen20, mu1=mu1, nu1=nu1)
@@ -479,8 +482,8 @@ def test_non_normalizable_refusal(gen20):
 
 def test_verify_eigenstate_trivial(gen8):
     v = vacuum_state(gen8.cutoff)
-    assert verify_eigenstate(gen8.a1, v, 0.0, 2) == 0.0
-    assert abs(verify_eigenstate(gen8.a1_dag, v, 0.0, 2) - 1.0) < 1e-12
+    assert verify_eigenstate(gen8.shift("a1"), v, 0.0, 2) == 0.0
+    assert abs(verify_eigenstate(gen8.shift("a1_dag"), v, 0.0, 2) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (ORACLE_CUTOFFS, apply_creation_series, assert_same_csr, block, commutator,
-                     csr_frobenius, csr_poly, interior_projector, interior_residual,
+from oracles import (ORACLE_CUTOFFS, CsrOperator, apply_creation_series,
+                     assert_same_csr, block, combine, commutator, csr, csr_frobenius,
+                     csr_generators, csr_poly, interior_projector, interior_residual,
                      kron_generators, shell_indices, shell_projector, vacuum_state,
                      zero_signed_bits)
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, CutoffTooSmall, LadderForgeError
 from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff,
-                              Operator, TwoModeState, apply, basis_state,
+                              TwoModeState, basis_state,
                               build_generators, coherent_state,
                               commutator_residual, interior_indices, norm,
                               normalize, state_to_csv,
@@ -31,15 +32,15 @@ def test_indexing_row_major():
 
 
 def test_annihilator_action(gen8):
-    cut = gen8.cutoff
-    v = apply(gen8.a1, basis_state(cut, 1, 0))
+    cut, a1 = gen8.cutoff, gen8.shift("a1")
+    v = TwoModeState(cut, a1.matvec(basis_state(cut, 1, 0).amplitudes))
     assert abs(v.amplitudes[cut.index(0, 0)] - 1.0) < 1e-15
-    assert norm(apply(gen8.a1, vacuum_state(cut))) == 0.0
+    assert norm(TwoModeState(cut, a1.matvec(vacuum_state(cut).amplitudes))) == 0.0
 
 
 def test_jplus_action():
     g = build_generators(FockCutoff(3, 3))
-    v = apply(g.j_plus, basis_state(g.cutoff, 1, 2))
+    v = TwoModeState(g.cutoff, g.shift("j_plus").matvec(basis_state(g.cutoff, 1, 2).amplitudes))
     # sqrt((1+1) * 2) = 2 onto |2,1>
     assert abs(v.amplitudes[g.cutoff.index(2, 1)] - 2.0) < 1e-14
     assert abs(norm(v) - 2.0) < 1e-14
@@ -48,18 +49,18 @@ def test_jplus_action():
 def test_hard_truncation(gen8):
     cut = gen8.cutoff
     top = basis_state(cut, cut.n1_max, 0)
-    assert norm(apply(gen8.a1_dag, top)) == 0.0
+    assert not gen8.shift("a1_dag").matvec(top.amplitudes).any()
 
 
 def test_mode_commutators(gen8):
     proj = interior_projector(gen8.cutoff, 1)
-    ident = gen8.identity
+    g = csr_generators(gen8)
     pairs = {
-        (gen8.a1, gen8.a1_dag): ident,
-        (gen8.a2, gen8.a2_dag): ident,
-        (gen8.a1, gen8.a2_dag): None,
-        (gen8.a1, gen8.a2): None,
-        (gen8.a1_dag, gen8.a2_dag): None,
+        (g.a1, g.a1_dag): g.identity,
+        (g.a2, g.a2_dag): g.identity,
+        (g.a1, g.a2_dag): None,
+        (g.a1, g.a2): None,
+        (g.a1_dag, g.a2_dag): None,
     }
     for (x, y), expected in pairs.items():
         c = commutator(x, y)
@@ -70,7 +71,7 @@ def test_mode_commutators(gen8):
 
 def test_su2_commutators(gen8):
     proj = interior_projector(gen8.cutoff, 2)
-    g = gen8
+    g = csr_generators(gen8)
     assert (proj @ (commutator(g.j_plus, g.j_minus) - 2 * g.j3) @ proj).norm() < 1e-12
     assert (proj @ (commutator(g.j3, g.j_plus) - g.j_plus) @ proj).norm() < 1e-12
     assert (proj @ (commutator(g.j3, g.j_minus) + g.j_minus) @ proj).norm() < 1e-12
@@ -79,7 +80,7 @@ def test_su2_commutators(gen8):
 
 
 def test_mixed_commutators(gen8):
-    g = gen8
+    g = csr_generators(gen8)
     proj = interior_projector(g.cutoff, 2)
     relations = [
         (commutator(g.n_op, g.a1) + 0.5 * g.a1),
@@ -103,7 +104,8 @@ def test_mixed_commutators(gen8):
 
 
 def test_self_commutator_zero(gen8):
-    assert commutator(gen8.a1, gen8.a1).norm() == 0.0
+    a1 = csr_generators(gen8).a1
+    assert commutator(a1, a1).norm() == 0.0
 
 
 def test_interior_projector_rank():
@@ -126,7 +128,7 @@ def test_shell_indices():
 def test_adjoint_involution(gen8, rng):
     m = rng.normal(size=(gen8.cutoff.dim, gen8.cutoff.dim)) \
         + 1j * rng.normal(size=(gen8.cutoff.dim, gen8.cutoff.dim))
-    op = Operator(gen8.cutoff, m)
+    op = CsrOperator(gen8.cutoff, m)
     assert (op.dag().dag() - op).norm() < 1e-13
 
 
@@ -141,14 +143,14 @@ def test_matmul_associative(seed):
         rows = rng.integers(0, cut.dim, size=8)
         cols = rng.integers(0, cut.dim, size=8)
         m[rows, cols] = rng.normal(size=8) + 1j * rng.normal(size=8)
-        ops.append(Operator(cut, m))
+        ops.append(CsrOperator(cut, m))
     a, b, c = ops
     assert (((a @ b) @ c) - (a @ (b @ c))).norm() < 1e-12
 
 
 def test_cutoff_mismatch():
-    a = build_generators(FockCutoff(3, 3)).a1
-    b = build_generators(FockCutoff(4, 4)).a1
+    a = csr_generators(build_generators(FockCutoff(3, 3))).a1
+    b = csr_generators(build_generators(FockCutoff(4, 4))).a1
     with pytest.raises(CutoffMismatch):
         _ = a @ b
 
@@ -164,14 +166,14 @@ def test_normalize_errors():
 
 def test_apply_identity(gen8):
     v = basis_state(gen8.cutoff, 2, 3)
-    w = apply(gen8.identity, v)
-    assert np.array_equal(v.amplitudes, w.amplitudes)
+    assert np.array_equal(v.amplitudes, gen8.shift("identity").matvec(v.amplitudes))
 
 
 def test_creation_series_matches_coherent(gen14):
     cut = gen14.cutoff
     alpha = 0.8 - 0.4j
-    v = normalize(apply_creation_series(alpha * gen14.a1_dag, vacuum_state(cut)))
+    v = normalize(apply_creation_series(alpha * csr_generators(gen14).a1_dag,
+                                        vacuum_state(cut)))
     import math
     expected = np.zeros(cut.dim, complex)
     for n in range(cut.n1_max + 1):
@@ -182,7 +184,8 @@ def test_creation_series_matches_coherent(gen14):
 
 def test_creation_series_handles_diagonal_exponent(gen8):
     # not nilpotent, but the series still converges to exp(c*n1)|2,0>
-    v = apply_creation_series(0.7 * (gen8.a1_dag @ gen8.a1), basis_state(gen8.cutoff, 2, 0))
+    g = csr_generators(gen8)
+    v = apply_creation_series(0.7 * (g.a1_dag @ g.a1), basis_state(gen8.cutoff, 2, 0))
     assert abs(v.amplitudes[gen8.cutoff.index(2, 0)] - np.exp(1.4)) < 1e-12
 
 
@@ -287,7 +290,7 @@ def _elementwise_generators(cut):
 @pytest.mark.parametrize("n1_max,n2_max", [(3, 5), (5, 3), (0, 2), (2, 0), (4, 4)])
 def test_generators_match_elementwise_definition(n1_max, n2_max):
     cut = FockCutoff(n1_max, n2_max)
-    g = build_generators(cut)
+    g = csr_generators(build_generators(cut))
     a1, a2, jp, jm = _elementwise_generators(cut)
     np.testing.assert_array_equal(g.a1.to_dense(), a1)
     np.testing.assert_array_equal(g.a2.to_dense(), a2)
@@ -319,7 +322,7 @@ def test_interior_residual_equals_projector_sandwich(n1_max, n2_max, density, se
     shape = (cut.dim, cut.dim)
     m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         * 10.0 ** rng.uniform(-6, 6, size=shape) * (rng.random(shape) < density)
-    op = Operator(cut, m)
+    op = CsrOperator(cut, m)
     degree = data.draw(st.integers(0, min(n1_max, n2_max)))
     proj = interior_projector(cut, degree)
     assert interior_residual(op, interior_indices(cut, degree)) == (proj @ op @ proj).norm()
@@ -335,7 +338,7 @@ GENERATOR_NAMES = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", 
 @pytest.mark.parametrize("n1_max,n2_max", ORACLE_CUTOFFS)
 def test_generators_match_the_kronecker_product_build(n1_max, n2_max):
     cut = FockCutoff(n1_max, n2_max)
-    g, ref = build_generators(cut), kron_generators(cut)
+    g, ref = csr_generators(build_generators(cut)), kron_generators(cut)
     for name in GENERATOR_NAMES:
         assert_same_csr(getattr(g, name), getattr(ref, name))
 
@@ -351,25 +354,27 @@ def test_generator_build_takes_no_kronecker_product(monkeypatch):
 @pytest.mark.parametrize("n1_max,n2_max", [(0, 0), (5, 1), (6, 6)])
 def test_combine_is_the_chained_operator_sum_in_any_order(n1_max, n2_max):
     g = build_generators(FockCutoff(n1_max, n2_max))
+    c = csr_generators(g)
     terms = [("identity", 0.25 - 1j), ("a1", 0.5j), ("j3", -1.5), ("j_minus", 2.0),
              ("n_op", 0.75 + 0.5j), ("a2_dag", -0.3), ("j_plus", 0.0)]
-    ref = (g.n_op * (0.75 + 0.5j) + g.j3 * -1.5 + g.identity * (0.25 - 1j)
-           + g.a1 * 0.5j + g.j_minus * 2.0 + g.a2_dag * -0.3)
-    assert_same_csr(g.combine(terms), ref)
-    assert_same_csr(g.combine(terms[::-1]), ref)
+    ref = (c.n_op * (0.75 + 0.5j) + c.j3 * -1.5 + c.identity * (0.25 - 1j)
+           + c.a1 * 0.5j + c.j_minus * 2.0 + c.a2_dag * -0.3)
+    assert_same_csr(csr(g.shifts(terms)), ref)
+    assert_same_csr(csr(g.shifts(terms[::-1])), ref)
     # n_op - j3 = a2'a2 cancels to zero on n2 = 0: those entries are dropped
-    assert g.combine([("n_op", 1.0), ("j3", -1.0)]).nnz == (n1_max + 1) * n2_max
+    assert g.shifts([("n_op", 1.0), ("j3", -1.0)]).nnz == (n1_max + 1) * n2_max
 
 
 def test_combine_with_a_non_finite_coefficient_stays_on_the_grid():
     # 0 * inf is NaN: a non-finite c_k must not put entries where a shift
     # leaves the grid
     g = build_generators(FockCutoff(3, 2))
+    c = csr_generators(g)
     with np.errstate(invalid="ignore"):
-        op = g.combine([("a1", np.inf), ("j_plus", complex(np.nan, 1.0)), ("n_op", 1.0)])
-    ref = (g.a1 + g.j_plus + g.n_op).mat
-    np.testing.assert_array_equal(op.mat.indptr, ref.indptr)
-    np.testing.assert_array_equal(op.mat.indices, ref.indices)
+        op = g.shifts([("a1", np.inf), ("j_plus", complex(np.nan, 1.0)), ("n_op", 1.0)]).csr()
+    ref = (c.a1 + c.j_plus + c.n_op).mat
+    np.testing.assert_array_equal(op.indptr, ref.indptr)
+    np.testing.assert_array_equal(op.indices, ref.indices)
 
 
 @pytest.mark.parametrize("n1_max,n2_max", ORACLE_CUTOFFS)
@@ -391,7 +396,7 @@ def test_block_is_the_combined_csr_restricted(n1_max, n2_max, rng):
             coeffs[rng.integers(9)] = odd[rng.integers(len(odd))]
         terms = list(zip(names, coeffs))
         with np.errstate(invalid="ignore"):
-            full = g.combine(terms).mat
+            full = g.shifts(terms).csr()
             for keep in index_sets:
                 got = block(g, terms, keep)
                 want = full[keep][:, keep].toarray()
@@ -406,28 +411,28 @@ def test_operator_leaves_its_argument_unchanged():
     m = sp.csr_matrix(arrays, shape=(4, 4))
     real = sp.csr_matrix((arrays[0].real.copy(), *arrays[1:]), shape=(4, 4))
     for arg in (m, real, arrays):
-        assert Operator(FockCutoff(1, 1), arg).nnz == 3
+        assert CsrOperator(FockCutoff(1, 1), arg).nnz == 3
         assert m.nnz == 4
         for arr, kept in zip(arrays, before):
             np.testing.assert_array_equal(arr, kept)
     unsorted = sp.csr_matrix((np.array([2.0, 1.0], dtype=complex), np.array([3, 0]),
                               np.array([0, 2, 2, 2, 2])), shape=(4, 4))
-    op = Operator(FockCutoff(1, 1), unsorted)
+    op = CsrOperator(FockCutoff(1, 1), unsorted)
     assert unsorted.indices.tolist() == [3, 0]
     assert op.mat.indices.tolist() == [0, 3]
 
 
 @pytest.mark.parametrize("n1_max,n2_max", [(12, 16), (40, 40)])
 def test_norms_are_scipys_frobenius_norm(n1_max, n2_max):
-    # Operator.norm is scipy's sparse Frobenius norm, and interior_residual
+    # CsrOperator.norm is scipy's sparse Frobenius norm, and interior_residual
     # equals it on the projector sandwich bit for bit, on the generators,
     # the catalogue's H and A and their ladder identity, restricted to
     # interior boxes and to a shell
     cut = FockCutoff(n1_max, n2_max)
     g = build_generators(cut)
-    ops = [getattr(g, name) for name in GENERATOR_NAMES]
+    ops = [csr(g.shift(name)) for name in GENERATOR_NAMES]
     for row in appendix_catalogue(Bindings()):
-        h, a = build_hamiltonian(row.params, g), build_ladder(row.coeffs, g)
+        h, a = csr(build_hamiltonian(row.params, g)), csr(build_ladder(row.coeffs, g))
         ops += [h, a, commutator(h, a) + a]
     boxes = [(interior_indices(cut, d), interior_projector(cut, d)) for d in (1, 3)]
     boxes.append((shell_indices(cut, n1_max // 2), shell_projector(cut, n1_max // 2)))
@@ -445,7 +450,7 @@ def test_operator_sums_duplicate_entries():
     arrays = (np.array([3.0, 4.0, 1.0, -1.0], dtype=complex), np.array([0, 0, 3, 3]),
               np.array([0, 2, 4, 4, 4]))
     before = [arr.copy() for arr in arrays]
-    op = Operator(FockCutoff(1, 1), arrays)
+    op = CsrOperator(FockCutoff(1, 1), arrays)
     assert op.mat.indices.tolist() == [0] and op.mat.data.tolist() == [7.0]
     assert op.norm() == 7.0 == np.linalg.norm(op.to_dense())
     for arr, kept in zip(arrays, before):
@@ -466,20 +471,26 @@ def _random_terms(rng):
 def test_shift_products_are_the_sparse_products(n1_max, n2_max, rng):
     # products of combinations with up to seven shifts each, several pairs
     # landing on one product shift, and a product of three; their mat-vecs
-    # are scipy's bit for bit, the sign of zero included
+    # are scipy's bit for bit, the sign of zero included, and each sum,
+    # product and adjoint has as many nonzero weights as its CSR matrix has
+    # stored entries
     g = build_generators(FockCutoff(n1_max, n2_max))
     for _ in range(12):
         x, y, z = (_random_terms(rng) for _ in range(3))
         xs, ys, zs = g.shifts(x), g.shifts(y), g.shifts(z)
-        xy = g.combine(x) @ g.combine(y)
-        xyz = xy @ g.combine(z)
-        assert_same_csr((xs @ ys).csr(), xy)
-        assert_same_csr((xs @ ys @ zs).csr(), xyz)
+        xc, yc, zc = combine(g, x), combine(g, y), combine(g, z)
+        xy = xc @ yc
+        xyz = xy @ zc
+        assert_same_csr(csr(xs @ ys), xy)
+        assert_same_csr(csr(xs @ ys @ zs), xyz)
         v = [1, 1j] @ rng.normal(size=(2, g.cutoff.dim))
-        for op, ref in ((xs, g.combine(x)), (xs @ ys, xy), (xs @ ys @ zs, xyz)):
+        for op, ref in ((xs, xc), (xs @ ys, xy), (xs @ ys @ zs, xyz)):
             assert np.array_equal(op.matvec(v).view(np.uint64), (ref.mat @ v).view(np.uint64))
-        assert (zero_signed_bits((xs @ ys).dag().csr().to_dense())
+        assert (zero_signed_bits(csr((xs @ ys).dag()).to_dense())
                 == zero_signed_bits(xy.dag().to_dense())).all()
+        for op, ref in ((xs, xc), (xs + ys, xc + yc), (xs - zs, xc - zc), (xs @ ys, xy),
+                        (xs @ ys @ zs, xyz), (xs.dag(), xc.dag()), ((xs @ ys).dag(), xy.dag())):
+            assert op.nnz == ref.nnz
 
 
 @pytest.mark.parametrize("n1_max,n2_max", [(8, 8), (9, 13), (16, 12)])
@@ -494,6 +505,6 @@ def test_commutator_residual_on_any_shifts_is_the_csr_one(n1_max, n2_max, rng):
         x, y, z = (g.shifts(_random_terms(rng)) @ g.shifts(_random_terms(rng))
                    for _ in range(3))
         got = commutator_residual(g, x, y, z, degree)
-        xc, yc, zc = x.csr(), y.csr(), z.csr()
+        xc, yc, zc = csr(x), csr(y), csr(z)
         want = interior_residual(commutator(xc, yc) + zc, interior_indices(cut, degree))
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), degree

@@ -53,11 +53,34 @@ def test_no_dense_scipy_module_is_imported():
     assert not found
 
 
-def test_reductions_imports_no_scipy():
-    # reduce certifies on shell blocks and one-mode factors: no CSR matrix
-    found = [ast.dump(node) for node in ast.walk(TREES["reductions.py"])
-             if isinstance(node, (ast.Import, ast.ImportFrom))
-             and any(name.startswith("scipy") for name in
-                     ([a.name for a in node.names] if isinstance(node, ast.Import)
-                      else [node.module or ""]))]
-    assert not found
+# the only scipy imports in src: the CSR matrix `spectrum` multiplies by
+# (Operator.csr) and spectrum's shift-invert fallback
+SCIPY_IMPORTS = {("fock.py", "csr", "scipy.sparse"),
+                 ("spectra.py", "_nearest_from_structure", "scipy.sparse.linalg")}
+
+
+def _scipy_imports(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(enclosing function, module) of each scipy import in the tree; None
+    for an import at module or class level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((function, a.name) for a in child.names
+                             if a.name.split(".")[0] == "scipy")
+            elif (isinstance(child, ast.ImportFrom)
+                  and (child.module or "").split(".")[0] == "scipy"):
+                found.append((function, child.module))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_imported_only_for_the_spectrum_matrices():
+    # every other path (reduce's shell blocks, the identity checks, chen,
+    # the eigenstate mat-vec) works on the weighted shifts themselves
+    found = {(module, function, name) for module, tree in TREES.items()
+             for function, name in _scipy_imports(tree)}
+    assert found <= SCIPY_IMPORTS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (ORACLE_CUTOFFS, assert_same_csr, coeffs_from_json, csr_verify_ladder,
+from oracles import (ORACLE_CUTOFFS, assert_same_csr, coeffs_from_json, csr, csr_verify_ladder,
                      kron_generators, sum_hamiltonian, sum_ladder)
 
 from ladderforge import fock
@@ -206,12 +206,10 @@ def test_solver_branches_pass_commutator(maker, gen14):
 def test_solver_a0_matches_matrix_identity_component(gen14):
     p = HamiltonianParams(beta0=3.0, beta3=1.0, gamma1=0.4 + 0.3j, gamma2=0.2 - 0.1j)
     report = solve_ladder(p)
-    h = build_hamiltonian(p, gen14)
+    hm = build_hamiltonian(p, gen14).csr()
     cut = gen14.cutoff
     for coeff in report.coeffs:
-        a = build_ladder(coeff, gen14)
-        hm = h.mat
-        am = a.mat
+        am = build_ladder(coeff, gen14).csr()
         comm = -(hm @ am - am @ hm)
         idx = cut.index(1, 1)
         # identity component of -[H, A] read at a J3-free diagonal entry
@@ -317,18 +315,18 @@ def test_hermiticity_structural(gen10):
     p = HamiltonianParams(beta0=1.3, beta_plus=0.4 + 0.2j, beta3=-0.7,
                           gamma1=0.1j, gamma2=0.3, h0=0.9)
     h = build_hamiltonian(p, gen10)
-    assert (h - h.dag()).norm() < 1e-13
+    assert csr(h - h.dag()).norm() < 1e-13
 
 
 def test_build_hamiltonian_diagonals(gen10):
     cut = gen10.cutoff
-    h = build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0), gen10)
+    h = build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0), gen10).csr()
     for n1, n2 in [(0, 0), (1, 0), (0, 1), (2, 3)]:
-        assert abs(h.mat[cut.index(n1, n2), cut.index(n1, n2)] - (2 * n1 + n2)) < 1e-12
-    h = build_hamiltonian(HamiltonianParams(beta0=2.0), gen10)
-    assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - 5) < 1e-12
-    h = build_hamiltonian(HamiltonianParams(beta0=0.0, beta3=2.0), gen10)
-    assert abs(h.mat[cut.index(2, 3), cut.index(2, 3)] - (2 - 3)) < 1e-12
+        assert abs(h[cut.index(n1, n2), cut.index(n1, n2)] - (2 * n1 + n2)) < 1e-12
+    h = build_hamiltonian(HamiltonianParams(beta0=2.0), gen10).csr()
+    assert abs(h[cut.index(2, 3), cut.index(2, 3)] - 5) < 1e-12
+    h = build_hamiltonian(HamiltonianParams(beta0=0.0, beta3=2.0), gen10).csr()
+    assert abs(h[cut.index(2, 3), cut.index(2, 3)] - (2 - 3)) < 1e-12
 
 
 def test_params_json_roundtrip():
@@ -353,8 +351,8 @@ def generator_pairs():
 def test_catalogue_h_and_a_match_the_operator_sums(cut, generator_pairs):
     g, ref = generator_pairs[cut]
     for row in appendix_catalogue():
-        assert_same_csr(build_hamiltonian(row.params, g), sum_hamiltonian(row.params, ref))
-        assert_same_csr(build_ladder(row.coeffs, g), sum_ladder(row.coeffs, ref))
+        assert_same_csr(csr(build_hamiltonian(row.params, g)), sum_hamiltonian(row.params, ref))
+        assert_same_csr(csr(build_ladder(row.coeffs, g)), sum_ladder(row.coeffs, ref))
 
 
 _finite = st.floats(-5, 5, allow_nan=False)
@@ -373,8 +371,8 @@ def test_drawn_h_and_a_match_the_operator_sums(generator_pairs, cut, beta0, beta
     p = HamiltonianParams(beta0=beta0, beta_plus=beta_plus, beta3=beta3,
                           gamma1=gamma1, gamma2=gamma2, h0=h0)
     c = LadderCoeffs(*coeffs)
-    assert_same_csr(build_hamiltonian(p, g), sum_hamiltonian(p, ref))
-    assert_same_csr(build_ladder(c, g), sum_ladder(c, ref))
+    assert_same_csr(csr(build_hamiltonian(p, g)), sum_hamiltonian(p, ref))
+    assert_same_csr(csr(build_ladder(c, g)), sum_ladder(c, ref))
 
 
 def test_h_and_a_are_each_one_operator(gen8, monkeypatch):

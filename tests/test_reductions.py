@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ladderforge.cli import run
 from ladderforge.errors import DomainError, LadderForgeError
-from ladderforge.fock import FockCutoff, Operator, build_generators
+from ladderforge.fock import FockCutoff, build_generators
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, params_from_json,
                                 params_to_json, solve_ladder, verify_ladder)
@@ -20,7 +20,8 @@ from ladderforge.params import classify
 from ladderforge import fock, reductions
 from ladderforge.reductions import (_compose, reduce_by_similarity, reduction_chain,
                                     reduction_frame)
-from oracles import (build_chain, build_unitary, coeffs_from_json, diagonalize_oracle,
+from oracles import (CsrOperator, apply, build_chain, build_unitary, coeffs_from_json, csr,
+                     csr_generators, diagonalize_oracle,
                      frame_columns, full_grid_reduce_residuals, full_grid_shell_max,
                      hamiltonian_params_from_matrix,
                      interior_residual, ladder_coeffs_from_matrix, reduced_params,
@@ -143,7 +144,7 @@ def test_interior_spectra_invariant(gen14):
     p = gate_params(3.0, 0.6, 1.0)
     rep = solve_ladder(p)
     red = reduce_by_similarity(p, combined_coeffs(rep), gen14.cutoff)
-    h = build_hamiltonian(p, gen14)
+    h = csr(build_hamiltonian(p, gen14))
     u = build_chain(red.chain, gen14)
     h_rot = similarity(u, h)
     deg = rotation_safe_degree(gen14.cutoff)
@@ -165,7 +166,7 @@ def test_reduction_chain_maps_states(gen14):
     rep = solve_ladder(p)
     red = reduce_by_similarity(p, rep.coeffs[0], gen14.cutoff)
     u = build_chain(red.chain, gen14)
-    from ladderforge.fock import apply, basis_state
+    from ladderforge.fock import basis_state
     kappa = 2
     reduced_ground = basis_state(gen14.cutoff, 0, kappa)
     v = apply(u, reduced_ground)
@@ -189,16 +190,16 @@ def test_stepwise_conjugation_matches_composed_chain(kinds, cutoff, p):
     red = reduce_by_similarity(p, c, g.cutoff)
     assert [s.kind for s in red.chain] == kinds
     u = build_chain(red.chain, g)
-    h_ref = similarity(u, build_hamiltonian(p, g))
-    a_ref = similarity(u, build_ladder(c, g))
+    h_ref = similarity(u, csr(build_hamiltonian(p, g)))
+    a_ref = similarity(u, csr(build_ladder(c, g)))
     p_ref = hamiltonian_params_from_matrix(h_ref, g, shell_max=red.shell_max)
     c_ref = ladder_coeffs_from_matrix(a_ref, g, shell_max=red.shell_max)
     for name in ("beta0", "beta_plus", "beta3", "gamma1", "gamma2", "h0"):
         assert abs(getattr(red.params, name) - getattr(p_ref, name)) <= 1e-12
     assert np.max(np.abs(red.coeffs.as_array() - c_ref.as_array())) <= 1e-12
     keep = shell_indices(g.cutoff, red.shell_max)
-    assert interior_residual(h_ref - build_hamiltonian(p_ref, g), keep) < 1e-8
-    assert interior_residual(a_ref - build_ladder(c_ref, g), keep) < 1e-8
+    assert interior_residual(h_ref - csr(build_hamiltonian(p_ref, g)), keep) < 1e-8
+    assert interior_residual(a_ref - csr(build_ladder(c_ref, g)), keep) < 1e-8
     assert red.h_residual < 1e-8 and red.a_residual < 1e-8
 
 
@@ -277,7 +278,7 @@ def test_frame_carries_eigenstates_like_the_dense_chain(name, n):
         # and it is an eigenstate of a ladder of H from the solver's span
         h = build_hamiltonian(p, g)
         a = build_ladder(ladder, g)
-        assert interior_residual(h @ a - a @ h + a, shell_indices(g.cutoff, n // 2)) < 1e-10
+        assert interior_residual(csr(h @ a - a @ h + a), shell_indices(g.cutoff, n // 2)) < 1e-10
         assert verify_eigenstate(a, got, lam_used, 4) < 1e-10
 
 
@@ -485,12 +486,12 @@ def test_reduce_forms_its_operators_on_the_frame_support(tmp_path, monkeypatch, 
     # at cutoff 28 a rotation is certified on its shell blocks and a
     # displacement on its one-mode factors: no frame builds a CSR matrix
     built = []
-    true_csr = fock._csr
+    assemble = fock.Operator.csr
 
-    def counted(cutoff, by_shift):
-        built.append(cutoff)
-        return true_csr(cutoff, by_shift)
-    monkeypatch.setattr(fock, "_csr", counted)
+    def counted(self):
+        built.append(self.cutoff)
+        return assemble(self)
+    monkeypatch.setattr(fock.Operator, "csr", counted)
     code, report = _reduce(tmp_path, params_to_json(SUPPORT_FRAMES[kind][0]), 1, 28)
     assert code == 0, report
     assert built == []
@@ -637,13 +638,13 @@ def test_reduce_loads_no_dense_linalg(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-def _conjugated(chain, op: Operator, g) -> Operator:
+def _conjugated(chain, op, g) -> CsrOperator:
     """U' O U with U the chain's built unitaries multiplied densely (U is
     dense-filled, where sparse products are slow)."""
     u = np.eye(g.cutoff.dim)
     for spec in chain:
         u = u @ build_unitary(spec, g).to_dense()
-    return Operator(g.cutoff, u.conj().T @ op.to_dense() @ u)
+    return CsrOperator(g.cutoff, u.conj().T @ op.csr().toarray() @ u)
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_FAMILIES))
@@ -670,18 +671,19 @@ def test_reduced_ladder_matches_the_conjugated_matrix(gen14, name):
 def test_extraction_roundtrip(gen10):
     p = HamiltonianParams(beta0=1.7, beta_plus=0.3 - 0.4j, beta3=0.2,
                           gamma1=0.5j, gamma2=0.1, h0=-0.3)
-    back = hamiltonian_params_from_matrix(build_hamiltonian(p, gen10), gen10)
+    back = hamiltonian_params_from_matrix(csr(build_hamiltonian(p, gen10)), gen10)
     assert abs(back.beta0 - p.beta0) < 1e-12
     assert abs(back.beta_plus - p.beta_plus) < 1e-12
     assert abs(back.h0 - p.h0) < 1e-12
     c = LadderCoeffs(mu1=0.2, mu2=-0.4j, nu1=0.1, nu2=0.3 + 0.1j,
                      alpha_plus=0.5, alpha_minus=-0.2j, alpha3=0.7, a0=1.1 - 0.2j)
-    back_c = ladder_coeffs_from_matrix(build_ladder(c, gen10), gen10)
+    back_c = ladder_coeffs_from_matrix(csr(build_ladder(c, gen10)), gen10)
     np.testing.assert_allclose(back_c.as_array(), c.as_array(), atol=1e-12)
 
 
 def test_extraction_rejects_outside_span(gen10):
-    bad = gen10.a1_dag @ gen10.a1 @ gen10.a1  # cubic, not in the algebra
+    c = csr_generators(gen10)
+    bad = c.a1_dag @ c.a1 @ c.a1  # cubic, not in the algebra
     with pytest.raises(LadderForgeError):
         ladder_coeffs_from_matrix(bad, gen10)
 

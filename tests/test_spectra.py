@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import (diagonalize_oracle, interior_projector, normal_order_coeffs,
+from oracles import (csr, diagonalize_oracle, interior_projector, normal_order_coeffs,
                      normal_order_coeffs_recurrence, normal_order_power, su2_ground,
                      vacuum_state)
 
@@ -14,6 +14,11 @@ from ladderforge.params import (HamiltonianParams, LadderCoeffs, build_hamiltoni
                                 build_ladder, solve_ladder)
 from ladderforge.reductions import reduction_frame
 from ladderforge.spectra import nearest_eigenvalues, raising_chain
+
+
+def _chain(h, a, ground, n_max, e0, **kw):
+    """raising_chain on the CSR matrices of H and A', as `spectrum` runs it."""
+    return raising_chain(h.csr(), a.dag().csr(), ground, n_max, e0, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +43,7 @@ def test_closed_form_equals_recurrence():
 def test_normal_order_power_small(gen14):
     mu2, ap = 0.8 + 0.1j, 0.5 - 0.3j
     c = LadderCoeffs(mu2=mu2, alpha_plus=ap)
-    a_dag = build_ladder(c, gen14).dag()
+    a_dag = csr(build_ladder(c, gen14)).dag()
     one = normal_order_power(c, 1, gen14)
     assert (one - a_dag).norm() < 1e-12
     two = normal_order_power(c, 2, gen14)
@@ -52,10 +57,10 @@ def test_normal_order_power_random(gen14, rng):
         mu2 = rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         ap = rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         c = LadderCoeffs(mu2=mu2, alpha_plus=ap)
-        a_dag = build_ladder(c, gen14).dag()
+        a_dag = csr(build_ladder(c, gen14)).dag()
         n = int(rng.integers(2, 8))
         ordered = normal_order_power(c, n, gen14)
-        brute = gen14.identity
+        brute = csr(gen14.shift("identity"))
         for _ in range(n):
             brute = brute @ a_dag
         proj = interior_projector(gen14.cutoff, n + 1)
@@ -67,10 +72,10 @@ def test_normal_order_power_shifted(gen14):
     mu2, ap = 0.8, 0.6
     c = LadderCoeffs(mu1=np.conj(g2) * ap, mu2=mu2, nu2=g1 * ap / 2.0,
                      alpha_plus=ap, a0=g2 * mu2 + g1 * np.conj(g2) * ap / 2.0)
-    a_dag = build_ladder(c, gen14).dag()
+    a_dag = csr(build_ladder(c, gen14)).dag()
     for n in (3, 6):
         ordered = normal_order_power(c, n, gen14, gamma1=g1, gamma2=g2)
-        brute = gen14.identity
+        brute = csr(gen14.shift("identity"))
         for _ in range(n):
             brute = brute @ a_dag
         proj = interior_projector(gen14.cutoff, n + 1)
@@ -100,7 +105,7 @@ def chain_setup():
 
 def test_chain_from_vacuum(chain_setup):
     g, h, a, mu2, ap = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 9, 0.0, degree=3, family="2:1")
+    rep = _chain(h, a, vacuum_state(g.cutoff), 9, 0.0, degree=3, family="2:1")
     assert rep.entries[0].energy_chain == pytest.approx(0.0, abs=1e-12)
     for e in rep.entries:
         assert e.certified
@@ -111,7 +116,7 @@ def test_chain_from_vacuum(chain_setup):
 def test_chain_states_match_closed_coefficients(chain_setup):
     import math
     g, h, a, mu2, ap = chain_setup
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 7, 0.0, degree=3)
+    rep = _chain(h, a, vacuum_state(g.cutoff), 7, 0.0, degree=3)
     n = 5
     v = rep.states[n]
     z = np.conj(ap) / (2 * np.conj(mu2))
@@ -129,13 +134,12 @@ def test_chain_closed_norm_constant(chain_setup):
     import math
     g, h, a, mu2, ap = chain_setup
     n = 6
-    raiser = a.dag()
-    v = vacuum_state(g.cutoff)
+    raiser = a.dag().csr()
+    v = vacuum_state(g.cutoff).amplitudes
     for _ in range(n):
-        from ladderforge.fock import apply
-        v = apply(raiser, v)
+        v = raiser @ v
     scale = math.factorial(n) * abs(mu2) ** n
-    norm_sq = (np.linalg.norm(v.amplitudes) / scale) ** 2
+    norm_sq = (np.linalg.norm(v) / scale) ** 2
     closed = sum((abs(ap) / (2 * abs(mu2))) ** (2 * k)
                  / (math.factorial(n - 2 * k) * math.factorial(k))
                  for k in range(n // 2 + 1))
@@ -145,7 +149,7 @@ def test_chain_closed_norm_constant(chain_setup):
 def test_branch2_chain_offset(chain_setup):
     g, h, a, mu2, ap = chain_setup
     ground = basic21_states(mu2, ap, 0.0, 2, g)
-    rep = raising_chain(h, a, ground, 6, 2.0, degree=3)
+    rep = _chain(h, a, ground, 6, 2.0, degree=3)
     assert rep.entries[0].energy_chain == pytest.approx(2.0, abs=1e-10)
     for e in rep.entries:
         assert e.residual < 1e-9
@@ -159,18 +163,18 @@ def test_degeneracy_coverage(chain_setup):
             ground = vacuum_state(g.cutoff)
         else:
             ground = basic21_states(mu2, ap, 0.0, 3, g, kappa=kappa)
-        rep = raising_chain(h, a, ground, 14, 2.0 * kappa, degree=3)
+        rep = _chain(h, a, ground, 14, 2.0 * kappa, degree=3)
         energies += [round(e.energy_formula, 7) for e in rep.entries
                      if e.certified and e.energy_formula <= 9.0 + 1e-9]
-    oracle = [round(float(x), 7) for x in diagonalize_oracle(h, 3) if x <= 9.0 + 1e-9]
+    oracle = [round(float(x), 7) for x in diagonalize_oracle(csr(h), 3) if x <= 9.0 + 1e-9]
     assert Counter(energies) == Counter(oracle)
 
 
 def test_chain_orthogonality_across_energies(chain_setup):
     g, h, a, mu2, ap = chain_setup
-    rep0 = raising_chain(h, a, vacuum_state(g.cutoff), 6, 0.0, degree=3)
+    rep0 = _chain(h, a, vacuum_state(g.cutoff), 6, 0.0, degree=3)
     ground = basic21_states(mu2, ap, 0.0, 3, g, kappa=2)
-    rep2 = raising_chain(h, a, ground, 6, 4.0, degree=3)
+    rep2 = _chain(h, a, ground, 6, 4.0, degree=3)
     for e0, v0 in zip(rep0.entries, rep0.states):
         for e2, v2 in zip(rep2.entries, rep2.states):
             if abs(e0.energy_formula - e2.energy_formula) > 0.5:
@@ -185,7 +189,7 @@ def test_su2_chain_truncates(gen10):
     h = build_hamiltonian(p, gen10)
     kappa = 4
     ground = su2_ground(0.6, 1.1, kappa, gen10)
-    rep = raising_chain(h, a, ground, 8, -kappa / 2, degree=3, family="su2")
+    rep = _chain(h, a, ground, 8, -kappa / 2, degree=3, family="su2")
     assert rep.collapse_at == kappa + 1
     energies = [e.energy_chain for e in rep.entries]
     np.testing.assert_allclose(energies, [-kappa / 2 + n for n in range(kappa + 1)],
@@ -193,8 +197,8 @@ def test_su2_chain_truncates(gen10):
 
 
 def _checked_chain(h, a, g):
-    rep = raising_chain(h, a, vacuum_state(g.cutoff), 3, 0.0, degree=3, family="2:1")
-    nearest, _ = nearest_eigenvalues(h, [e.energy_chain for e in rep.entries], 3)
+    rep = _chain(h, a, vacuum_state(g.cutoff), 3, 0.0, degree=3, family="2:1")
+    nearest, _ = nearest_eigenvalues(h.csr(), h.cutoff, [e.energy_chain for e in rep.entries], 3)
     for e, x in zip(rep.entries, nearest):
         e.energy_oracle = float(x)
     return rep
@@ -212,7 +216,7 @@ def test_chain_csv_rows(chain_setup):
 def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
     g, h, a, _, _ = chain_setup
     rep = _checked_chain(h, a, g)
-    dense = diagonalize_oracle(h, 3)
+    dense = diagonalize_oracle(csr(h), 3)
     rows = rep.csv_rows(kappa=0)
     assert len(rows) == 4
     for row, e in zip(rows, rep.entries):
@@ -222,7 +226,7 @@ def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
         assert oracle == e.energy_oracle
         assert abs(oracle - min(dense, key=lambda x: abs(x - chain))) <= 1e-11
     # an entry that was never checked leaves its oracle column empty
-    unchecked = raising_chain(h, a, vacuum_state(g.cutoff), 0, 0.0, degree=3, family="2:1")
+    unchecked = _chain(h, a, vacuum_state(g.cutoff), 0, 0.0, degree=3, family="2:1")
     assert unchecked.csv_rows(kappa=0)[0].split(",")[5] == ""
 
 
@@ -232,21 +236,21 @@ def test_chain_csv_numeric_columns_are_plain_floats(chain_setup):
 
 def test_oracle_diagonal(gen10):
     h = build_hamiltonian(HamiltonianParams(beta0=2.0), gen10)
-    vals = diagonalize_oracle(h, 0)
+    vals = diagonalize_oracle(csr(h), 0)
     grid = sorted(n1 + n2 for n1, n2 in gen10.cutoff.states())
     np.testing.assert_allclose(vals, grid, atol=1e-12)
     h21 = build_hamiltonian(HamiltonianParams(beta0=3.0, beta3=1.0), gen10)
-    lowest = diagonalize_oracle(h21, 0)[:5]
+    lowest = diagonalize_oracle(csr(h21), 0)[:5]
     np.testing.assert_allclose(lowest, [0, 1, 2, 2, 3], atol=1e-12)
 
 
 def test_oracle_rejects_non_hermitian(gen10):
     # a1 joins shells, J+ keeps them: both paths of nearest_eigenvalues check
-    for op in (gen10.a1, gen10.j_plus):
+    for op in (gen10.shift("a1"), gen10.shift("j_plus")):
         with pytest.raises(LadderForgeError):
-            diagonalize_oracle(op, 1)
+            diagonalize_oracle(csr(op), 1)
         with pytest.raises(LadderForgeError):
-            nearest_eigenvalues(op, [0.0, 1.0], 1)
+            nearest_eigenvalues(op.csr(), op.cutoff, [0.0, 1.0], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,7 @@ def _chain_energies(p, g, certified_only=False, n_max=6):
     h = build_hamiltonian(p, g)
     a = build_ladder(rep.combined(), g)
     frame = reduction_frame(p)
-    chains = [raising_chain(h, a, chain_seed(frame, kappa, g), n_max, frame.energy(kappa))
+    chains = [_chain(h, a, chain_seed(frame, kappa, g), n_max, frame.energy(kappa))
               for kappa in (0, 1, 2)]
     pairs = [(e.energy_chain, v) for chain in chains for e, v in zip(chain.entries, chain.states)
              if e.certified or not certified_only]
@@ -292,7 +296,7 @@ def _chain_energies(p, g, certified_only=False, n_max=6):
 
 
 def _dense_nearest(h, energies):
-    dense = diagonalize_oracle(h, 3)
+    dense = diagonalize_oracle(csr(h), 3)
     return dense[np.argmin(np.abs(dense - energies[:, None]), axis=1)]
 
 
@@ -302,11 +306,11 @@ def test_nearest_eigenvalues_match_the_dense_oracle(name, n):
     h, energies, states = _chain_energies(SPECTRUM_FAMILIES[name],
                                           build_generators(FockCutoff(n, n)))
     want = _dense_nearest(h, energies)
-    got, fell_back = nearest_eigenvalues(h, energies, 3)
+    got, fell_back = nearest_eigenvalues(h.csr(), h.cutoff, energies, 3)
     assert got.shape == energies.shape and fell_back.all()
     assert np.max(np.abs(got - want)) <= 1e-11
     # each chain state as the witness of its own energy
-    got, fell_back = nearest_eigenvalues(h, energies, 3, states)
+    got, fell_back = nearest_eigenvalues(h.csr(), h.cutoff, energies, 3, states)
     assert not fell_back.all()
     assert np.max(np.abs(got - want)) <= 1e-11
 
@@ -318,7 +322,7 @@ def test_witnesses_past_the_interior_fall_back(gen10):
     keep = interior_indices(gen10.cutoff, 3)
     outside = np.array([not v.amplitudes[keep].any() for v in states])
     assert outside.any()
-    got, fell_back = nearest_eigenvalues(h, energies, 3, states)
+    got, fell_back = nearest_eigenvalues(h.csr(), h.cutoff, energies, 3, states)
     assert fell_back[outside].all() and not fell_back.all()
     assert np.max(np.abs(got - _dense_nearest(h, energies))) <= 1e-11
 
@@ -331,7 +335,7 @@ def test_nearest_eigenvalues_on_a_near_degenerate_coupled_point(gen14, monkeypat
     h, energies, _ = _chain_energies(p, gen14)
     want = _dense_nearest(h, energies)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)   # no per-shell path
-    assert np.max(np.abs(nearest_eigenvalues(h, energies, 3)[0] - want)) <= 1e-11
+    assert np.max(np.abs(nearest_eigenvalues(h.csr(), h.cutoff, energies, 3)[0] - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("name", ["generalized 2:1", "linear iso"])
@@ -342,10 +346,10 @@ def test_nearest_eigenvalues_show_a_shifted_energy(gen14, name):
     h, energies, states = _chain_energies(SPECTRUM_FAMILIES[name], gen14, certified_only=True)
     assert energies.size >= 6
     for witnesses in (None, states):
-        got, _ = nearest_eigenvalues(h, energies, 3, witnesses)
+        got, _ = nearest_eigenvalues(h.csr(), h.cutoff, energies, 3, witnesses)
         assert np.max(np.abs(got - energies)) < 1e-10
         shifted = energies + 1e-6
-        got, fell_back = nearest_eigenvalues(h, shifted, 3, witnesses)
+        got, fell_back = nearest_eigenvalues(h.csr(), h.cutoff, shifted, 3, witnesses)
         assert fell_back.all()
         gap = np.abs(shifted - got)
         assert 0.99e-6 < np.min(gap) and np.max(gap) < 1.01e-6
@@ -362,8 +366,8 @@ def test_nearest_eigenvalues_report_a_shift_invert_failure(monkeypatch):
     h, energies, _ = _chain_energies(SPECTRUM_FAMILIES["linear iso"],
                                      build_generators(FockCutoff(10, 10)))
     with pytest.raises(LadderForgeError, match="did not converge"):
-        nearest_eigenvalues(h, energies, 3)
-    assert nearest_eigenvalues(h, [], 3)[0].shape == (0,)   # no energy, no solve
+        nearest_eigenvalues(h.csr(), h.cutoff, energies, 3)
+    assert nearest_eigenvalues(h.csr(), h.cutoff, [], 3)[0].shape == (0,)   # no energy, no solve
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +408,7 @@ def test_frame_energy_is_the_closed_form(name, gen20):
     # the chain from the frame's seed climbs to it
     h = build_hamiltonian(p, gen20)
     a = build_ladder(solve_ladder(p).combined(), gen20)
-    chain = raising_chain(h, a, chain_seed(frame, kappa, gen20), n, frame.energy(kappa))
+    chain = _chain(h, a, chain_seed(frame, kappa, gen20), n, frame.energy(kappa))
     entry = chain.entries[n]
     assert entry.certified and abs(entry.energy_chain - want) < 1e-12
 
@@ -424,7 +428,7 @@ def test_catalogue_chains_climb_the_frame_energy():
         frame = reduction_frame(row.params)
         h, a = build_hamiltonian(row.params, g), build_ladder(row.coeffs, g)
         for kappa in (0, 1, 2):
-            rep = raising_chain(h, a, chain_seed(frame, kappa, g), 3, frame.energy(kappa))
+            rep = _chain(h, a, chain_seed(frame, kappa, g), 3, frame.energy(kappa))
             for e in rep.entries:
                 if e.certified:
                     certified[row.label] += 1
