@@ -16,7 +16,7 @@ frame = reduction_frame(HamiltonianParams(beta0=2.5, beta_plus=0.5))
 d1, d2 = frame.dags()
 print("the rotation on the creation operators, U a_i' U':")
 for name, d in (("a1'", d1), ("a2'", d2)):
-    print(f"  {name} -> {d.coeffs[1, 0].real:+.4f} a1' {d.coeffs[0, 1].real:+.4f} a2'")
+    print(f"  {name} -> {d.coeffs[1, 0, 0, 0].real:+.4f} a1' {d.coeffs[0, 1, 0, 0].real:+.4f} a2'")
 
 # its columns U[:, S] on the shells n1 + n2 <= 7, exact on the truncated
 # space: the rotation keeps n1 + n2, so they never reach the cutoff

@@ -7,22 +7,20 @@ operator that commutes with the special raising operator and annihilates
 the vacuum.  Powers of the raising operator on the vacuum generate binomial
 superpositions over |q k, p (kappa - k)> with sharp energy kappa.
 
-The operators lie outside the algebra's span, but each moves the grid by at
-most two shifts.  They are weighted shifts (fock.Operator), formed by the
-products and sums of the generators that define them with the roundings of
-the sparse matrix products.
+The operators lie outside the algebra's span, but each is two normal-ordered
+monomials (fock.Poly), each lowered to one weighted shift of the grid whose
+weights are products of square roots, with no chain of grid products.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fock import GeneratorSet, Operator, TwoModeState, basis_state, normalize
+from .fock import GeneratorSet, Operator, Poly, TwoModeState, basis_state, normalize
 
 __all__ = [
     "PQParams",
@@ -54,22 +52,20 @@ class PQParams:
         object.__setattr__(self, "alpha_minus", complex(self.alpha_minus))
 
 
-def _power(g: GeneratorSet, name: str, n: int) -> Operator:
-    """I G^n for the generator `name`, multiplied out from the left."""
-    return functools.reduce(Operator.__matmul__, [g.shift(name)] * n, g.shift("identity"))
+def _monomial(g: GeneratorSet, p: int, q: int, r: int, s: int) -> Operator:
+    """a1'^p a2'^q a1^r a2^s on g's cutoff."""
+    return Poly({(p, q, r, s): 1.0}).lower(g.cutoff)
 
 
 def build_H_pq(pq: PQParams, g: GeneratorSet) -> Operator:
     """Diagonal (p n1 + q n2)/(p q), i.e. n1/q + n2/p."""
-    num1 = g.shift("a1_dag") @ g.shift("a1")
-    num2 = g.shift("a2_dag") @ g.shift("a2")
+    num1, num2 = _monomial(g, 1, 0, 1, 0), _monomial(g, 0, 1, 0, 1)
     return (pq.p * num1 + pq.q * num2) / (pq.p * pq.q)
 
 
 def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
     """Special lowering operator stepping the p:q spectrum down by one."""
-    a2p = _power(g, "a2", pq.p)
-    a1q = _power(g, "a1", pq.q)
+    a2p, a1q = _monomial(g, 0, 0, 0, pq.p), _monomial(g, 0, 0, pq.q, 0)
     return (np.conj(pq.alpha_plus) * pq.q * a2p
             - np.conj(pq.alpha_minus) * pq.p * a1q) / (pq.p * pq.q)
 
@@ -77,8 +73,7 @@ def build_calA_pq(pq: PQParams, g: GeneratorSet) -> Operator:
 def build_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> Operator:
     """Mixed lowering operator alpha- a1'^(q-1) a2 + alpha+ a1 a2'^(p-1);
     annihilates the vacuum and commutes with the special raising operator."""
-    left = _power(g, "a1_dag", pq.q - 1) @ g.shift("a2")
-    right = g.shift("a1") @ _power(g, "a2_dag", pq.p - 1)
+    left, right = _monomial(g, pq.q - 1, 0, 0, 1), _monomial(g, 0, pq.p - 1, 1, 0)
     return pq.alpha_minus * left + pq.alpha_plus * right
 
 

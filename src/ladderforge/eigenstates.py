@@ -1,7 +1,7 @@
 """Closed-form eigenstate families of the lowering operators.
 
 Every state is  exp(E) P^kappa |0>  for polynomials E and P in the
-creation operators (CreationPoly), exact on the truncated space (creation
+creation operators (Poly), exact on the truncated space (creation
 polynomials are nilpotent there) and then normalized numerically.  The
 creation operators commute, so with E = c + L + Q split by degree (a
 constant, the linear part, and the terms of degree 2 and more)
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LadderForgeError
-from .fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff, GeneratorSet,
-                   Operator, TwoModeState, coherent_state,
+from .fock import (A1_DAG, A2_DAG, FockCutoff, GeneratorSet,
+                   Operator, Poly, TwoModeState, coherent_state,
                    interior_indices, normalize)
 from .params import (CaseTag, FamilyKind, HamiltonianParams, LadderCoeffs,
                      SolveReport, classify)
@@ -86,8 +86,8 @@ class EigenstateRequest:
     lambda2: complex | None = None
 
 
-def _exp_poly_vac(cutoff: FockCutoff, exponent: CreationPoly | None,
-                  poly: CreationPoly | None = None, power: int = 1,
+def _exp_poly_vac(cutoff: FockCutoff, exponent: Poly | None,
+                  poly: Poly | None = None, power: int = 1,
                   frame: Frame | None = None) -> TwoModeState:
     """normalize( exp(exponent) * poly^power |0> ), exactly, carried through
     `frame` when given (exponent and poly then written in its d1, d2).  The
@@ -102,12 +102,12 @@ def _exp_poly_vac(cutoff: FockCutoff, exponent: CreationPoly | None,
     if frame is not None:
         exponent = frame.prefix() if exponent is None else exponent + frame.prefix()
     terms = {} if exponent is None else exponent.coeffs
-    v = coherent_state(cutoff, terms.get((1, 0), 0), terms.get((0, 1), 0)).amplitudes
+    v = coherent_state(cutoff, terms.get((1, 0, 0, 0), 0), terms.get((0, 1, 0, 0), 0)).amplitudes
     if poly is not None:
         act = poly.on(cutoff)
         for _ in range(power):
             v = act(v)
-    quad = CreationPoly({k: c for k, c in terms.items() if sum(k) >= 2})
+    quad = Poly({k: c for k, c in terms.items() if sum(k) >= 2})
     if quad.coeffs:
         # each power of quad raises n1 + n2 by at least 2
         act, term = quad.on(cutoff), v
@@ -123,7 +123,7 @@ def _exp_poly_vac(cutoff: FockCutoff, exponent: CreationPoly | None,
 # basic-frame constructors: (exponent, poly, power) in creation operators d
 # ---------------------------------------------------------------------------
 
-def _isotropic_terms(d1: CreationPoly, d2: CreationPoly, mu1: complex, mu2: complex, lam: complex,
+def _isotropic_terms(d1: Poly, d2: Poly, mu1: complex, mu2: complex, lam: complex,
                      kappa: int, branch: int, c2: complex | None):
     """Eigenstates of mu1 a1 + mu2 a2 (see isotropic_states)."""
     if abs(mu1) < _TINY:
@@ -136,7 +136,7 @@ def _isotropic_terms(d1: CreationPoly, d2: CreationPoly, mu1: complex, mu2: comp
     raise DomainError("unknown-branch", f"this family has no branch {branch}")
 
 
-def _kernel21_terms(d1: CreationPoly, d2: CreationPoly, mu2: complex, alpha_plus: complex,
+def _kernel21_terms(d1: Poly, d2: Poly, mu2: complex, alpha_plus: complex,
                     lam: complex, branch: int, c1: complex | None, kappa: int):
     """Eigenstates of mu2 a2 + alpha_plus J- (see basic21_states)."""
     if abs(mu2) < _TINY:

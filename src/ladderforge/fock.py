@@ -1,6 +1,5 @@
-"""Truncated two-mode bosonic Fock space: basis bookkeeping, operators as
-weighted shifts of the grid, states, and the generator set every other
-module is built from.
+"""Truncated two-mode bosonic Fock space: basis bookkeeping, operators,
+states, and the generator set every other module is built from.
 
 The basis is the occupation grid {|n1, n2> : 0 <= n_i <= n_i_max}, stored
 row-major so that index(n1, n2) = n1 * (n2_max + 1) + n2.  Creation operators
@@ -8,29 +7,23 @@ are hard-truncated: a_i^dag maps the top occupation level to the zero vector.
 Truncation artifacts are masked in all checks by restricting to interior
 index sets.
 
-An operator moves the grid by a few shifts (dn1, dn2) and is held as its
-weights on the grid padded by one zero layer, where a shift is a flat offset
-(Operator).  GeneratorSet records the nine generators, seven shifts with
-closed-form weights; their combinations (a Hamiltonian, a ladder) and
-products (chen's p:q operators) are formed shift by shift, commutator
-identities are checked on the weights with no matrix formed
-(commutator_residual), and operators act on states by shift mat-vecs
-(Operator.matvec).  Each of these rounds as scipy's sparse arithmetic does
-on the CSR matrix of the operator, which the test suite holds as its oracle.
-The one CSR form built here, Operator.csr, is the matrix `spectrum`
-multiplies by, where scipy's mat-vec is the faster; scipy.sparse is imported
-there, not at module level, so the other scenarios never load scipy.
-
-States are built from polynomials in the commuting creation operators
-(CreationPoly), which act on amplitude vectors as weighted shifts of the
-flat grid, and from the closed-form coherent state exp(x1 a1' + x2 a2')|0>
-(coherent_state): no matrix is formed for them.
+Every operator is written once, as normal-ordered monomials
+a1'^p a2'^q a1^r a2^s (Poly), and lowered to a cutoff as weighted shifts of
+the grid (Operator): the nine generators (GeneratorSet), their combinations
+and chen's p:q operators alike; creation polynomials also act on states
+directly.  Identities are checked by brute force on the lowered weights
+(commutator_residual), never in the algebra, with the roundings of scipy's
+sparse arithmetic on the CSR matrix, which the test suite holds as its
+oracle.  The one CSR form built here, Operator.csr, is the matrix `spectrum`
+multiplies by; scipy.sparse is imported there alone, so the other scenarios
+never load scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -51,7 +44,7 @@ __all__ = [
     "norm",
     "normalize",
     "basis_state",
-    "CreationPoly",
+    "Poly",
     "coherent_state",
     "state_to_json",
     "state_to_csv",
@@ -125,23 +118,6 @@ class TwoModeState:
 
     def copy(self) -> "TwoModeState":
         return TwoModeState(self.cutoff, self.amplitudes.copy())
-
-
-# the generators in the order GeneratorSet.shifts adds them: only the
-# diagonal ones (n_op, j3, identity) share a shift, and they come last
-_GENERATORS = ("a1", "a2", "a1_dag", "a2_dag", "j_plus", "j_minus", "n_op", "j3", "identity")
-
-# the shift (dn1, dn2) of each generator: row |m1, m2> of a generator holds
-# its weight in column |m1 + dn1, m2 + dn2>
-_SHIFT_OF = {"a1_dag": (-1, 0), "j_plus": (-1, 1), "a2_dag": (0, -1), "n_op": (0, 0),
-             "j3": (0, 0), "identity": (0, 0), "a2": (0, 1), "j_minus": (1, -1), "a1": (1, 0)}
-_SHIFTS = tuple(sorted(set(_SHIFT_OF.values())))
-
-
-def _inside(m1, m2, shift, n1_max: int, n2_max: int):
-    """Where |m1 + dn1, m2 + dn2> lies in the box 0 <= n_i <= n_i_max."""
-    d1, d2 = shift
-    return (0 <= m1 + d1) & (m1 + d1 <= n1_max) & (0 <= m2 + d2) & (m2 + d2 <= n2_max)
 
 
 class Operator:
@@ -254,18 +230,142 @@ class Operator:
         return sp.csr_matrix((data[nz], cols[nz], indptr), shape=(dim, dim))
 
 
+class Poly:
+    """A polynomial in the mode operators as its normal-ordered monomials
+    a1'^p a2'^q a1^r a2^s, {(p, q, r, s): c} over the nonzero c.  Sums,
+    scalar multiples and the adjoint act on the coefficients; a product (`@`)
+    normal-orders each mode by the one-mode rule
+        a^r a'^P = sum_k k! C(r, k) C(P, k) a'^(P - k) a^(r - k),
+    exact in the algebra.  `lower` gives the operator on a cutoff, which is
+    the product of its factors' lowerings wherever no intermediate state of
+    the product leaves the grid; a creation polynomial (r = s = 0) acts on
+    states directly (`on`), exactly, as the truncated a1', a2' commute."""
+
+    __slots__ = ("coeffs",)
+    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {k: complex(c) for k, c in coeffs.items() if c != 0}
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return Poly(out)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + -1.0 * other
+
+    def __mul__(self, scalar) -> "Poly":
+        return Poly({k: c * complex(scalar) for k, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "Poly") -> "Poly":
+        out = {}
+        for (p, q, r, s), c in self.coeffs.items():
+            for (p2, q2, r2, s2), d in other.coeffs.items():
+                for k1, k2 in itertools.product(range(min(r, p2) + 1), range(min(s, q2) + 1)):
+                    term, key = c * d, (p + p2 - k1, q + q2 - k2, r - k1 + r2, s - k2 + s2)
+                    if k1 or k2:   # a factor of 1 would only move the sign of a zero
+                        term *= (math.perm(r, k1) * math.comb(p2, k1)
+                                 * math.perm(s, k2) * math.comb(q2, k2))
+                    out[key] = out.get(key, 0) + term
+        return Poly(out)
+
+    def dag(self) -> "Poly":
+        return Poly({(r, s, p, q): c.conjugate() for (p, q, r, s), c in self.coeffs.items()})
+
+    @property
+    def degrees(self) -> tuple[int, int] | None:
+        """(max p, max q) over the terms; None for the zero polynomial."""
+        return tuple(map(max, zip(*self.coeffs)))[:2] or None
+
+    def lower(self, cutoff: FockCutoff) -> Operator:
+        """The weighted shifts on `cutoff`: a1'^p a2'^q a1^r a2^s at shift
+        (r - p, s - q), row |m1, m2> holding c R1(m1, p) R1(m1 - p + r, r)
+        R2(m2, q) R2(m2 - q + s, s) (_mode_weights), zero where the column
+        leaves the grid.  c scales the real and imaginary parts apart, so
+        the adjoint's conj(1) = 1 - 0j keeps a conjugate transpose's -0."""
+        out = {}
+        for (p, q, r, s), c in self.coeffs.items():
+            (lo1, f1), (lo2, f2) = (_mode_weights(cutoff.n1_max, p, r),
+                                    _mode_weights(cutoff.n2_max, q, s))
+            w = np.zeros((cutoff.n1_max + 3, cutoff.n2_max + 3), dtype=np.complex128)
+            box, grid = w[1 + lo1:1 + lo1 + len(f1), 1 + lo2:1 + lo2 + len(f2)], np.outer(f1, f2)
+            box.real, box.imag = c.real * grid, c.imag * grid
+            k = (r - p, s - q)
+            out[k] = out[k] + w.ravel() if k in out else w.ravel()
+        return Operator(cutoff, out)
+
+    def on(self, cutoff: FockCutoff):
+        """A creation polynomial on `cutoff`, as a function of amplitude
+        arrays whose last axis is the flat grid: a1'^p a2'^q moves the flat
+        index by p (n2_max + 1) + q with weight R1(n1, p) R2(n2, q) at the
+        landing |n1, n2>, zero where a slice wraps round a row of the grid."""
+        dim, terms = cutoff.dim, []
+        for (p, q, _, _), c in self.coeffs.items():
+            if p <= cutoff.n1_max and q <= cutoff.n2_max:
+                off = p * (cutoff.n2_max + 1) + q
+                w = np.outer(_falling_roots(cutoff.n1_max, p), _falling_roots(cutoff.n2_max, q))
+                terms.append((off, c * w.ravel()[off:]))
+
+        def act(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(v.shape, dtype=np.complex128)
+            for off, w in terms:
+                out[..., off:] += w * v[..., :dim - off]
+            return out
+        return act
+
+    def __repr__(self) -> str:
+        return f"Poly({self.coeffs})"
+
+
+@functools.lru_cache(maxsize=256)
+def _falling_roots(n_max: int, p: int) -> np.ndarray:
+    """sqrt(n! / (n - p)!) for n = 0..n_max, zero where n < p: the weight of
+    a'^p at each landing level, read-only."""
+    n = np.arange(n_max + 1.0)
+    out = np.zeros(n_max + 1)
+    out[p:] = np.prod(np.sqrt(n[p:, None] - np.arange(p)), axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _mode_weights(n_max: int, p: int, r: int) -> tuple[int, np.ndarray]:
+    """lo, and the weights R(m, p) R(m - p + r, r) of a'^p a^r in the rows
+    m = lo.. whose column m - p + r lies on 0..n_max (R = _falling_roots)."""
+    lo = max(0, p - r)
+    hi = max(lo - 1, min(n_max, n_max + p - r))
+    roots_p, roots_r = _falling_roots(n_max, p), _falling_roots(n_max, r)
+    return lo, roots_p[lo:hi + 1] * roots_r[lo - p + r:hi - p + r + 1]
+
+
+_A1, _A2 = Poly({(0, 0, 1, 0): 1.0}), Poly({(0, 0, 0, 1): 1.0})
+# the nine generators, in the order GeneratorSet.shifts adds them: only the
+# diagonal ones (n_op, j3, identity) share a shift, and they come last.  The
+# adjoints carry conj(1) = 1 - 0j, their products 1 + 0j.
+_GENERATORS = {"a1": _A1, "a2": _A2, "a1_dag": _A1.dag(), "a2_dag": _A2.dag(),
+               "j_plus": _A1.dag() @ _A2, "j_minus": _A1 @ _A2.dag(),
+               "n_op": 0.5 * (_A1.dag() @ _A1 + _A2.dag() @ _A2),
+               "j3": 0.5 * (_A1.dag() @ _A1 - _A2.dag() @ _A2),
+               "identity": Poly({(0, 0, 0, 0): 1.0})}
+# the shift (dn1, dn2) of each generator, which all its monomials share: row
+# |m1, m2> holds its weight in column |m1 + dn1, m2 + dn2>
+_SHIFT_OF = {name: next((r - p, s - q) for p, q, r, s in poly.coeffs)
+             for name, poly in _GENERATORS.items()}
+_SHIFTS = tuple(sorted(set(_SHIFT_OF.values())))
+_ORDER = {name: i for i, name in enumerate(_GENERATORS)}
+A1_DAG, A2_DAG = Poly({(1, 0, 0, 0): 1.0}), Poly({(0, 1, 0, 0): 1.0})
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All algebra generators on one truncated basis, recorded as their
-    weights on the occupation grid.
-
-    n_op = (a1'a1 + a2'a2)/2, j3 = (a1'a1 - a2'a2)/2, j_plus = a1'a2,
-    j_minus = a1 a2' (Schwinger realization built from the mode operators).
-    `weights[name]` is the generator's weight in the layout of Operator: on
-    the grid padded by one zero layer and flattened row-major (stride
-    n2_max + 3), so that its shift is a flat offset.  Each generator is an
-    Operator (`shift`), and so is any linear combination of them (`shifts`).
-    """
+    """All algebra generators on one truncated basis: `weights[name]` is the
+    weight of _GENERATORS[name] lowered to the grid, in the layout of
+    Operator (the grid padded by one zero layer, flattened row-major with
+    stride n2_max + 3, so that its shift is a flat offset).  Each generator
+    is an Operator (`shift`), and so is any linear combination (`shifts`)."""
 
     cutoff: FockCutoff
     weights: dict = field(repr=False, compare=False)
@@ -293,7 +393,7 @@ class GeneratorSet:
         order.  A non-finite c_k scales only the nonzero weights, as 0 c_k
         would put a NaN where the column leaves the grid."""
         by_shift = {}
-        for name, c in sorted(terms, key=lambda t: _GENERATORS.index(t[0])):
+        for name, c in sorted(terms, key=lambda t: _ORDER[t[0]]):
             if c != 0:
                 k, w = _SHIFT_OF[name], self.weights[name] * complex(c)
                 if not cmath.isfinite(c):
@@ -330,30 +430,11 @@ def _shell_columns(top: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_generators(cutoff: FockCutoff) -> GeneratorSet:
-    """The generator set on the given truncation, read off the grid.
-
-    Each generator is one shift of the occupations with a closed-form
-    weight: row |m1, m2> of a1 holds sqrt(m1 + 1) in column |m1 + 1, m2>,
-    row |m1, m2> of j_plus = a1'a2 holds sqrt(m1) sqrt(m2 + 1) in column
-    |m1 - 1, m2 + 1>, and so on.  The weights are the float expressions of
-    the mode-operator products (the diagonal of a1'a1 is sqrt(m1) sqrt(m1),
-    not m1), so every entry equals that of the product build bit for bit;
-    a1' and a2' carry the -0 imaginary part of a conjugate transpose."""
-    m1, m2 = np.indices((cutoff.n1_max + 1, cutoff.n2_max + 1))
-    root1, root2 = np.sqrt(m1.astype(float)), np.sqrt(m2.astype(float))
-    up1, up2 = np.sqrt(m1 + 1.0), np.sqrt(m2 + 1.0)
-    num1, num2 = root1 * root1, root2 * root2
-    weights = {"a1": up1, "a2": up2, "a1_dag": np.conj(root1 + 0j),
-               "a2_dag": np.conj(root2 + 0j), "j_plus": root1 * up2, "j_minus": up1 * root2,
-               "n_op": (num1 + num2) / 2.0, "j3": (num1 - num2) / 2.0,
-               "identity": np.ones(m1.shape)}
-    padded = {}
-    for name, w in weights.items():
-        grid = np.zeros((cutoff.n1_max + 3, cutoff.n2_max + 3), dtype=np.complex128)
-        grid[1:-1, 1:-1] = np.where(_inside(m1, m2, _SHIFT_OF[name], cutoff.n1_max,
-                                            cutoff.n2_max), w, 0)
-        padded[name] = grid.ravel()
-    return GeneratorSet(cutoff, padded)
+    """The generators' monomials lowered to `cutoff`, every entry that of the
+    product build bit for bit: the diagonal of a1'a1 is sqrt(m1) sqrt(m1),
+    not m1, and a1', a2' carry the -0 imaginary part of an adjoint."""
+    return GeneratorSet(cutoff, {name: poly.lower(cutoff).weights[_SHIFT_OF[name]]
+                                 for name, poly in _GENERATORS.items()})
 
 
 def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
@@ -371,15 +452,17 @@ def interior_indices(cutoff: FockCutoff, degree: int) -> np.ndarray:
 # and never read.
 
 @functools.lru_cache(maxsize=64)
-def _products(shifts: tuple, stride: int) -> tuple[tuple, np.ndarray, list, int]:
+def _products(shifts: tuple, stride: int) -> tuple[tuple, np.ndarray, tuple, int]:
     """The shifts products of two of `shifts` land on, and `shifts`, sorted;
-    where the product of shifts i and j lands among them; where shift i does;
-    and the zeros to lay on each side of the flat padded grid (of stride
-    `stride`) that keep any grid rows moved by one of `shifts` on the array."""
+    where the product of shifts i and j lands among them (read-only, as the
+    cache hands it to every caller); where shift i does; and the zeros to lay
+    on each side of the flat padded grid (of stride `stride`) that keep any
+    grid rows moved by one of `shifts` on the array."""
     out = tuple(sorted({(a + c, b + d) for a, b in shifts for c, d in shifts} | set(shifts)))
-    return (out, np.array([[out.index((a + c, b + d)) for c, d in shifts] for a, b in shifts]),
-            [out.index(s) for s in shifts], max([0, *(abs(a * stride + b) - stride
-                                                      for a, b in shifts)]))
+    pairs = np.array([[out.index((a + c, b + d)) for c, d in shifts] for a, b in shifts])
+    pairs.flags.writeable = False
+    return (out, pairs, tuple(out.index(s) for s in shifts),
+            max([0, *(abs(a * stride + b) - stride for a, b in shifts)]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,13 +470,16 @@ def _interior_entries(cutoff: FockCutoff, degree: int, shifts: tuple) -> tuple[i
     """The number of grid rows the degree-`degree` interior box spans, and the
     entries of a (products of `shifts`) x (those padded rows, flat) array whose
     row and column lie in the box, as flat indices in row-major (row, column)
-    order."""
+    order, read-only."""
     products = _products(shifts, cutoff.n2_max + 3)[0]
     m1, m2 = np.divmod(interior_indices(cutoff, degree), cutoff.n2_max + 1)
     hi1, hi2, stride = cutoff.n1_max - degree, cutoff.n2_max - degree, cutoff.n2_max + 3
-    inside = np.array([_inside(m1, m2, s, hi1, hi2) for s in products])
+    inside = np.array([(0 <= m1 + a) & (m1 + a <= hi1) & (0 <= m2 + b) & (m2 + b <= hi2)
+                       for a, b in products])
     flat = np.arange(len(products))[:, None] * (hi1 + 1) * stride + m1 * stride + m2 + 1
-    return hi1 + 1, flat.T[inside.T]
+    kept = flat.T[inside.T]
+    kept.flags.writeable = False
+    return hi1 + 1, kept
 
 
 def _parts(shifts: tuple, by_shift: dict, margin: int, out: np.ndarray):
@@ -485,89 +571,6 @@ def basis_state(cutoff: FockCutoff, n1: int, n2: int) -> TwoModeState:
     amps = np.zeros(cutoff.dim, dtype=np.complex128)
     amps[cutoff.index(n1, n2)] = 1.0
     return TwoModeState(cutoff, amps)
-
-
-class CreationPoly:
-    """A polynomial sum_pq c_pq a1'^p a2'^q in the creation operators, held
-    as its nonzero coefficients {(p, q): c_pq}.
-
-    The truncated a1' and a2' commute and their powers compose, so sums,
-    scalar multiples and products (`@`) of polynomials are the polynomial
-    ones, exact on the truncated space.  On a cutoff the polynomial acts on
-    amplitude arrays as weighted shifts of the flat grid (`on`)."""
-
-    __slots__ = ("coeffs",)
-    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {k: complex(c) for k, c in coeffs.items() if c != 0}
-
-    def __add__(self, other: "CreationPoly") -> "CreationPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return CreationPoly(out)
-
-    def __sub__(self, other: "CreationPoly") -> "CreationPoly":
-        return self + -1.0 * other
-
-    def __mul__(self, scalar) -> "CreationPoly":
-        return CreationPoly({k: c * complex(scalar) for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "CreationPoly") -> "CreationPoly":
-        out = {}
-        for (p, q), c in self.coeffs.items():
-            for (r, s), d in other.coeffs.items():
-                out[p + r, q + s] = out.get((p + r, q + s), 0) + c * d
-        return CreationPoly(out)
-
-    @property
-    def degrees(self) -> tuple[int, int] | None:
-        """(max p, max q) over the nonzero terms; None for the zero polynomial."""
-        if not self.coeffs:
-            return None
-        return max(p for p, _ in self.coeffs), max(q for _, q in self.coeffs)
-
-    def on(self, cutoff: FockCutoff):
-        """The polynomial on the truncated space, as a function of amplitude
-        arrays whose last axis is the flat grid.  a1'^p a2'^q moves the flat
-        index by p (n2_max + 1) + q with weight
-        sqrt(n1! / (n1 - p)!) sqrt(n2! / (n2 - q)!) at the landing state
-        |n1, n2>, zero where n1 < p or n2 < q: there the shifted slice has
-        wrapped round from the row above, and where the source left the
-        grid, its landing place has wrapped round too."""
-        dim, terms = cutoff.dim, []
-        for (p, q), c in self.coeffs.items():
-            if p <= cutoff.n1_max and q <= cutoff.n2_max:
-                off = p * (cutoff.n2_max + 1) + q
-                w = np.outer(_falling_roots(cutoff.n1_max, p), _falling_roots(cutoff.n2_max, q))
-                terms.append((off, c * w.ravel()[off:]))
-
-        def act(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(v.shape, dtype=np.complex128)
-            for off, w in terms:
-                out[..., off:] += w * v[..., :dim - off]
-            return out
-        return act
-
-    def __repr__(self) -> str:
-        return f"CreationPoly({self.coeffs})"
-
-
-A1_DAG = CreationPoly({(1, 0): 1.0})
-A2_DAG = CreationPoly({(0, 1): 1.0})
-
-
-@functools.lru_cache(maxsize=256)
-def _falling_roots(n_max: int, p: int) -> np.ndarray:
-    """sqrt(n! / (n - p)!) for n = 0..n_max, zero where n < p: the weight of
-    a'^p at each landing level."""
-    n = np.arange(n_max + 1.0)
-    out = np.zeros(n_max + 1)
-    out[p:] = np.prod(np.sqrt(n[p:, None] - np.arange(p)), axis=1)
-    return out
 
 
 def _coherent_factor(n_max: int, x: complex) -> np.ndarray:

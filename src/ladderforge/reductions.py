@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutoffTooSmall, DomainError
-from .fock import CreationPoly, FockCutoff, build_generators
+from .fock import _GENERATORS, FockCutoff, Poly, build_generators
 from .params import HamiltonianParams, LadderCoeffs, hamiltonian_terms, ladder_terms
 from .transforms import UnitarySpec, mixing_angle
 
@@ -113,7 +113,7 @@ class Frame:
     """A reduction chain U as one affine map of creation operators,
         U a_i' U' = d_i = sum_k m[i, k] a_k' + c[i],   U|0> ∝ exp(x . a')|0>,
     so that U f(a1', a2')|0> ∝ exp(x . a') f(d1, d2)|0> is exact arithmetic
-    of creation polynomials (fock.CreationPoly).  The frames of
+    of creation polynomials (fock.Poly).  The frames of
     `reduction_frame` have basic parameters with beta3 >= 0: a chain that
     lands on beta3 < 0 ends with the mode swap (1:2 is the mode swap of
     2:1).  Its basic system h0 + omega1 n1 + omega2 n2 fixes the family."""
@@ -135,13 +135,13 @@ class Frame:
         seed d_other^kappa |0> raised n times."""
         return self.basic.h0 + kappa * self.basic.omega[1 - self.stepped] + n
 
-    def dags(self) -> tuple[CreationPoly, CreationPoly]:
+    def dags(self) -> tuple[Poly, Poly]:
         """(d1, d2): the creation operators of the basic frame."""
-        return tuple(CreationPoly({(1, 0): row[0], (0, 1): row[1], (0, 0): shift})
+        return tuple(Poly({(1, 0, 0, 0): row[0], (0, 1, 0, 0): row[1], (0, 0, 0, 0): shift})
                      for row, shift in zip(self.m, self.c))
 
-    def prefix(self) -> CreationPoly:
-        return CreationPoly({(1, 0): self.x[0], (0, 1): self.x[1]})
+    def prefix(self) -> Poly:
+        return Poly({(1, 0, 0, 0): self.x[0], (0, 1, 0, 0): self.x[1]})
 
     @property
     def rotation_only(self) -> bool:
@@ -440,46 +440,37 @@ def reduce_by_similarity(p: HamiltonianParams, c: LadderCoeffs, cut: FockCutoff,
                      a_residual=residuals[1], shell_max=shell_max)
 
 
-# each generator as products x1 (x) x2 of the one-mode operators 1, a, a'
-# and n: (x1, x2, weight) terms
-_FACTORS = {"a1": (("a", "1", 1.0),), "a2": (("1", "a", 1.0),),
-            "a1_dag": (("a'", "1", 1.0),), "a2_dag": (("1", "a'", 1.0),),
-            "j_plus": (("a'", "a", 1.0),), "j_minus": (("a", "a'", 1.0),),
-            "n_op": (("n", "1", 0.5), ("1", "n", 0.5)),
-            "j3": (("n", "1", 0.5), ("1", "n", -0.5)),
-            "identity": (("1", "1", 1.0),)}
-
-
 def _sandwiches(m: np.ndarray) -> dict:
-    """{x: M' x M} for the one-mode operators x = 1, a, a', n, truncated to
-    the levels of M's rows; for M the identity, their matrices."""
+    """{(p, r): M' a'^p a^r M} for the one-mode 1, a, a' and n = a'a, truncated
+    to the levels of M's rows; for M the identity, their matrices."""
     root, mh = np.sqrt(np.arange(1.0, len(m)))[:, None], m.conj().T
     lowered, raised = np.zeros_like(m), np.zeros_like(m)
     lowered[:-1], raised[1:] = root * m[1:], root * m[:-1]
-    return {"1": mh @ m, "a": mh @ lowered, "a'": mh @ raised,
-            "n": mh @ (np.arange(len(m))[:, None] * m)}
+    return {(0, 0): mh @ m, (0, 1): mh @ lowered, (1, 0): mh @ raised,
+            (1, 1): mh @ (np.arange(len(m))[:, None] * m)}
 
 
 def _kron_residual(x1: dict, x2: dict, unit: dict, terms: list, reduced: list) -> float:
     """||M' X M - R||_F on the shells n1 + n2 <= K, M = m1 (x) m2 with K + 1
     columns each, for X and R given as (generator, coefficient) terms and
     the one-mode sandwiches x_i of m_i and `unit` of the identity
-    (_sandwiches).  Each side is sum_t f_t (x) g_t with f_t, g_t
-    (K + 1) x (K + 1): X's terms grouped by their mode-2 operator o2,
-    f = sum c m1' o1 m1 and g = m2' o2 m2, and R's the same on the truncated
-    one-mode matrices.  Entry ((i, j), (k, l)) is sum_t f_t[i, k] g_t[j, l],
-    formed one mode-1 row i at a time."""
+    (_sandwiches).  A generator's monomials a1'^p a2'^q a1^r a2^s (fock.Poly)
+    are products o1 (x) o2 of o1 = a'^p a^r and o2 = a'^q a^s, so each side
+    is sum_t f_t (x) g_t with f_t, g_t (K + 1) x (K + 1): X's monomials
+    grouped by o2, f = sum c m1' o1 m1 and g = m2' o2 m2, and R's the same
+    on the truncated one-mode matrices.  Entry ((i, j), (k, l)) is
+    sum_t f_t[i, k] g_t[j, l], formed one mode-1 row i at a time."""
     left, right = [], []
     for ones, twos, sign, side in ((x1, x2, 1.0, terms), (unit, unit, -1.0, reduced)):
         by_mode2 = {}
         for name, coeff in side:
             if coeff != 0:
-                for o1, o2, w in _FACTORS[name]:
-                    f = (sign * w * coeff) * ones[o1]
-                    by_mode2[o2] = by_mode2[o2] + f if o2 in by_mode2 else f
+                for (p, q, r, s), w in _GENERATORS[name].coeffs.items():
+                    f = (sign * w * coeff) * ones[p, r]
+                    by_mode2[q, s] = by_mode2[q, s] + f if (q, s) in by_mode2 else f
         left += by_mode2.values()
         right += [twos[o2] for o2 in by_mode2]
-    size = len(unit["1"])
+    size = len(unit[0, 0])
     f = np.moveaxis(np.array(left), 0, -1)                    # [i, k, t]
     g = np.array(right)                                       # [t, j, l]
     n = np.arange(size)

@@ -11,8 +11,8 @@ index set, which commutator_residual must match bit for bit; the
 generators as Kronecker and matrix products of the one-mode annihilator,
 and H and A as chained CsrOperator sums of them; scipy's sparse Frobenius
 norm; the ladder identity as CSR products restricted to the interior;
-chen's p:q operators as chained products of the CSR generators, with their
-identities on those matrices.
+chen's p:q operators as chained products of the CSR generators, and their
+identities as CSR products.
 
 For the closed-form reduction: coefficient readers that take an operator's
 coefficients off its matrix, the rotated couplings and basic parameters
@@ -32,10 +32,11 @@ For the spectra: the raising power from its normal-ordered expansion
 recurrence) and the dense eigvalsh of the interior block
 (diagonalize_oracle), which nearest_eigenvalues must reproduce.
 
-For the eigenstates: creation polynomials as CSR operator products, the
-state exp(E) P^kappa |0> as a Taylor series of CSR mat-vecs on the whole
-exponent, the su(2) binomial ground in closed form (su2_ground), and the
-fractional kappa family from its own formula (fractional_lambda_state).
+For the polynomials (fock.Poly) and the eigenstates: each monomial as the
+CSR product of its factors (csr_poly), the state exp(E) P^kappa |0> as a
+Taylor series of CSR mat-vecs on the whole exponent, the su(2) binomial
+ground in closed form (su2_ground), and the fractional kappa family from its
+own formula (fractional_lambda_state).
 """
 
 import math
@@ -53,8 +54,8 @@ from ladderforge import eigenstates
 from ladderforge.chen import PQParams
 from ladderforge.eigenstates import EigenstateRequest
 from ladderforge.errors import CutoffMismatch, CutoffTooSmall, DomainError, LadderForgeError
-from ladderforge.fock import (_GENERATORS, A1_DAG, A2_DAG, CreationPoly, FockCutoff,
-                              GeneratorSet, Operator, TwoModeState, basis_state,
+from ladderforge.fock import (_GENERATORS, A1_DAG, A2_DAG, FockCutoff,
+                              GeneratorSet, Operator, Poly, TwoModeState, basis_state,
                               build_generators, coherent_state, interior_indices, normalize)
 from ladderforge.params import (HamiltonianParams, LadderCoeffs,
                                 build_hamiltonian, build_ladder, parse_complex)
@@ -321,11 +322,12 @@ def csr_A_pq_generalized(pq: PQParams, g: GeneratorSet) -> CsrOperator:
     return pq.alpha_minus * left + pq.alpha_plus * right
 
 
-def csr_chen_residuals(pq: PQParams, g: GeneratorSet, degree: int) -> tuple[float, float]:
+def csr_chen_residuals(h: CsrOperator, cal_a: CsrOperator, a_gen: CsrOperator,
+                       degree: int) -> tuple[float, float]:
     """chen's ladder_residual ||P([H, calA] + calA)P|| and
-    generalized_commutes_residual ||P[A_gen, calA']P|| on the CSR products."""
-    h, cal_a, a_gen = csr_H_pq(pq, g), csr_calA_pq(pq, g), csr_A_pq_generalized(pq, g)
-    keep = interior_indices(g.cutoff, degree)
+    generalized_commutes_residual ||P[A_gen, calA']P|| as CSR products of
+    the given matrices."""
+    keep = interior_indices(h.cutoff, degree)
     return (interior_residual(commutator(h, cal_a) + cal_a, keep),
             interior_residual(commutator(a_gen, cal_a.dag()), keep))
 
@@ -558,20 +560,21 @@ def apply_creation_series(a: CsrOperator, v: TwoModeState, tol: float = 1e-300) 
     return TwoModeState(v.cutoff, out)
 
 
-def csr_poly(poly: CreationPoly, g: GeneratorSet) -> CsrOperator:
-    """sum c_pq a1'^p a2'^q as CSR products of the truncated generators."""
+def csr_poly(poly: Poly, g: GeneratorSet) -> CsrOperator:
+    """sum c a1'^p a2'^q a1^r a2^s as CSR products of the truncated
+    generators, each monomial multiplied out factor by factor."""
     ops = csr_generators(g)
     out = combine(g, [])
-    for (p, q), c in poly.coeffs.items():
+    for (p, q, r, s), c in poly.coeffs.items():
         term = ops.identity
-        for op in [ops.a1_dag] * p + [ops.a2_dag] * q:
+        for op in [ops.a1_dag] * p + [ops.a2_dag] * q + [ops.a1] * r + [ops.a2] * s:
             term = term @ op
         out = out + c * term
     return out
 
 
-def series_state(g: GeneratorSet, exponent: CreationPoly | None,
-                 poly: CreationPoly | None = None, power: int = 1,
+def series_state(g: GeneratorSet, exponent: Poly | None,
+                 poly: Poly | None = None, power: int = 1,
                  frame=None) -> TwoModeState:
     """normalize(exp(exponent) poly^power |0>), carried through `frame` when
     given, from CSR operators: poly applied `power` times to the vacuum, then
@@ -583,8 +586,8 @@ def series_state(g: GeneratorSet, exponent: CreationPoly | None,
     if frame is not None:
         exponent = frame.prefix() if exponent is None else exponent + frame.prefix()
     if exponent is not None:
-        v = apply_creation_series(csr_poly(CreationPoly(
-            {k: c for k, c in exponent.coeffs.items() if k != (0, 0)}), g), v)
+        v = apply_creation_series(csr_poly(Poly(
+            {k: c for k, c in exponent.coeffs.items() if any(k)}), g), v)
     return normalize(v)
 
 

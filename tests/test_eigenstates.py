@@ -596,8 +596,8 @@ def test_frame_states_build_no_operator(monkeypatch):
         built.append(1)
         init(self, *args)
 
+    g = build_generators(FockCutoff(16, 16))   # lowers each generator to an Operator
     monkeypatch.setattr(fock.Operator, "__init__", counting)
-    g = build_generators(FockCutoff(16, 16))
     for p in ORACLE_FAMILIES.values():
         rep = solve_ladder(p)
         for kappa in (0, 2):

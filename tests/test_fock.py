@@ -13,7 +13,8 @@ from oracles import (ORACLE_CUTOFFS, CsrOperator, apply_creation_series,
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, CutoffTooSmall, LadderForgeError
-from ladderforge.fock import (A1_DAG, A2_DAG, CreationPoly, FockCutoff,
+from ladderforge.fock import (A1_DAG, A2_DAG, FockCutoff, Poly, _falling_roots,
+                              _interior_entries, _products,
                               TwoModeState, basis_state,
                               build_generators, coherent_state,
                               commutator_residual, interior_indices, norm,
@@ -200,7 +201,7 @@ def test_coherent_state_matches_the_series(cutoff):
 
 
 def _random_poly(rng, degree):
-    return CreationPoly({(p, q): complex(*rng.normal(size=2))
+    return Poly({(p, q, 0, 0): complex(*rng.normal(size=2))
                          for p in range(degree + 1) for q in range(degree + 1 - p)})
 
 
@@ -247,6 +248,44 @@ def test_creation_poly_acts_as_its_csr_operator(cutoff, rng):
     act = x.on(g.cutoff)
     assert np.max(np.abs(act(vs) - want), initial=0) < 1e-12
     assert np.array_equal(act(vs[1]), act(vs)[1])
+
+
+_A1 = Poly({(0, 0, 1, 0): 1.0})
+_COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _COEFFS,
+                         min_size=1, max_size=4).map(Poly)
+
+
+def test_products_normal_order_by_the_one_mode_rule():
+    assert (_A1 @ A1_DAG).coeffs == {(1, 0, 1, 0): 1, (0, 0, 0, 0): 1}
+    # J- J+ = (a1 a2')(a2 a1') = n1 n2 + n2
+    assert (Poly({(0, 1, 1, 0): 1.0}) @ Poly({(1, 0, 0, 1): 1.0})).coeffs == {
+        (1, 1, 1, 1): 1, (0, 1, 0, 1): 1}
+    assert (A1_DAG @ _A1 @ A1_DAG).coeffs == {(2, 0, 1, 0): 1, (1, 0, 0, 0): 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_POLYS, y=_POLYS, n1_max=st.integers(4, 8), n2_max=st.integers(4, 8))
+def test_poly_products_lower_to_the_csr_products(x, y, n1_max, n2_max):
+    # the normal-ordered product, lowered, is the product of the lowered
+    # factors wherever no intermediate state leaves the grid: on the interior
+    # of degree deg X + deg Y.  Sums and adjoints lower term by term
+    cut = FockCutoff(n1_max, n2_max)
+    degree = sum(max(map(max, z.coeffs), default=0) for z in (x, y))
+    keep = np.ix_(*[interior_indices(cut, degree)] * 2)
+    lx, ly = csr(x.lower(cut)), csr(y.lower(cut))
+    for got, want in [(x @ y, lx @ ly), (x + y, lx + ly), (x.dag(), lx.dag())]:
+        want = want.to_dense()[keep]
+        err = np.max(np.abs(csr(got.lower(cut)).to_dense()[keep] - want), initial=0)
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0))
+
+
+def test_cached_arrays_are_read_only():
+    shifts = ((-1, 0), (0, 0), (1, 0))
+    for cached in (_falling_roots(6, 2), _products(shifts, 8)[1],
+                   _interior_entries(FockCutoff(5, 5), 1, shifts)[1]):
+        with pytest.raises(ValueError):
+            cached += 1
 
 
 def test_state_json_and_csv(gen8):
