@@ -29,9 +29,9 @@ a rotation's residual is summed block by block.  The displacements act on
 one mode each, and after the rotation they are displacements of the
 original modes, R D(alpha) R' = D(x) with x = r^T alpha: the displaced
 number states of a mode are formed on that mode alone (stepped, or along
-their diagonals for a large displacement), every term of H and A is a
-product of one-mode operators, and D(x)' X D(x) is a sum of Kronecker
-products of one-mode sandwiches.  A frame U = D(x) R is
+their diagonals for a large displacement), every monomial of H and A
+(fock.Poly) is a product of one-mode operators, and D(x)' X D(x) is a sum
+of Kronecker products of one-mode sandwiches.  A frame U = D(x) R is
 certified in those two steps: D(x) against the closed form once the
 couplings are absorbed, then R against the reduced one, both on S
 (reduce_by_similarity).
