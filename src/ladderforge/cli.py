@@ -21,12 +21,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +38,7 @@ from .errors import CutoffTooSmall, DomainError, LadderForgeError
 from .eigenstates import (EigenstateRequest, chain_seed, reduced_eigenstate,
                           verify_eigenstate)
 from .fock import (DEFAULT_TOL, FockCutoff, build_generators, commutator_residual,
-                   state_to_csv, state_to_json)
+                   join_chars, repr_chars, state_to_csv, state_to_json)
 from .params import (HamiltonianParams, build_hamiltonian, build_ladder, coeffs_to_json,
                      params_from_json, params_to_json, parse_complex, solve_ladder,
                      su2_invariant, verify_ladder)
@@ -201,16 +199,9 @@ def _inputs(cfg: dict) -> SimpleNamespace:
 
 # ---------------------------------------------------------------------------
 # the report writer: json.dumps(o, indent=2) takes json's pure-Python
-# encoder, a few microseconds per number; the same text is written here with
-# lists of floats taken whole
+# encoder, a few microseconds per number; the same text is written here,
+# float arrays whole by fock.repr_chars
 # ---------------------------------------------------------------------------
-
-def _finite_floats(items) -> bool:
-    """Whether `items` holds only finite floats of type float, which json
-    writes as float.__repr__ does.  A sum of finite floats that overflows
-    reads as not finite: those items take the general path, same text."""
-    return set(map(type, items)) == {float} and math.isfinite(sum(items))
-
 
 _ascii = json.encoder.encode_basestring_ascii
 
@@ -221,14 +212,40 @@ def _key_text(k) -> str:
     return _ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
 
 
+def _array_text(a: np.ndarray, nl: str) -> str:
+    """The text of a.tolist() as _json_text writes it, for a float array
+    with at least one entry: every entry's text from repr_chars (json's
+    NaN and Infinity where not finite), each after the brackets, commas and
+    line breaks that lead up to it."""
+    chars = repr_chars(a)
+    bad = ~np.isfinite(a)
+    chars[bad] = np.array([json.dumps(x) for x in a[bad].tolist()], dtype=f"S{chars.shape[-1]}")[
+        :, None].view(np.uint8)
+    depth = range(a.ndim)
+    inner = [nl + "  " * (d + 1) for d in depth]   # the break before an item at depth d
+    opens = ["[" + i for i in inner]
+    closes = [i[:-2] + "]" for i in inner]
+    # the entries after which the last z indexes restart at 0 close and
+    # reopen z lists; the first entry opens them all
+    leads = [((slice(None),) * (a.ndim - 1 - z) + (slice(1, None),) + (0,) * z,
+              "".join(reversed(closes[a.ndim - z:])) + "," + inner[a.ndim - 1 - z]
+              + "".join(opens[a.ndim - z:])) for z in depth]
+    leads.append(((0,) * a.ndim, "".join(opens)))
+    width = max(len(text) for _, text in leads)
+    lead = np.zeros(a.shape + (width,), np.uint8)
+    for place, text in leads:
+        lead[place] = np.frombuffer(text.encode().ljust(width, b"\0"), np.uint8)
+    return (join_chars([lead.reshape(a.size, width), chars.reshape(a.size, -1)])
+            + "".join(closes[::-1]))
+
+
 def _json_text(o, nl: str = "\n") -> str:
-    """The text of json.dumps(o, sort_keys=True, indent=2, default=float);
-    `nl` is the line break and indentation of o's own level.  A list of
-    finite floats, and a list of such lists all of one length (a state's
-    amplitude pairs), is written whole, one float.__repr__ per float; other
-    lists and dicts item by item, and scalars one by one as json writes
-    them: NaN and infinities by json itself, and a value json has no type
-    for (numpy integers and bools) after float()."""
+    """The text of json.dumps(o, sort_keys=True, indent=2, default=float),
+    numpy arrays written as their tolist(); `nl` is the line break and
+    indentation of o's own level.  A float array with entries is written
+    whole (_array_text); lists and dicts item by item, and scalars one by
+    one as json writes them: NaN and infinities by json itself, and a value
+    json has no type for (numpy integers and bools) after float()."""
     if isinstance(o, float):
         return float.__repr__(o) if math.isfinite(o) else json.dumps(o)
     if isinstance(o, str):
@@ -237,21 +254,14 @@ def _json_text(o, nl: str = "\n") -> str:
         return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
+    if isinstance(o, np.ndarray):
+        return (_array_text(o, nl) if o.dtype.kind == "f" and o.ndim and o.size
+                else _json_text(o.tolist(), nl))
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if _finite_floats(o):
-            body = ("," + inner).join(map(float.__repr__, o))
-        elif (set(map(type, o)) == {list} and len(set(map(len, o))) == 1 and o[0]
-              and _finite_floats(flat := list(itertools.chain.from_iterable(o)))):
-            # rows of one length: one %r, float.__repr__, per float
-            deeper = inner + "  "
-            row = "[" + deeper + ("%r," + deeper) * (len(o[0]) - 1) + "%r" + inner + "]"
-            body = ("," + inner).join([row] * len(o)) % tuple(flat)
-        else:
-            body = ("," + inner).join([_json_text(x, inner) for x in o])
-        return "[" + inner + body + nl + "]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in o]) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -381,7 +391,7 @@ def _run_spectrum(inp):
     # the paper's spectrum: each certified energy against the closed form and the oracle
     worst = max(max(e.residual, abs(e.energy_chain - e.energy_formula),
                     abs(e.energy_chain - e.energy_oracle)) for e, _ in certified)
-    entries = [{"kappa": kappa, **asdict(e)} for kappa, chain in chains for e in chain.entries]
+    entries = [{"kappa": kappa, **vars(e)} for kappa, chain in chains for e in chain.entries]
     csv_lines = [SpectrumReport.CSV_HEADER, *(row for kappa, chain in chains
                                               for row in chain.csv_rows(kappa))]
     report = {"params": params_to_json(p), "tag": str(tag), "entries": entries,

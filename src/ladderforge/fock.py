@@ -17,6 +17,9 @@ sparse arithmetic on the CSR matrix, which the test suite holds as its
 oracle.  The one CSR form built here, Operator.csr, is the matrix `spectrum`
 multiplies by; scipy.sparse is imported there alone, so the other scenarios
 never load scipy.
+
+States are written as JSON and CSV here too, every float as float.__repr__
+writes it; repr_chars writes a whole float array at once.
 """
 
 from __future__ import annotations
@@ -606,20 +609,179 @@ def coherent_state(cutoff: FockCutoff, x1: complex, x2: complex) -> TwoModeState
 
 
 # ---------------------------------------------------------------------------
+# numbers as text: float.__repr__ of a whole array at once
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(np.longdouble).eps)
+_TEN_LOW = -292             # _tens()[i] is 10^(i + _TEN_LOW)
+_WIDTH = 45                 # the chars of one text, NULs included: see repr_chars
+_DOUBLE = np.finfo(np.float64)
+
+
+@functools.cache
+def _tens() -> np.ndarray:
+    """10^p correctly rounded to long double, for each p that scales a
+    normal double to 17 integer digits."""
+    tens = np.array([f"1e{p}" for p in range(_TEN_LOW, 325)], dtype=np.longdouble)
+    tens.flags.writeable = False
+    return tens
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The four ASCII digits of 0..9999, one uint32 each."""
+    return np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+
+
+@functools.cache
+def _exponents() -> np.ndarray:
+    """Row 0 NUL, row e + 400 the text of exponent e: e-05, e+16, e-100."""
+    return np.frombuffer(b"\0" * 5 + b"".join(f"e{e:+03d}".encode().ljust(5, b"\0")
+                                              for e in range(-399, 400)), np.uint8).reshape(-1, 5)
+
+
+_FRACTION_LEADS = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000",
+                                np.uint8).reshape(5, 5)
+
+
+def _digits(q: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each q < 10^17, zero-padded, as a uint8 matrix."""
+    hi, lo = np.divmod(q, 10 ** 8)
+    quads = np.stack([hi // 10 ** 8, *np.divmod(hi % 10 ** 8, 10 ** 4), *np.divmod(lo, 10 ** 4)], 1)
+    return _quads()[quads].view(np.uint8)[:, 3:]
+
+
+def _gaps(whole: np.ndarray, frac: np.ndarray, ten) -> tuple:
+    """For t = whole + frac, whole an integer and frac in [0, 1): (t mod ten
+    as an integer, the distance from t down to a multiple of ten, the
+    distance up to the next one), the distances in double."""
+    r = whole % ten
+    return r, r + frac, (ten - r) - frac
+
+
+def _shortest(y: np.ndarray, mant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(decided, chars) for nonzero normal doubles y that are not powers of
+    two, mant their frexp mantissas: chars as repr_chars writes them, right
+    where decided.
+
+    The shortest repr of x is the least n <= 17 for which the n-digit
+    decimal nearest x lies strictly inside x's round-trip interval, x plus
+    or minus half its spacing.  Scaled by 10^p so that x has 17 integer
+    digits, t = x 10^p, the n-digit decimals are the multiples of 10^(17-n),
+    and the interval is t +- h with h = t / (mant 2^54), between 1/2 and 12:
+    n is 17 - j for the largest j whose nearest multiple of 10^j lies within
+    h of t; the nearer the multiple, the longer it stays within, so j is
+    found stepping up.  t is computed in long double, within 2 eps t of
+    x 10^p (eps of long double; the table of 10^p is correctly rounded),
+    then split into its integer part and its fraction; the distances to
+    multiples, and h, are formed in double, and where they are below 16
+    they lie within 2^-49 of those of the computed t (exactly on them
+    where long double has 64 bits: t's fraction then has at most 10 bits).
+    Where a distance lies within 4 eps t + 2^-48 of h, or the nearest
+    multiple as near to halfway (two n-digit decimals about equally near),
+    or the estimate of p left t below 10^16 or its nearest multiple at
+    10^17 (one more digit), the entry is not decided: the caller writes it
+    with float.__repr__.  Where long double
+    is plain double, 4 eps t exceeds h and nothing is decided."""
+    x = np.abs(y)
+    k = np.floor(np.log10(x)).astype(np.intp)   # the decimal exponent, or one off
+    with np.errstate(all="ignore"):             # an overflowing table where long double is double
+        t = x * _tens()[16 - k - _TEN_LOW]
+        h = (t / (mant * 2.0 ** 54)).astype(np.float64)
+        whole = t.astype(np.int64)
+        frac = (t - whole).astype(np.float64)
+    j, live = np.zeros(t.size, np.intp), np.arange(t.size)
+    for p in range(1, 17):
+        _, down, up = _gaps(whole[live], frac[live], 10 ** p)
+        live = live[np.minimum(down, up) < h[live]]
+        j[live] = p
+        if not live.size:
+            break
+    ten = 10 ** j
+    r, down, up = _gaps(whole, frac, ten)
+    near = np.minimum(down, up)
+    far = np.minimum(*_gaps(whole, frac, 10 * ten)[1:])
+    q = whole - r + np.where(up < down, ten, 0)  # the multiple nearest t
+    margin = 4 * _EPS * whole + 2.0 ** -48
+    decided = ((near < np.minimum(h, ten / 2) - margin) & (far > h + margin)
+               & (whole >= 10 ** 16) & (q < 10 ** 17))
+    q = np.where(decided, q, 0)
+    n, decpt = 17 - j, k + 1                    # x = 0.d1...dn 10^decpt
+    fixed = (decpt > -4) & (decpt <= 16)
+    point = np.where(fixed, decpt, 1)           # the digits before the point
+    chars = np.zeros((y.size, _WIDTH), np.uint8)
+    chars[:, 0] = np.signbit(y) * np.uint8(ord("-"))
+    chars[:, 1:6] = _FRACTION_LEADS[np.maximum(1 - point, 0)]
+    # the digits of q, its trailing zeros kept up to the point
+    chars[:, 6:40:2] = _digits(q) * (np.arange(17) < np.maximum(n, point)[:, None])
+    dot = np.flatnonzero((point > 0) & (fixed | (n > 1)))
+    chars[dot, 5 + 2 * point[dot]] = ord(".")
+    integral = np.flatnonzero(fixed & (n <= point))
+    chars[integral, 6 + 2 * point[integral]] = ord("0")
+    chars[:, 40:] = _exponents()[np.where(fixed, 0, decpt + 399)]
+    return decided, chars
+
+
+def repr_chars(a) -> np.ndarray:
+    """float.__repr__ of every entry of the float array a, as a uint8 matrix
+    of shape a.shape + (45,): the non-NUL bytes of each row spell the text
+    in order (join_chars drops the NULs).
+
+    The layout has a column for every place a character can take: the
+    sign; "0." and up to three zeros before the digits of a number below
+    1e-3 written without exponent; 17 digits, each followed by a column for
+    the point or the "0" of an integral value; "e", the exponent's sign and
+    its three digits.
+    Zeros are written as 0.0 and -0.0; nonzero normal doubles that are not
+    powers of two by _shortest; the entries it does not decide, and
+    subnormals, powers of two, infinities and NaN, by float.__repr__."""
+    a = np.asarray(a, dtype=np.float64)
+    y = a.ravel()
+    x = np.abs(y)
+    chars = np.zeros((y.size, _WIDTH), np.uint8)
+    mant = np.frexp(x)[0]
+    fast = np.flatnonzero((mant != 0.5) & (x >= _DOUBLE.smallest_normal) & (x <= _DOUBLE.max))
+    decided, rows = _shortest(y[fast], mant[fast])
+    chars[fast] = rows
+    zero = np.flatnonzero(x == 0)
+    chars[zero, :4] = np.frombuffer(b"0.0\0-0.0", np.uint8).reshape(2, 4)[
+        np.signbit(y[zero]).astype(np.intp)]
+    rest = np.ones(y.size, bool)
+    rest[fast[decided]] = rest[zero] = False
+    rest = np.flatnonzero(rest)
+    texts = [float.__repr__(v).encode() for v in y[rest].tolist()]
+    chars[rest] = np.array(texts, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return chars.reshape(a.shape + (_WIDTH,))
+
+
+def join_chars(parts) -> str:
+    """Each row of the uint8 char matrices and byte strings of parts, side
+    by side, rows one after another, NULs dropped."""
+    rows = max(len(p) for p in parts if isinstance(p, np.ndarray))
+    cols = [p if isinstance(p, np.ndarray) else np.tile(np.frombuffer(p, np.uint8), (rows, 1))
+            for p in parts]
+    return np.concatenate(cols, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+
+# ---------------------------------------------------------------------------
 # serialization: states as dense re/im pairs
 # ---------------------------------------------------------------------------
 
 def state_to_json(v: TwoModeState) -> dict:
+    """The cutoff and the amplitudes as a (dim, 2) array of re, im pairs."""
     return {
         "cutoff": [v.cutoff.n1_max, v.cutoff.n2_max],
-        "amplitudes": np.column_stack((v.amplitudes.real, v.amplitudes.imag)).tolist(),
+        "amplitudes": np.column_stack((v.amplitudes.real, v.amplitudes.imag)),
     }
 
 
 def state_to_csv(v: TwoModeState) -> str:
-    """CSV rows (n1, n2, re, im, probability), header included."""
+    """CSV rows (n1, n2, re, im, probability), header included; the
+    probability is abs(z) ** 2, as Python computes it."""
     n1, n2 = np.divmod(np.arange(v.cutoff.dim), v.cutoff.n2_max + 1)
-    cells = zip(n1.tolist(), n2.tolist(), v.amplitudes.tolist())
-    return "\n".join(["n1,n2,re,im,probability",
-                      *(f"{a},{b},{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
-                        for a, b, z in cells)]) + "\n"
+    index = [np.array(n.tolist(), dtype="S").view(np.uint8).reshape(v.cutoff.dim, -1)
+             for n in (n1, n2)]
+    prob = repr_chars([abs(z) ** 2 for z in v.amplitudes.tolist()])
+    return "n1,n2,re,im,probability\n" + join_chars(
+        [index[0], b",", index[1], b",", repr_chars(v.amplitudes.real), b",",
+         repr_chars(v.amplitudes.imag), b",", prob, b"\n"])

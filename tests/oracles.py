@@ -37,6 +37,10 @@ CSR product of its factors (csr_poly), the state exp(E) P^kappa |0> as a
 Taylor series of CSR mat-vecs on the whole exponent, the su(2) binomial
 ground in closed form (su2_ground), and the fractional kappa family from its
 own formula (fractional_lambda_state).
+
+For serialization: a state's CSV table written row by row, one f-string
+and float.__repr__ per number (state_csv), which fock.state_to_csv must
+reproduce byte for byte.
 """
 
 import math
@@ -830,3 +834,13 @@ def fractional_lambda_state(p: HamiltonianParams, req: EigenstateRequest,
     r = eigenstates._fractional_ratio(p)
     return eigenstates._exp_poly_vac(g.cutoff, (req.lam / mu1) * A1_DAG,
                                      A2_DAG - r * A1_DAG, req.kappa)
+
+
+def state_csv(v: TwoModeState) -> str:
+    """CSV rows (n1, n2, re, im, probability), header included, one
+    f-string per row."""
+    n1, n2 = np.divmod(np.arange(v.cutoff.dim), v.cutoff.n2_max + 1)
+    cells = zip(n1.tolist(), n2.tolist(), v.amplitudes.tolist())
+    return "\n".join(["n1,n2,re,im,probability",
+                      *(f"{a},{b},{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
+                        for a, b, z in cells)]) + "\n"

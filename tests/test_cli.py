@@ -832,7 +832,8 @@ def test_ladder_and_algebra_checks_build_no_csr_matrix(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _json_dumps(o) -> str:
-    return json.dumps(o, sort_keys=True, indent=2, default=float)
+    return json.dumps(o, sort_keys=True, indent=2,
+                      default=lambda x: x.tolist() if isinstance(x, np.ndarray) else float(x))
 
 
 @pytest.mark.parametrize("o", [
@@ -844,6 +845,9 @@ def _json_dumps(o) -> str:
     {"b": [1.0, -0.0, 5e-324, 1.0 / 3], "a": [[0.5, -2.5e-17], [1e16, -3.0]]},
     {"\u00e9 \"q\" \\": "\x00\u2603"}, {1: 2, 3: 4}, {1.5: 0, 2.5: 1}, {None: 1}, {True: 1},
     {"deep": [[[1.0]], {"k": [[2.0, 3.0, 4.0]]}]}, 3, "s", None, True, 2.5, float("nan"),
+    np.array([1.0, -0.0, 5e-324, 1e-300]), np.array([[0.5, float("nan")], [float("inf"), 2.0]]),
+    {"s": np.arange(24.0).reshape(2, 3, 4) / 7}, [np.array([[1e16]])], np.zeros((0, 2)),
+    np.zeros((2, 0)), np.array(2.5), np.array([3, 4]), np.float32([0.1, 2.0]),
 ])
 def test_report_writer_is_json_dumps(o):
     assert _json_text(o) == _json_dumps(o)
@@ -861,7 +865,10 @@ _JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.tex
                 | st.lists(st.floats(), max_size=4)
                 | st.integers(1, 3).flatmap(lambda k: st.lists(
                     st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                             min_size=k, max_size=k), max_size=4)))
+                             min_size=k, max_size=k), max_size=4))
+                | st.integers(1, 3).flatmap(lambda k: st.lists(
+                    st.lists(st.floats(), min_size=k, max_size=k), max_size=4).map(
+                        lambda rows: np.array(rows, dtype=float).reshape(len(rows), k))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -884,8 +891,9 @@ def test_every_scenario_report_is_written_as_json_dumps(tmp_path, monkeypatch):
     cli_writer = cli._json_text
     monkeypatch.setattr(cli, "_json_text", writer)
     cfg = tmp_path / "cfg.json"
+    # the eigenstate's amplitudes fall below 1e-100, where float.__repr__ is slowest
     cfg.write_text(json.dumps({"params": GENERALIZED_21, "n_max": 3,
-                               "request": {"kappa": 1}}))
+                               "request": {"kappa": 1, "lambda": 1e-10}}))
     calls = [["verify-algebra", "--cutoff", "8,8"], ["catalogue-sweep", "--cutoff", "8,8"],
              ["solve-ladder", "--cutoff", "8,8"], ["spectrum", "--cutoff", "12,12"],
              ["eigenstate", "--cutoff", "12,12"], ["reduce", "--cutoff", "12,12"],
@@ -893,3 +901,5 @@ def test_every_scenario_report_is_written_as_json_dumps(tmp_path, monkeypatch):
     codes = [run(argv + ["--config", str(cfg), "--out", str(tmp_path)]) for argv in calls]
     assert codes == [0] * len(calls)
     assert written == [True] * len(calls)
+    amps = json.loads((tmp_path / "eigenstate.json").read_text())["report"]["state"]["amplitudes"]
+    assert 0 < min(abs(x) for pair in amps for x in pair if x) < 1e-100

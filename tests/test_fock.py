@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 from oracles import (ORACLE_CUTOFFS, CsrOperator, apply_creation_series,
                      assert_same_csr, block, combine, commutator, csr, csr_frobenius,
                      csr_generators, csr_poly, interior_projector, interior_residual,
-                     kron_generators, shell_indices, shell_projector, vacuum_state,
-                     zero_signed_bits)
+                     kron_generators, shell_indices, shell_projector, state_csv,
+                     vacuum_state, zero_signed_bits)
 
 from ladderforge.catalogue import Bindings, appendix_catalogue
 from ladderforge.errors import CutoffMismatch, CutoffTooSmall, LadderForgeError
+from ladderforge import fock
 from ladderforge.fock import (A1_DAG, A2_DAG, FockCutoff, Poly, _falling_roots,
                               _interior_entries, _products,
                               TwoModeState, basis_state,
                               build_generators, coherent_state,
-                              commutator_residual, interior_indices, norm,
-                              normalize, state_to_csv,
+                              commutator_residual, interior_indices, join_chars, norm,
+                              normalize, repr_chars, state_to_csv,
                               state_to_json)
 from ladderforge.params import build_hamiltonian, build_ladder
 
@@ -291,10 +292,11 @@ def test_cached_arrays_are_read_only():
 def test_state_json_and_csv(gen8):
     v = normalize(TwoModeState(gen8.cutoff,
                                np.arange(gen8.cutoff.dim, dtype=float) + 0.5j))
-    payload = json.loads(json.dumps(state_to_json(v)))
+    payload = state_to_json(v)
     assert payload["cutoff"] == [gen8.cutoff.n1_max, gen8.cutoff.n2_max]
-    assert payload["amplitudes"] == [[z.real, z.imag] for z in v.amplitudes.tolist()]
+    assert payload["amplitudes"].tolist() == [[z.real, z.imag] for z in v.amplitudes.tolist()]
     csv = state_to_csv(v)
+    assert csv == state_csv(v)
     lines = csv.strip().split("\n")
     assert lines[0] == "n1,n2,re,im,probability"
     assert len(lines) == gen8.cutoff.dim + 1
@@ -302,6 +304,19 @@ def test_state_json_and_csv(gen8):
         n1, n2, re, im, prob = line.split(",")
         z = v.amplitudes[gen8.cutoff.index(int(n1), int(n2))]
         assert (float(re), float(im), float(prob)) == (z.real, z.imag, abs(z) ** 2)
+
+
+def test_state_csv_writes_every_number_as_the_row_by_row_text():
+    # signed zeros, subnormals, powers of two, NaN, infinities and numbers
+    # whose squares differ between numpy and Python
+    rng = np.random.default_rng(11)
+    cut = FockCutoff(11, 11)
+    re = np.concatenate([_EDGES[:36], rng.normal(size=cut.dim - 36) * 10.0 ** rng.uniform(-150, 3)])
+    re[np.abs(re) > 1e150] = 1.0    # abs(z) ** 2 would overflow
+    amps = np.empty(cut.dim, np.complex128)
+    amps.real, amps.imag = re, np.roll(re, 7)
+    w = TwoModeState(cut, amps)
+    assert state_to_csv(w) == state_csv(w)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +562,47 @@ def test_commutator_residual_on_any_shifts_is_the_csr_one(n1_max, n2_max, rng):
         xc, yc, zc = csr(x), csr(y), csr(z)
         want = interior_residual(commutator(xc, yc) + zc, interior_indices(cut, degree))
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), degree
+
+
+# ---------------------------------------------------------------------------
+# repr_chars writes float.__repr__ of every entry
+# ---------------------------------------------------------------------------
+
+_DOUBLE = np.finfo(np.float64)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, _DOUBLE.smallest_normal, _DOUBLE.max, -_DOUBLE.max,
+          1e16, 1e-5, 1e-4, 9.999999999999999e22, 0.1, 1e15, 1234567890123456.0, 1e-300,
+          # halfway between two 17-digit decimals, or nearly so
+          1974014629615873.8, 1.2055532101910939e-212, -3.9091588831167786e+275,
+          float("inf"), -float("inf"), float("nan"),
+          *(s * 2.0 ** e for e in range(-1074, 1024) for s in (1, -1)),
+          *(np.nextafter(10.0 ** k, toward) for k in range(-30, 31)
+            for toward in (0.0, 10.0 ** k, np.inf))]
+
+
+def _reprs(a) -> list[str]:
+    """The text of each entry of a, as repr_chars writes it."""
+    return join_chars([repr_chars(a).reshape(np.size(a), -1), b"\n"]).split("\n")[:-1]
+
+
+def test_repr_chars_writes_the_edge_values_as_float_repr():
+    a = np.array(_EDGES)
+    assert repr_chars(a[:a.size // 2 * 2].reshape(-1, 2)).shape == (a.size // 2, 2, 45)
+    assert _reprs(a) == [float.__repr__(x) for x in a.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_repr_chars_is_float_repr(xs):
+    assert _reprs(np.array(xs)) == [float.__repr__(x) for x in xs]
+
+
+def test_entries_left_undecided_are_written_by_float_repr(monkeypatch):
+    # with long double as plain double no entry is decided, and the text is
+    # float.__repr__'s all the same
+    rng = np.random.default_rng(5)
+    a = np.concatenate([_EDGES, rng.normal(size=200) * 10.0 ** rng.uniform(-200, 200, 200)])
+    monkeypatch.setattr(fock, "_EPS", float(_DOUBLE.eps))
+    y = a[np.isfinite(a) & (np.abs(a) >= _DOUBLE.smallest_normal) & (np.frexp(a)[0] != 0.5)
+          & (np.frexp(a)[0] != -0.5)]
+    assert not fock._shortest(y, np.frexp(np.abs(y))[0])[0].any()
+    assert _reprs(a) == [float.__repr__(x) for x in a.tolist()]

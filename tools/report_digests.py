@@ -3,8 +3,9 @@
     PYTHONPATH=src python tools/report_digests.py --seed N
 
 Every request of one cycle of each workload (bench/gen.generate at seed N)
-runs through ladderforge.cli.run in-process, writing its reports with
---out into a temporary directory.  One line is printed per request:
+runs through ladderforge.cli.run in-process, writing its JSON report and
+CSV tables (--format csv) with --out into a temporary directory.  One line
+is printed per request:
 
     workload id scenario exit sha256
 
@@ -52,7 +53,8 @@ def digests(seed: int) -> list[str]:
                         json.dump(req["config"], fh)
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
-                        code = cli.run([req["scenario"], "--config", config, "--out", out])
+                        code = cli.run([req["scenario"], "--config", config, "--out", out,
+                                        "--format", "csv"])
                     digest = hashlib.sha256()
                     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
                         with open(os.path.join(out, name), "rb") as fh:
